@@ -66,64 +66,138 @@ class BehaviorError(Exception):
 
 # ---------------------------------------------------------------------------
 # Behaviour descriptors, as bound to local SIDs / transit routes.
+#
+# A descriptor class is the whole definition of one behaviour: its scenario
+# ``behavior.type`` name, its fields (named after the scenario keys the
+# loader reads; their types pick the loader's parser) and its action. The
+# native pipeline runs end() first when ``advance`` is set, then the
+# action; helper_action applies the action alone, without re-advancing.
+# Adding a behaviour is one class here, one entry in SID_BEHAVIORS or
+# TRANSIT_BEHAVIORS and one entry in the scenario schema's type enum.
+
+class Behavior:
+    """Base of every descriptor; the defaults describe a transit body."""
+
+    type_name = ""
+    advance = False  # the native pipeline runs end() before the action
+    helper = False  # helper_action may apply the action ...
+    resolves_table = False  # ... then look the destination up in self.table
+    rewrites_srh = False  # ... or mark the SRH for revalidation
+
+    def action(self, p: Packet) -> None:
+        """The body run after any advance; mutates p in place."""
+
 
 @dataclass(frozen=True)
-class End:
-    pass
+class End(Behavior):
+    type_name = "end"
+    advance = True
 
 
 @dataclass(frozen=True)
-class EndX:
+class EndX(Behavior):
     nexthop: Address
     link: str
 
+    type_name = "end_x"
+    advance = helper = True
+
+    def action(self, p: Packet) -> None:
+        p.meta.pending_destination = self.nexthop
+        p.meta.pending_link = self.link
+
 
 @dataclass(frozen=True)
-class EndT:
+class EndT(Behavior):
     table: int
 
+    type_name = "end_t"
+    advance = helper = resolves_table = True
+
+    def action(self, p: Packet) -> None:
+        p.meta.pending_table = self.table
+
 
 @dataclass(frozen=True)
-class EndB6:
+class EndB6(Behavior):
     srh: SegmentRoutingHeader
 
+    type_name = "end_b6"
+    advance = helper = rewrites_srh = True
+
+    def action(self, p: Packet) -> None:
+        insert_srh(p, self.srh)
+
 
 @dataclass(frozen=True)
-class EndB6Encaps:
+class EndB6Encaps(Behavior):
     srh: SegmentRoutingHeader
     src: Address
 
+    type_name = "end_b6_encaps"
+    advance = helper = rewrites_srh = True
+
+    def action(self, p: Packet) -> None:
+        encapsulate(p, self.srh, self.src)
+
 
 @dataclass(frozen=True)
-class EndDT6:
+class EndDT6(Behavior):
     table: int
 
+    type_name = "end_dt6"
+    helper = resolves_table = True
+
+    def action(self, p: Packet) -> None:
+        end_dt6(p, self.table)
+
 
 @dataclass(frozen=True)
-class EndProgram:
+class TransitInsert(Behavior):
+    srh: SegmentRoutingHeader
+
+    type_name = "insert"
+
+    def action(self, p: Packet) -> None:
+        t_insert(p, self.srh)
+
+
+@dataclass(frozen=True)
+class TransitEncaps(Behavior):
+    srh: SegmentRoutingHeader
+    src: Address
+
+    type_name = "encaps"
+
+    def action(self, p: Packet) -> None:
+        t_encaps(p, self.srh, self.src)
+
+
+@dataclass(frozen=True)
+class ProgramBehavior(Behavior):
+    """Runs the node's program instance of this name instead of an action."""
+
     program: str
 
 
 @dataclass(frozen=True)
-class TransitInsert:
-    srh: SegmentRoutingHeader
+class EndProgram(ProgramBehavior):
+    type_name = "end_program"
+    advance = True  # run_endpoint_program advances before the program
 
 
 @dataclass(frozen=True)
-class TransitEncaps:
-    srh: SegmentRoutingHeader
-    src: Address
+class TransitProgram(ProgramBehavior):
+    type_name = "program"
 
 
-@dataclass(frozen=True)
-class TransitProgram:
-    program: str
-
-
-Behavior = (
-    End | EndX | EndT | EndB6 | EndB6Encaps | EndDT6 | EndProgram
-)
-TransitBehavior = TransitInsert | TransitEncaps | TransitProgram
+SID_BEHAVIORS: dict[str, type[Behavior]] = {
+    cls.type_name: cls
+    for cls in (End, EndX, EndT, EndB6, EndB6Encaps, EndDT6, EndProgram)
+}
+TRANSIT_BEHAVIORS: dict[str, type[Behavior]] = {
+    cls.type_name: cls for cls in (TransitInsert, TransitEncaps, TransitProgram)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +212,6 @@ def end(p: Packet) -> Packet:
         raise BehaviorError(DropReason.SEGMENTS_EXHAUSTED)
     srh.segments_left -= 1
     p.outer_header.dst = srh.segments[srh.segments_left]
-    return p
-
-
-def end_x(p: Packet, nexthop: Address, link: str) -> Packet:
-    end(p)
-    p.meta.pending_destination = nexthop
-    p.meta.pending_link = link
-    return p
-
-
-def end_t(p: Packet, table: int) -> Packet:
-    end(p)
-    p.meta.pending_table = table
     return p
 
 
@@ -173,11 +234,6 @@ def insert_srh(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
     return p
 
 
-def end_b6(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
-    end(p)
-    return insert_srh(p, new_srh)
-
-
 def encapsulate(
     p: Packet,
     outer_srh: SegmentRoutingHeader,
@@ -196,13 +252,6 @@ def encapsulate(
     )
     p.headers.insert(0, (hdr, [new]))
     return p
-
-
-def end_b6_encaps(
-    p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address
-) -> Packet:
-    end(p)
-    return encapsulate(p, outer_srh, outer_src)
 
 
 def end_dt6(p: Packet, table: int) -> Packet:

@@ -3,28 +3,16 @@ ingress pipeline that ties them together."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import behaviors, programs
 from .behaviors import (
     Behavior,
     BehaviorError,
     Drop,
     DropReason,
-    End,
-    EndB6,
-    EndB6Encaps,
-    EndProgram,
-    EndDT6,
-    EndT,
-    EndX,
     Forward,
     ForwardingDecision,
     LocalDeliver,
-    TransitBehavior,
-    TransitEncaps,
-    TransitInsert,
-    TransitProgram,
+    ProgramBehavior,
 )
 from .fib import FibEntry, PrefixTable, select_nexthop
 from .packet import (
@@ -40,19 +28,6 @@ from .programs import EventQueue, MapStore, Program, flow_key
 ICMP_TIME_EXCEEDED = 3
 
 
-@dataclass(frozen=True)
-class LocalSidEntry:
-    sid: Address
-    behavior: Behavior
-
-
-@dataclass(frozen=True)
-class TransitEntry:
-    prefix: Address
-    plen: int
-    behavior: TransitBehavior
-
-
 class Node:
     """A router/host with static tables, mutated only during setup."""
 
@@ -62,7 +37,7 @@ class Node:
         self.addresses = list(addresses)
         self.local_addrs = set(addresses)
         self.tables: dict[int, PrefixTable] = {0: PrefixTable()}
-        self.sids: dict[Address, LocalSidEntry] = {}
+        self.sids: dict[Address, Behavior] = {}
         self.transits = PrefixTable()
         self.programs: dict[str, Program] = {}
         self.maps = MapStore()
@@ -81,11 +56,11 @@ class Node:
         return t.remove(prefix, plen) if t else False
 
     def add_sid(self, sid: Address, behavior: Behavior) -> None:
-        self.sids[sid] = LocalSidEntry(sid, behavior)
+        self.sids[sid] = behavior
         self.local_addrs.add(sid)
 
-    def add_transit(self, prefix: Address, plen: int, behavior: TransitBehavior) -> None:
-        self.transits.insert(prefix, plen, TransitEntry(prefix, plen, behavior))
+    def add_transit(self, prefix: Address, plen: int, behavior: Behavior) -> None:
+        self.transits.insert(prefix, plen, behavior)
 
     def add_program(self, name: str, program: Program) -> None:
         self.programs[name] = program
@@ -139,60 +114,24 @@ class Node:
             self._emit_time_exceeded(p)
             return Drop(DropReason.HOP_LIMIT_EXCEEDED)
         dst = hdr.dst
-        sid = self.sids.get(dst)
-        if sid is not None:
-            return self._dispatch_sid(sid, p, now)
-        entry = self.transits.lookup(dst)
-        if entry is not None:
-            return self._dispatch_transit(entry, p, now)
-        return self.finish_forwarding(p)
+        b = self.sids.get(dst) or self.transits.lookup(dst)
+        if b is None:
+            return self.finish_forwarding(p)
+        return self._dispatch(b, p, now)
 
-    def _dispatch_sid(
-        self, sid: LocalSidEntry, p: Packet, now: int
-    ) -> ForwardingDecision:
-        b = sid.behavior
+    def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
+        """Run a SID or transit behaviour, then the common forwarding tail."""
         try:
-            if isinstance(b, End):
-                behaviors.end(p)
-            elif isinstance(b, EndX):
-                behaviors.end_x(p, b.nexthop, b.link)
-            elif isinstance(b, EndT):
-                behaviors.end_t(p, b.table)
-            elif isinstance(b, EndB6):
-                behaviors.end_b6(p, b.srh)
-            elif isinstance(b, EndB6Encaps):
-                behaviors.end_b6_encaps(p, b.srh, b.src)
-            elif isinstance(b, EndDT6):
-                behaviors.end_dt6(p, b.table)
-            elif isinstance(b, EndProgram):
+            if isinstance(b, ProgramBehavior):
                 program = self.programs.get(b.program)
                 if program is None:
                     return Drop(DropReason.PROGRAM_ERROR, f"no program {b.program!r}")
-                return programs.run_endpoint_program(self, program, p, now)
-            else:
-                return Drop(DropReason.PROGRAM_ERROR, f"bad behavior {b!r}")
-        except BehaviorError as exc:
-            return Drop(exc.reason, exc.detail)
-        except InvariantViolation as exc:
-            return Drop(DropReason.INVARIANT, str(exc))
-        return self.finish_forwarding(p)
-
-    def _dispatch_transit(
-        self, entry: TransitEntry, p: Packet, now: int
-    ) -> ForwardingDecision:
-        b = entry.behavior
-        try:
-            if isinstance(b, TransitInsert):
-                behaviors.t_insert(p, b.srh)
-            elif isinstance(b, TransitEncaps):
-                behaviors.t_encaps(p, b.srh, b.src)
-            elif isinstance(b, TransitProgram):
-                program = self.programs.get(b.program)
-                if program is None:
-                    return Drop(DropReason.PROGRAM_ERROR, f"no program {b.program!r}")
+                if b.advance:
+                    return programs.run_endpoint_program(self, program, p, now)
                 return programs.run_transit_program(self, program, p, now)
-            else:
-                return Drop(DropReason.PROGRAM_ERROR, f"bad behavior {b!r}")
+            if b.advance:
+                behaviors.end(p)
+            b.action(p)
         except BehaviorError as exc:
             return Drop(exc.reason, exc.detail)
         except InvariantViolation as exc:

@@ -235,9 +235,6 @@ def validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
     return None
 
 
-Transport = "Udp | bytes"
-
-
 @dataclass(slots=True)
 class Udp:
     src_port: int
@@ -261,13 +258,10 @@ class PacketMeta:
     srh_dirty: bool = False
 
 
-# One header layer: an IPv6 header followed by zero or more routing
-# headers (End.B6 stacks a second SRH under the same IPv6 header).
-Layer = "tuple[Ipv6Header, list[SegmentRoutingHeader]]"
-
-
 @dataclass(slots=True)
 class Packet:
+    # one (IPv6 header, routing headers) layer per encapsulation; End.B6
+    # stacks a second SRH under the same IPv6 header
     headers: list[tuple[Ipv6Header, list[SegmentRoutingHeader]]]
     transport: Udp | bytes
     meta: PacketMeta = field(default_factory=PacketMeta, compare=False)

@@ -17,17 +17,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import behaviors
-from .behaviors import (
-    BehaviorError,
-    Drop,
-    DropReason,
-    EndB6,
-    EndB6Encaps,
-    EndDT6,
-    EndT,
-    EndX,
-    ForwardingDecision,
-)
+from .behaviors import Behavior, BehaviorError, Drop, DropReason, ForwardingDecision
 from .packet import Address, InvariantViolation, Packet, SegmentRoutingHeader, validate_srh
 
 if TYPE_CHECKING:
@@ -241,35 +231,25 @@ def _resolve_pending(ctx: ProgramContext, table: int) -> None:
     p.meta.pending_link = link
 
 
-def helper_action(ctx: ProgramContext, action) -> None:
-    """Apply a basic SRv6 function body (no re-advance: the endpoint hook
-    already advanced the SRH). Actions needing a FIB lookup perform it now
-    and store the result in the packet metadata, so a REDIRECT outcome can
-    forward without the default lookup. One action per program run."""
+def helper_action(ctx: ProgramContext, action: Behavior) -> None:
+    """Apply the action of a descriptor marked ``helper``, with no
+    re-advance: the endpoint hook already advanced the SRH. Actions
+    needing a FIB lookup perform it now and store the result in the packet
+    metadata, so a REDIRECT outcome can forward without the default
+    lookup. One action per program run."""
     if ctx.hook is not Hook.ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
     if ctx.pending_action_taken:
         raise HelperError("action_already_taken")
+    if not (isinstance(action, Behavior) and action.helper):
+        raise HelperError("bad_action", repr(action))
     p = ctx.packet
-    meta = p.meta
     try:
-        if isinstance(action, EndX):
-            meta.pending_destination = action.nexthop
-            meta.pending_link = action.link
-        elif isinstance(action, EndT):
-            meta.pending_table = action.table
+        action.action(p)
+        if action.resolves_table:
             _resolve_pending(ctx, action.table)
-        elif isinstance(action, EndB6):
-            behaviors.insert_srh(p, action.srh)
-            meta.srh_dirty = True
-        elif isinstance(action, EndB6Encaps):
-            behaviors.encapsulate(p, action.srh, action.src)
-            meta.srh_dirty = True
-        elif isinstance(action, EndDT6):
-            behaviors.end_dt6(p, action.table)
-            _resolve_pending(ctx, action.table)
-        else:
-            raise HelperError("bad_action", repr(action))
+        if action.rewrites_srh:
+            p.meta.srh_dirty = True
     except BehaviorError as exc:
         raise HelperError(exc.reason.value, exc.detail) from None
     except InvariantViolation as exc:

@@ -8,26 +8,15 @@ lists in scenario files are written in travel order; storage is reversed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .behaviors import (
-    Behavior,
-    End,
-    EndB6,
-    EndB6Encaps,
-    EndProgram,
-    EndDT6,
-    EndT,
-    EndX,
-    TransitBehavior,
-    TransitEncaps,
-    TransitInsert,
-    TransitProgram,
-)
+from .behaviors import SID_BEHAVIORS, TRANSIT_BEHAVIORS, Behavior, ProgramBehavior
 from .dataplane import Node
 from .fib import FibEntry
 from .packet import Address, SegmentRoutingHeader, pton
@@ -133,6 +122,40 @@ def _program_params(obj, path: str) -> dict:
     return out
 
 
+# Readers for the descriptor field types; str and int values pass through
+# after a type check.
+_FIELD_READERS = {Address: _addr, SegmentRoutingHeader: _srh}
+
+
+@functools.cache
+def _field_types(cls: type[Behavior]) -> tuple[tuple[str, type], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _behavior(
+    obj: dict, path: str, table: dict[str, type[Behavior]], instance: str
+) -> Behavior:
+    """The descriptor for a scenario ``behavior`` object: its ``type``
+    names the class, each field is read from the key of the same name.
+    A program descriptor names the node-local program instance."""
+    btype = _get(obj, "type", path, str)
+    cls = table.get(btype)
+    if cls is None:
+        raise ConfigError(f"{path}.type", f"unknown behavior type {btype!r}")
+    if issubclass(cls, ProgramBehavior):
+        _get(obj, "program", path, str)  # the registry name build_simulation resolves
+        return cls(instance)
+    args = []
+    for name, kind in _field_types(cls):
+        read = _FIELD_READERS.get(kind)
+        if read is None:
+            args.append(_get(obj, name, path, kind))
+        else:
+            args.append(read(_get(obj, name, path), f"{path}.{name}"))
+    return cls(*args)
+
+
 # -- parsed model ------------------------------------------------------------
 
 @dataclass
@@ -163,8 +186,7 @@ class FibCfg:
 class SidCfg:
     node: str
     sid: Address
-    behavior_type: str
-    behavior_obj: dict
+    behavior: Behavior
     program: str | None = None
     params: dict = field(default_factory=dict)
 
@@ -174,8 +196,7 @@ class TransitCfg:
     node: str
     prefix: Address
     plen: int
-    behavior_type: str
-    behavior_obj: dict
+    behavior: Behavior
     program: str | None = None
     params: dict = field(default_factory=dict)
 
@@ -325,10 +346,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
         sid = _addr(_get(obj, "sid", path, str), f"{path}.sid")
         b = _get(obj, "behavior", path, dict)
-        btype = _get(b, "type", f"{path}.behavior", str)
-        prog = b.get("program")
+        behavior = _behavior(b, f"{path}.behavior", SID_BEHAVIORS, f"sid:{sid.hex()}")
         params = _program_params(b.get("params"), f"{path}.behavior.params")
-        sids.append(SidCfg(node_id, sid, btype, b, prog, params))
+        sids.append(SidCfg(node_id, sid, behavior, b.get("program"), params))
 
     transits = []
     for i, obj in enumerate(_get(raw, "transits", "$", list, default=[])):
@@ -336,10 +356,11 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
         prefix, plen = _prefix(_get(obj, "prefix", path, str), f"{path}.prefix")
         b = _get(obj, "behavior", path, dict)
-        btype = _get(b, "type", f"{path}.behavior", str)
-        prog = b.get("program")
+        behavior = _behavior(
+            b, f"{path}.behavior", TRANSIT_BEHAVIORS, f"transit:{prefix.hex()}/{plen}"
+        )
         params = _program_params(b.get("params"), f"{path}.behavior.params")
-        transits.append(TransitCfg(node_id, prefix, plen, btype, b, prog, params))
+        transits.append(TransitCfg(node_id, prefix, plen, behavior, b.get("program"), params))
 
     daemons = []
     seen_daemons = set()
@@ -421,44 +442,6 @@ def apply_overrides(
 
 # -- building ----------------------------------------------------------------
 
-def _to_behavior(entry: SidCfg, instance: str) -> Behavior:
-    b, path = entry.behavior_obj, f"sid {entry.sid!r}"
-    t = entry.behavior_type
-    if t == "end":
-        return End()
-    if t == "end_x":
-        return EndX(_addr(_get(b, "nexthop", path, str), path), _get(b, "link", path, str))
-    if t == "end_t":
-        return EndT(_get(b, "table", path, int))
-    if t == "end_b6":
-        return EndB6(_srh(_get(b, "srh", path, dict), path))
-    if t == "end_b6_encaps":
-        return EndB6Encaps(
-            _srh(_get(b, "srh", path, dict), path),
-            _addr(_get(b, "src", path, str), path),
-        )
-    if t == "end_dt6":
-        return EndDT6(_get(b, "table", path, int))
-    if t == "end_program":
-        return EndProgram(instance)
-    raise ConfigError(path, f"unknown SID behavior type {t!r}")
-
-
-def _to_transit_behavior(entry: TransitCfg, instance: str) -> TransitBehavior:
-    b, path = entry.behavior_obj, f"transit {entry.node}"
-    t = entry.behavior_type
-    if t == "insert":
-        return TransitInsert(_srh(_get(b, "srh", path, dict), path))
-    if t == "encaps":
-        return TransitEncaps(
-            _srh(_get(b, "srh", path, dict), path),
-            _addr(_get(b, "src", path, str), path),
-        )
-    if t == "program":
-        return TransitProgram(instance)
-    raise ConfigError(path, f"unknown transit behavior type {t!r}")
-
-
 def build_simulation(cfg: ScenarioConfig) -> Simulation:
     """Instantiate nodes, links, tables, programs, daemons and generators."""
     sim = Simulation(seed=cfg.seed)
@@ -473,28 +456,19 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         sim.nodes[f.node].fib_insert(
             FibEntry(f.prefix, f.plen, f.nexthops, f.table)
         )
+    for key, entries in (("sids", cfg.sids), ("transits", cfg.transits)):
+        for i, entry in enumerate(entries):
+            b = entry.behavior
+            if isinstance(b, ProgramBehavior):
+                try:
+                    program = make_program(entry.program, entry.params)
+                except KeyError as exc:
+                    raise ConfigError(f"$.{key}[{i}].behavior.program", str(exc)) from None
+                sim.nodes[entry.node].add_program(b.program, program)
     for s in cfg.sids:
-        node = sim.nodes[s.node]
-        instance = f"sid:{s.sid.hex()}"
-        if s.behavior_type == "end_program":
-            if s.program is None:
-                raise ConfigError(f"sid at {s.node}", "end_program needs a program name")
-            try:
-                node.add_program(instance, make_program(s.program, s.params))
-            except KeyError as exc:
-                raise ConfigError(f"sid at {s.node}", str(exc)) from None
-        node.add_sid(s.sid, _to_behavior(s, instance))
+        sim.nodes[s.node].add_sid(s.sid, s.behavior)
     for t in cfg.transits:
-        node = sim.nodes[t.node]
-        instance = f"transit:{t.prefix.hex()}/{t.plen}"
-        if t.behavior_type == "program":
-            if t.program is None:
-                raise ConfigError(f"transit at {t.node}", "needs a program name")
-            try:
-                node.add_program(instance, make_program(t.program, t.params))
-            except KeyError as exc:
-                raise ConfigError(f"transit at {t.node}", str(exc)) from None
-        node.add_transit(t.prefix, t.plen, _to_transit_behavior(t, instance))
+        sim.nodes[t.node].add_transit(t.prefix, t.plen, t.behavior)
     for d in cfg.daemons:
         daemon = _make_daemon(d)
         sim.add_daemon(daemon)

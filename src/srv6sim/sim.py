@@ -140,11 +140,6 @@ class Link:
         return delivery
 
 
-def transmit(link: Link, packet: Packet, now: int, sender: str) -> int:
-    """Delivery time of a packet handed to a link by the given endpoint."""
-    return link.transmit(sender, packet.wire_size(), now)
-
-
 @dataclass
 class UdpStream:
     """Constant-rate UDP source injected at a node."""
@@ -179,18 +174,6 @@ class UdpStream:
             src_port=self.src_port, dst_port=self.dst_port,
             flow_label=self.flow_label,
         )
-
-
-def udp_stream(
-    src_node: str,
-    src: Address,
-    dst: Address,
-    rate_pps: int,
-    payload_size: int,
-    count: int,
-    **kwargs,
-) -> UdpStream:
-    return UdpStream(src_node, src, dst, rate_pps, payload_size, count, **kwargs)
 
 
 def trace_ids(p: Packet) -> tuple[int | None, int | None]:

@@ -263,23 +263,20 @@ def wrr_factory(params: dict) -> Program:
     key = struct.pack(">I", route_id)
 
     def run(ctx: ProgramContext) -> Outcome:
-        ctx.maps.create(WRR_STATE_MAP, 4, 16)
+        ctx.maps.create(WRR_STATE_MAP, 4, 12)
         try:
             raw = map_get(ctx, WRR_STATE_MAP, key)
             if raw:
-                cursor, swa, swb, count_a, count_b = struct.unpack(">IHHII", raw)
+                cursor, count_a, count_b = struct.unpack(">III", raw)
             else:
-                cursor, swa, swb, count_a, count_b = 0, wa, wb, 0, 0
+                cursor, count_a, count_b = 0, 0, 0
             pick = schedule[cursor % len(schedule)]
             cursor = (cursor + 1) % len(schedule)
             if pick == 0:
                 count_a += 1
             else:
                 count_b += 1
-            map_put(
-                ctx, WRR_STATE_MAP, key,
-                struct.pack(">IHHII", cursor, swa, swb, count_a, count_b),
-            )
+            map_put(ctx, WRR_STATE_MAP, key, struct.pack(">III", cursor, count_a, count_b))
         except HelperError:
             return Outcome.DROP
         srh = (srh_a if pick == 0 else srh_b).copy()
@@ -297,7 +294,7 @@ def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
     raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
     if not raw:
         return 0, 0
-    _, _, _, count_a, count_b = struct.unpack(">IHHII", raw)
+    _, count_a, count_b = struct.unpack(">III", raw)
     return count_a, count_b
 
 
@@ -307,7 +304,6 @@ def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
 @dataclass
 class CompensatorState:
     alpha: float = 0.3
-    probe_interval_ns: int = 100_000_000
     ewma: dict[str, float] = field(default_factory=dict)
     applied_delay_ns: int = 0
     fast_link: str | None = None
@@ -369,7 +365,7 @@ class TwdProber(Daemon):
         self.links = links
         self.compensate = compensate
         self.probe_port = probe_port
-        self.state = CompensatorState(alpha=alpha, probe_interval_ns=interval_ns)
+        self.state = CompensatorState(alpha=alpha)
         self.applied: dict[str, int] = {pl.link: 0 for pl in links}
         self.history: list[tuple[int, str, int]] = []
         self.sent = 0
@@ -427,11 +423,6 @@ class TwdProber(Daemon):
             )
             self.sent += 1
             sim.send(self.node, probe)
-
-
-def twd_prober_tick(daemon: TwdProber, sim: Simulation, now: int) -> None:
-    """Inject one two-way probe per aggregated link."""
-    daemon.tick(sim, now)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from srv6sim.behaviors import (
     Drop,
     DropReason,
     End,
+    EndB6,
+    EndB6Encaps,
     EndDT6,
     EndT,
     EndX,
@@ -87,7 +89,8 @@ def test_end_leaves_tag_and_flags_alone():
 
 def test_end_x_sets_pending_destination():
     p = sr_packet([S2, F], 1)
-    behaviors.end_x(p, *NH_R3)
+    behaviors.end(p)
+    EndX(*NH_R3).action(p)
     assert p.meta.pending_destination == NH_R3[0]
     assert p.meta.pending_link == NH_R3[1]
     assert p.outer_srh.segments_left == 0
@@ -125,7 +128,8 @@ def test_end_t_no_fallback_to_default_table():
 def test_end_b6_stacks_second_srh():
     p = sr_packet([S2, F], 1)
     new = SegmentRoutingHeader(segments=[pton("fd00:9::1")], segments_left=0)
-    behaviors.end_b6(p, new)
+    behaviors.end(p)
+    EndB6(new).action(p)
     srhs = p.headers[0][1]
     assert len(srhs) == 2
     assert p.outer_header.dst == pton("fd00:9::1")
@@ -137,15 +141,17 @@ def test_end_b6_stacks_second_srh():
 def test_end_b6_rejects_invalid_srh():
     p = sr_packet([S2, F], 1)
     bad = SegmentRoutingHeader(segments=[F], segments_left=2)
+    behaviors.end(p)
     with pytest.raises(InvariantViolation):
-        behaviors.end_b6(p, bad)
+        EndB6(bad).action(p)
 
 
 def test_end_b6_encaps_wraps_packet():
     p = sr_packet([S2, F], 1)
     inner_bytes_before = encode_packet(p.copy())
     outer = SegmentRoutingHeader(segments=[pton("fd00:9::1")], segments_left=0)
-    behaviors.end_b6_encaps(p, outer, pton("2001:db8::1"))
+    behaviors.end(p)
+    EndB6Encaps(outer, pton("2001:db8::1")).action(p)
     assert len(p.headers) == 2
     assert p.outer_header.hop_limit == 64
     assert p.outer_header.dst == pton("fd00:9::1")

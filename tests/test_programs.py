@@ -6,11 +6,14 @@ import pytest
 from srv6sim.behaviors import (
     Drop,
     DropReason,
+    End,
     EndB6,
     EndDT6,
+    EndProgram,
     EndT,
     EndX,
     Forward,
+    TransitInsert,
 )
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
@@ -233,6 +236,25 @@ def test_action_end_b6_marks_srh_dirty():
     helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)))
     assert len(p.headers[0][1]) == 2
     assert p.meta.srh_dirty
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        End(),
+        EndProgram("noop"),
+        TransitInsert(SegmentRoutingHeader(segments=[F], segments_left=0)),
+    ],
+)
+def test_action_rejects_descriptors_without_helper_action(action):
+    p = sr_packet([S2, SID], 1)
+    before = encode_packet(p)
+    ctx = make_ctx(p)
+    with pytest.raises(HelperError) as exc:
+        helper_action(ctx, action)
+    assert exc.value.code == "bad_action"
+    assert not ctx.pending_action_taken
+    assert encode_packet(p) == before
 
 
 # ---------------------------------------------------------------------------

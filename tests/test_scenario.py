@@ -3,6 +3,21 @@ import json
 
 import pytest
 
+from srv6sim.behaviors import (
+    SID_BEHAVIORS,
+    TRANSIT_BEHAVIORS,
+    End,
+    EndB6,
+    EndB6Encaps,
+    EndDT6,
+    EndProgram,
+    EndT,
+    EndX,
+    TransitEncaps,
+    TransitInsert,
+    TransitProgram,
+)
+from srv6sim.packet import SegmentRoutingHeader, pton
 from srv6sim.scenario import (
     ConfigError,
     apply_overrides,
@@ -79,6 +94,28 @@ def test_bad_address_rejected_with_path():
     assert "addresses[0]" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "section, behavior, path",
+    [
+        ("sids", {"type": "end_y"}, "$.sids[0].behavior.type"),
+        ("sids", {"type": "insert", "srh": {"segments": ["fd00::1"]}}, "$.sids[0].behavior.type"),
+        ("sids", {"type": "end_x", "link": "l12"}, "$.sids[0].behavior.nexthop"),
+        ("sids", {"type": "end_x", "nexthop": "x", "link": "l12"}, "$.sids[0].behavior.nexthop"),
+        ("sids", {"type": "end_t", "table": "7"}, "$.sids[0].behavior.table"),
+        ("sids", {"type": "end_program"}, "$.sids[0].behavior.program"),
+        ("transits", {"type": "end"}, "$.transits[0].behavior.type"),
+        ("transits", {"type": "encaps", "srh": {"segments": ["fd00::1"]}}, "$.transits[0].behavior.src"),
+        ("transits", {"type": "insert", "srh": {"segments": []}}, "$.transits[0].behavior.srh.segments"),
+    ],
+)
+def test_bad_behavior_rejected_with_path(section, behavior, path):
+    raw = raw_fixture("setup1.json")
+    raw[section][0]["behavior"] = behavior
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == path
+
+
 def test_duration_must_be_positive():
     raw = raw_fixture("setup1.json")
     raw["duration_ms"] = 0
@@ -140,3 +177,56 @@ def test_schema_rejects_unknown_keys():
     raw["unexpected"] = 1
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(raw, schema)
+
+
+def schema_behavior_types() -> list[str]:
+    schema = json.loads(schema_path().read_text())
+    return schema["$defs"]["behavior"]["properties"]["type"]["enum"]
+
+
+SRH_JSON = {"segments": ["fd00:9::1", "2001:db8:2::1"]}
+SRH = SegmentRoutingHeader(
+    segments=[pton("2001:db8:2::1"), pton("fd00:9::1")], segments_left=1
+)
+# setup1.json's sids[0] is fd00:72::e and its transits[0] is 2001:db8:2::/64
+BEHAVIOR_CASES = {
+    "end": ({}, End()),
+    "end_x": ({"nexthop": "2001:db8::9", "link": "l12"}, EndX(pton("2001:db8::9"), "l12")),
+    "end_t": ({"table": 7}, EndT(7)),
+    "end_b6": ({"srh": SRH_JSON}, EndB6(SRH)),
+    "end_b6_encaps": (
+        {"srh": SRH_JSON, "src": "2001:db8::1"}, EndB6Encaps(SRH, pton("2001:db8::1"))
+    ),
+    "end_dt6": ({"table": 0}, EndDT6(0)),
+    "end_program": ({"program": "noop"}, EndProgram("sid:" + pton("fd00:72::e").hex())),
+    "insert": ({"srh": SRH_JSON}, TransitInsert(SRH)),
+    "encaps": ({"srh": SRH_JSON, "src": "2001:db8::1"}, TransitEncaps(SRH, pton("2001:db8::1"))),
+    "program": (
+        {"program": "noop"}, TransitProgram("transit:" + pton("2001:db8:2::").hex() + "/64")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        set(schema_behavior_types())
+        | set(SID_BEHAVIORS)
+        | set(TRANSIT_BEHAVIORS)
+        | set(BEHAVIOR_CASES)
+    ),
+)
+def test_behavior_type_in_schema_parses_into_its_class(name):
+    """The schema's behavior.type enum is exactly the union of the SID and
+    transit type names, and each name parses into its descriptor."""
+    assert name in schema_behavior_types()
+    assert (name in SID_BEHAVIORS) != (name in TRANSIT_BEHAVIORS)
+    section = "sids" if name in SID_BEHAVIORS else "transits"
+    fields, want = BEHAVIOR_CASES[name]
+    raw = raw_fixture("setup1.json")
+    raw[section][0]["behavior"] = {"type": name, **fields}
+    cfg = parse_scenario(raw)
+    got = getattr(cfg, section)[0].behavior
+    assert type(got) is {**SID_BEHAVIORS, **TRANSIT_BEHAVIORS}[name]
+    assert got == want
+    build_simulation(cfg)
