@@ -67,21 +67,23 @@ class Node:
 
     # -- lookups ------------------------------------------------------------
 
-    def fib_lookup(
-        self, addr: Address, table: int, fkey: bytes
-    ) -> tuple[Address, str]:
+    def _nexthops(self, addr: Address, table: int) -> list[tuple[Address, str]]:
         t = self.tables.get(table)
         entry = t.lookup(addr) if t else None
         if entry is None:
             raise BehaviorError(DropReason.NO_ROUTE)
-        return select_nexthop(entry.nexthops, fkey)
+        return entry.nexthops
+
+    def fib_lookup(self, addr: Address, table: int, p: Packet) -> tuple[Address, str]:
+        """Nexthop for addr; p's ECMP flow key is built only when the
+        matched route has more than one nexthop."""
+        nexthops = self._nexthops(addr, table)
+        if len(nexthops) == 1:
+            return nexthops[0]
+        return select_nexthop(nexthops, flow_key(p))
 
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
-        t = self.tables.get(table)
-        entry = t.lookup(addr) if t else None
-        if entry is None:
-            raise BehaviorError(DropReason.NO_ROUTE)
-        return list(entry.nexthops)
+        return list(self._nexthops(addr, table))
 
     # -- pipeline -----------------------------------------------------------
 
@@ -96,7 +98,7 @@ class Node:
             return LocalDeliver()
         table = meta.pending_table if meta.pending_table is not None else 0
         try:
-            nh, link = self.fib_lookup(dst, table, flow_key(p))
+            nh, link = self.fib_lookup(dst, table, p)
         except BehaviorError as exc:
             return Drop(exc.reason, exc.detail)
         return Forward(link, nh)

@@ -92,6 +92,4 @@ def select_nexthop(
     nexthops: list[tuple[Address, str]], flow_key: bytes
 ) -> tuple[Address, str]:
     """Deterministic ECMP choice: FNV-1a of the flow key modulo set size."""
-    if len(nexthops) == 1:
-        return nexthops[0]
     return nexthops[fnv1a64(flow_key) % len(nexthops)]

@@ -256,6 +256,9 @@ class PacketMeta:
     rx_timestamp_ns: int = 0
     ingress_node: str | None = None
     srh_dirty: bool = False
+    # (flow, seq) of the trace, filled by the first trace record; the
+    # transport never changes after construction, so it stays valid
+    trace_ids: tuple[int | None, int | None] | None = None
 
 
 @dataclass(slots=True)

@@ -226,7 +226,7 @@ def _resolve_pending(ctx: ProgramContext, table: int) -> None:
         p.meta.pending_destination = dst
         p.meta.pending_link = None
         return
-    nh, link = ctx.dataplane.fib_lookup(dst, table, flow_key(p))
+    nh, link = ctx.dataplane.fib_lookup(dst, table, p)
     p.meta.pending_destination = nh
     p.meta.pending_link = link
 

@@ -386,13 +386,19 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         src = (
             _addr(obj["src"], f"{path}.src") if "src" in obj else src_default
         )
+        rate_pps = _get(obj, "rate_pps", path, int)
+        if rate_pps <= 0:
+            raise ConfigError(f"{path}.rate_pps", "must be positive")
+        payload_size = _get(obj, "payload_size", path, int, default=64)
+        if payload_size < 8:
+            raise ConfigError(f"{path}.payload_size", "must be at least 8")
         generators.append(
             GeneratorCfg(
                 src_node=src_node,
                 src=src,
                 dst=_addr(_get(obj, "dst", path, str), f"{path}.dst"),
-                rate_pps=_get(obj, "rate_pps", path, int),
-                payload_size=_get(obj, "payload_size", path, int, default=64),
+                rate_pps=rate_pps,
+                payload_size=payload_size,
                 count=_get(obj, "count", path, int),
                 flow=_get(obj, "flow", path, int, default=1),
                 src_port=_get(obj, "src_port", path, int, default=49152),
@@ -464,6 +470,8 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
                     program = make_program(entry.program, entry.params)
                 except KeyError as exc:
                     raise ConfigError(f"$.{key}[{i}].behavior.program", str(exc)) from None
+                except ValueError as exc:
+                    raise ConfigError(f"$.{key}[{i}].behavior.params", str(exc)) from None
                 sim.nodes[entry.node].add_program(b.program, program)
     for s in cfg.sids:
         sim.nodes[s.node].add_sid(s.sid, s.behavior)

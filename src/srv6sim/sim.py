@@ -327,7 +327,7 @@ class Simulation:
             self.clock = time_ns
             kind = event[0]
             if kind == "deliver":
-                self._process_deliver(event[1], event[2], event[3])
+                self._process_deliver(event[1], event[2], event[3], event[4])
             elif kind == "inject":
                 self.stats.injected += 1
                 self._local_output(self.nodes[event[1]], event[2])
@@ -355,16 +355,18 @@ class Simulation:
                 stream.start_ns + (seq + 1) * stream.gap_ns, ("gen", stream, seq + 1)
             )
 
-    def _record(self, node_id: str, direction: str, p: Packet) -> None:
-        flow, seq = trace_ids(p)
-        self.trace.append(
-            TraceRecord(self.clock, node_id, direction, flow, seq, p.wire_size())
-        )
+    def _record(self, node_id: str, direction: str, p: Packet, size: int) -> None:
+        meta = p.meta
+        ids = meta.trace_ids
+        if ids is None:
+            ids = meta.trace_ids = trace_ids(p)
+        self.trace.append(TraceRecord(self.clock, node_id, direction, ids[0], ids[1], size))
 
-    def _process_deliver(self, link_id: str, node_id: str, p: Packet) -> None:
+    def _process_deliver(self, link_id: str, node_id: str, p: Packet, size: int) -> None:
+        # the packet does not change on the link: its egress size still holds
         self.stats.link_delivered[link_id] += 1
         node = self.nodes[node_id]
-        self._record(node_id, "ingress", p)
+        self._record(node_id, "ingress", p, size)
         decision = node.process_ingress(p, self.clock)
         self._apply(node, p, decision)
         if node.originated:
@@ -379,16 +381,17 @@ class Simulation:
             if link is None:
                 self.stats.dropped[node.id] += 1
                 self.stats.drop_reasons["bad_egress_link"] += 1
-                self._record(node.id, "drop", p)
+                self._record(node.id, "drop", p, p.wire_size())
                 return
             self.stats.forwarded[node.id] += 1
-            self._record(node.id, "egress", p)
-            delivery = link.transmit(node.id, p.wire_size(), self.clock)
-            self._schedule(delivery, ("deliver", link.id, link.peer(node.id), p))
+            size = p.wire_size()
+            self._record(node.id, "egress", p, size)
+            delivery = link.transmit(node.id, size, self.clock)
+            self._schedule(delivery, ("deliver", link.id, link.peer(node.id), p, size))
         elif isinstance(decision, Drop):
             self.stats.dropped[node.id] += 1
             self.stats.drop_reasons[decision.reason.value] += 1
-            self._record(node.id, "drop", p)
+            self._record(node.id, "drop", p, p.wire_size())
         elif isinstance(decision, LocalDeliver):
             self.stats.delivered[node.id] += 1
             handler = self.handlers.get(p.outer_header.dst)

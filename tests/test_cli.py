@@ -31,6 +31,24 @@ def test_run_missing_node_reference_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("generators", "rate_pps", 0),
+        ("generators", "payload_size", 4),
+        ("transits", "weights", [0, 1]),
+    ],
+)
+def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, value):
+    raw = json.loads(fixture_path("setup2-hybrid.json").read_text())
+    entry = raw[section][0]
+    (entry["behavior"]["params"] if section == "transits" else entry)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("hybrid", str(bad), "--out", str(tmp_path)) == 2
+    assert f"$.{section}[0]" in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_2(tmp_path):
     assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 

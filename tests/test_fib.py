@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from srv6sim.behaviors import BehaviorError
+from srv6sim import dataplane
+from srv6sim.behaviors import BehaviorError, Forward
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry, PrefixTable, fnv1a64, select_nexthop
-from srv6sim.packet import pton
+from srv6sim.packet import make_udp_packet, pton
+from srv6sim.programs import flow_key
 from util import rand_addr
 
 NH1 = (pton("2001:db8::a"), "l1")
 NH2 = (pton("2001:db8::b"), "l2")
+# the packet whose flow key an ECMP route would hash
+PKT = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x")
 
 
 def make_node() -> Node:
@@ -26,9 +30,9 @@ def test_longest_prefix_wins():
     node = make_node()
     node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH2]))
-    nh, link = node.fib_lookup(pton("2001:db8::1"), 0, b"k")
+    nh, link = node.fib_lookup(pton("2001:db8::1"), 0, PKT)
     assert (nh, link) == NH2
-    nh, link = node.fib_lookup(pton("2600::1"), 0, b"k")
+    nh, link = node.fib_lookup(pton("2600::1"), 0, PKT)
     assert (nh, link) == NH1
 
 
@@ -36,7 +40,7 @@ def test_insert_replaces_same_prefix():
     node = make_node()
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH1]))
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH2]))
-    assert node.fib_lookup(pton("2001:db8::5"), 0, b"k") == NH2
+    assert node.fib_lookup(pton("2001:db8::5"), 0, PKT) == NH2
 
 
 def test_host_route_exact_match():
@@ -44,21 +48,21 @@ def test_host_route_exact_match():
     addr = pton("2001:db8::42")
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH1]))
     node.fib_insert(FibEntry(addr, 128, [NH2]))
-    assert node.fib_lookup(addr, 0, b"k") == NH2
-    assert node.fib_lookup(pton("2001:db8::43"), 0, b"k") == NH1
+    assert node.fib_lookup(addr, 0, PKT) == NH2
+    assert node.fib_lookup(pton("2001:db8::43"), 0, PKT) == NH1
 
 
 def test_empty_table_no_route():
     node = make_node()
     with pytest.raises(BehaviorError):
-        node.fib_lookup(pton("2001:db8::1"), 0, b"k")
+        node.fib_lookup(pton("2001:db8::1"), 0, PKT)
 
 
 def test_missing_table_no_route():
     node = make_node()
     node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
     with pytest.raises(BehaviorError):
-        node.fib_lookup(pton("2001:db8::1"), 99, b"k")
+        node.fib_lookup(pton("2001:db8::1"), 99, PKT)
 
 
 def brute_force_lookup(entries, addr: bytes):
@@ -127,18 +131,32 @@ def test_ecmp_selection_reaches_all_nexthops():
 
 
 def test_ecmp_flow_label_alone_spreads_lookups():
-    from srv6sim.packet import make_udp_packet
-    from srv6sim.programs import flow_key
-
     node = make_node()
-    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1, NH2]))
+    entry = FibEntry(pton("2001:db8:2::"), 64, [NH1, NH2])
+    node.fib_insert(entry)
     picks = set()
     for label in range(1000):
         p = make_udp_packet(
             pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x", flow_label=label
         )
-        picks.add(node.fib_lookup(p.outer_header.dst, 0, flow_key(p)))
+        pick = node.fib_lookup(p.outer_header.dst, 0, p)
+        assert pick == select_nexthop(entry.nexthops, flow_key(p))
+        picks.add(pick)
     assert picks == {NH1, NH2}
+
+
+def test_single_nexthop_lookup_builds_no_flow_key(monkeypatch):
+    def no_key(p):
+        raise AssertionError("flow key built for a single-nexthop route")
+
+    monkeypatch.setattr(dataplane, "flow_key", no_key)
+    node = make_node()
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1]))
+    node.fib_insert(FibEntry(pton("2001:db8:3::"), 64, [NH1, NH2]))
+    assert node.fib_lookup(pton("2001:db8:2::1"), 0, PKT) == NH1
+    assert node.finish_forwarding(PKT) == Forward(NH1[1], NH1[0])
+    with pytest.raises(AssertionError):
+        node.fib_lookup(pton("2001:db8:3::1"), 0, PKT)
 
 
 def test_ecmp_selection_stable_per_flow_key():

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
-from srv6sim.sim import write_trace
+from srv6sim.sim import Simulation, trace_ids, write_trace
 
 # (fixture, seed) -> (sha256 of the trace file, sha256 of the summary)
 GOLDEN = {
@@ -61,13 +61,35 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
-def test_fixture_digests_unchanged(name, seed, tmp_path):
+def _run(name: str, seed: int):
     cfg = apply_overrides(load_scenario(fixture_path(name)), seed=seed)
     sim = build_simulation(cfg)
-    stats = sim.run_until(cfg.duration_ns)
+    return sim, sim.run_until(cfg.duration_ns)
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_fixture_digests_unchanged(name, seed, tmp_path):
+    sim, stats = _run(name, seed)
     path = tmp_path / "trace.tsv"
     write_trace(sim.trace, path)
     assert (_sha256(path.read_bytes()), _sha256(stats.summary().encode())) == GOLDEN[
         (name, seed)
     ]
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
+    """The size carried to each trace record and the (flow, seq) cached in
+    the packet metadata equal what the packet itself gives at that point."""
+    record = Simulation._record
+    directions = set()
+
+    def checked(self, node_id, direction, p, size):
+        assert size == p.wire_size()
+        record(self, node_id, direction, p, size)
+        assert p.meta.trace_ids == trace_ids(p)
+        directions.add(direction)
+
+    monkeypatch.setattr(Simulation, "_record", checked)
+    sim, _ = _run(name, seed)
+    assert sim.trace and {"ingress", "egress"} <= directions

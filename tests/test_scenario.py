@@ -95,6 +95,28 @@ def test_bad_address_rejected_with_path():
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("rate_pps", 0), ("rate_pps", -5), ("payload_size", 4), ("payload_size", 7)],
+)
+def test_generator_bounds_rejected_with_path(key, value):
+    raw = raw_fixture("setup2-hybrid.json")
+    raw["generators"][0][key] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == f"$.generators[0].{key}"
+
+
+def test_program_factory_error_rejected_with_path():
+    raw = raw_fixture("setup2-hybrid.json")
+    raw["transits"][0]["behavior"]["params"]["weights"] = [0, 1]
+    cfg = parse_scenario(raw)
+    with pytest.raises(ConfigError) as exc:
+        build_simulation(cfg)
+    assert exc.value.path == "$.transits[0].behavior.params"
+    assert "weights must be positive" in str(exc.value)
+
+
+@pytest.mark.parametrize(
     "section, behavior, path",
     [
         ("sids", {"type": "end_y"}, "$.sids[0].behavior.type"),
