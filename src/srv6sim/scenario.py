@@ -59,6 +59,14 @@ def _get(obj: dict, key: str, path: str, kind=None, default=_REQUIRED):
     return value
 
 
+def _uint(obj: dict, key: str, path: str, top: int, default: int) -> int:
+    """An integer field bounded to 0..top, as the schema bounds it."""
+    value = _get(obj, key, path, int, default=default)
+    if not 0 <= value <= top:
+        raise ConfigError(f"{path}.{key}", f"{value} out of range 0..{top}")
+    return value
+
+
 def _addr(text, path: str) -> Address:
     if not isinstance(text, str):
         raise ConfigError(path, "expected an IPv6 address string")
@@ -374,6 +382,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
         interval_ms = _get(obj, "interval_ms", path, (int, float), default=100.0)
         params = _program_params(obj.get("params"), f"{path}.params")
+        if dtype == "twd_prober":
+            params = _prober_params(params, node_id, check_link, f"{path}.params")
+        elif dtype not in ("owd_collector", "oamp_responder"):
+            raise ConfigError(f"{path}.type", f"unknown daemon type {dtype!r}")
         daemons.append(
             DaemonCfg(daemon_id, dtype, node_id, int(interval_ms * 1_000_000), params)
         )
@@ -400,10 +412,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
                 rate_pps=rate_pps,
                 payload_size=payload_size,
                 count=_get(obj, "count", path, int),
-                flow=_get(obj, "flow", path, int, default=1),
-                src_port=_get(obj, "src_port", path, int, default=49152),
-                dst_port=_get(obj, "dst_port", path, int, default=33434),
-                flow_label=_get(obj, "flow_label", path, int, default=0),
+                flow=_uint(obj, "flow", path, 0xFFFF, default=1),
+                src_port=_uint(obj, "src_port", path, 0xFFFF, default=49152),
+                dst_port=_uint(obj, "dst_port", path, 0xFFFF, default=33434),
+                flow_label=_uint(obj, "flow_label", path, 0xFFFFF, default=0),
                 start_ns=int(_get(obj, "start_ms", path, (int, float), default=0) * 1e6),
             )
         )
@@ -496,31 +508,38 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     return sim
 
 
+def _prober_params(params: dict, node_id: str, check_link, path: str) -> dict:
+    """A twd_prober's params with its two probe links, each at the
+    prober's node, as ProbeLinks and alpha checked to be a number."""
+    raw_links = params.get("links")
+    if not isinstance(raw_links, list) or len(raw_links) != 2:
+        raise ConfigError(f"{path}.links", "twd_prober needs exactly two links")
+    links = []
+    for j, pl in enumerate(raw_links):
+        pl_path = f"{path}.links[{j}]"
+        links.append(
+            ProbeLink(
+                link=check_link(_get(pl, "link", pl_path, str), node_id, f"{pl_path}.link"),
+                dm_sid=_addr(_get(pl, "dm_sid", pl_path, str), f"{pl_path}.dm_sid"),
+                return_addr=_addr(
+                    _get(pl, "return_addr", pl_path, str), f"{pl_path}.return_addr"
+                ),
+            )
+        )
+    alpha = params.get("alpha", 0.3)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ConfigError(f"{path}.alpha", f"expected a number, got {alpha!r}")
+    return {**params, "links": links, "alpha": float(alpha)}
+
+
 def _make_daemon(d: DaemonCfg):
-    path = f"daemon {d.id!r}"
     if d.type == "owd_collector":
         return OwdCollector(d.id, d.node, d.interval_ns)
     if d.type == "oamp_responder":
         return OampResponder(d.id, d.node, d.interval_ns)
-    if d.type == "twd_prober":
-        raw_links = d.params.get("links")
-        if not isinstance(raw_links, list) or len(raw_links) != 2:
-            raise ConfigError(path, "twd_prober needs exactly two links")
-        probe_links = []
-        for j, pl in enumerate(raw_links):
-            probe_links.append(
-                ProbeLink(
-                    link=_get(pl, "link", f"{path}.links[{j}]", str),
-                    dm_sid=_addr(_get(pl, "dm_sid", f"{path}.links[{j}]", str), path),
-                    return_addr=_addr(
-                        _get(pl, "return_addr", f"{path}.links[{j}]", str), path
-                    ),
-                )
-            )
-        return TwdProber(
-            d.id, d.node, probe_links,
-            interval_ns=d.interval_ns,
-            alpha=float(d.params.get("alpha", 0.3)),
-            compensate=bool(d.params.get("compensate", True)),
-        )
-    raise ConfigError(path, f"unknown daemon type {d.type!r}")
+    return TwdProber(
+        d.id, d.node, d.params["links"],
+        interval_ns=d.interval_ns,
+        alpha=d.params["alpha"],
+        compensate=bool(d.params.get("compensate", True)),
+    )

@@ -37,12 +37,22 @@ def test_run_missing_node_reference_exits_2(tmp_path, capsys):
         ("generators", "rate_pps", 0),
         ("generators", "payload_size", 4),
         ("transits", "weights", [0, 1]),
+        ("generators", "flow", 70000),
+        ("daemons", "alpha", "x"),
+        ("daemons", "links", [
+            {"link": "nolink", "dm_sid": "fd00:6d::da", "return_addr": "2001:db8:a::a"},
+            {"link": "lb", "dm_sid": "fd00:6d::db", "return_addr": "2001:db8:a::b"},
+        ]),
     ],
 )
 def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, value):
     raw = json.loads(fixture_path("setup2-hybrid.json").read_text())
     entry = raw[section][0]
-    (entry["behavior"]["params"] if section == "transits" else entry)[key] = value
+    if section == "transits":
+        entry = entry["behavior"]["params"]
+    elif section == "daemons":
+        entry = entry["params"]
+    entry[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     assert run_cli("hybrid", str(bad), "--out", str(tmp_path)) == 2

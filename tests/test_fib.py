@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srv6sim import dataplane
 from srv6sim.behaviors import BehaviorError, Forward
@@ -101,6 +104,110 @@ def test_lpm_against_brute_force_oracle():
         else:
             addr = rand_addr(rng)
         assert table.lookup(addr) == brute_force_lookup(entries, addr)
+
+
+def _near(base: int, flip: int | None) -> int:
+    """base with bit ``flip`` (0 = most significant) toggled, if given."""
+    return base if flip is None else base ^ (1 << (127 - flip))
+
+
+_PREFIX = st.tuples(st.integers(0, 128), st.none() | st.integers(0, 127))
+_OPS = st.lists(
+    st.tuples(st.just("insert"), _PREFIX)
+    | st.tuples(st.just("remove"), _PREFIX)
+    | st.tuples(st.just("lookup"), st.none() | st.integers(0, 127)),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(base=st.integers(0, (1 << 128) - 1), ops=_OPS)
+@example(base=0, ops=[("lookup", None)])
+# the /64 leaves a marker at /48 (the root) whose value is the base's /16;
+# removing that /16 (its sibling keeps the length populated) must clear
+# what the marker answers
+@example(
+    base=(1 << 128) - 1,
+    ops=[
+        ("insert", (16, None)), ("insert", (16, 3)), ("insert", (48, 20)),
+        ("insert", (64, None)), ("lookup", 50), ("remove", (16, None)), ("lookup", 50),
+        ("insert", (0, None)), ("insert", (128, None)), ("lookup", None), ("lookup", 127),
+    ],
+)
+def test_lpm_interleaved_ops_against_brute_force(base, ops):
+    # every prefix and address is the base with at most one bit flipped, so
+    # prefixes nest and the search meets markers and covering prefixes
+    table = PrefixTable()
+    model = {}
+    for i, (kind, arg) in enumerate(ops):
+        if kind == "lookup":
+            addr = _near(base, arg).to_bytes(16, "big")
+            entries = [(prefix, plen, value) for (prefix, plen), value in model.items()]
+            assert table.lookup(addr) == brute_force_lookup(entries, addr)
+            continue
+        plen, flip = arg
+        prefix = (_near(base, flip) >> (128 - plen) << (128 - plen)).to_bytes(16, "big")
+        if kind == "insert":
+            table.insert(prefix, plen, i)
+            model[(prefix, plen)] = i
+        else:
+            assert table.remove(prefix, plen) == ((prefix, plen) in model)
+            model.pop((prefix, plen), None)
+        assert len(table) == len(model)
+
+
+class _CountingBucket(dict):
+    def __init__(self, items, probes: list):
+        super().__init__(items)
+        self.probes = probes
+
+    def get(self, key, default=None):
+        self.probes.append(key)
+        return super().get(key, default)
+
+
+def _probes(table: PrefixTable, addr: bytes) -> tuple[object, int]:
+    """(lookup result, buckets probed) for one lookup of addr."""
+    table.lookup(addr)  # builds the search tree
+    probes = []
+
+    def counting(node):
+        if node is None:
+            return None
+        shift, bucket, longer, shorter = node
+        return (shift, _CountingBucket(bucket, probes), counting(longer), counting(shorter))
+
+    table._root = counting(table._root)
+    return table.lookup(addr), len(probes)
+
+
+def test_lookup_probes_at_most_log2_of_populated_lengths():
+    rng = random.Random(128)
+    base = int.from_bytes(rand_addr(rng), "big")
+    entries = []
+    table = PrefixTable()
+    for plen in range(1, 129):
+        # the base's own prefix at every other length, a sibling at the rest
+        flip = None if plen % 2 else plen - 1
+        prefix = (_near(base, flip) >> (128 - plen) << (128 - plen)).to_bytes(16, "big")
+        table.insert(prefix, plen, plen)
+        entries.append((prefix, plen, plen))
+    bound = math.ceil(math.log2(129))
+    assert bound == 8
+    for flip in [None, *range(128)]:
+        addr = _near(base, flip).to_bytes(16, "big")
+        value, probes = _probes(table, addr)
+        assert value == brute_force_lookup(entries, addr)
+        assert probes <= bound
+
+
+@pytest.mark.parametrize("plens", [(64,), (8, 64), (0, 128)])
+def test_match_at_longest_length_of_small_table_takes_one_probe(plens):
+    addr = pton("2001:db8::1")
+    table = PrefixTable()
+    for plen in plens:
+        table.insert(addr, plen, plen)
+    assert _probes(table, addr) == (max(plens), 1)
 
 
 def test_remove_falls_back_to_covering_prefix():

@@ -96,7 +96,11 @@ def test_bad_address_rejected_with_path():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("rate_pps", 0), ("rate_pps", -5), ("payload_size", 4), ("payload_size", 7)],
+    [
+        ("rate_pps", 0), ("rate_pps", -5), ("payload_size", 4), ("payload_size", 7),
+        ("flow", 70000), ("flow", -1), ("src_port", 70000), ("dst_port", 65536),
+        ("flow_label", 2097152), ("flow_label", 0x100000),
+    ],
 )
 def test_generator_bounds_rejected_with_path(key, value):
     raw = raw_fixture("setup2-hybrid.json")
@@ -104,6 +108,33 @@ def test_generator_bounds_rejected_with_path(key, value):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(raw)
     assert exc.value.path == f"$.generators[0].{key}"
+
+
+def test_generator_bounds_accept_schema_maxima():
+    raw = raw_fixture("setup2-hybrid.json")
+    raw["generators"][0].update(flow=65535, src_port=65535, dst_port=0, flow_label=0xFFFFF)
+    build_simulation(parse_scenario(raw))
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda d: d["params"]["links"][0].update(link="nolink"), "$.daemons[0].params.links[0].link"),
+        (lambda d: d["params"]["links"][1].update(link="lm"), "$.daemons[0].params.links[1].link"),
+        (lambda d: d["params"]["links"][1].update(dm_sid="x"), "$.daemons[0].params.links[1].dm_sid"),
+        (lambda d: d["params"]["links"].pop(), "$.daemons[0].params.links"),
+        (lambda d: d["params"].update(alpha="x"), "$.daemons[0].params.alpha"),
+        (lambda d: d["params"].update(alpha=None), "$.daemons[0].params.alpha"),
+        (lambda d: d.update(type="twd_probe"), "$.daemons[0].type"),
+    ],
+    ids=["unknown-link", "link-not-at-node", "bad-dm-sid", "one-link", "alpha-str", "alpha-null", "bad-type"],
+)
+def test_prober_params_rejected_with_path(mutate, path):
+    raw = raw_fixture("setup2-hybrid.json")
+    mutate(raw["daemons"][0])
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == path
 
 
 def test_program_factory_error_rejected_with_path():
