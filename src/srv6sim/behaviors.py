@@ -69,11 +69,12 @@ class BehaviorError(Exception):
 #
 # A descriptor class is the whole definition of one behaviour: its scenario
 # ``behavior.type`` name, its fields (named after the scenario keys the
-# loader reads; their types pick the loader's parser) and its action. The
-# native pipeline runs end() first when ``advance`` is set, then the
-# action; helper_action applies the action alone, without re-advancing.
-# Adding a behaviour is one class here, one entry in SID_BEHAVIORS or
-# TRANSIT_BEHAVIORS and one entry in the scenario schema's type enum.
+# loader reads, whose types the schema's behavior properties declare) and
+# its action. The native pipeline runs end() first when ``advance`` is set,
+# then the action; helper_action applies the action alone, without
+# re-advancing. Adding a behaviour is one class here, one entry in
+# SID_BEHAVIORS or TRANSIT_BEHAVIORS and one entry in the scenario schema's
+# type enum (plus a property for any new field).
 
 class Behavior:
     """Base of every descriptor; the defaults describe a transit body."""

@@ -30,6 +30,7 @@ from .scenario import (
     apply_overrides,
     build_simulation,
     load_scenario,
+    read_value,
 )
 from .sim import (
     InsufficientData,
@@ -238,7 +239,7 @@ def cmd_traceroute(args) -> int:
     sim = build_simulation(cfg)
     if args.src not in sim.nodes:
         raise ConfigError("$.src", f"unknown node {args.src!r}")
-    target = pton(args.target)
+    target = read_value("#/$defs/addr", args.target, "$.target")
     oamp_sids = {
         s.node: s.sid for s in cfg.sids if s.program == "end_oamp"
     }
@@ -420,6 +421,8 @@ def cmd_bench(args) -> int:
     for f in functions:
         if f not in BENCH_FUNCTIONS:
             raise ConfigError("$.functions", f"unknown function {f!r}")
+    if args.count < 1:
+        raise ConfigError("$.count", f"{args.count} packets: need at least 1")
     results = run_bench(functions, count=args.count)
     report = Report("bench", "bench", "-" * 64, {"count": args.count})
     baseline = results.get("plain")

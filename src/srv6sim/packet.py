@@ -10,6 +10,7 @@ order: ``segments[0]`` is the final segment and the active segment is
 from __future__ import annotations
 
 import logging
+import socket
 import struct
 from dataclasses import dataclass, field
 
@@ -53,15 +54,11 @@ class NoTransport(PacketError):
 
 def pton(text: str) -> Address:
     """Parse an IPv6 address string into 16 octets."""
-    import socket
-
     return socket.inet_pton(socket.AF_INET6, text)
 
 
 def ntop(addr: Address) -> str:
     """Render 16 octets as a compressed IPv6 address string."""
-    import socket
-
     return socket.inet_ntop(socket.AF_INET6, addr)
 
 

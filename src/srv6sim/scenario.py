@@ -11,10 +11,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import typing
-from dataclasses import dataclass, field, fields
+import re
+import sys
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Any, Callable
 
 from .behaviors import SID_BEHAVIORS, TRANSIT_BEHAVIORS, Behavior, ProgramBehavior
 from .dataplane import Node
@@ -31,6 +33,10 @@ class ConfigError(Exception):
         self.path = path
         self.message = message
 
+    def within(self, prefix: str) -> ConfigError:
+        """The same error at prefix + path."""
+        return ConfigError(prefix + self.path, self.message)
+
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled scenario fixture (setup1.json, ...)."""
@@ -41,127 +47,206 @@ def schema_path() -> Path:
     return Path(str(resources.files("srv6sim").joinpath("schemas", "scenario.schema.json")))
 
 
-# -- raw JSON access helpers -------------------------------------------------
+# -- the schema-driven reader -------------------------------------------------
+#
+# The shipped schema is the one statement of what a scenario may hold. It is
+# compiled once into readers, functions value -> value that raise ConfigError
+# on the first violation and otherwise return the value read: an object
+# becomes a dict of its declared properties, an array a list of its items,
+# and the $defs in _CONVERTERS runtime values. A reader's error carries the
+# path below the value it was given; each enclosing object or array prefixes
+# its key or index on the way out, so no path is built unless one is raised.
+# Compiling fails on any keyword the reader does not implement.
 
-_REQUIRED = object()
+Reader = Callable[[Any], Any]
 
-
-def _get(obj: dict, key: str, path: str, kind=None, default=_REQUIRED):
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an object")
-    if key not in obj:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
-    return value
-
-
-def _uint(obj: dict, key: str, path: str, top: int, default: int) -> int:
-    """An integer field bounded to 0..top, as the schema bounds it."""
-    value = _get(obj, key, path, int, default=default)
-    if not 0 <= value <= top:
-        raise ConfigError(f"{path}.{key}", f"{value} out of range 0..{top}")
-    return value
+_ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "format"}
+_LEAF_KEYWORDS = {"type", "enum", "minimum", "maximum", "exclusiveMinimum", "pattern"}
+_MEMBER_KEYWORDS = {"required", "properties", "additionalProperties", "allOf"}
+_ARRAY_KEYWORDS = {"type", "items", "minItems", "maxItems"}
+# exact types, so that a JSON true is neither an integer nor a number
+_JSON_TYPES = {
+    "string": (str,), "boolean": (bool,), "integer": (int,), "number": (int, float),
+}
 
 
-def _addr(text, path: str) -> Address:
-    if not isinstance(text, str):
-        raise ConfigError(path, "expected an IPv6 address string")
+def _addr(text: str) -> Address:
     try:
         return pton(text)
-    except OSError:
-        raise ConfigError(path, f"bad IPv6 address {text!r}") from None
+    except (OSError, ValueError):
+        raise ConfigError("", f"bad IPv6 address {text!r}") from None
 
 
-def _prefix(text, path: str) -> tuple[Address, int]:
-    if not isinstance(text, str) or "/" not in text:
-        raise ConfigError(path, f"expected 'addr/len', got {text!r}")
-    addr_s, _, len_s = text.partition("/")
-    try:
-        plen = int(len_s)
-    except ValueError:
-        raise ConfigError(path, f"bad prefix length {len_s!r}") from None
-    if not (0 <= plen <= 128):
-        raise ConfigError(path, f"prefix length {plen} out of range")
-    return _addr(addr_s, path), plen
+def _prefix(text: str) -> tuple[Address, int]:
+    addr, _, plen = text.rpartition("/")  # the pattern admits lengths 0..128
+    return _addr(addr), int(plen)
 
 
-def _srh(obj, path: str) -> SegmentRoutingHeader:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "expected an SRH object")
-    travel = _get(obj, "segments", path, list)
-    if not travel:
-        raise ConfigError(f"{path}.segments", "segment list must be non-empty")
-    segments = [
-        _addr(s, f"{path}.segments[{i}]") for i, s in enumerate(travel)
-    ][::-1]
-    sl = _get(obj, "segments_left", path, int, default=len(segments) - 1)
-    if not (0 <= sl < len(segments)):
-        raise ConfigError(f"{path}.segments_left", f"{sl} out of range")
+def _srh(obj: dict) -> SegmentRoutingHeader:
+    segments = obj["segments"][::-1]
+    sl = obj.get("segments_left", len(segments) - 1)
+    if sl >= len(segments):
+        raise ConfigError(".segments_left", f"{sl} out of range")
     return SegmentRoutingHeader(segments=segments, segments_left=sl)
 
 
-_ADDR_PARAM_KEYS = {"controller_addr", "outer_src", "dm_sid", "return_addr"}
-_SRH_PARAM_KEYS = {"path_srh", "srh_a", "srh_b", "srh"}
+# the defs whose readers return runtime values, applied after validation
+_CONVERTERS = {"addr": _addr, "prefix": _prefix, "srh": _srh}
 
 
-def _program_params(obj, path: str) -> dict:
-    """Convert JSON program parameters to runtime values (addresses and
-    SRH objects); unknown keys pass through untouched."""
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "params must be an object")
-    out = {}
-    for key, value in obj.items():
-        if key in _ADDR_PARAM_KEYS:
-            out[key] = _addr(value, f"{path}.{key}")
-        elif key in _SRH_PARAM_KEYS:
-            out[key] = _srh(value, f"{path}.{key}")
-        elif key == "weights":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ConfigError(f"{path}.{key}", "weights must be a 2-list")
-            out[key] = (int(value[0]), int(value[1]))
+def _check_keywords(schema: dict, allowed: set, pointer: str) -> None:
+    unknown = set(schema) - allowed - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"{pointer}: unsupported schema keywords {sorted(unknown)}")
+
+
+def _compile_schema(root: dict) -> dict[str, Reader]:
+    """Every reader of the schema, by JSON pointer ("#/properties/seed")."""
+    nodes: dict[str, Reader] = {}
+
+    def compile_node(schema: dict, pointer: str) -> Reader:
+        if "$ref" in schema:
+            _check_keywords(schema, {"$ref"}, pointer)
+            target = schema["$ref"]
+            if target not in nodes:
+                name = target.removeprefix("#/$defs/")
+                inner = compile_node(root["$defs"][name], target)
+                convert = _CONVERTERS.get(name)
+                if convert is not None:
+                    nodes[target] = lambda value: convert(inner(value))
+            return nodes[target]
+        kind = schema.get("type")
+        if kind == "object":
+            _check_keywords(schema, _MEMBER_KEYWORDS | {"type"}, pointer)
+            read = compile_members(schema, pointer)
+        elif kind == "array":
+            _check_keywords(schema, _ARRAY_KEYWORDS, pointer)
+            item = compile_node(schema["items"], f"{pointer}/items")
+            lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+
+            def read(value):
+                if type(value) is not list:
+                    raise ConfigError("", f"expected array, got {value!r:.40}")
+                if not lo <= len(value) <= hi:
+                    raise ConfigError("", f"expected {lo}..{hi} items, got {len(value)}")
+                try:
+                    return list(map(item, value))
+                except ConfigError:
+                    # readers are pure: reading again finds the failing index
+                    for i, v in enumerate(value):
+                        try:
+                            item(v)
+                        except ConfigError as exc:
+                            raise exc.within(f"[{i}]") from None
+                    raise
         else:
-            out[key] = value
-    return out
+            read = compile_leaf(schema, pointer)
+        nodes[pointer] = read
+        return read
 
+    def compile_leaf(schema: dict, pointer: str) -> Reader:
+        _check_keywords(schema, _LEAF_KEYWORDS, pointer)
+        kind = schema.get("type")
+        types = _JSON_TYPES[kind] if kind else None
+        allowed = schema.get("enum")
+        bounds = {k: schema[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in schema}
+        # the default bounds are the finite floats: JSON numbers are never
+        # NaN or infinite, though Python's json module and float() admit them
+        big = sys.float_info.max
+        lo, hi = schema.get("minimum", -big), schema.get("maximum", big)
+        above = schema.get("exclusiveMinimum", float("-inf"))
+        ranged = bounds or kind == "number"
+        pattern = schema.get("pattern")
+        search = re.compile(pattern).search if pattern else None
 
-# Readers for the descriptor field types; str and int values pass through
-# after a type check.
-_FIELD_READERS = {Address: _addr, SegmentRoutingHeader: _srh}
+        if types is not None and allowed is None and not ranged and search is None:
+            def read(value):
+                if type(value) not in types:
+                    raise ConfigError("", f"expected {kind}, got {value!r:.40}")
+                return value
+
+            return read
+
+        def read(value):
+            if types is not None and type(value) not in types:
+                raise ConfigError("", f"expected {kind}, got {value!r:.40}")
+            if allowed is not None and value not in allowed:
+                raise ConfigError("", f"{value!r:.40} is not one of {allowed}")
+            if ranged and not (lo <= value <= hi and value > above):
+                raise ConfigError("", f"{value} out of range {bounds}")
+            if search is not None and search(value) is None:
+                raise ConfigError("", f"{value!r:.40} does not match {pattern}")
+            return value
+
+        return read
+
+    def compile_members(schema: dict, pointer: str):
+        """Reader of an object into a dict: required keys, declared
+        properties (unknown keys rejected when closed), then the properties
+        of each allOf branch whose if-property holds its const. A branch's
+        property reader runs after, and its value replaces, the base one."""
+        required = schema.get("required", ())
+        props = {
+            key: compile_node(sub, f"{pointer}/properties/{key}")
+            for key, sub in schema.get("properties", {}).items()
+        }
+        closed = schema.get("additionalProperties", True) is False
+        branches: dict[str, dict[Any, Callable]] = {}
+        for i, cond in enumerate(schema.get("allOf", ())):
+            at = f"{pointer}/allOf/{i}"
+            _check_keywords(cond, {"if", "then"}, at)
+            (key, sub), = cond["if"]["properties"].items()
+            if cond["if"] != {"properties": {key: {"const": sub["const"]}}, "required": [key]}:
+                raise ValueError(f"{at}/if: only 'key equals const' conditions are supported")
+            _check_keywords(cond["then"], {"required", "properties"}, f"{at}/then")
+            branches.setdefault(key, {})[sub["const"]] = compile_members(cond["then"], f"{at}/then")
+
+        def members(value):
+            if type(value) is not dict:
+                raise ConfigError("", f"expected object, got {value!r:.40}")
+            for key in required:
+                if key not in value:
+                    raise ConfigError(f".{key}", "missing required key")
+            out = {}
+            try:
+                if closed:
+                    for key, item in value.items():
+                        read = props.get(key)
+                        if read is None:
+                            raise ConfigError("", "unknown key")
+                        out[key] = read(item)
+                else:
+                    for key, read in props.items():
+                        if key in value:
+                            out[key] = read(value[key])
+            except ConfigError as exc:
+                raise exc.within(f".{key}") from None
+            # a branch key is a declared string property, read just above
+            if branches:
+                for key, cases in branches.items():
+                    then = cases.get(value.get(key))
+                    if then is not None:
+                        out.update(then(value))
+            return out
+
+        return members
+
+    compile_node(root, "#")
+    return nodes
 
 
 @functools.cache
-def _field_types(cls: type[Behavior]) -> tuple[tuple[str, type], ...]:
-    hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+def _schema_nodes() -> dict[str, Reader]:
+    return _compile_schema(json.loads(schema_path().read_text()))
 
 
-def _behavior(
-    obj: dict, path: str, table: dict[str, type[Behavior]], instance: str
-) -> Behavior:
-    """The descriptor for a scenario ``behavior`` object: its ``type``
-    names the class, each field is read from the key of the same name.
-    A program descriptor names the node-local program instance."""
-    btype = _get(obj, "type", path, str)
-    cls = table.get(btype)
-    if cls is None:
-        raise ConfigError(f"{path}.type", f"unknown behavior type {btype!r}")
-    if issubclass(cls, ProgramBehavior):
-        _get(obj, "program", path, str)  # the registry name build_simulation resolves
-        return cls(instance)
-    args = []
-    for name, kind in _field_types(cls):
-        read = _FIELD_READERS.get(kind)
-        if read is None:
-            args.append(_get(obj, name, path, kind))
-        else:
-            args.append(read(_get(obj, name, path), f"{path}.{name}"))
-    return cls(*args)
+def read_value(pointer: str, value, path: str):
+    """Read one value at path with the schema's reader at pointer, e.g.
+    read_value("#/$defs/addr", "2001:db8::1", "$.target")."""
+    try:
+        return _schema_nodes()[pointer](value)
+    except ConfigError as exc:
+        raise exc.within(path) from None
 
 
 # -- parsed model ------------------------------------------------------------
@@ -219,21 +304,6 @@ class DaemonCfg:
 
 
 @dataclass
-class GeneratorCfg:
-    src_node: str
-    src: Address
-    dst: Address
-    rate_pps: int
-    payload_size: int
-    count: int
-    flow: int
-    src_port: int
-    dst_port: int
-    flow_label: int
-    start_ns: int
-
-
-@dataclass
 class ScenarioConfig:
     name: str
     seed: int
@@ -244,11 +314,8 @@ class ScenarioConfig:
     sids: list[SidCfg]
     transits: list[TransitCfg]
     daemons: list[DaemonCfg]
-    generators: list[GeneratorCfg]
+    generators: list[UdpStream]
     digest: str
-
-    def node_ids(self) -> set[str]:
-        return {n.id for n in self.nodes}
 
 
 def config_digest(raw: dict) -> str:
@@ -265,167 +332,123 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(raw)
 
 
+def _behavior(b: dict, table: dict[str, type[Behavior]], instance: str, path: str) -> Behavior:
+    """The descriptor for a read ``behavior`` object: its ``type`` names
+    the class, each field is the key of the same name. A program
+    descriptor holds the node-local program instance in place of the
+    ``program`` key's registry name."""
+    cls = table.get(b["type"])
+    if cls is None:
+        raise ConfigError(f"{path}.type", f"unknown behavior type {b['type']!r}")
+    keys = cls.__match_args__  # the dataclass fields, in __init__ order
+    for key in keys:
+        if key not in b:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+    if issubclass(cls, ProgramBehavior):
+        return cls(instance)
+    return cls(*(b[key] for key in keys))
+
+
 def parse_scenario(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("$", "scenario must be a JSON object")
-    name = _get(raw, "name", "$", str, default="scenario")
-    seed = _get(raw, "seed", "$", int, default=0)
-    duration_ms = _get(raw, "duration_ms", "$", (int, float))
-    if duration_ms <= 0:
-        raise ConfigError("$.duration_ms", "duration must be positive")
+    doc = read_value("#", raw, "$")
 
-    nodes = []
-    seen_nodes = set()
-    for i, obj in enumerate(_get(raw, "nodes", "$", list)):
-        path = f"$.nodes[{i}]"
-        node_id = _get(obj, "id", path, str)
-        if node_id in seen_nodes:
-            raise ConfigError(f"{path}.id", f"duplicate node id {node_id!r}")
-        seen_nodes.add(node_id)
-        addrs = [
-            _addr(a, f"{path}.addresses[{j}]")
-            for j, a in enumerate(_get(obj, "addresses", path, list))
-        ]
-        if not addrs:
-            raise ConfigError(f"{path}.addresses", "node needs an address")
-        nodes.append(NodeCfg(node_id, addrs))
+    nodes: dict[str, NodeCfg] = {}
+    for i, obj in enumerate(doc["nodes"]):
+        if obj["id"] in nodes:
+            raise ConfigError(f"$.nodes[{i}].id", f"duplicate node id {obj['id']!r}")
+        nodes[obj["id"]] = NodeCfg(obj["id"], obj["addresses"])
 
-    links = []
-    seen_links = set()
-    for i, obj in enumerate(_get(raw, "links", "$", list, default=[])):
-        path = f"$.links[{i}]"
-        link_id = _get(obj, "id", path, str)
-        if link_id in seen_links:
-            raise ConfigError(f"{path}.id", f"duplicate link id {link_id!r}")
-        seen_links.add(link_id)
-        ends = _get(obj, "endpoints", path, list)
-        if len(ends) != 2 or not all(e in seen_nodes for e in ends):
-            raise ConfigError(f"{path}.endpoints", f"bad endpoints {ends!r}")
-        mbps = _get(obj, "bandwidth_mbps", path, (int, float))
-        if mbps <= 0:
-            raise ConfigError(f"{path}.bandwidth_mbps", "must be positive")
-        rtt = _get(obj, "rtt_mean_ms", path, (int, float), default=0.0)
-        std = _get(obj, "rtt_stddev_ms", path, (int, float), default=0.0)
-        links.append(
-            LinkCfg(
-                link_id,
-                (ends[0], ends[1]),
-                int(mbps * 1_000_000),
-                int(rtt * 500_000),  # RTT/2, in ns
-                int(std * 500_000),
-            )
-        )
-
-    def check_node(node_id, path):
-        if node_id not in seen_nodes:
-            raise ConfigError(path, f"unknown node {node_id!r}")
+    # cross-references; the path is formatted from where and at on error only
+    def check_node(node_id, where, *at):
+        if node_id not in nodes:
+            raise ConfigError(where.format(*at), f"unknown node {node_id!r}")
         return node_id
 
-    def check_link(link_id, node_id, path):
-        for link in links:
-            if link.id == link_id:
-                if node_id not in link.endpoints:
-                    raise ConfigError(path, f"link {link_id!r} not at node {node_id!r}")
-                return link_id
-        raise ConfigError(path, f"unknown link {link_id!r}")
+    links: dict[str, LinkCfg] = {}
+    for i, obj in enumerate(doc.get("links", ())):
+        if obj["id"] in links:
+            raise ConfigError(f"$.links[{i}].id", f"duplicate link id {obj['id']!r}")
+        links[obj["id"]] = LinkCfg(
+            obj["id"],
+            tuple(check_node(end, "$.links[{}].endpoints[{}]", i, j)
+                  for j, end in enumerate(obj["endpoints"])),
+            int(obj["bandwidth_mbps"] * 1_000_000),
+            int(obj.get("rtt_mean_ms", 0.0) * 500_000),  # RTT/2, in ns
+            int(obj.get("rtt_stddev_ms", 0.0) * 500_000),
+        )
+
+    def check_link(link_id, node_id, where, *at):
+        link = links.get(link_id)
+        if link is None:
+            raise ConfigError(where.format(*at), f"unknown link {link_id!r}")
+        if node_id not in link.endpoints:
+            raise ConfigError(where.format(*at), f"link {link_id!r} not at node {node_id!r}")
+        return link_id
 
     fib = []
-    for i, obj in enumerate(_get(raw, "fib", "$", list, default=[])):
-        path = f"$.fib[{i}]"
-        node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
-        prefix, plen = _prefix(_get(obj, "prefix", path, str), f"{path}.prefix")
-        nexthops = []
-        for j, nh in enumerate(_get(obj, "nexthops", path, list)):
-            nh_path = f"{path}.nexthops[{j}]"
-            via = _addr(_get(nh, "via", nh_path, str), f"{nh_path}.via")
-            link_id = check_link(
-                _get(nh, "link", nh_path, str), node_id, f"{nh_path}.link"
-            )
-            nexthops.append((via, link_id))
-        if not nexthops:
-            raise ConfigError(f"{path}.nexthops", "need at least one nexthop")
-        fib.append(
-            FibCfg(node_id, _get(obj, "table", path, int, default=0), prefix, plen, nexthops)
-        )
+    for i, obj in enumerate(doc.get("fib", ())):
+        node_id = check_node(obj["node"], "$.fib[{}].node", i)
+        nexthops = [
+            (nh["via"], check_link(nh["link"], node_id, "$.fib[{}].nexthops[{}].link", i, j))
+            for j, nh in enumerate(obj["nexthops"])
+        ]
+        prefix, plen = obj["prefix"]
+        fib.append(FibCfg(node_id, obj.get("table", 0), prefix, plen, nexthops))
 
     sids = []
-    for i, obj in enumerate(_get(raw, "sids", "$", list, default=[])):
-        path = f"$.sids[{i}]"
-        node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
-        sid = _addr(_get(obj, "sid", path, str), f"{path}.sid")
-        b = _get(obj, "behavior", path, dict)
-        behavior = _behavior(b, f"{path}.behavior", SID_BEHAVIORS, f"sid:{sid.hex()}")
-        params = _program_params(b.get("params"), f"{path}.behavior.params")
-        sids.append(SidCfg(node_id, sid, behavior, b.get("program"), params))
+    for i, obj in enumerate(doc.get("sids", ())):
+        node_id = check_node(obj["node"], "$.sids[{}].node", i)
+        b = obj["behavior"]
+        behavior = _behavior(
+            b, SID_BEHAVIORS, f"sid:{obj['sid'].hex()}", f"$.sids[{i}].behavior"
+        )
+        sids.append(SidCfg(node_id, obj["sid"], behavior, b.get("program"), b.get("params", {})))
 
     transits = []
-    for i, obj in enumerate(_get(raw, "transits", "$", list, default=[])):
-        path = f"$.transits[{i}]"
-        node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
-        prefix, plen = _prefix(_get(obj, "prefix", path, str), f"{path}.prefix")
-        b = _get(obj, "behavior", path, dict)
+    for i, obj in enumerate(doc.get("transits", ())):
+        node_id = check_node(obj["node"], "$.transits[{}].node", i)
+        prefix, plen = obj["prefix"]
+        b = obj["behavior"]
         behavior = _behavior(
-            b, f"{path}.behavior", TRANSIT_BEHAVIORS, f"transit:{prefix.hex()}/{plen}"
+            b, TRANSIT_BEHAVIORS, f"transit:{prefix.hex()}/{plen}", f"$.transits[{i}].behavior"
         )
-        params = _program_params(b.get("params"), f"{path}.behavior.params")
-        transits.append(TransitCfg(node_id, prefix, plen, behavior, b.get("program"), params))
+        transits.append(
+            TransitCfg(node_id, prefix, plen, behavior, b.get("program"), b.get("params", {}))
+        )
 
     daemons = []
-    seen_daemons = set()
-    for i, obj in enumerate(_get(raw, "daemons", "$", list, default=[])):
-        path = f"$.daemons[{i}]"
-        daemon_id = _get(obj, "id", path, str)
-        if daemon_id in seen_daemons:
-            raise ConfigError(f"{path}.id", f"duplicate daemon id {daemon_id!r}")
-        seen_daemons.add(daemon_id)
-        dtype = _get(obj, "type", path, str)
-        node_id = check_node(_get(obj, "node", path, str), f"{path}.node")
-        interval_ms = _get(obj, "interval_ms", path, (int, float), default=100.0)
-        params = _program_params(obj.get("params"), f"{path}.params")
-        if dtype == "twd_prober":
-            params = _prober_params(params, node_id, check_link, f"{path}.params")
-        elif dtype not in ("owd_collector", "oamp_responder"):
-            raise ConfigError(f"{path}.type", f"unknown daemon type {dtype!r}")
-        daemons.append(
-            DaemonCfg(daemon_id, dtype, node_id, int(interval_ms * 1_000_000), params)
-        )
+    for i, obj in enumerate(doc.get("daemons", ())):
+        if any(d.id == obj["id"] for d in daemons):
+            raise ConfigError(f"$.daemons[{i}].id", f"duplicate daemon id {obj['id']!r}")
+        node_id = check_node(obj["node"], "$.daemons[{}].node", i)
+        params = obj.get("params", {})
+        if obj["type"] == "twd_prober":
+            for j, pl in enumerate(params["links"]):
+                check_link(pl["link"], node_id, "$.daemons[{}].params.links[{}].link", i, j)
+            params["links"] = [ProbeLink(**pl) for pl in params["links"]]
+        interval_ns = int(obj.get("interval_ms", 100.0) * 1_000_000)
+        daemons.append(DaemonCfg(obj["id"], obj["type"], node_id, interval_ns, params))
 
+    # the generator keys are UdpStream's fields, but for the ones popped here
     generators = []
-    for i, obj in enumerate(_get(raw, "generators", "$", list, default=[])):
-        path = f"$.generators[{i}]"
-        src_node = check_node(_get(obj, "src_node", path, str), f"{path}.src_node")
-        src_default = next(n.addresses[0] for n in nodes if n.id == src_node)
-        src = (
-            _addr(obj["src"], f"{path}.src") if "src" in obj else src_default
-        )
-        rate_pps = _get(obj, "rate_pps", path, int)
-        if rate_pps <= 0:
-            raise ConfigError(f"{path}.rate_pps", "must be positive")
-        payload_size = _get(obj, "payload_size", path, int, default=64)
-        if payload_size < 8:
-            raise ConfigError(f"{path}.payload_size", "must be at least 8")
+    for i, obj in enumerate(doc.get("generators", ())):
+        src_node = check_node(obj.pop("src_node"), "$.generators[{}].src_node", i)
         generators.append(
-            GeneratorCfg(
+            UdpStream(
                 src_node=src_node,
-                src=src,
-                dst=_addr(_get(obj, "dst", path, str), f"{path}.dst"),
-                rate_pps=rate_pps,
-                payload_size=payload_size,
-                count=_get(obj, "count", path, int),
-                flow=_uint(obj, "flow", path, 0xFFFF, default=1),
-                src_port=_uint(obj, "src_port", path, 0xFFFF, default=49152),
-                dst_port=_uint(obj, "dst_port", path, 0xFFFF, default=33434),
-                flow_label=_uint(obj, "flow_label", path, 0xFFFFF, default=0),
-                start_ns=int(_get(obj, "start_ms", path, (int, float), default=0) * 1e6),
+                src=obj.pop("src", nodes[src_node].addresses[0]),
+                payload_size=obj.pop("payload_size", 64),
+                start_ns=int(obj.pop("start_ms", 0) * 1e6),
+                **obj,
             )
         )
 
     return ScenarioConfig(
-        name=name,
-        seed=seed,
-        duration_ns=int(duration_ms * 1_000_000),
-        nodes=nodes,
-        links=links,
+        name=doc.get("name", "scenario"),
+        seed=doc.get("seed", 0),
+        duration_ns=int(doc["duration_ms"] * 1_000_000),
+        nodes=list(nodes.values()),
+        links=list(links.values()),
         fib=fib,
         sids=sids,
         transits=transits,
@@ -442,10 +465,12 @@ def apply_overrides(
     ratio: int | None = None,
     compensation: bool | None = None,
 ) -> ScenarioConfig:
-    """Runtime overrides; these do not change the scenario digest."""
+    """Runtime overrides, read like the scenario keys they replace; these
+    do not change the scenario digest."""
     if seed is not None:
-        cfg.seed = seed
+        cfg.seed = read_value("#/properties/seed", seed, "$.seed")
     if duration_ms is not None:
+        duration_ms = read_value("#/properties/duration_ms", duration_ms, "$.duration_ms")
         cfg.duration_ns = int(duration_ms * 1_000_000)
     if ratio is not None:
         for entry in list(cfg.sids) + list(cfg.transits):
@@ -496,40 +521,8 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         if setup is not None:
             setup(sim)
     for g in cfg.generators:
-        sim.add_stream(
-            UdpStream(
-                src_node=g.src_node, src=g.src, dst=g.dst,
-                rate_pps=g.rate_pps, payload_size=g.payload_size,
-                count=g.count, flow=g.flow, src_port=g.src_port,
-                dst_port=g.dst_port, flow_label=g.flow_label,
-                start_ns=g.start_ns,
-            )
-        )
+        sim.add_stream(g)
     return sim
-
-
-def _prober_params(params: dict, node_id: str, check_link, path: str) -> dict:
-    """A twd_prober's params with its two probe links, each at the
-    prober's node, as ProbeLinks and alpha checked to be a number."""
-    raw_links = params.get("links")
-    if not isinstance(raw_links, list) or len(raw_links) != 2:
-        raise ConfigError(f"{path}.links", "twd_prober needs exactly two links")
-    links = []
-    for j, pl in enumerate(raw_links):
-        pl_path = f"{path}.links[{j}]"
-        links.append(
-            ProbeLink(
-                link=check_link(_get(pl, "link", pl_path, str), node_id, f"{pl_path}.link"),
-                dm_sid=_addr(_get(pl, "dm_sid", pl_path, str), f"{pl_path}.dm_sid"),
-                return_addr=_addr(
-                    _get(pl, "return_addr", pl_path, str), f"{pl_path}.return_addr"
-                ),
-            )
-        )
-    alpha = params.get("alpha", 0.3)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ConfigError(f"{path}.alpha", f"expected a number, got {alpha!r}")
-    return {**params, "links": links, "alpha": float(alpha)}
 
 
 def _make_daemon(d: DaemonCfg):
@@ -537,9 +530,4 @@ def _make_daemon(d: DaemonCfg):
         return OwdCollector(d.id, d.node, d.interval_ns)
     if d.type == "oamp_responder":
         return OampResponder(d.id, d.node, d.interval_ns)
-    return TwdProber(
-        d.id, d.node, d.params["links"],
-        interval_ns=d.interval_ns,
-        alpha=d.params["alpha"],
-        compensate=bool(d.params.get("compensate", True)),
-    )
+    return TwdProber(d.id, d.node, interval_ns=d.interval_ns, **d.params)

@@ -290,8 +290,12 @@ def wrr_factory(params: dict) -> Program:
 
 
 def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
-    """Per-path packet counts accumulated by the scheduler state map."""
-    raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
+    """Per-path packet counts accumulated by the scheduler state map;
+    (0, 0) before wrr has scheduled a packet and created the map."""
+    try:
+        raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
+    except HelperError:
+        return 0, 0
     if not raw:
         return 0, 0
     _, count_a, count_b = struct.unpack(">III", raw)

@@ -59,6 +59,24 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
     assert f"$.{section}[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (("run", "setup1.json", "--seed", "-1"), "$.seed"),
+        (("run", "setup1.json", "--seed", str(2**64)), "$.seed"),
+        (("run", "setup1.json", "--duration", "-5"), "$.duration_ms"),
+        (("run", "setup1.json", "--duration", "inf"), "$.duration_ms"),
+        (("traceroute", "diamond.json", "S", "not-an-addr"), "$.target"),
+        (("bench", "--count", "0"), "$.count"),
+        (("bench", "--count", "-1"), "$.count"),
+    ],
+)
+def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
+    argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert f"config error: {path}:" in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_2(tmp_path):
     assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
 
@@ -121,6 +139,18 @@ def test_hybrid_reports_wrr_split_and_reordering(tmp_path):
     assert int(rows["path_b_packets"]) == 1500
     assert float(rows["reorder_fraction"]) > 0.3
     assert float(rows["goodput_estimate"]) > 0
+
+
+def test_hybrid_run_ending_before_the_first_packet_reports_zero_counts(tmp_path):
+    # the generator starts at 1.5 s, so wrr never runs and creates no map
+    code = run_cli(
+        "hybrid", str(fixture_path("setup2-hybrid.json")),
+        "--duration", "300", "--out", str(tmp_path),
+    )
+    assert code == 0
+    text = (tmp_path / "setup2-hybrid-hybrid-report.txt").read_text()
+    rows = {l.split()[0]: l.split()[1] for l in text.splitlines() if l and l[0].isalpha()}
+    assert rows["path_a_packets"] == rows["path_b_packets"] == "0"
 
 
 def test_hybrid_tsv_format(tmp_path):

@@ -18,6 +18,7 @@ from srv6sim.behaviors import (
     TransitProgram,
 )
 from srv6sim.packet import SegmentRoutingHeader, pton
+from srv6sim.programs import PROGRAM_FACTORIES
 from srv6sim.scenario import (
     ConfigError,
     apply_overrides,
@@ -100,6 +101,7 @@ def test_bad_address_rejected_with_path():
         ("rate_pps", 0), ("rate_pps", -5), ("payload_size", 4), ("payload_size", 7),
         ("flow", 70000), ("flow", -1), ("src_port", 70000), ("dst_port", 65536),
         ("flow_label", 2097152), ("flow_label", 0x100000),
+        ("payload_size", 2**40), ("count", -1),
     ],
 )
 def test_generator_bounds_rejected_with_path(key, value):
@@ -126,8 +128,12 @@ def test_generator_bounds_accept_schema_maxima():
         (lambda d: d["params"].update(alpha="x"), "$.daemons[0].params.alpha"),
         (lambda d: d["params"].update(alpha=None), "$.daemons[0].params.alpha"),
         (lambda d: d.update(type="twd_probe"), "$.daemons[0].type"),
+        (lambda d: d["params"].update(alpha=0), "$.daemons[0].params.alpha"),
+        (lambda d: d["params"].update(compensate="no"), "$.daemons[0].params.compensate"),
+        (lambda d: d.update(interval_ms=1e-9), "$.daemons[0].interval_ms"),
     ],
-    ids=["unknown-link", "link-not-at-node", "bad-dm-sid", "one-link", "alpha-str", "alpha-null", "bad-type"],
+    ids=["unknown-link", "link-not-at-node", "bad-dm-sid", "one-link", "alpha-str", "alpha-null", "bad-type",
+         "alpha-zero", "compensate-str", "interval-0ns"],
 )
 def test_prober_params_rejected_with_path(mutate, path):
     raw = raw_fixture("setup2-hybrid.json")
@@ -138,9 +144,9 @@ def test_prober_params_rejected_with_path(mutate, path):
 
 
 def test_program_factory_error_rejected_with_path():
-    raw = raw_fixture("setup2-hybrid.json")
-    raw["transits"][0]["behavior"]["params"]["weights"] = [0, 1]
-    cfg = parse_scenario(raw)
+    # the schema rejects weights below 1, so the bad value comes after parsing
+    cfg = parse_scenario(raw_fixture("setup2-hybrid.json"))
+    cfg.transits[0].params["weights"] = [0, 1]
     with pytest.raises(ConfigError) as exc:
         build_simulation(cfg)
     assert exc.value.path == "$.transits[0].behavior.params"
@@ -167,6 +173,111 @@ def test_bad_behavior_rejected_with_path(section, behavior, path):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(raw)
     assert exc.value.path == path
+
+
+def set_at(doc, at, value):
+    for key in at[:-1]:
+        doc = doc[key]
+    doc[at[-1]] = value
+
+
+PARAMS = ("transits", 0, "behavior", "params")
+
+
+@pytest.mark.parametrize(
+    "name, at, value, path",
+    [
+        ("setup2-hybrid.json", PARAMS + ("weights",), ["x", 1],
+         "$.transits[0].behavior.params.weights[0]"),
+        ("setup2-hybrid.json", PARAMS + ("weights",), [0, 1],
+         "$.transits[0].behavior.params.weights[0]"),
+        ("setup2-hybrid.json", PARAMS + ("weights",), [2**40, 3],
+         "$.transits[0].behavior.params.weights[0]"),
+        ("setup2-hybrid.json", PARAMS + ("weights",), [5],
+         "$.transits[0].behavior.params.weights"),
+        ("setup2-hybrid.json", ("links", 1, "bandwidth_mbps"), 1e-9, "$.links[1].bandwidth_mbps"),
+        ("setup1.json", PARAMS + ("route_id",), -1, "$.transits[0].behavior.params.route_id"),
+        ("setup1.json", PARAMS + ("route_id",), 2**32, "$.transits[0].behavior.params.route_id"),
+        ("setup1.json", PARAMS + ("ratio",), None, "$.transits[0].behavior.params.ratio"),
+        ("setup1.json", PARAMS + ("controller_port",), 65536,
+         "$.transits[0].behavior.params.controller_port"),
+        ("setup1.json", PARAMS + ("ratoi",), 10, "$.transits[0].behavior.params.ratoi"),
+        ("setup1.json", PARAMS, {"ratio": 10},
+         "$.transits[0].behavior.params.path_srh"),
+        ("setup1.json", ("seed",), -1, "$.seed"),
+        ("setup1.json", ("seed",), 2**64, "$.seed"),
+        ("setup1.json", ("fib", 0, "prefix"), "::/129", "$.fib[0].prefix"),
+        ("setup2-hybrid.json", ("links", 0, "rtt_mean_ms"), -1, "$.links[0].rtt_mean_ms"),
+    ],
+)
+def test_schema_rule_rejected_with_path(name, at, value, path):
+    raw = raw_fixture(name)
+    set_at(raw, at, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_json_number_rejected(tmp_path, literal):
+    text = fixture_path("setup1.json").read_text()
+    bad = tmp_path / "inf.json"
+    bad.write_text(text.replace('"rtt_mean_ms": 0.2', f'"rtt_mean_ms": {literal}', 1))
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(bad)
+    assert exc.value.path == "$.links[0].rtt_mean_ms"
+
+
+def mutations(raw: dict):
+    """The single-field mutations of a scenario: every numeric leaf set to
+    -1, 0, 1e-9, "x", 2**40 and null, every string leaf to "", 5 and
+    null, plus one unknown top-level key. Yields the container, key and
+    new value."""
+    def leaves(doc):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            if isinstance(value, (dict, list)):
+                yield from leaves(value)
+            else:
+                yield doc, key, value
+
+    for doc, key, value in list(leaves(raw)):
+        if type(value) in (int, float):
+            yield from ((doc, key, v) for v in (-1, 0, 1e-9, "x", 2**40, None))
+        elif type(value) is str:
+            yield from ((doc, key, v) for v in ("", 5, None))
+    yield raw, "unexpected", 1
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_mutations_against_jsonschema(name):
+    """Each mutation either fails with a ConfigError or parses and builds,
+    and nothing the shipped schema rejects gets through."""
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(
+        json.loads(schema_path().read_text()), format_checker=jsonschema.FormatChecker()
+    )
+    raw = raw_fixture(name)
+    uncaught, accepted = [], []
+    missing = object()
+    for doc, key, value in mutations(raw):
+        old = doc[key] if isinstance(doc, list) or key in doc else missing
+        doc[key] = value
+        try:
+            build_simulation(parse_scenario(raw))
+            if not validator.is_valid(raw):
+                accepted.append((key, value))
+        except ConfigError:
+            pass
+        except Exception as exc:  # anything but a ConfigError is a finding
+            uncaught.append((key, value, repr(exc)))
+        finally:
+            if old is missing:
+                del doc[key]
+            else:
+                doc[key] = old
+    assert raw == raw_fixture(name)
+    assert uncaught == []
+    assert accepted == []
 
 
 def test_duration_must_be_positive():
@@ -283,3 +394,56 @@ def test_behavior_type_in_schema_parses_into_its_class(name):
     assert type(got) is {**SID_BEHAVIORS, **TRANSIT_BEHAVIORS}[name]
     assert got == want
     build_simulation(cfg)
+
+
+def schema_program_names() -> list[str]:
+    schema = json.loads(schema_path().read_text())
+    return [c["if"]["properties"]["program"]["const"] for c in schema["$defs"]["behavior"]["allOf"]]
+
+
+# setup1.json's sids[0] and transits[0] are at node R
+PROGRAM_CASES = {
+    "noop": ("sids", {}),
+    "end_oamp": ("sids", {}),
+    "end_dm": ("sids", {"path_id": 7, "table": 0}),
+    "dm_transit": (
+        "transits",
+        {"ratio": 10, "path_srh": SRH_JSON, "controller_addr": "2001:db8:1::1",
+         "controller_port": 9000, "path_id": 1, "route_id": 2, "outer_src": "2001:db8::1"},
+    ),
+    "wrr": (
+        "transits",
+        {"srh_a": SRH_JSON, "srh_b": SRH_JSON, "weights": [5, 3], "route_id": 2,
+         "outer_src": "2001:db8::1"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(schema_program_names()) | set(PROGRAM_FACTORIES) | set(PROGRAM_CASES))
+)
+def test_program_in_schema_reads_its_params(name):
+    """The schema's params conditionals name exactly the registered
+    programs; each program's params are read into runtime values, build,
+    and admit no other key."""
+    assert name in schema_program_names()
+    assert name in PROGRAM_FACTORIES
+    section, params = PROGRAM_CASES[name]
+    raw = raw_fixture("setup1.json")
+    btype = "end_program" if section == "sids" else "program"
+    raw[section][0]["behavior"] = {"type": btype, "program": name, "params": params}
+    cfg = parse_scenario(raw)
+    got = getattr(cfg, section)[0].params
+    assert got.keys() == params.keys()
+    for key, value in got.items():
+        if key in ("path_srh", "srh_a", "srh_b"):
+            assert value == SRH
+        elif key in ("controller_addr", "outer_src"):
+            assert value == pton(params[key])
+        else:
+            assert value == params[key]
+    build_simulation(cfg)
+    raw[section][0]["behavior"]["params"] = {**params, "bogus": 1}
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == f"$.{section}[0].behavior.params.bogus"
