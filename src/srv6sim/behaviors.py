@@ -56,6 +56,10 @@ class LocalDeliver:
 
 ForwardingDecision = Forward | Drop | LocalDeliver
 
+# Decisions are immutable, so these two are shared by every hop.
+LOCAL_DELIVER = LocalDeliver()
+DROP_NO_ROUTE = Drop(DropReason.NO_ROUTE)
+
 
 class BehaviorError(Exception):
     def __init__(self, reason: DropReason, detail: str = ""):

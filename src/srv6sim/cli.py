@@ -311,11 +311,6 @@ def _bench_case(name: str):
         hdr.payload_length = base_plen
         srh.segments_left = 1
         srh.tlv_bytes = b""
-        m = p.meta
-        m.pending_destination = None
-        m.pending_link = None
-        m.pending_table = None
-        m.srh_dirty = False
 
     if name == "end_native":
         node.add_sid(_B_SID, End())

@@ -7,11 +7,12 @@ from . import behaviors, programs
 from .behaviors import (
     Behavior,
     BehaviorError,
+    DROP_NO_ROUTE,
     Drop,
     DropReason,
     Forward,
     ForwardingDecision,
-    LocalDeliver,
+    LOCAL_DELIVER,
     ProgramBehavior,
 )
 from .fib import FibEntry, PrefixTable, select_nexthop
@@ -23,13 +24,24 @@ from .packet import (
     Ipv6Header,
     encode_packet,
 )
-from .programs import EventQueue, MapStore, Program, flow_key
+from .programs import EventQueue, Hook, MapStore, Program, ProgramContext, flow_key
 
 ICMP_TIME_EXCEEDED = 3
+# entries per route-cache dict; a full dict is cleared, not evicted from
+ROUTE_CACHE_SIZE = 4096
+
+_MISS = object()
+
+
+def _remember(cache: dict, key: Address, value) -> None:
+    if len(cache) >= ROUTE_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
 
 
 class Node:
-    """A router/host with static tables, mutated only during setup."""
+    """A router/host. Its tables change only through the mutators below,
+    each of which clears the route cache."""
 
     def __init__(self, node_id: str, addresses: list[Address], index: int = 0):
         self.id = node_id
@@ -43,6 +55,18 @@ class Node:
         self.maps = MapStore()
         self.events = EventQueue()
         self.originated: list[Packet] = []
+        # one ProgramContext per hook, reset for each program run
+        self.contexts: dict[Hook, ProgramContext] = {}
+        # The route cache, as the seg6 dst_cache: per destination, its SID
+        # or transit behaviour (None: plain forwarding) and its table-0
+        # route (a shared Forward, the ECMP nexthop list or DROP_NO_ROUTE).
+        # Every table mutator below clears it.
+        self._behaviors: dict[Address, Behavior | None] = {}
+        self._routes: dict[Address, Forward | Drop | list[tuple[Address, str]]] = {}
+
+    def _flush_route_cache(self) -> None:
+        self._behaviors.clear()
+        self._routes.clear()
 
     # -- table management ---------------------------------------------------
 
@@ -50,17 +74,21 @@ class Node:
         entry.check()
         table = self.tables.setdefault(entry.table_id, PrefixTable())
         table.insert(entry.prefix, entry.plen, entry)
+        self._flush_route_cache()
 
     def fib_remove(self, prefix: Address, plen: int, table: int = 0) -> bool:
+        self._flush_route_cache()
         t = self.tables.get(table)
         return t.remove(prefix, plen) if t else False
 
     def add_sid(self, sid: Address, behavior: Behavior) -> None:
         self.sids[sid] = behavior
         self.local_addrs.add(sid)
+        self._flush_route_cache()
 
     def add_transit(self, prefix: Address, plen: int, behavior: Behavior) -> None:
         self.transits.insert(prefix, plen, behavior)
+        self._flush_route_cache()
 
     def add_program(self, name: str, program: Program) -> None:
         self.programs[name] = program
@@ -74,10 +102,32 @@ class Node:
             raise BehaviorError(DropReason.NO_ROUTE)
         return entry.nexthops
 
+    def _route(self, dst: Address) -> Forward | Drop | list[tuple[Address, str]]:
+        """Fill dst's table-0 route into the route cache."""
+        entry = self.tables[0].lookup(dst)
+        if entry is None:
+            route = DROP_NO_ROUTE
+        elif len(entry.nexthops) == 1:
+            nh, link = entry.nexthops[0]
+            route = Forward(link, nh)
+        else:
+            route = entry.nexthops
+        _remember(self._routes, dst, route)
+        return route
+
     def fib_lookup(self, addr: Address, table: int, p: Packet) -> tuple[Address, str]:
-        """Nexthop for addr; p's ECMP flow key is built only when the
-        matched route has more than one nexthop."""
-        nexthops = self._nexthops(addr, table)
+        """Nexthop for addr; table 0 is served from the route cache, and
+        p's ECMP flow key is built only when the matched route has more
+        than one nexthop."""
+        if table:
+            nexthops = self._nexthops(addr, table)
+        else:
+            route = self._routes.get(addr) or self._route(addr)
+            if route.__class__ is Forward:
+                return route.nexthop, route.link
+            if route is DROP_NO_ROUTE:
+                raise BehaviorError(DropReason.NO_ROUTE)
+            nexthops = route
         if len(nexthops) == 1:
             return nexthops[0]
         return select_nexthop(nexthops, flow_key(p))
@@ -89,26 +139,36 @@ class Node:
 
     def finish_forwarding(self, p: Packet) -> ForwardingDecision:
         """Common tail: pending destination wins, then local delivery,
-        then a FIB lookup honouring a pending table."""
+        then a FIB lookup honouring a pending table. A table-0 lookup is
+        served from the route cache: a single-nexthop route returns its
+        one shared Forward, an ECMP route still hashes each flow."""
         meta = p.meta
         if meta.pending_destination is not None:
             return Forward(meta.pending_link, meta.pending_destination)
         dst = p.outer_header.dst
         if dst in self.local_addrs:
-            return LocalDeliver()
-        table = meta.pending_table if meta.pending_table is not None else 0
-        try:
-            nh, link = self.fib_lookup(dst, table, p)
-        except BehaviorError as exc:
-            return Drop(exc.reason, exc.detail)
-        return Forward(link, nh)
+            return LOCAL_DELIVER
+        if meta.pending_table:
+            try:
+                nh, link = self.fib_lookup(dst, meta.pending_table, p)
+            except BehaviorError as exc:
+                return Drop(exc.reason, exc.detail)
+            return Forward(link, nh)
+        route = self._routes.get(dst) or self._route(dst)
+        if route.__class__ is list:
+            nh, link = select_nexthop(route, flow_key(p))
+            return Forward(link, nh)
+        return route
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
         """Dispatch one received packet: hop-limit handling, local SID
-        match, transit match, then plain forwarding."""
+        match, transit match, then plain forwarding. The per-hop state a
+        previous node left in the metadata is cleared first."""
         meta = p.meta
         meta.rx_timestamp_ns = now
         meta.ingress_node = self.id
+        meta.pending_destination = meta.pending_link = None
+        meta.pending_table = meta.srh_dirty = None
         hdr = p.outer_header
         hdr.hop_limit -= 1
         if hdr.hop_limit <= 0:
@@ -116,7 +176,10 @@ class Node:
             self._emit_time_exceeded(p)
             return Drop(DropReason.HOP_LIMIT_EXCEEDED)
         dst = hdr.dst
-        b = self.sids.get(dst) or self.transits.lookup(dst)
+        b = self._behaviors.get(dst, _MISS)
+        if b is _MISS:
+            b = self.sids.get(dst) or self.transits.lookup(dst)
+            _remember(self._behaviors, dst, b)
         if b is None:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)

@@ -150,6 +150,17 @@ def make_program(name: str, params: dict | None = None) -> Program:
 _SRH_FIXED = 8  # next_header, hdr_ext_len, routing_type, sl, le, flags, tag
 
 
+def _mark_dirty(p: Packet, srh: SegmentRoutingHeader) -> None:
+    """Record srh as the SRH a helper wrote, for finalize to revalidate.
+    A different SRH marked earlier (now under a pushed one) is validated
+    here, as the kernel does before an End.B6 action, and stays marked
+    if it is invalid."""
+    meta = p.meta
+    old = meta.srh_dirty
+    if old is None or old is srh or validate_srh(old) is None:
+        meta.srh_dirty = srh
+
+
 def _outer_srh(ctx: ProgramContext) -> SegmentRoutingHeader:
     srh = ctx.packet.outer_srh
     if srh is None:
@@ -181,7 +192,7 @@ def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
         region = bytearray(srh.tlv_bytes)
         region[offset - seg_end : end - seg_end] = data
         srh.tlv_bytes = bytes(region)
-    ctx.packet.meta.srh_dirty = True
+    _mark_dirty(ctx.packet, srh)
 
 
 def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
@@ -201,7 +212,7 @@ def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
         srh.tlv_bytes = srh.tlv_bytes[-delta_octets:]
     # the outer SRH sits directly under the outermost header
     ctx.packet.headers[0][0].payload_length += delta_octets
-    ctx.packet.meta.srh_dirty = True
+    _mark_dirty(ctx.packet, srh)
 
 
 def helper_timestamp(ctx: ProgramContext) -> int:
@@ -249,7 +260,7 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
         if action.resolves_table:
             _resolve_pending(ctx, action.table)
         if action.rewrites_srh:
-            p.meta.srh_dirty = True
+            _mark_dirty(p, p.outer_srh)
     except BehaviorError as exc:
         raise HelperError(exc.reason.value, exc.detail) from None
     except InvariantViolation as exc:
@@ -277,7 +288,8 @@ def helper_push_encap(
             raise HelperError("bad_mode", mode)
     except InvariantViolation as exc:
         raise HelperError("invariant_violation", str(exc)) from None
-    ctx.packet.meta.srh_dirty = True
+    # the pushed SRH was validated by the push itself; an SRH a helper
+    # wrote before stays marked, though it may now be the inner one
 
 
 def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
@@ -312,18 +324,17 @@ def flow_key(p: Packet) -> bytes:
 def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     """Turn a program outcome into a forwarding decision.
 
-    A dirty SRH is revalidated first. OK performs the regular lookup on
-    the current destination (honouring a pending table, discarding any
-    pending destination); REDIRECT requires a destination already set in
-    the metadata and bypasses the lookup.
+    The SRH a helper wrote is revalidated first, wherever the packet now
+    carries it. OK performs the regular lookup on the current destination
+    (honouring a pending table, discarding any pending destination);
+    REDIRECT requires a destination already set in the metadata and
+    bypasses the lookup.
     """
     p = ctx.packet
-    if p.meta.srh_dirty:
-        srh = p.outer_srh
-        if srh is not None:
-            bad = validate_srh(srh)
-            if bad is not None:
-                return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
+    if p.meta.srh_dirty is not None:
+        bad = validate_srh(p.meta.srh_dirty)
+        if bad is not None:
+            return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
     if outcome is Outcome.DROP:
         return Drop(DropReason.PROGRAM_DROP)
     if outcome is Outcome.REDIRECT:
@@ -332,7 +343,7 @@ def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
             return Drop(DropReason.REDIRECT_WITHOUT_DESTINATION)
         if p.meta.pending_link is None:
             if dest in ctx.dataplane.local_addrs:
-                return behaviors.LocalDeliver()
+                return behaviors.LOCAL_DELIVER
             return Drop(DropReason.REDIRECT_WITHOUT_DESTINATION, "no egress link")
         return behaviors.Forward(p.meta.pending_link, dest)
     # OK: the default lookup overrides any destination a helper stored
@@ -342,15 +353,17 @@ def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
 
 
 def _make_context(node: "Node", packet: Packet, now: int, hook: Hook) -> ProgramContext:
-    return ProgramContext(
-        packet=packet,
-        hook=hook,
-        node=node.id,
-        now_ns=now,
-        event_sink=node.events,
-        maps=node.maps,
-        dataplane=node,
-    )
+    """The node's context for this hook, reset for one program run."""
+    ctx = node.contexts.get(hook)
+    if ctx is None:
+        ctx = node.contexts[hook] = ProgramContext(
+            packet, hook, node.id, now, node.events, node.maps, node
+        )
+    else:
+        ctx.packet = packet
+        ctx.now_ns = now
+        ctx.pending_action_taken = False
+    return ctx
 
 
 def run_endpoint_program(

@@ -376,7 +376,8 @@ class Simulation:
                 self._local_output(node, out)
 
     def _apply(self, node: Node, p: Packet, decision) -> None:
-        if isinstance(decision, Forward):
+        kind = type(decision)
+        if kind is Forward:
             link = self.ports[node.id].get(decision.link)
             if link is None:
                 self.stats.dropped[node.id] += 1
@@ -388,11 +389,11 @@ class Simulation:
             self._record(node.id, "egress", p, size)
             delivery = link.transmit(node.id, size, self.clock)
             self._schedule(delivery, ("deliver", link.id, link.peer(node.id), p, size))
-        elif isinstance(decision, Drop):
+        elif kind is Drop:
             self.stats.dropped[node.id] += 1
             self.stats.drop_reasons[decision.reason.value] += 1
             self._record(node.id, "drop", p, p.wire_size())
-        elif isinstance(decision, LocalDeliver):
+        elif kind is LocalDeliver:
             self.stats.delivered[node.id] += 1
             handler = self.handlers.get(p.outer_header.dst)
             if handler is not None:

@@ -66,6 +66,7 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("run", "setup1.json", "--seed", str(2**64)), "$.seed"),
         (("run", "setup1.json", "--duration", "-5"), "$.duration_ms"),
         (("run", "setup1.json", "--duration", "inf"), "$.duration_ms"),
+        (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
         (("traceroute", "diamond.json", "S", "not-an-addr"), "$.target"),
         (("bench", "--count", "0"), "$.count"),
         (("bench", "--count", "-1"), "$.count"),
@@ -75,6 +76,15 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
     argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def test_huge_finite_duration_in_file_exits_2(tmp_path, capsys):
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw["duration_ms"] = 1e308  # finite, but no 64-bit nanosecond count
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+    assert "config error: $.duration_ms:" in capsys.readouterr().err
 
 
 def test_run_missing_file_exits_2(tmp_path):

@@ -6,11 +6,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srv6sim import dataplane
-from srv6sim.behaviors import BehaviorError, Forward
+from srv6sim.behaviors import (
+    BehaviorError,
+    End,
+    EndDT6,
+    EndT,
+    EndX,
+    Forward,
+    TransitEncaps,
+    TransitInsert,
+)
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry, PrefixTable, fnv1a64, select_nexthop
-from srv6sim.packet import make_udp_packet, pton
+from srv6sim.packet import SegmentRoutingHeader, make_udp_packet, pton
 from srv6sim.programs import flow_key
+from test_behaviors import sr_packet
 from util import rand_addr
 
 NH1 = (pton("2001:db8::a"), "l1")
@@ -282,3 +292,138 @@ def test_single_nexthop_ignores_flow_key():
 def test_entry_requires_nexthop():
     with pytest.raises(ValueError):
         FibEntry(pton("2001:db8::"), 32, []).check()
+
+
+# ---------------------------------------------------------------------------
+# The per-node route cache.
+
+_FLIPS = st.none() | st.sampled_from([16, 64, 127])
+_PLEN = st.sampled_from([0, 16, 64, 128])
+_SEG = pton("fd00:ca::5")  # a segment no mutation routes: a fixed far end
+_MUTATION = (
+    st.tuples(st.just("fib_insert"), _PLEN, _FLIPS, st.integers(0, 1), st.integers(1, 3))
+    # removes the route of an earlier fib_insert, picked by index
+    | st.tuples(st.just("fib_remove"), st.integers(0, 7))
+    | st.tuples(st.just("add_sid"), _FLIPS, st.sampled_from(["end", "end_t", "end_x", "end_dt6"]))
+    | st.tuples(st.just("add_transit"), _PLEN, _FLIPS, st.sampled_from(["insert", "encaps"]))
+)
+_LOOKUP = (
+    st.tuples(st.just("ingress"), _FLIPS, st.integers(0, 3), st.booleans())
+    | st.tuples(st.just("finish"), _FLIPS, st.integers(0, 3), st.sampled_from([None, 0, 1]))
+)
+
+
+def _addr(base: int, flip: int | None) -> bytes:
+    return _near(base, flip).to_bytes(16, "big")
+
+
+def _mutate(node: Node, base: int, op: tuple, i: int, inserted: list) -> None:
+    kind = op[0]
+    if kind == "fib_insert":
+        _, plen, flip, table, width = op
+        nexthops = [(pton(f"2001:db8::{i:x}:{k}"), f"l{i}.{k}") for k in range(width)]
+        node.fib_insert(FibEntry(_addr(base, flip), plen, nexthops, table))
+        inserted.append(op)
+    elif kind == "fib_remove":
+        if inserted:
+            _, plen, flip, table, _ = inserted[op[1] % len(inserted)]
+            node.fib_remove(_addr(base, flip), plen, table)
+    elif kind == "add_sid":
+        _, flip, behavior = op
+        node.add_sid(_addr(base, flip), {
+            "end": End(),
+            "end_t": EndT(1),
+            "end_x": EndX(pton(f"2001:db8::{i:x}"), f"x{i}"),
+            "end_dt6": EndDT6(0),
+        }[behavior])
+    else:
+        _, plen, flip, behavior = op
+        srh = SegmentRoutingHeader(segments=[_SEG], segments_left=0)
+        node.add_transit(_addr(base, flip), plen, (
+            TransitInsert(srh) if behavior == "insert" else TransitEncaps(srh, pton("2001:db8::1"))
+        ))
+
+
+def _lookup_packet(base: int, op: tuple):
+    kind, flip, label, arg = op
+    dst = _addr(base, flip)
+    if kind == "ingress" and arg:  # an SR packet whose active segment is dst
+        p = sr_packet([_SEG, dst], 1)
+    else:
+        p = make_udp_packet(pton("2001:db8:1::1"), dst, b"x")
+        if kind == "finish":
+            p.meta.pending_table = arg
+    p.outer_header.flow_label = label
+    return p
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.integers(0, (1 << 128) - 1),
+    steps=st.lists(st.tuples(_MUTATION, st.lists(_LOOKUP, min_size=1, max_size=4)), max_size=10),
+)
+def test_route_cache_decisions_match_a_cold_twin(base, steps):
+    """A node whose route cache lives across interleaved table mutations
+    and lookups decides exactly as a fresh node given the same mutations."""
+    node, inserted, done = make_node(), [], []
+    for i, (mutation, lookups) in enumerate(steps):
+        _mutate(node, base, mutation, i, inserted)
+        done.append(mutation)
+        cold, cold_inserted = make_node(), []
+        for j, m in enumerate(done):
+            _mutate(cold, base, m, j, cold_inserted)
+        for op in lookups:
+            p, q = _lookup_packet(base, op), _lookup_packet(base, op)
+            if op[0] == "ingress":
+                got, want = node.process_ingress(p, i), cold.process_ingress(q, i)
+            else:
+                got, want = node.finish_forwarding(p), cold.finish_forwarding(q)
+            assert (got, p) == (want, q)
+            assert getattr(got, "detail", None) == getattr(want, "detail", None)
+
+
+def test_route_cache_shares_one_forward_until_a_mutation():
+    node = make_node()
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1]))
+
+    def lookup():
+        p = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x")
+        return node.finish_forwarding(p)
+
+    srh = SegmentRoutingHeader(segments=[pton("fd00::1")], segments_left=0)
+    mutators = [
+        lambda: node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1])),
+        lambda: node.fib_remove(pton("2001:db8:9::"), 64),
+        lambda: node.add_sid(pton("fd00::9"), End()),
+        lambda: node.add_transit(pton("2001:db8:9::"), 64, TransitInsert(srh)),
+    ]
+    first = lookup()
+    assert first == Forward(NH1[1], NH1[0])
+    for mutate in mutators:
+        assert lookup() is first
+        mutate()
+        again = lookup()
+        assert again == first and again is not first
+        first = again
+
+
+def test_route_cache_ecmp_route_hashes_every_packet(monkeypatch):
+    calls = []
+
+    def counting_flow_key(p):
+        calls.append(p)
+        return flow_key(p)
+
+    monkeypatch.setattr(dataplane, "flow_key", counting_flow_key)
+    node = make_node()
+    entry = FibEntry(pton("2001:db8:2::"), 64, [NH1, NH2])
+    node.fib_insert(entry)
+    picks = set()
+    for label in range(200):
+        p = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x", flow_label=label)
+        decision = node.process_ingress(p, label)
+        nh, link = select_nexthop(entry.nexthops, flow_key(p))
+        assert decision == Forward(link, nh)
+        picks.add(decision)
+    assert len(calls) == 200
+    assert picks == {Forward(NH1[1], NH1[0]), Forward(NH2[1], NH2[0])}

@@ -268,7 +268,8 @@ def test_push_encap_encapsulates_plain_traffic():
     helper_push_encap(ctx, "encaps", srh, pton("2001:db8::1"))
     assert len(p.headers) == 2
     assert p.outer_header.dst == F
-    assert p.meta.srh_dirty
+    # the push validated its own SRH; finalize does not check it again
+    assert p.meta.srh_dirty is None
 
 
 def test_push_encap_endpoint_hook_rejected():
@@ -527,6 +528,82 @@ def test_transit_program_runner_no_advance():
     decision = run_transit_program(node, encap, p, 0)
     assert decision == Forward("l3", NH_R3[0])
     assert len(p.headers) == 2
+
+
+# ---------------------------------------------------------------------------
+# The SRH a helper wrote is revalidated even after a push buries it.
+
+PADN_8 = bytes((4, 6)) + b"\x00" * 6  # one PadN TLV filling 8 octets
+
+
+def padded_sr_packet(segments, sl):
+    p = sr_packet(segments, sl)
+    p.outer_srh.tlv_bytes = PADN_8
+    p.outer_header.payload_length += len(PADN_8)
+    return p
+
+
+def zero_the_padn(ctx):
+    # eight zero octets are a run of Pad1, which validate_srh rejects
+    helper_store_bytes(ctx, 8 + 16 * len(ctx.packet.outer_srh.segments), b"\x00\x00")
+
+
+def encaps_to_s2(ctx):
+    srh = SegmentRoutingHeader(segments=[S2], segments_left=0)
+    helper_push_encap(ctx, "encaps", srh, pton("2001:db8::1"))
+
+
+@pytest.mark.parametrize("then_encaps", [False, True])
+def test_transit_store_then_encaps_drops_the_invalid_srh(then_encaps):
+    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+
+    def program(ctx):
+        zero_the_padn(ctx)
+        if then_encaps:
+            encaps_to_s2(ctx)
+        return Outcome.OK
+
+    p = padded_sr_packet([S2, F], 1)
+    decision = run_transit_program(node, program, p, 0)
+    assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
+    assert len(p.headers) == (2 if then_encaps else 1)
+
+
+def test_endpoint_store_then_end_b6_drops_the_invalid_srh():
+    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+
+    def program(ctx):
+        zero_the_padn(ctx)
+        helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[S2], segments_left=0)))
+        return Outcome.OK
+
+    node.add_program("b6", program)
+    node.add_sid(SID, EndProgram("b6"))
+    p = padded_sr_packet([S2, SID], 1)
+    assert node.process_ingress(p, 0) == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
+    assert len(p.headers[0][1]) == 2
+
+
+@pytest.mark.parametrize("first_write_valid", [True, False])
+def test_write_to_a_pushed_srh_keeps_an_invalid_buried_one_marked(first_write_valid):
+    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+
+    def program(ctx):
+        if first_write_valid:
+            helper_store_bytes(ctx, 5, b"\x01")  # flags of the original SRH
+        else:
+            zero_the_padn(ctx)
+        encaps_to_s2(ctx)
+        helper_store_bytes(ctx, 5, b"\x02")  # flags of the pushed SRH
+        return Outcome.OK
+
+    p = padded_sr_packet([S2, F], 1)
+    decision = run_transit_program(node, program, p, 0)
+    if first_write_valid:
+        assert decision == Forward("l3", NH_R3[0])
+    else:
+        assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
+    assert p.outer_srh.flags == 2
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,13 @@ PARAMS = ("transits", 0, "behavior", "params")
         ("setup1.json", ("seed",), 2**64, "$.seed"),
         ("setup1.json", ("fib", 0, "prefix"), "::/129", "$.fib[0].prefix"),
         ("setup2-hybrid.json", ("links", 0, "rtt_mean_ms"), -1, "$.links[0].rtt_mean_ms"),
+        # finite but beyond 2^64 - 1 ns (or bit/s) once converted
+        ("setup1.json", ("duration_ms",), 1e308, "$.duration_ms"),
+        ("setup1.json", ("generators", 0, "start_ms"), 1e308, "$.generators[0].start_ms"),
+        ("setup1.json", ("links", 0, "rtt_mean_ms"), 1e308, "$.links[0].rtt_mean_ms"),
+        ("setup1.json", ("links", 0, "rtt_stddev_ms"), 1e308, "$.links[0].rtt_stddev_ms"),
+        ("setup1.json", ("daemons", 0, "interval_ms"), 1e308, "$.daemons[0].interval_ms"),
+        ("setup1.json", ("links", 0, "bandwidth_mbps"), 1e308, "$.links[0].bandwidth_mbps"),
     ],
 )
 def test_schema_rule_rejected_with_path(name, at, value, path):

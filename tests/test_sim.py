@@ -2,9 +2,16 @@ import random
 
 import pytest
 
+from srv6sim.behaviors import EndX
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
-from srv6sim.packet import make_udp_packet, pton
+from srv6sim.packet import (
+    PROTO_ROUTING,
+    PROTO_UDP,
+    SegmentRoutingHeader,
+    make_udp_packet,
+    pton,
+)
 from srv6sim.sim import (
     InsufficientData,
     Link,
@@ -277,3 +284,34 @@ def test_trace_ids_roundtrip():
     p = stream.build(41)
     assert trace_ids(p) == (7, 41)
     assert trace_ids(make_udp_packet(S1, S2, b"\x00" * 20)) == (None, None)
+
+
+def test_end_x_pending_state_does_not_leak_to_the_next_hop():
+    # A - R1 - R2 - Z: R1's End.X sends the packet to R2 over x12; R2 must
+    # route it on to Z by its own table, not by R1's pending destination
+    a_addr, r1_addr, r2_addr, z_addr = (pton(f"2001:db8::{n}") for n in "a12f")
+    sid = pton("fd00::e1")
+    sim = Simulation(seed=1)
+    a, r1, r2, z = (
+        Node("A", [a_addr]), Node("R1", [r1_addr]), Node("R2", [r2_addr]), Node("Z", [z_addr])
+    )
+    a.fib_insert(FibEntry(b"\x00" * 16, 0, [(r1_addr, "a1")]))
+    r1.add_sid(sid, EndX(r2_addr, "x12"))
+    r1.fib_insert(FibEntry(b"\x00" * 16, 0, [(a_addr, "a1")]))
+    r2.fib_insert(FibEntry(z_addr, 64, [(z_addr, "l2z")]))
+    r2.fib_insert(FibEntry(b"\x00" * 16, 0, [(r1_addr, "x12")]))
+    for node in (a, r1, r2, z):
+        sim.add_node(node)
+    for link_id, x, y in (("a1", "A", "R1"), ("x12", "R1", "R2"), ("l2z", "R2", "Z")):
+        sim.add_link(link_id, x, y, 1_000_000_000, 1000, 0)
+    p = make_udp_packet(a_addr, sid, b"x" * 16)
+    p.headers[0][0].next_header = PROTO_ROUTING
+    p.headers[0][1].append(
+        SegmentRoutingHeader(segments=[z_addr, sid], segments_left=1, next_header=PROTO_UDP)
+    )
+    p.headers[0][0].payload_length = p.wire_size() - 40
+    sim.inject("A", p, t=0)
+    stats = sim.run_until(1_000_000_000)
+    assert stats.delivered["Z"] == 1
+    assert stats.total_dropped == 0
+    assert {n: stats.forwarded[n] for n in ("A", "R1", "R2")} == {"A": 1, "R1": 1, "R2": 1}
