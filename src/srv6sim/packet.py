@@ -252,8 +252,9 @@ class PacketMeta:
     pending_table: int | None = None
     rx_timestamp_ns: int = 0
     ingress_node: str | None = None
-    # the SRH a program helper last wrote, revalidated by finalize; this
-    # and the three pending fields are per hop, cleared at each ingress
+    # the SRH a program helper wrote (see programs._mark_dirty), which
+    # finalize revalidates; this and the three pending fields are per hop,
+    # cleared at each ingress
     srh_dirty: SegmentRoutingHeader | None = None
     # (flow, seq) of the trace, filled by the first trace record; the
     # transport never changes after construction, so it stays valid

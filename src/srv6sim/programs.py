@@ -274,7 +274,9 @@ def helper_push_encap(
     srh: SegmentRoutingHeader,
     outer_src: Address | None = None,
 ) -> None:
-    """Insert an SRH or encapsulate pure IPv6 traffic (transit hook only)."""
+    """Insert an SRH or encapsulate pure IPv6 traffic (transit hook only).
+    The push validates the new SRH, so it is not marked for finalize; an
+    SRH a helper wrote before stays marked, though it may now be inner."""
     if ctx.hook is not Hook.TRANSIT:
         raise HelperError("wrong_hook", "helper_push_encap is transit-only")
     try:
@@ -288,8 +290,6 @@ def helper_push_encap(
             raise HelperError("bad_mode", mode)
     except InvariantViolation as exc:
         raise HelperError("invariant_violation", str(exc)) from None
-    # the pushed SRH was validated by the push itself; an SRH a helper
-    # wrote before stays marked, though it may now be the inner one
 
 
 def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
