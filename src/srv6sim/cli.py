@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 partial result, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import statistics as pystats
 import sys
 import time
@@ -378,18 +379,62 @@ class _pinned_cpu:
         return False
 
 
-def run_bench(functions=BENCH_FUNCTIONS, count: int = 20000, repeats: int = 3) -> dict:
-    """Packets/second per function, best of `repeats` timed loops.
+# The estimator times functions in slices of BENCH_SLICE packets, round-robin
+# across functions, each slice bracketed by a short calibration loop of fixed
+# interpreter work. On a shared host speed drifts by up to 2x in phases of
+# seconds; a slice's time divided by the calibration time next to it cancels the phase
+# it ran in, and interleaving exposes every function to the same phases.
+# Results are in reference units: packets per second on a host where the
+# calibration loop takes BENCH_REF_CAL_NS.
+BENCH_SLICE = 200
+BENCH_CAL_ITERS = 300
+BENCH_REF_CAL_NS = 125_000
 
-    The process is pinned to a single logical CPU and repetitions are
-    interleaved across functions, so transient contention penalizes every
-    function alike instead of whichever loop happened to be running."""
-    with _pinned_cpu():
-        return _run_bench_pinned(functions, count, repeats)
+
+class _Cell:
+    __slots__ = ("key", "value")
+
+    def __init__(self, key, value):
+        self.key = key
+        self.value = value
+
+    def bump(self, table):
+        table[self.key] = table.get(self.key, 0) + self.value
+        return self.value
+
+
+def _calibrate() -> int:
+    """Host ns of a fixed slice of interpreter work: calls, attribute and
+    dict access, small allocations and integer arithmetic."""
+    t0 = time.perf_counter_ns()
+    table, cells, acc = {}, [], 0
+    for i in range(BENCH_CAL_ITERS):
+        cell = _Cell(i & 127, i)
+        cells.append(cell)
+        acc = (acc * 31 + cell.bump(table)) & 0xFFFFFFFF
+    return time.perf_counter_ns() - t0
+
+
+def run_bench(functions=BENCH_FUNCTIONS, count: int = 20000, repeats: int = 3) -> dict:
+    """Packets/second per function in reference units (see BENCH_SLICE).
+
+    The process is pinned to a single logical CPU. Each repeat runs `count`
+    packets per function as calibrated slices interleaved across functions;
+    a function's time is the sum, over slice positions, of the best
+    calibrated slice time across `repeats`. The collector stays off while
+    timing, as in timeit."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with _pinned_cpu():
+            return _run_bench_pinned(functions, count, repeats)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _run_bench_pinned(functions, count: int, repeats: int) -> dict:
-    cases = {}
+    cases = []
     for name in functions:
         node, p, reset = _bench_case(name)
         ingress = node.process_ingress
@@ -397,18 +442,28 @@ def _run_bench_pinned(functions, count: int, repeats: int) -> dict:
         for _ in range(500):
             reset()
             ingress(p, 0)
-        cases[name] = (ingress, p, reset)
-    best: dict[str, int] = {}
+        cases.append((name, ingress, p, reset))
+    starts = range(0, count, BENCH_SLICE)
+    best = {name: [None] * len(starts) for name in functions}
     for _ in range(repeats):
-        for name, (ingress, p, reset) in cases.items():
-            t0 = time.perf_counter_ns()
-            for i in range(count):
-                reset()
-                ingress(p, i)
-            dt = time.perf_counter_ns() - t0
-            if name not in best or dt < best[name]:
-                best[name] = dt
-    return {name: count / (best[name] / 1e9) for name in functions}
+        cal = _calibrate()
+        for k, lo in enumerate(starts):
+            hi = min(lo + BENCH_SLICE, count)
+            for name, ingress, p, reset in cases:
+                t0 = time.perf_counter_ns()
+                for i in range(lo, hi):
+                    reset()
+                    ingress(p, i)
+                dt = time.perf_counter_ns() - t0
+                cal_next = _calibrate()
+                # a preempted calibration loop only ever reads slow, so
+                # the faster of the two bracketing loops is the clean one
+                ref_ns = dt * BENCH_REF_CAL_NS / min(cal, cal_next)
+                cal = cal_next
+                slot = best[name]
+                if slot[k] is None or ref_ns < slot[k]:
+                    slot[k] = ref_ns
+    return {name: count / (sum(best[name]) / 1e9) for name in functions}
 
 
 def cmd_bench(args) -> int:

@@ -66,10 +66,10 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("run", "setup1.json", "--seed", str(2**64)), "$.seed"),
         (("run", "setup1.json", "--duration", "-5"), "$.duration_ms"),
         (("run", "setup1.json", "--duration", "inf"), "$.duration_ms"),
-        (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
         (("traceroute", "diamond.json", "S", "not-an-addr"), "$.target"),
         (("bench", "--count", "0"), "$.count"),
         (("bench", "--count", "-1"), "$.count"),
+        (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
