@@ -17,6 +17,7 @@ from .packet import (
     PROTO_ROUTING,
     Packet,
     SegmentRoutingHeader,
+    SrhViolation,
     validate_srh,
 )
 
@@ -93,6 +94,20 @@ class Behavior:
         """The body run after any advance; mutates p in place."""
 
 
+class SrhTemplate(Behavior):
+    """Base of the descriptors that push a configured ``srh``. As
+    seg6_build_state and parse_nla_srh do when a route is installed, the
+    SRH is validated once, at construction, and a private copy kept as the
+    template each push copies; packets then pay no validation."""
+
+    room = 0  # segments the action adds to the template
+
+    def __post_init__(self) -> None:
+        srh = self.srh.copy()
+        check_srh(srh, self.room)
+        object.__setattr__(self, "srh", srh)
+
+
 @dataclass(frozen=True)
 class End(Behavior):
     type_name = "end"
@@ -124,7 +139,7 @@ class EndT(Behavior):
 
 
 @dataclass(frozen=True)
-class EndB6(Behavior):
+class EndB6(SrhTemplate):
     srh: SegmentRoutingHeader
 
     type_name = "end_b6"
@@ -135,7 +150,7 @@ class EndB6(Behavior):
 
 
 @dataclass(frozen=True)
-class EndB6Encaps(Behavior):
+class EndB6Encaps(SrhTemplate):
     srh: SegmentRoutingHeader
     src: Address
 
@@ -158,17 +173,18 @@ class EndDT6(Behavior):
 
 
 @dataclass(frozen=True)
-class TransitInsert(Behavior):
+class TransitInsert(SrhTemplate):
     srh: SegmentRoutingHeader
 
     type_name = "insert"
+    room = 1  # t_insert appends the original destination
 
     def action(self, p: Packet) -> None:
         t_insert(p, self.srh)
 
 
 @dataclass(frozen=True)
-class TransitEncaps(Behavior):
+class TransitEncaps(SrhTemplate):
     srh: SegmentRoutingHeader
     src: Address
 
@@ -220,23 +236,31 @@ def end(p: Packet) -> Packet:
     return p
 
 
-def _checked(srh: SegmentRoutingHeader) -> SegmentRoutingHeader:
+def check_srh(srh: SegmentRoutingHeader, room: int = 0) -> None:
+    """The seg6_validate_srh analog, run where an SRH enters: raise
+    InvariantViolation unless srh is valid and still fits hdr_ext_len
+    with ``room`` more segments."""
     bad = validate_srh(srh)
+    if bad is None and srh.hdr_ext_len + 2 * room > 0xFF:
+        bad = SrhViolation("SizeOverflow", "hdr_ext_len > 255")
     if bad is not None:
         raise InvariantViolation(str(bad))
-    return srh.copy()
 
 
-def insert_srh(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
-    """Splice an SRH directly after the outer IPv6 header (no advance)."""
-    new = _checked(new_srh)
+def _splice(p: Packet, new: SegmentRoutingHeader) -> Packet:
     hdr, srhs = p.headers[0]
     new.next_header = PROTO_ROUTING if srhs else hdr.next_header
     srhs.insert(0, new)
     hdr.next_header = PROTO_ROUTING
-    hdr.dst = new.active_segment
+    hdr.dst = new.segments[new.segments_left]
     hdr.payload_length = p.wire_size() - 40
     return p
+
+
+def insert_srh(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
+    """Splice a copy of an already validated SRH directly after the outer
+    IPv6 header, with no advance (the seg6_do_srh_inline analog)."""
+    return _splice(p, new_srh.copy())
 
 
 def encapsulate(
@@ -245,15 +269,13 @@ def encapsulate(
     outer_src: Address,
     hop_limit: int = DEFAULT_HOP_LIMIT,
 ) -> Packet:
-    """Wrap the whole packet in a fresh IPv6 header carrying outer_srh."""
-    new = _checked(outer_srh)
+    """Wrap the whole packet in a fresh IPv6 header carrying a copy of the
+    already validated outer_srh (the seg6_do_srh_encap analog)."""
+    new = outer_srh.copy()
     new.next_header = PROTO_IPV6
     hdr = Ipv6Header(
-        src=outer_src,
-        dst=new.active_segment,
-        next_header=PROTO_ROUTING,
-        hop_limit=hop_limit,
-        payload_length=new.wire_length + p.wire_size(),
+        outer_src, new.segments[new.segments_left], PROTO_ROUTING, hop_limit,
+        0, 0, new.wire_length + p.wire_size(),
     )
     p.headers.insert(0, (hdr, [new]))
     return p
@@ -277,14 +299,16 @@ def end_dt6(p: Packet, table: int) -> Packet:
 def t_insert(p: Packet, srh: SegmentRoutingHeader) -> Packet:
     """Insert an SRH into a plain IPv6 packet, appending the original
     destination as the final segment and activating the first configured
-    segment. Packets already carrying an SRH are rejected."""
-    if p.outer_srh is not None:
+    segment. srh is validated already, with room for that segment.
+    Packets already carrying an SRH are rejected."""
+    hdr, srhs = p.headers[0]
+    if srhs:
         raise InvariantViolation("t_insert on a packet already carrying an SRH")
-    new = _checked(srh)
-    orig_dst = p.outer_header.dst
-    new.segments = [orig_dst] + list(new.segments)
-    new.segments_left = new.last_entry
-    return insert_srh(p, new)
+    segments = [hdr.dst, *srh.segments]
+    return _splice(p, SegmentRoutingHeader(
+        segments, len(srh.segments), srh.next_header, srh.flags, srh.tag,
+        srh.tlv_bytes, srh.routing_type,
+    ))
 
 
 def t_encaps(

@@ -133,7 +133,16 @@ class Node:
         return select_nexthop(nexthops, flow_key(p))
 
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
-        return list(self._nexthops(addr, table))
+        """A fresh list of every nexthop of addr's route; table 0 is
+        served from the route cache."""
+        if table:
+            return list(self._nexthops(addr, table))
+        route = self._routes.get(addr) or self._route(addr)
+        if route.__class__ is Forward:
+            return [(route.nexthop, route.link)]
+        if route is DROP_NO_ROUTE:
+            raise BehaviorError(DropReason.NO_ROUTE)
+        return list(route)
 
     # -- pipeline -----------------------------------------------------------
 

@@ -114,14 +114,10 @@ class SegmentRoutingHeader:
         return self.segments[self.segments_left]
 
     def copy(self) -> "SegmentRoutingHeader":
+        # positional: every SRH push makes one of these
         return SegmentRoutingHeader(
-            segments=list(self.segments),
-            segments_left=self.segments_left,
-            next_header=self.next_header,
-            flags=self.flags,
-            tag=self.tag,
-            tlv_bytes=self.tlv_bytes,
-            routing_type=self.routing_type,
+            list(self.segments), self.segments_left, self.next_header,
+            self.flags, self.tag, self.tlv_bytes, self.routing_type,
         )
 
 
@@ -196,39 +192,45 @@ def validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
 
     The TLV region must parse as a terminating walk and multi-octet
     padding must use PadN: a run of two or more Pad1 octets (e.g. space
-    grown but never filled) is rejected as RawFillInvalid.
+    grown but never filled) is rejected as RawFillInvalid. The walk is
+    walk_tlvs' inlined, with no Tlv built per record.
     """
-    if not srh.segments:
+    segments = srh.segments
+    if not segments:
         return SrhViolation("NoSegments")
-    for seg in srh.segments:
+    for seg in segments:
         if len(seg) != 16:
             return SrhViolation("BadSegment", "segment not 16 octets")
-    if not (0 <= srh.segments_left <= srh.last_entry):
+    last_entry = len(segments) - 1
+    if not (0 <= srh.segments_left <= last_entry):
         return SrhViolation(
             "SegmentsLeftOutOfRange",
-            f"segments_left {srh.segments_left} > last_entry {srh.last_entry}",
+            f"segments_left {srh.segments_left} > last_entry {last_entry}",
         )
     if srh.routing_type != ROUTING_TYPE_SRH:
         return SrhViolation("BadRoutingType", str(srh.routing_type))
     if not (0 <= srh.flags <= 0xFF) or not (0 <= srh.tag <= 0xFFFF):
         return SrhViolation("FieldOutOfRange", "flags or tag")
-    if srh.hdr_ext_len > 0xFF:
+    region = srh.tlv_bytes
+    end = len(region)
+    if 2 * len(segments) + end // 8 > 0xFF:
         return SrhViolation("SizeOverflow", "hdr_ext_len > 255")
-    if len(srh.tlv_bytes) % 8 != 0:
-        return SrhViolation("TlvRegionMisaligned", str(len(srh.tlv_bytes)))
-    pad1_run = 0
-    try:
-        for _, tlv in walk_tlvs(srh.tlv_bytes):
-            if tlv.type == TLV_PAD1:
-                pad1_run += 1
-                if pad1_run > 1:
-                    return SrhViolation(
-                        "RawFillInvalid", "run of Pad1 octets; use PadN"
-                    )
-            else:
-                pad1_run = 0
-    except ParseError as exc:
-        return SrhViolation("TlvWalkOverrun", exc.reason)
+    if end % 8 != 0:
+        return SrhViolation("TlvRegionMisaligned", str(end))
+    off = pad1_run = 0
+    while off < end:
+        if region[off] == TLV_PAD1:
+            pad1_run += 1
+            if pad1_run > 1:
+                return SrhViolation("RawFillInvalid", "run of Pad1 octets; use PadN")
+            off += 1
+            continue
+        pad1_run = 0
+        if off + 2 > end:
+            return SrhViolation("TlvWalkOverrun", "TLV header truncated")
+        off += 2 + region[off + 1]
+        if off > end:
+            return SrhViolation("TlvWalkOverrun", "TLV value runs past region end")
     return None
 
 

@@ -275,14 +275,17 @@ def helper_push_encap(
     outer_src: Address | None = None,
 ) -> None:
     """Insert an SRH or encapsulate pure IPv6 traffic (transit hook only).
-    The push validates the new SRH, so it is not marked for finalize; an
-    SRH a helper wrote before stays marked, though it may now be inner."""
+    As bpf_lwt_push_encap, the push validates the program's SRH once per
+    call and then copies it, so it is not marked for finalize; an SRH a
+    helper wrote before stays marked, though it may now be inner."""
     if ctx.hook is not Hook.TRANSIT:
         raise HelperError("wrong_hook", "helper_push_encap is transit-only")
     try:
         if mode == "insert":
+            behaviors.check_srh(srh, room=1)
             behaviors.t_insert(ctx.packet, srh)
         elif mode == "encaps":
+            behaviors.check_srh(srh)
             if outer_src is None:
                 outer_src = ctx.dataplane.addresses[0]
             behaviors.t_encaps(ctx.packet, srh, outer_src)

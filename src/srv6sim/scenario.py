@@ -21,7 +21,7 @@ from typing import Any, Callable
 from .behaviors import SID_BEHAVIORS, TRANSIT_BEHAVIORS, Behavior, ProgramBehavior
 from .dataplane import Node
 from .fib import FibEntry
-from .packet import Address, SegmentRoutingHeader, pton
+from .packet import Address, InvariantViolation, SegmentRoutingHeader, pton
 from .programs import make_program
 from .sim import Simulation, UdpStream
 from .usecases import OampResponder, OwdCollector, ProbeLink, TwdProber
@@ -346,7 +346,10 @@ def _behavior(b: dict, table: dict[str, type[Behavior]], instance: str, path: st
             raise ConfigError(f"{path}.{key}", "missing required key")
     if issubclass(cls, ProgramBehavior):
         return cls(instance)
-    return cls(*(b[key] for key in keys))
+    try:
+        return cls(*(b[key] for key in keys))
+    except InvariantViolation as exc:  # an SRH that no push could carry
+        raise ConfigError(f"{path}.srh", str(exc)) from None
 
 
 def parse_scenario(raw: dict) -> ScenarioConfig:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from .packet import (
     Address,
+    InvariantViolation,
     Ipv6Header,
     PROTO_ROUTING,
     Packet,
@@ -35,7 +36,7 @@ from .programs import (
     map_put,
     register_program,
 )
-from .behaviors import EndDT6
+from .behaviors import EndDT6, check_srh
 from .sim import Daemon, Simulation
 
 # Local experiment TLV codes; the SRH registry assigns none for these.
@@ -51,6 +52,15 @@ def dm_tlv(tx_ts_ns: int) -> Tlv:
 
 def controller_tlv(addr: Address, port: int) -> Tlv:
     return Tlv(TLV_TYPE_CONTROLLER, addr + struct.pack(">H", port))
+
+
+def _pushable(name: str, srh: SegmentRoutingHeader) -> None:
+    """Reject, at instantiation, a path SRH that helper_push_encap would
+    refuse on every packet."""
+    try:
+        check_srh(srh)
+    except InvariantViolation as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def read_dm_tlv(srh: SegmentRoutingHeader) -> int | None:
@@ -119,12 +129,15 @@ def dm_transit_factory(params: dict) -> Program:
     ratio = int(params.get("ratio", 100))
     if ratio < 1:
         raise ValueError("probing ratio must be >= 1")
-    path_srh: SegmentRoutingHeader = params["path_srh"]
     ctrl_addr: Address = params["controller_addr"]
     ctrl_port = int(params.get("controller_port", 9000))
     route_id = int(params.get("route_id", 0))
     outer_src: Address | None = params.get("outer_src")
     key = struct.pack(">I", route_id)
+    # a private template, checked with the 32 octets of TLVs run() fills in
+    path_srh: SegmentRoutingHeader = params["path_srh"].copy()
+    path_srh.tlv_bytes = encode_tlvs(dm_tlv(0), controller_tlv(ctrl_addr, ctrl_port))
+    _pushable("path_srh", path_srh)
 
     def run(ctx: ProgramContext) -> Outcome:
         ctx.maps.create(DM_COUNTER_MAP, 4, 8)
@@ -253,14 +266,16 @@ def reduce_weights(weight_a: int, weight_b: int) -> tuple[int, int]:
 def wrr_factory(params: dict) -> Program:
     """Per-packet interleaved weighted round-robin across two path SRHs,
     with the cursor and per-path counts persisted in a map."""
-    srh_a: SegmentRoutingHeader = params["srh_a"]
-    srh_b: SegmentRoutingHeader = params["srh_b"]
+    srh_a: SegmentRoutingHeader = params["srh_a"].copy()
+    srh_b: SegmentRoutingHeader = params["srh_b"].copy()
     wa, wb = params.get("weights", (1, 1))
     wa, wb = reduce_weights(int(wa), int(wb))
     route_id = int(params.get("route_id", 0))
     outer_src: Address | None = params.get("outer_src")
     schedule = iwrr_schedule(wa, wb)
     key = struct.pack(">I", route_id)
+    _pushable("srh_a", srh_a)
+    _pushable("srh_b", srh_b)
 
     def run(ctx: ProgramContext) -> Outcome:
         ctx.maps.create(WRR_STATE_MAP, 4, 12)
@@ -279,9 +294,8 @@ def wrr_factory(params: dict) -> Program:
             map_put(ctx, WRR_STATE_MAP, key, struct.pack(">III", cursor, count_a, count_b))
         except HelperError:
             return Outcome.DROP
-        srh = (srh_a if pick == 0 else srh_b).copy()
         try:
-            helper_push_encap(ctx, "encaps", srh, outer_src)
+            helper_push_encap(ctx, "encaps", srh_a if pick == 0 else srh_b, outer_src)
         except HelperError:
             return Outcome.DROP
         return Outcome.OK

@@ -13,6 +13,8 @@ from srv6sim.behaviors import (
     EndX,
     Forward,
     LocalDeliver,
+    TransitEncaps,
+    TransitInsert,
 )
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
@@ -22,8 +24,10 @@ from srv6sim.packet import (
     PROTO_ROUTING,
     PROTO_UDP,
     SegmentRoutingHeader,
+    Tlv,
     decode_packet,
     encode_packet,
+    encode_tlvs,
     make_udp_packet,
     pton,
 )
@@ -213,6 +217,82 @@ def test_t_encaps_preserves_inner_bytes():
     raw = encode_packet(p)
     assert raw.endswith(inner_raw)
     assert decode_packet(raw) == p
+
+
+# ---------------------------------------------------------------------------
+# SRH templates: validated once at configuration, copied by every push.
+
+T1, T2 = pton("fd00:9::1"), pton("fd00:9::2")
+OUTER_SRC = pton("2001:db8::1")
+# descriptor constructor, and whether it binds to SID (else to S2's /64)
+TEMPLATE_CASES = {
+    "end_b6": (EndB6, True),
+    "end_b6_encaps": (lambda srh: EndB6Encaps(srh, OUTER_SRC), True),
+    "insert": (TransitInsert, False),
+    "encaps": (lambda srh: TransitEncaps(srh, OUTER_SRC), False),
+}
+
+
+def template():
+    return SegmentRoutingHeader(segments=[T2, T1], segments_left=1, tag=7)
+
+
+def templated_node(case, srh):
+    make, at_sid = TEMPLATE_CASES[case]
+    node, descriptor = router(), make(srh)
+    if at_sid:
+        node.add_sid(SID, descriptor)
+    else:
+        node.add_transit(pton("2001:db8:2::"), 64, descriptor)
+    return node, descriptor
+
+
+def pushed(case, node):
+    """The decision and packet of one packet through the bound behaviour."""
+    p = sr_packet([S2, SID], 1) if TEMPLATE_CASES[case][1] else make_udp_packet(S1, S2, b"x")
+    return node.process_ingress(p, 0), p
+
+
+@pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
+def test_template_ignores_later_changes_to_the_configured_srh(case):
+    srh = template()
+    node, _ = templated_node(case, srh)
+    srh.segments[0] = S1
+    srh.segments.append(F)
+    srh.segments_left = 2
+    srh.tag = 9
+    srh.tlv_bytes = encode_tlvs(Tlv(5, b"ab"))
+    twin, _ = templated_node(case, template())
+    (got, p), (want, q) = pushed(case, node), pushed(case, twin)
+    assert got == want and p == q
+    assert encode_packet(p) == encode_packet(q)
+
+
+@pytest.mark.parametrize("case", sorted(TEMPLATE_CASES))
+def test_pushes_from_one_template_share_no_srh(case):
+    node, descriptor = templated_node(case, template())
+    (_, p), (_, q) = pushed(case, node), pushed(case, node)
+    a, b = p.outer_srh, q.outer_srh
+    assert a is not b and a.segments is not b.segments
+    assert all(s is not descriptor.srh and s.segments is not descriptor.srh.segments for s in (a, b))
+    before = encode_packet(q)
+    behaviors.end(p)
+    assert encode_packet(q) == before
+    assert p != q
+    assert descriptor.srh == template()
+
+
+@pytest.mark.parametrize(
+    "case, segments",
+    [("end_b6", 128), ("end_b6_encaps", 128), ("encaps", 128), ("insert", 127)],
+)
+def test_template_that_no_push_could_carry_is_rejected(case, segments):
+    make = TEMPLATE_CASES[case][0]
+    srh = SegmentRoutingHeader(segments=[T1] * segments, segments_left=0)
+    with pytest.raises(InvariantViolation, match="SizeOverflow"):
+        make(srh)
+    srh.segments.pop()
+    make(srh)
 
 
 # ---------------------------------------------------------------------------

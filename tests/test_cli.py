@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,59 @@ def test_huge_finite_duration_in_file_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
     assert "config error: $.duration_ms:" in capsys.readouterr().err
+
+
+def srh_of(n: int) -> dict:
+    return {"segments": [f"fd00:9::{i + 1:x}" for i in range(n)]}
+
+
+# setup1.json's sids[0] and transits[0] are at node R; hdr_ext_len is 2 per
+# segment plus 1 per 8 TLV octets, at most 255
+UNPUSHABLE_SRH_CASES = {
+    "encaps": ("transits", {"type": "encaps", "srh": srh_of(128), "src": "2001:db8::1"}, "srh"),
+    "end_b6": ("sids", {"type": "end_b6", "srh": srh_of(128)}, "srh"),
+    "end_b6_encaps": (
+        "sids", {"type": "end_b6_encaps", "srh": srh_of(128), "src": "2001:db8::1"}, "srh"
+    ),
+    # t_insert adds the original destination as one more segment
+    "insert": ("transits", {"type": "insert", "srh": srh_of(127)}, "srh"),
+    "wrr": (
+        "transits",
+        {"type": "program", "program": "wrr",
+         "params": {"srh_a": srh_of(1), "srh_b": srh_of(128)}},
+        "params",
+    ),
+    # each probe adds 32 octets of DM and controller TLVs
+    "dm_transit": (
+        "transits",
+        {"type": "program", "program": "dm_transit",
+         "params": {"path_srh": srh_of(126), "controller_addr": "2001:db8:1::1"}},
+        "params",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPUSHABLE_SRH_CASES))
+def test_srh_no_push_could_carry_exits_2(tmp_path, capsys, case):
+    section, behavior, key = UNPUSHABLE_SRH_CASES[case]
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw[section][0]["behavior"] = behavior
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+    assert f"config error: $.{section}[0].behavior.{key}: " in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-m", "srv6sim", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "usage: srv6sim" in out.stdout
 
 
 def test_run_missing_file_exits_2(tmp_path):

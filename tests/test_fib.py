@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from srv6sim import dataplane
 from srv6sim.behaviors import (
     BehaviorError,
+    DropReason,
     End,
     EndDT6,
     EndT,
@@ -357,6 +358,20 @@ def _lookup_packet(base: int, op: tuple):
     return p
 
 
+def _ecmp_list(node: Node, addr: bytes, table: int):
+    """fib_ecmp_list's nexthops, or the drop reason it raised."""
+    try:
+        return node.fib_ecmp_list(addr, table)
+    except BehaviorError as exc:
+        return exc.reason
+
+
+def _lpm_nexthops(node: Node, addr: bytes, table: int):
+    """The nexthops of the table's own longest match, with no cache."""
+    entry = node.tables[table].lookup(addr) if table in node.tables else None
+    return DropReason.NO_ROUTE if entry is None else list(entry.nexthops)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     base=st.integers(0, (1 << 128) - 1),
@@ -364,7 +379,8 @@ def _lookup_packet(base: int, op: tuple):
 )
 def test_route_cache_decisions_match_a_cold_twin(base, steps):
     """A node whose route cache lives across interleaved table mutations
-    and lookups decides exactly as a fresh node given the same mutations."""
+    and lookups decides, and lists ECMP nexthops, exactly as a fresh node
+    given the same mutations."""
     node, inserted, done = make_node(), [], []
     for i, (mutation, lookups) in enumerate(steps):
         _mutate(node, base, mutation, i, inserted)
@@ -380,6 +396,13 @@ def test_route_cache_decisions_match_a_cold_twin(base, steps):
                 got, want = node.finish_forwarding(p), cold.finish_forwarding(q)
             assert (got, p) == (want, q)
             assert getattr(got, "detail", None) == getattr(want, "detail", None)
+            dst = _addr(base, op[1])
+            for table in (0, 1):
+                listed = _ecmp_list(node, dst, table)
+                assert listed == _ecmp_list(cold, dst, table) == _lpm_nexthops(cold, dst, table)
+                if isinstance(listed, list):  # a fresh copy, the cache unharmed
+                    listed.clear()
+                    assert _ecmp_list(node, dst, table) == _ecmp_list(cold, dst, table)
 
 
 def test_route_cache_shares_one_forward_until_a_mutation():

@@ -3,13 +3,19 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srv6sim.packet import (
+    ROUTING_TYPE_SRH,
+    TLV_PAD1,
+    TLV_PADN,
     InvariantViolation,
     NoTransport,
     Packet,
     ParseError,
     SegmentRoutingHeader,
+    SrhViolation,
     Tlv,
     Udp,
     decode_packet,
@@ -262,6 +268,110 @@ def test_validate_misaligned_tlv_region():
     srh = SegmentRoutingHeader(segments=[S1], segments_left=0, tlv_bytes=b"\x04\x01\x00")
     bad = validate_srh(srh)
     assert bad is not None and bad.code == "TlvRegionMisaligned"
+
+
+def reference_validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
+    """validate_srh as it was written on walk_tlvs, kept as the oracle
+    of the inlined walk."""
+    if not srh.segments:
+        return SrhViolation("NoSegments")
+    for seg in srh.segments:
+        if len(seg) != 16:
+            return SrhViolation("BadSegment", "segment not 16 octets")
+    if not (0 <= srh.segments_left <= srh.last_entry):
+        return SrhViolation(
+            "SegmentsLeftOutOfRange",
+            f"segments_left {srh.segments_left} > last_entry {srh.last_entry}",
+        )
+    if srh.routing_type != ROUTING_TYPE_SRH:
+        return SrhViolation("BadRoutingType", str(srh.routing_type))
+    if not (0 <= srh.flags <= 0xFF) or not (0 <= srh.tag <= 0xFFFF):
+        return SrhViolation("FieldOutOfRange", "flags or tag")
+    if srh.hdr_ext_len > 0xFF:
+        return SrhViolation("SizeOverflow", "hdr_ext_len > 255")
+    if len(srh.tlv_bytes) % 8 != 0:
+        return SrhViolation("TlvRegionMisaligned", str(len(srh.tlv_bytes)))
+    pad1_run = 0
+    try:
+        for _, tlv in walk_tlvs(srh.tlv_bytes):
+            if tlv.type == TLV_PAD1:
+                pad1_run += 1
+                if pad1_run > 1:
+                    return SrhViolation("RawFillInvalid", "run of Pad1 octets; use PadN")
+            else:
+                pad1_run = 0
+    except ParseError as exc:
+        return SrhViolation("TlvWalkOverrun", exc.reason)
+    return None
+
+
+def _aligned(region: bytes, tail: bytes = b"") -> bytes:
+    """region, padded as encode_tlvs pads, then tail: a multiple of 8 octets."""
+    short = (-len(region) - len(tail)) % 8
+    if short == 1:
+        return region + bytes(1) + tail
+    return region + (bytes((TLV_PADN, short - 2)) + bytes(short - 2) if short else b"") + tail
+
+
+_TLV_PIECE = st.one_of(
+    st.sampled_from([1, 2, 3]).map(bytes),  # a run of Pad1 octets
+    st.binary(max_size=10).map(lambda v: bytes((TLV_PADN, len(v))) + v),
+    st.tuples(st.integers(1, 255), st.binary(max_size=20)).map(
+        lambda tv: bytes((tv[0], len(tv[1]))) + tv[1]
+    ),
+    st.tuples(st.integers(1, 255), st.integers(0, 255)).map(bytes),  # length may overrun
+    st.integers(1, 255).map(lambda t: bytes((t,))),  # a header cut after its type
+)
+# the last record of a region that ends exactly where it breaks
+_TLV_TAIL = st.one_of(
+    st.integers(1, 255).map(lambda t: bytes((t,))),  # header cut after its type
+    st.tuples(st.integers(1, 255), st.binary(max_size=5), st.integers(1, 3)).map(
+        lambda t: bytes((t[0], len(t[1]) + t[2])) + t[1]  # value 1-3 octets short
+    ),
+)
+_TLV_REGION = st.one_of(
+    st.lists(_TLV_PIECE, max_size=6).map(b"".join),
+    st.lists(_TLV_PIECE, max_size=6).map(lambda pieces: _aligned(b"".join(pieces))),
+    st.tuples(st.lists(_TLV_PIECE, max_size=6), _TLV_TAIL).map(
+        lambda pt: _aligned(b"".join(pt[0]), pt[1])
+    ),
+    st.integers(0, 6).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)),
+)
+
+
+def _mostly(draw, good, bad):
+    """Draw from good, or about one time in eight from bad; each field is
+    valid most of the time, so that the TLV walk at the end runs often."""
+    return draw(bad if draw(st.integers(0, 7)) == 7 else good)
+
+
+@st.composite
+def srhs(draw):
+    n = _mostly(draw, st.integers(1, 4), st.sampled_from([0, 126, 127, 128, 129]))
+    segments = draw(st.lists(st.sampled_from([S1, S2]), min_size=n, max_size=n))
+    if n and _mostly(draw, st.just(False), st.just(True)):
+        segments[draw(st.integers(0, n - 1))] = draw(st.sampled_from([S1[:15], S2 + b"\x00"]))
+    return SegmentRoutingHeader(
+        segments=segments,
+        segments_left=_mostly(draw, st.integers(0, max(n - 1, 0)), st.sampled_from([-1, n, n + 1])),
+        flags=_mostly(draw, st.sampled_from([0, 0x80, 0xFF]), st.sampled_from([0x100, -1])),
+        tag=_mostly(draw, st.sampled_from([0, 7, 0xFFFF]), st.sampled_from([0x10000, -1])),
+        tlv_bytes=draw(_TLV_REGION),
+        routing_type=_mostly(draw, st.just(ROUTING_TYPE_SRH), st.sampled_from([0, 3])),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(srh=srhs())
+# Pad1 octets apart from each other are no run
+@example(srh=SegmentRoutingHeader(
+    [S1], 0, tlv_bytes=bytes((TLV_PAD1, TLV_PADN, 0, TLV_PAD1, TLV_PADN, 2, 0, 0))
+))
+# TLV octets count toward hdr_ext_len: 2 * 127 + 16 // 8 = 256
+@example(srh=SegmentRoutingHeader([S1] * 127, 0, tlv_bytes=bytes((TLV_PADN, 14)) + bytes(14)))
+def test_validate_srh_matches_the_tlv_walk_reference(srh):
+    got, want = validate_srh(srh), reference_validate_srh(srh)
+    assert (got and (got.code, got.detail)) == (want and (want.code, want.detail))
 
 
 def test_encode_rejects_invalid_srh():

@@ -1,6 +1,6 @@
 import pytest
 
-from srv6sim.behaviors import Drop, DropReason, EndProgram, Forward
+from srv6sim.behaviors import Drop, DropReason, EndProgram, Forward, TransitProgram, end
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
@@ -302,6 +302,59 @@ def test_wrr_equal_weights_alternate():
         run_transit_program(node, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert picks == [0, 1] * 5
+
+
+def wrr_twins():
+    """Two wrr nodes built from equal SRHs; the first one's SRHs are
+    returned, for the caller to change after instantiation."""
+    srhs = [SegmentRoutingHeader(segments=[S2, pton("fd00:6d::a")], segments_left=1)
+            for _ in range(2)]
+    nodes = []
+    for srh in (srhs[0], srhs[0].copy()):
+        node = Node("A", [pton("2001:db8:a::1")])
+        node.fib_insert(FibEntry(pton("fd00:6d::"), 32, [(pton("2001:db8:b::1"), "la")]))
+        prog = make_program("wrr", {"srh_a": srh, "srh_b": srh, "weights": (1, 1)})
+        node.add_program("wrr", prog)
+        node.add_transit(pton("2001:db8:2::"), 64, TransitProgram("wrr"))
+        nodes.append(node)
+    return nodes, srhs[0]
+
+
+def test_wrr_pushes_ignore_later_changes_to_its_params():
+    (node, twin), srh = wrr_twins()
+    srh.segments[1] = pton("fd00:6d::b")
+    srh.tag = 5
+    for i in range(4):
+        p, q = make_udp_packet(S1, S2, b"x"), make_udp_packet(S1, S2, b"x")
+        assert node.process_ingress(p, i) == twin.process_ingress(q, i)
+        assert encode_packet(p) == encode_packet(q)
+
+
+def test_wrr_pushes_share_no_srh():
+    (node, _), _ = wrr_twins()
+    p, q = make_udp_packet(S1, S2, b"x"), make_udp_packet(S1, S2, b"x")
+    node.process_ingress(p, 0)
+    node.process_ingress(q, 1)
+    a, b = p.outer_srh, q.outer_srh
+    assert a == b and a is not b and a.segments is not b.segments
+    before = encode_packet(q)
+    end(p)
+    assert encode_packet(q) == before and p != q
+
+
+def test_wrr_rejects_an_srh_no_push_could_carry():
+    srh = SegmentRoutingHeader(segments=[S2] * 128, segments_left=0)
+    with pytest.raises(ValueError, match="srh_b: SizeOverflow"):
+        make_program("wrr", {"srh_a": SegmentRoutingHeader([S2], 0), "srh_b": srh})
+
+
+def test_dm_transit_rejects_a_path_srh_its_tlvs_overflow():
+    """The probe SRH carries 32 octets of DM and controller TLVs, so 126
+    segments fit hdr_ext_len alone but not with them."""
+    params = {"controller_addr": CTRL[0]}
+    make_program("dm_transit", {**params, "path_srh": SegmentRoutingHeader([S2] * 125, 0)})
+    with pytest.raises(ValueError, match="path_srh: SizeOverflow"):
+        make_program("dm_transit", {**params, "path_srh": SegmentRoutingHeader([S2] * 126, 0)})
 
 
 # ---------------------------------------------------------------------------
