@@ -305,19 +305,18 @@ def test_wrr_equal_weights_alternate():
 
 
 def wrr_twins():
-    """Two wrr nodes built from equal SRHs; the first one's SRHs are
-    returned, for the caller to change after instantiation."""
-    srhs = [SegmentRoutingHeader(segments=[S2, pton("fd00:6d::a")], segments_left=1)
-            for _ in range(2)]
+    """Two wrr nodes built from equal SRHs, and the first one's SRH, for
+    the caller to change after instantiation."""
+    srh = SegmentRoutingHeader(segments=[S2, pton("fd00:6d::a")], segments_left=1)
     nodes = []
-    for srh in (srhs[0], srhs[0].copy()):
+    for params_srh in (srh, srh.copy()):
         node = Node("A", [pton("2001:db8:a::1")])
         node.fib_insert(FibEntry(pton("fd00:6d::"), 32, [(pton("2001:db8:b::1"), "la")]))
-        prog = make_program("wrr", {"srh_a": srh, "srh_b": srh, "weights": (1, 1)})
+        prog = make_program("wrr", {"srh_a": params_srh, "srh_b": params_srh, "weights": (1, 1)})
         node.add_program("wrr", prog)
         node.add_transit(pton("2001:db8:2::"), 64, TransitProgram("wrr"))
         nodes.append(node)
-    return nodes, srhs[0]
+    return nodes, srh
 
 
 def test_wrr_pushes_ignore_later_changes_to_its_params():
