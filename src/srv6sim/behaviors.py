@@ -88,7 +88,6 @@ class Behavior:
     advance = False  # the native pipeline runs end() before the action
     helper = False  # helper_action may apply the action ...
     resolves_table = False  # ... then look the destination up in self.table
-    rewrites_srh = False  # ... or mark the SRH for revalidation
 
     def action(self, p: Packet) -> None:
         """The body run after any advance; mutates p in place."""
@@ -143,7 +142,7 @@ class EndB6(SrhTemplate):
     srh: SegmentRoutingHeader
 
     type_name = "end_b6"
-    advance = helper = rewrites_srh = True
+    advance = helper = True
 
     def action(self, p: Packet) -> None:
         insert_srh(p, self.srh)
@@ -155,7 +154,7 @@ class EndB6Encaps(SrhTemplate):
     src: Address
 
     type_name = "end_b6_encaps"
-    advance = helper = rewrites_srh = True
+    advance = helper = True
 
     def action(self, p: Packet) -> None:
         encapsulate(p, self.srh, self.src)

@@ -85,13 +85,15 @@ class EmittedEvent:
 
 
 class EventQueue:
-    """Bounded one-producer queue; overflow drops the oldest event."""
+    """Bounded one-producer queue; overflow drops the oldest event. Each
+    emit calls the waiters (the readers' wake-ups), in registration order."""
 
     def __init__(self, capacity: int = EVENT_QUEUE_CAPACITY):
         self.capacity = capacity
         self._events: deque[EmittedEvent] = deque()
         self.dropped = 0
         self.emitted = 0
+        self.waiters: list[Callable[[], None]] = []
 
     def __len__(self) -> int:
         return len(self._events)
@@ -102,6 +104,8 @@ class EventQueue:
             self.dropped += 1
         self._events.append(event)
         self.emitted += 1
+        for wake in self.waiters:
+            wake()
 
     def drain(self) -> list[EmittedEvent]:
         out = list(self._events)
@@ -153,8 +157,7 @@ _SRH_FIXED = 8  # next_header, hdr_ext_len, routing_type, sl, le, flags, tag
 def _mark_dirty(p: Packet, srh: SegmentRoutingHeader) -> None:
     """Record srh as the SRH a helper wrote, for finalize to revalidate.
     A different SRH marked earlier (now under a pushed one) is validated
-    here, as the kernel does before an End.B6 action, and stays marked
-    if it is invalid."""
+    here and stays marked if it is invalid."""
     meta = p.meta
     old = meta.srh_dirty
     if old is None or old is srh or validate_srh(old) is None:
@@ -247,7 +250,10 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     re-advance: the endpoint hook already advanced the SRH. Actions
     needing a FIB lookup perform it now and store the result in the packet
     metadata, so a REDIRECT outcome can forward without the default
-    lookup. One action per program run."""
+    lookup. The SRH an End.B6 or End.B6.Encaps action pushes was validated
+    when its descriptor was built and is not marked for finalize; an SRH a
+    helper wrote before the action stays marked. One action per program
+    run."""
     if ctx.hook is not Hook.ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
     if ctx.pending_action_taken:
@@ -259,8 +265,6 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
         action.action(p)
         if action.resolves_table:
             _resolve_pending(ctx, action.table)
-        if action.rewrites_srh:
-            _mark_dirty(p, p.outer_srh)
     except BehaviorError as exc:
         raise HelperError(exc.reason.value, exc.detail) from None
     except InvariantViolation as exc:

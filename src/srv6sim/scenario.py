@@ -315,7 +315,13 @@ class ScenarioConfig:
     transits: list[TransitCfg]
     daemons: list[DaemonCfg]
     generators: list[UdpStream]
-    digest: str
+    raw: dict = field(repr=False)  # the document as read; parsing leaves it unchanged
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical document, computed when first read:
+        only reports print it. Overrides do not change it."""
+        return config_digest(self.raw)
 
 
 def config_digest(raw: dict) -> str:
@@ -457,7 +463,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         transits=transits,
         daemons=daemons,
         generators=generators,
-        digest=config_digest(raw),
+        raw=raw,
     )
 
 

@@ -13,6 +13,7 @@ import math
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .behaviors import Drop, Forward, LocalDeliver
 from .dataplane import Node
@@ -221,15 +222,65 @@ class Statistics:
 
 
 class Daemon:
-    """Periodic in-simulation task; subclasses override tick()."""
+    """In-simulation task on a grid of instants, origin + k * interval_ns,
+    where origin is the later of start_ns and the clock when the daemon is
+    added; subclasses override tick().
 
-    def __init__(self, daemon_id: str, interval_ns: int, start_ns: int = 0):
+    A periodic daemon ticks at every grid instant. A daemon whose tick
+    only drains a node's event queue names that node in ``drains`` and,
+    as a perf-buffer reader sleeping in poll(), ticks only when the queue
+    has events: an emit wakes it for the first grid instant at or after
+    the emit, and a tick does not re-arm itself.
+    """
+
+    # set by Simulation.add_daemon for a daemon that drains a queue:
+    # asks for a tick if the queue holds events
+    wake: Callable[[], None] | None = None
+
+    def __init__(
+        self, daemon_id: str, interval_ns: int, start_ns: int = 0, drains: str | None = None
+    ):
         self.id = daemon_id
         self.interval_ns = interval_ns
         self.start_ns = start_ns
+        self.drains = drains
 
     def tick(self, sim: "Simulation", now: int) -> None:  # pragma: no cover
         raise NotImplementedError
+
+
+class _Wakeup:
+    """A queue-woken daemon's alarm: the queue calls it on every emit."""
+
+    __slots__ = ("sim", "daemon", "queue", "origin", "last", "armed")
+
+    def __init__(self, sim: "Simulation", daemon: Daemon, queue, origin: int):
+        self.sim = sim
+        self.daemon = daemon
+        self.queue = queue
+        self.origin = origin
+        self.last = origin - daemon.interval_ns  # the grid instant of the last tick
+        self.armed = False
+
+    def __call__(self) -> None:
+        if self.armed or not self.queue:
+            return
+        self.armed = True
+        now = self.sim.clock
+        interval = self.daemon.interval_ns
+        t = self.origin if now <= self.origin else now + (self.origin - now) % interval
+        # An emit exactly at a grid instant is drained at that instant,
+        # after the event that emitted it, unless the daemon already
+        # ticked there: an emit during or after that tick waits one
+        # interval, as it would for a daemon polling every interval.
+        if t == self.last:
+            t += interval
+        self.sim._schedule(t, ("wake", self))
+
+    def fire(self, now: int) -> None:
+        self.armed = False
+        self.last = now
+        self.daemon.tick(self.sim, now)
 
 
 class Simulation:
@@ -281,8 +332,20 @@ class Simulation:
     def add_daemon(self, daemon: Daemon) -> None:
         if daemon.id in self.daemons:
             raise SimError(f"duplicate daemon id {daemon.id!r}")
+        origin = max(daemon.start_ns, self.clock)
+        if daemon.drains is None:
+            self.daemons[daemon.id] = daemon
+            self._schedule(origin, ("tick", daemon.id))
+            return
+        if daemon.interval_ns <= 0:
+            raise SimError(f"daemon {daemon.id!r}: a queue-woken daemon needs a positive interval")
+        node = self.nodes.get(daemon.drains)
+        if node is None:
+            raise SimError(f"daemon {daemon.id!r}: unknown node {daemon.drains!r}")
         self.daemons[daemon.id] = daemon
-        self._schedule(daemon.start_ns, ("tick", daemon.id))
+        daemon.wake = _Wakeup(self, daemon, node.events, origin)
+        node.events.waiters.append(daemon.wake)
+        daemon.wake()  # events queued before the daemon was added
 
     def add_stream(self, stream: UdpStream) -> None:
         if stream.count > 0:
@@ -333,6 +396,8 @@ class Simulation:
                 self._local_output(self.nodes[event[1]], event[2])
             elif kind == "gen":
                 self._process_gen(event[1], event[2])
+            elif kind == "wake":
+                event[1].fire(time_ns)
             elif kind == "tick":
                 daemon = self.daemons[event[1]]
                 daemon.tick(self, time_ns)

@@ -134,9 +134,11 @@ def dm_transit_factory(params: dict) -> Program:
     route_id = int(params.get("route_id", 0))
     outer_src: Address | None = params.get("outer_src")
     key = struct.pack(">I", route_id)
-    # a private template, checked with the 32 octets of TLVs run() fills in
+    ctrl_tlv = controller_tlv(ctrl_addr, ctrl_port)
+    # a private template, checked with the 32 octets of TLVs run() fills in;
+    # each probe stamps it and helper_push_encap pushes a copy
     path_srh: SegmentRoutingHeader = params["path_srh"].copy()
-    path_srh.tlv_bytes = encode_tlvs(dm_tlv(0), controller_tlv(ctrl_addr, ctrl_port))
+    path_srh.tlv_bytes = encode_tlvs(dm_tlv(0), ctrl_tlv)
     _pushable("path_srh", path_srh)
 
     def run(ctx: ProgramContext) -> Outcome:
@@ -146,12 +148,9 @@ def dm_transit_factory(params: dict) -> Program:
         map_put(ctx, DM_COUNTER_MAP, key, struct.pack(">Q", counter + 1))
         if counter % ratio != 0:
             return Outcome.OK
-        srh = path_srh.copy()
-        srh.tlv_bytes = encode_tlvs(
-            dm_tlv(helper_timestamp(ctx)), controller_tlv(ctrl_addr, ctrl_port)
-        )
+        path_srh.tlv_bytes = encode_tlvs(dm_tlv(helper_timestamp(ctx)), ctrl_tlv)
         try:
-            helper_push_encap(ctx, "encaps", srh, outer_src)
+            helper_push_encap(ctx, "encaps", path_srh, outer_src)
         except HelperError:
             # a failed probe must never harm the underlying traffic
             return Outcome.OK
@@ -199,7 +198,7 @@ class OwdCollector(Daemon):
     datagram with the event payload carried verbatim."""
 
     def __init__(self, daemon_id: str, node: str, interval_ns: int = 50_000_000):
-        super().__init__(daemon_id, interval_ns)
+        super().__init__(daemon_id, interval_ns, drains=node)
         self.node = node
         self.malformed = 0
         self.relayed = 0
@@ -498,10 +497,20 @@ class OampResponder(Daemon):
         reply_addr: Address | None = None,
         reply_port: int = 33500,
     ):
-        super().__init__(daemon_id, interval_ns)
+        super().__init__(daemon_id, interval_ns, drains=node)
         self.node = node
         self.reply_addr = reply_addr
         self.reply_port = reply_port
+
+    @property
+    def reply_addr(self) -> Address | None:
+        return self._reply_addr
+
+    @reply_addr.setter
+    def reply_addr(self, addr: Address | None) -> None:
+        self._reply_addr = addr
+        if addr is not None and self.wake is not None:
+            self.wake()  # events left queued until a prober registered
 
     def tick(self, sim: Simulation, now: int) -> None:
         if self.reply_addr is None:
@@ -590,10 +599,10 @@ def multipath_traceroute(
     prober_addr = src_node.addresses[0]
     inbox = _ProbeInbox()
     sim.bind(prober_addr, inbox.handler(sim))
+    served = {d.node for d in sim.daemons.values() if isinstance(d, OampResponder)}
     for node_id in oamp_sids:
-        daemon_id = f"oamp_responder:{node_id}"
-        if daemon_id not in sim.daemons:
-            sim.add_daemon(OampResponder(daemon_id, node_id))
+        if node_id not in served:
+            sim.add_daemon(OampResponder(f"oamp_responder:{node_id}", node_id))
     for daemon in sim.daemons.values():
         if isinstance(daemon, OampResponder):
             daemon.reply_addr = prober_addr

@@ -3,11 +3,13 @@ import struct
 
 import pytest
 
+from srv6sim import programs
 from srv6sim.behaviors import (
     Drop,
     DropReason,
     End,
     EndB6,
+    EndB6Encaps,
     EndDT6,
     EndProgram,
     EndT,
@@ -230,12 +232,13 @@ def test_action_end_t_resolves_eagerly():
     assert p.meta.pending_destination == pton("2001:db8::aa")
 
 
-def test_action_end_b6_marks_srh_dirty():
+def test_action_end_b6_leaves_the_pushed_srh_unmarked():
+    # the pushed SRH was validated when the descriptor was built
     p = sr_packet([S2, SID], 1)
     ctx = make_ctx(p)
     helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)))
     assert len(p.headers[0][1]) == 2
-    assert p.meta.srh_dirty
+    assert p.meta.srh_dirty is None
 
 
 @pytest.mark.parametrize(
@@ -582,6 +585,48 @@ def test_endpoint_store_then_end_b6_drops_the_invalid_srh():
     p = padded_sr_packet([S2, SID], 1)
     assert node.process_ingress(p, 0) == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
     assert len(p.headers[0][1]) == 2
+
+
+def end_bpf_router(program):
+    """A router whose End.BPF SID runs program."""
+    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+    node.add_program("prog", program)
+    node.add_sid(SID, EndProgram("prog"))
+    return node
+
+
+B6_ACTIONS = [
+    EndB6(SegmentRoutingHeader(segments=[S2], segments_left=0)),
+    EndB6Encaps(SegmentRoutingHeader(segments=[S2], segments_left=0), pton("2001:db8::1")),
+]
+
+
+@pytest.mark.parametrize("action", B6_ACTIONS, ids=["end_b6", "end_b6_encaps"])
+def test_b6_action_pushes_an_srh_finalize_does_not_revalidate(action, monkeypatch):
+    validated = []
+    validate = programs.validate_srh
+    monkeypatch.setattr(
+        programs, "validate_srh", lambda srh: validated.append(srh) or validate(srh)
+    )
+    def program(ctx):
+        helper_action(ctx, action)
+        return Outcome.OK
+
+    p = sr_packet([S2, SID], 1)
+    assert end_bpf_router(program).process_ingress(p, 0) == Forward("l3", NH_R3[0])
+    assert validated == []
+
+
+def test_endpoint_store_then_end_b6_encaps_drops_the_invalid_srh():
+    def program(ctx):
+        zero_the_padn(ctx)
+        helper_action(ctx, B6_ACTIONS[1])
+        return Outcome.OK
+
+    p = padded_sr_packet([S2, SID], 1)
+    decision = end_bpf_router(program).process_ingress(p, 0)
+    assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
+    assert len(p.headers) == 2
 
 
 @pytest.mark.parametrize("first_write_valid", [True, False])

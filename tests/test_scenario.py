@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from srv6sim import scenario
 from srv6sim.behaviors import (
     SID_BEHAVIORS,
     TRANSIT_BEHAVIORS,
@@ -312,6 +313,21 @@ def test_digest_stable_and_override_independent():
     apply_overrides(cfg, seed=777, duration_ms=50)
     assert cfg.seed == 777
     assert cfg.digest == before
+
+
+@pytest.mark.parametrize("name", ["setup1.json", "setup2-hybrid.json"])
+def test_digest_is_computed_on_first_read_and_ignores_overrides(name, monkeypatch):
+    raw = raw_fixture(name)
+    pristine = copy.deepcopy(raw)
+    calls = []
+    digest = scenario.config_digest
+    monkeypatch.setattr(scenario, "config_digest", lambda r: calls.append(r) or digest(r))
+    cfg = parse_scenario(raw)
+    assert calls == []  # parsing computes no digest
+    apply_overrides(cfg, seed=777, duration_ms=50, ratio=3, compensation=False)
+    assert cfg.digest == cfg.digest == digest(pristine)
+    assert len(calls) == 1
+    assert raw == pristine
 
 
 def test_ratio_override_reaches_dm_programs():

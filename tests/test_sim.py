@@ -12,10 +12,13 @@ from srv6sim.packet import (
     make_udp_packet,
     pton,
 )
+from srv6sim.programs import EVENT_QUEUE_CAPACITY, EmittedEvent
 from srv6sim.sim import (
+    Daemon,
     InsufficientData,
     Link,
     Rng,
+    SimError,
     Simulation,
     TraceRecord,
     UdpStream,
@@ -315,3 +318,179 @@ def test_end_x_pending_state_does_not_leak_to_the_next_hop():
     assert stats.delivered["Z"] == 1
     assert stats.total_dropped == 0
     assert {n: stats.forwarded[n] for n in ("A", "R1", "R2")} == {"A": 1, "R1": 1, "R2": 1}
+
+
+# ---------------------------------------------------------------------------
+# Queue-woken daemons, each against its polling twin: the same daemon with
+# no ``drains``, which ticks at every grid instant and drains what it finds.
+
+MS = 1_000_000
+
+
+class Drainer(Daemon):
+    """Drains node N's event queue on each tick and records what it got."""
+
+    def __init__(self, daemon_id, interval_ns, start_ns=0, woken=True):
+        super().__init__(daemon_id, interval_ns, start_ns, drains="N" if woken else None)
+        self.ticks = []  # (now, drained payloads)
+
+    def tick(self, sim, now):
+        self.ticks.append((now, [ev.payload for ev in sim.nodes["N"].events.drain()]))
+
+
+class Emitter(Daemon):
+    """One tick (interval 0) at at_ns, emitting payloads into N's queue."""
+
+    def __init__(self, daemon_id, at_ns, payloads):
+        super().__init__(daemon_id, 0, at_ns)
+        self.payloads = payloads
+
+    def tick(self, sim, now):
+        emit(sim, *self.payloads)
+
+
+def emit(sim, *payloads):
+    for payload in payloads:
+        sim.nodes["N"].events.emit(EmittedEvent("N", sim.clock, payload))
+
+
+def queue_sim():
+    sim = Simulation()
+    sim.add_node(Node("N", [R]))
+    return sim
+
+
+def drained(daemon):
+    return [(t, got) for t, got in daemon.ticks if got]
+
+
+def run_emitters(woken, emits, intervals=(MS,), until=20 * MS):
+    """Emitters first, then one drainer per interval; the drainers."""
+    sim = queue_sim()
+    for i, (at, payloads) in enumerate(emits):
+        sim.add_daemon(Emitter(f"e{i}", at, payloads))
+    drainers = [Drainer(f"d{i}", iv, woken=woken) for i, iv in enumerate(intervals)]
+    for d in drainers:
+        sim.add_daemon(d)
+    sim.run_until(until)
+    return drainers
+
+
+EMITS = [
+    (300_000, [b"a"]), (700_000, [b"b", b"c"]), (2 * MS, [b"d"]), (2 * MS, [b"e"]),
+    (2_500_001, [b"f"]), (9_999_999, [b"g"]), (10 * MS, [b"h"]),
+]
+
+
+def test_woken_daemon_drains_as_its_polling_twin_without_empty_ticks():
+    (woken,) = run_emitters(True, EMITS)
+    (twin,) = run_emitters(False, EMITS)
+    assert drained(woken) == drained(twin) == [
+        (1 * MS, [b"a", b"b", b"c"]), (2 * MS, [b"d", b"e"]), (3 * MS, [b"f"]),
+        (10 * MS, [b"g", b"h"]),
+    ]
+    assert woken.ticks == drained(woken)
+    assert len(twin.ticks) == 21  # every grid instant from 0 to 20 ms
+
+
+def test_emit_on_a_grid_instant_is_drained_at_that_instant():
+    # The rule: an emit exactly at a grid instant is drained there, after
+    # the emitting event, unless the daemon already ticked at that instant;
+    # an emit during or after that tick waits one interval.
+    class EmitTwice(Emitter):
+        def tick(self, sim, now):
+            super().tick(sim, now)  # wakes d for now
+            sim.add_daemon(Emitter("again", now, [b"y"]))  # runs after d's tick
+
+    sim = queue_sim()
+    sim.add_daemon(EmitTwice("first", 2 * MS, [b"x"]))
+    d = Drainer("d", MS)
+    sim.add_daemon(d)
+    sim.run_until(5 * MS)
+    assert d.ticks == [(2 * MS, [b"x"]), (3 * MS, [b"y"])]
+
+
+def test_emit_during_its_own_tick_waits_one_interval():
+    class Echo(Drainer):
+        def tick(self, sim, now):
+            super().tick(sim, now)
+            if self.ticks[-1][1] == [b"x"]:
+                emit(sim, b"echo")
+
+    sim = queue_sim()
+    sim.add_daemon(Emitter("e", 1_500_000, [b"x"]))
+    d = Echo("d", MS)
+    sim.add_daemon(d)
+    sim.run_until(10 * MS)
+    assert d.ticks == [(2 * MS, [b"x"]), (3 * MS, [b"echo"])]
+
+
+@pytest.mark.parametrize("start_ns,origin", [(0, 2_500_000), (4 * MS, 4 * MS)])
+def test_events_queued_before_add_daemon_are_drained_at_the_origin(start_ns, origin):
+    results = []
+    for woken in (True, False):
+        sim = queue_sim()
+        sim.run_until(2_500_000)
+        emit(sim, b"early", b"earlier")
+        d = Drainer("d", MS, start_ns=start_ns, woken=woken)
+        sim.add_daemon(d)
+        sim.run_until(10 * MS)
+        results.append(drained(d))
+    assert results[0] == results[1] == [(origin, [b"early", b"earlier"])]
+
+
+def test_two_daemons_on_one_queue_wake_in_registration_order():
+    emits = [(300_000, [b"a"]), (1_200_000, [b"b"]), (3_100_000, [b"c"])]
+    for intervals in ((MS, MS), (3 * MS, MS)):
+        woken = run_emitters(True, emits, intervals)
+        twins = run_emitters(False, emits, intervals)
+        assert [drained(d) for d in woken] == [drained(d) for d in twins]
+    # one grid: the first registered drains everything, the second finds
+    # the queue empty; on different grids the earlier instant wins
+    same = run_emitters(True, emits, (MS, MS))
+    assert [d.ticks for d in same] == [
+        [(1 * MS, [b"a"]), (2 * MS, [b"b"]), (4 * MS, [b"c"])],
+        [(1 * MS, []), (2 * MS, []), (4 * MS, [])],
+    ]
+    mixed = run_emitters(True, emits, (3 * MS, MS))
+    assert [drained(d) for d in mixed] == [
+        [], [(1 * MS, [b"a"]), (2 * MS, [b"b"]), (4 * MS, [b"c"])],
+    ]
+
+
+def test_overflow_between_grid_points_keeps_the_same_survivors_and_drops():
+    n = EVENT_QUEUE_CAPACITY + 10
+    payloads = [i.to_bytes(4, "big") for i in range(n)]
+    results = []
+    for woken in (True, False):
+        sim = queue_sim()
+        d = Drainer("d", MS, woken=woken)
+        sim.add_daemon(d)
+        sim.run_until(400_000)
+        emit(sim, *payloads[:5])
+        sim.run_until(600_000)
+        emit(sim, *payloads[5:])
+        sim.run_until(3 * MS)
+        results.append((drained(d), sim.nodes["N"].events.dropped))
+    assert results[0] == results[1] == ([(MS, payloads[10:])], 10)
+
+
+def test_woken_tick_does_not_rearm():
+    sim = queue_sim()
+    d = Drainer("d", MS)
+    sim.add_daemon(d)
+    emit(sim, b"a")
+    sim.run_until(MS)
+    assert d.ticks == [(0, [b"a"])]
+    assert not sim._heap  # nothing scheduled until the next emit
+
+
+def test_queue_woken_daemon_needs_a_positive_interval_and_a_known_node():
+    sim = queue_sim()
+    with pytest.raises(SimError):
+        sim.add_daemon(Drainer("zero", 0))
+    d = Drainer("ghost", MS)
+    d.drains = "X"
+    with pytest.raises(SimError):
+        sim.add_daemon(d)
+    assert not sim.daemons

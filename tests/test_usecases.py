@@ -1,5 +1,11 @@
+import itertools
+import json
+import struct
+from collections import Counter
+
 import pytest
 
+from srv6sim import scenario, usecases
 from srv6sim.behaviors import Drop, DropReason, EndProgram, Forward, TransitProgram, end
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
@@ -22,11 +28,14 @@ from srv6sim.scenario import (
     load_scenario,
     parse_scenario,
 )
-from srv6sim.sim import stream_rng
+from srv6sim.sim import stream_rng, write_trace
 from util import owd_scenario_raw
 from srv6sim.usecases import (
     CompensatorState,
+    DelayCollector,
     DelayRecord,
+    OampResponder,
+    OwdCollector,
     TwdProber,
     compensator_update,
     controller_tlv,
@@ -99,6 +108,27 @@ def test_dm_transit_probe_carries_both_tlvs():
     assert read_controller_tlv(srh) == CTRL
     assert srh.segments_left == 1
     assert p.outer_header.dst == DM_SID
+
+
+def test_dm_transit_copies_its_path_srh_once_per_probe(monkeypatch):
+    node, prog = dm_transit_node(ratio=1)
+    copied = []
+    copy = SegmentRoutingHeader.copy
+
+    def counted(self):
+        copied.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(SegmentRoutingHeader, "copy", counted)
+    for i in range(3):
+        p = make_udp_packet(S1, S2, b"x" * 64)
+        run_transit_program(node, prog, p, 1000 + i)
+        assert len(copied) == i + 1
+        template = copied[0]
+        assert copied[i] is template  # the push copies the stamped template
+        assert p.outer_srh is not template
+        assert read_dm_tlv(p.outer_srh) == 1000 + i
+    assert template.segments == [S2, DM_SID] and template.segments_left == 1
 
 
 def test_dm_transit_leaves_non_sampled_packets_byte_identical():
@@ -576,3 +606,112 @@ def test_traceroute_unreachable_target_partial_dag():
     assert not res.reached
     assert "A" in res.hops
     assert res.hops["A"].nexthop_nodes == []  # no-route reply from the hop
+
+
+def test_traceroute_adds_a_responder_only_where_a_node_has_none(tmp_path):
+    sim, oamp = diamond_sim()
+    res = multipath_traceroute(sim, "S", S2, oamp)
+    responders = [d for d in sim.daemons.values() if isinstance(d, OampResponder)]
+    assert Counter(d.node for d in responders) == {"A": 1, "B": 1, "C": 1, "D": 1}
+    # a scenario without responders gets one per OAMP node from the driver,
+    # and the same replies
+    raw = json.loads(fixture_path("diamond.json").read_text())
+    raw["daemons"] = []
+    bare = build_simulation(parse_scenario(raw))
+    res_bare = multipath_traceroute(bare, "S", S2, oamp)
+    assert sorted(bare.daemons) == [f"oamp_responder:{n}" for n in "ABCD"]
+    assert res_bare.render() == res.render()
+    assert trace_bytes(bare, tmp_path) == trace_bytes(sim, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Queue-woken daemons against their polling twins.
+
+def polling_twin(cls):
+    """cls as a periodic daemon: it ticks at every grid instant and drains
+    whatever is queued, as every draining daemon did before wake-ups."""
+
+    class Polling(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.drains = None
+
+    return Polling
+
+
+@pytest.fixture
+def use_polling_twins(monkeypatch):
+    def use():
+        responder = polling_twin(OampResponder)
+        monkeypatch.setattr(scenario, "OwdCollector", polling_twin(OwdCollector))
+        monkeypatch.setattr(scenario, "OampResponder", responder)
+        monkeypatch.setattr(usecases, "OampResponder", responder)
+
+    return use
+
+
+def trace_bytes(sim, tmp_path):
+    path = tmp_path / "trace.tsv"
+    write_trace(sim.trace, path)
+    return path.read_bytes()
+
+
+def traceroute_outputs(removed, tmp_path):
+    sim, oamp = diamond_sim()
+    for node in removed:
+        oamp.pop(node)
+    res = multipath_traceroute(sim, "S", S2, oamp)
+    return trace_bytes(sim, tmp_path), sim.stats.summary(), res.render(), res.unknown_probes
+
+
+# every subset of the diamond's OAMP nodes left to the ICMP fallback
+REMOVED_OAMP = ["".join(c) for r in range(5) for c in itertools.combinations("ABCD", r)]
+
+
+@pytest.mark.parametrize("removed", REMOVED_OAMP, ids=lambda r: r or "none")
+def test_woken_responders_trace_as_their_polling_twins(removed, tmp_path, use_polling_twins):
+    woken = traceroute_outputs(removed, tmp_path)
+    use_polling_twins()
+    assert traceroute_outputs(removed, tmp_path) == woken
+
+
+def owd_outputs(seed, tmp_path):
+    cfg = apply_overrides(load_scenario(fixture_path("setup1.json")), seed=seed)
+    sim = build_simulation(cfg)
+    controller = DelayCollector()
+    dm = next(t for t in cfg.transits if t.program == "dm_transit")
+    sim.bind(dm.params["controller_addr"], controller)
+    stats = sim.run_until(cfg.duration_ns)
+    return trace_bytes(sim, tmp_path), stats.summary(), controller.records
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+def test_woken_collector_traces_as_its_polling_twin(seed, tmp_path, use_polling_twins):
+    woken = owd_outputs(seed, tmp_path)
+    assert woken[2]  # the controller got delay records
+    use_polling_twins()
+    assert owd_outputs(seed, tmp_path) == woken
+
+
+def oamp_events_before_the_prober(tmp_path):
+    sim, _ = diamond_sim()
+    responder = sim.daemons["oamp-a"]
+    queue = sim.nodes["A"].events
+    sim.run_until(2_500_000)
+    for hop_id in (1, 2):
+        queue.emit(EmittedEvent("A", sim.clock, struct.pack(">IH", hop_id, 0)))
+    sim.run_until(5_500_000)
+    assert len(queue) == 2  # no prober yet: the events wait
+    responder.reply_addr = sim.nodes["S"].addresses[0]
+    sim.run_until(10_000_000)
+    assert len(queue) == 0
+    replies = [r.time_ns for r in sim.trace if r.node == "A" and r.direction == "egress"
+               and r.flow is None]
+    return replies, trace_bytes(sim, tmp_path)
+
+
+def test_setting_reply_addr_wakes_a_responder_with_queued_events(tmp_path, use_polling_twins):
+    replies, woken = oamp_events_before_the_prober(tmp_path)
+    assert replies == [6_000_000, 6_000_000]  # the first grid instant after 5.5 ms
+    use_polling_twins()
+    assert oamp_events_before_the_prober(tmp_path) == (replies, woken)
