@@ -613,8 +613,8 @@ def test_traceroute_adds_a_responder_only_where_a_node_has_none(tmp_path):
     res = multipath_traceroute(sim, "S", S2, oamp)
     responders = [d for d in sim.daemons.values() if isinstance(d, OampResponder)]
     assert Counter(d.node for d in responders) == {"A": 1, "B": 1, "C": 1, "D": 1}
-    # a scenario without responders gets one per OAMP node from the driver,
-    # and the same replies
+    # a scenario without responders gets one per OAMP node from
+    # multipath_traceroute, and the same replies
     raw = json.loads(fixture_path("diamond.json").read_text())
     raw["daemons"] = []
     bare = build_simulation(parse_scenario(raw))
