@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import struct
@@ -656,12 +657,15 @@ def trace_bytes(sim, tmp_path):
     return path.read_bytes()
 
 
-def traceroute_outputs(removed, tmp_path):
+def traceroute_outputs(removed, tmp_path, target=S2, **kwargs):
     sim, oamp = diamond_sim()
     for node in removed:
         oamp.pop(node)
-    res = multipath_traceroute(sim, "S", S2, oamp)
-    return trace_bytes(sim, tmp_path), sim.stats.summary(), res.render(), res.unknown_probes
+    res = multipath_traceroute(sim, "S", target, oamp, **kwargs)
+    return (
+        trace_bytes(sim, tmp_path), sim.stats.summary(), res.render(), res.unknown_probes,
+        sim.clock,
+    )
 
 
 # every subset of the diamond's OAMP nodes left to the ICMP fallback
@@ -673,6 +677,57 @@ def test_woken_responders_trace_as_their_polling_twins(removed, tmp_path, use_po
     woken = traceroute_outputs(removed, tmp_path)
     use_polling_twins()
     assert traceroute_outputs(removed, tmp_path) == woken
+
+
+UNREACHABLE = pton("fd00:ff::1")
+# case -> (OAMP nodes left to the ICMP fallback, target, traceroute kwargs)
+TRACEROUTE_CASES = {r or "none": (r, S2, {}) for r in REMOVED_OAMP} | {
+    # A answers the OAMP query with an empty nexthop set
+    "unreachable": ("", UNREACHABLE, {"flow_keys": 2, "timeout_ns": 50_000_000}),
+    # the ICMP probes past A time out
+    "unreachable-icmp": ("A", UNREACHABLE, {"flow_keys": 2, "timeout_ns": 50_000_000}),
+    # a timeout off the 1 ms grid: replies land mid-step, some probes
+    # time out, and late replies arrive while later probes wait
+    "short-timeout": ("B", S2, {"timeout_ns": 4_500_000}),
+}
+
+# case -> sha256 over trace bytes, summary, render, unknown_probes and final clock
+TRACEROUTE_GOLDEN = {
+    "none": "11e1634f2436dca3898fe51104fc6986f37d09197c0ed8242e68a6e53137897c",
+    "A": "cb00a1503c302a158ffe9cab9517a96532122bc8720f60c4f280fef8210fd309",
+    "B": "abd7441d8c2fb3aeecefe2385d66673cf09968dc016d9e7c5e4c86e628233f53",
+    "C": "ead9eecab9f685ef8d46779a9f83868386bfbecc20139caec2c2660b5438903d",
+    "D": "0712a57c51efe74656ef3540c437f95324989ff5c565bcdff59f16e042932e2e",
+    "AB": "b4ccdd89f49ba7709e13c13f54c9137a9e64f9347615ce1f3163daae1e2a26ce",
+    "AC": "e8438b44fc1a71928c6c1b9b392dea2c93c9272896d569387f6a6bfe8fd020a6",
+    "AD": "c743355cf2c0664eca349fea3871e65b048f973c717f7d7c69f9d8a896a8f715",
+    "BC": "1c09e22fe18a6551ef6d22b4b374e0efc1a35465635330d6e400711fa54db415",
+    "BD": "9b78ce09d4487fe8ddb7749adb28a53de804e9be910fe5e0384521769f4461fb",
+    "CD": "c4f328645bd291d4c58a76285a9c6cf2b649cbfb861860a9b80c6e1e9fa267c1",
+    "ABC": "2289ce5bcfb49ca8158face046ab7c968128436f5a0ddd5e886e8da6df696efb",
+    "ABD": "749354be78aac09855a81413b03c69577efb32af9bb77b64d5e0a112abc38b0d",
+    "ACD": "2de1e3e99d8318cbac8b26b1984b10ae866f817c75cb5316325286be61d45cdf",
+    "BCD": "1542dca8b95a13998188147d986cfcf7a0c6803630f005aa89a8d05b5be0322b",
+    "ABCD": "98638bed68b50786bdfadafc850f9fb25b59b0f1e8d1fd9e79820d7c75ee0c11",
+    "unreachable": "0fcc9893dad4e6549c9cc524ba1217795ec1a0935b79ce689b6f079ea85e4498",
+    "unreachable-icmp": "461bf5dbffa8b7c941e5c2642205a94d0581bb6be0ff8f3f42ed7fdc06992c26",
+    "short-timeout": "4570d0ce2447ca498318750e65cc17e05656ae1e8167a628cefe85401e7ae567",
+}
+
+
+def outputs_digest(outputs) -> str:
+    h = hashlib.sha256()
+    for part in outputs:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", TRACEROUTE_CASES)
+def test_traceroute_outputs_unchanged(case, tmp_path):
+    removed, target, kwargs = TRACEROUTE_CASES[case]
+    outputs = traceroute_outputs(removed, tmp_path, target, **kwargs)
+    assert outputs_digest(outputs) == TRACEROUTE_GOLDEN[case]
 
 
 def owd_outputs(seed, tmp_path):
