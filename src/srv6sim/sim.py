@@ -297,6 +297,7 @@ class Simulation:
         self.addr_to_node: dict[Address, str] = {}
         self._heap: list = []
         self._seq = 0
+        self._until = 0  # the running run_until's horizon; stop_at lowers it
 
     # -- construction --------------------------------------------------------
 
@@ -381,11 +382,13 @@ class Simulation:
     # -- execution ------------------------------------------------------------
 
     def run_until(self, t_ns: int) -> Statistics:
-        """Process every event with time <= t_ns; the clock ends at t_ns."""
+        """Process every event with time <= t_ns; the clock ends at t_ns,
+        or earlier if a handler or daemon calls stop_at."""
         if t_ns < self.clock:
             raise SimError("run_until target precedes current clock")
+        self._until = t_ns
         heap = self._heap
-        while heap and heap[0][0] <= t_ns:
+        while heap and heap[0][0] <= self._until:
             time_ns, _, event = heapq.heappop(heap)
             self.clock = time_ns
             kind = event[0]
@@ -403,9 +406,14 @@ class Simulation:
                 daemon.tick(self, time_ns)
                 if daemon.interval_ns > 0:
                     self._schedule(time_ns + daemon.interval_ns, ("tick", daemon.id))
-        self.clock = t_ns
+        self.clock = self._until
         self._sync_event_stats()
         return self.stats
+
+    def stop_at(self, t_ns: int) -> None:
+        """End the running run_until at t_ns: events up to t_ns still run.
+        Clamped to the clock, and never later than the run's target."""
+        self._until = min(self._until, max(t_ns, self.clock))
 
     def _sync_event_stats(self) -> None:
         for node in self.nodes.values():

@@ -4,6 +4,7 @@ aggregation with delay compensation, and ECMP nexthop discovery."""
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -36,7 +37,8 @@ from .programs import (
     map_put,
     register_program,
 )
-from .behaviors import EndDT6, check_srh
+from .behaviors import BehaviorError, EndDT6, check_srh
+from .dataplane import ICMP_TIME_EXCEEDED
 from .sim import Daemon, Simulation
 
 # Local experiment TLV codes; the SRH registry assigns none for these.
@@ -556,27 +558,8 @@ class TracerouteResult:
         return "\n".join(lines)
 
 
-class _ProbeInbox:
-    def __init__(self):
-        self.oamp_replies: list[tuple[int, list[Address]]] = []
-        self.time_exceeded: list[tuple[str, int]] = []  # (source node addr str, probe id)
-
-    def handler(self, sim: Simulation):
-        def on_packet(p: Packet, now: int) -> None:
-            tp = p.transport
-            if isinstance(tp, Udp):
-                decoded = decode_oamp_event(tp.payload)
-                if decoded is not None:
-                    self.oamp_replies.append(decoded)
-                return
-            if isinstance(tp, bytes) and len(tp) >= 4 and tp[0] == 3:
-                offender = tp[4:]
-                if len(offender) >= 52:
-                    (probe_id,) = struct.unpack_from(">I", offender, 48)
-                    src_node = sim.addr_to_node.get(p.outer_header.src, "?")
-                    self.time_exceeded.append((src_node, probe_id))
-
-        return on_packet
+# The prober reads its replies on a grid of this step, counted from each send.
+PROBE_STEP_NS = 1_000_000
 
 
 def multipath_traceroute(
@@ -593,12 +576,38 @@ def multipath_traceroute(
 
     Hops with a nexthop-discovery SID are asked directly for their ECMP
     set with one SRH probe; other hops fall back to hop-limited probes
-    over a spread of flow keys, reading the time-exceeded sources.
+    over a spread of flow keys, reading the time-exceeded sources. Each
+    probe waits up to timeout_ns: the simulation runs to the end of the
+    PROBE_STEP_NS step in which its reply arrives, or to the timeout.
     """
     src_node = sim.nodes[src]
     prober_addr = src_node.addresses[0]
-    inbox = _ProbeInbox()
-    sim.bind(prober_addr, inbox.handler(sim))
+    # ("oamp", hop id) -> nexthop addresses; ("icmp", probe id) -> the node
+    # that sent the time-exceeded. The first reply for a key is kept.
+    replies: dict[tuple[str, int], list[Address] | str] = {}
+    awaited: tuple[str, int] | None = None
+    sent_at = 0
+
+    def on_reply(p: Packet, now: int) -> None:
+        tp = p.transport
+        if isinstance(tp, Udp):
+            decoded = decode_oamp_event(tp.payload)
+            if decoded is None:
+                return
+            key, value = ("oamp", decoded[0]), decoded[1]
+        elif isinstance(tp, bytes) and len(tp) >= 56 and tp[0] == ICMP_TIME_EXCEEDED:
+            # the probe id sits 48 bytes into the quoted probe, after the
+            # 4-byte ICMP header
+            key = ("icmp", struct.unpack_from(">I", tp, 52)[0])
+            value = sim.addr_to_node.get(p.outer_header.src, "?")
+        else:
+            return
+        replies.setdefault(key, value)
+        if key == awaited:
+            steps = max(1, -(-(now - sent_at) // PROBE_STEP_NS))
+            sim.stop_at(sent_at + steps * PROBE_STEP_NS)
+
+    sim.bind(prober_addr, on_reply)
     served = {d.node for d in sim.daemons.values() if isinstance(d, OampResponder)}
     for node_id in oamp_sids:
         if node_id not in served:
@@ -608,47 +617,35 @@ def multipath_traceroute(
             daemon.reply_addr = prober_addr
             daemon.reply_port = reply_port
 
-    probe_seq = [0]
-    unknown = [0]
+    probe_ids = itertools.count(1)
+    unknown = 0
 
-    def await_until(predicate) -> bool:
-        deadline = sim.clock + timeout_ns
-        while sim.clock < deadline:
-            if predicate():
-                return True
-            step = min(1_000_000, deadline - sim.clock)
-            sim.run_until(sim.clock + step)
-        return predicate()
+    def ask(probe: Packet, key: tuple[str, int]):
+        """Send probe from src and wait for the reply under key; None on timeout."""
+        nonlocal awaited, sent_at, unknown
+        awaited, sent_at = key, sim.clock
+        sim.send(src, probe)
+        sim.run_until(sent_at + timeout_ns)
+        awaited = None
+        if key not in replies:
+            unknown += 1
+        return replies.get(key)
 
     def oamp_query(hop: str) -> list[Address] | None:
         sid = oamp_sids[hop]
-        hop_id = sim.nodes[hop].index
         srh = SegmentRoutingHeader(
             segments=[target, sid], segments_left=1, next_header=17,
             tlv_bytes=encode_tlvs(controller_tlv(prober_addr, reply_port)),
         )
         hdr = Ipv6Header(src=prober_addr, dst=sid, next_header=PROTO_ROUTING)
-        probe_seq[0] += 1
         probe = Packet(
             headers=[(hdr, [srh])],
-            transport=Udp(reply_port, 33434, struct.pack(">I", probe_seq[0]) + b"\x00" * 4),
+            transport=Udp(reply_port, 33434, struct.pack(">I", next(probe_ids)) + b"\x00" * 4),
         )
-        seen = len(inbox.oamp_replies)
-        sim.send(src, probe)
-        ok = await_until(
-            lambda: any(r[0] == hop_id for r in inbox.oamp_replies[seen:])
-        )
-        if not ok:
-            unknown[0] += 1
-            return None
-        for rid, addrs in inbox.oamp_replies[seen:]:
-            if rid == hop_id:
-                return addrs
-        return None
+        return ask(probe, ("oamp", sim.nodes[hop].index))
 
     def icmp_probe(ttl: int, flow_label: int) -> str | None:
-        probe_seq[0] += 1
-        pid = probe_seq[0]
+        pid = next(probe_ids)
         # flow identity (label) stays fixed across the TTL sweep so every
         # probe of one key follows the same ECMP path; ports never vary
         probe = make_udp_packet(
@@ -656,18 +653,7 @@ def multipath_traceroute(
             src_port=49152, dst_port=33434,
             hop_limit=ttl, flow_label=flow_label,
         )
-        seen = len(inbox.time_exceeded)
-        sim.send(src, probe)
-        ok = await_until(
-            lambda: any(x[1] == pid for x in inbox.time_exceeded[seen:])
-        )
-        if not ok:
-            unknown[0] += 1
-            return None
-        for node_id, got in inbox.time_exceeded[seen:]:
-            if got == pid:
-                return node_id
-        return None
+        return ask(probe, ("icmp", pid))
 
     target_node = sim.addr_to_node.get(target)
     icmp_paths: list[list[str | None]] | None = None
@@ -700,7 +686,7 @@ def multipath_traceroute(
             # local FIB query at the probing host
             try:
                 nexthops = [a for a, _ in src_node.fib_ecmp_list(target)]
-            except Exception:
+            except BehaviorError:  # no route
                 nexthops = []
             method = "local"
         elif hop in oamp_sids:
@@ -723,4 +709,4 @@ def multipath_traceroute(
             if nh in sim.nodes and nh not in visited:
                 visited.add(nh)
                 frontier.append((nh, depth + 1))
-    return TracerouteResult(src, target, hops, reached, unknown[0])
+    return TracerouteResult(src, target, hops, reached, unknown)

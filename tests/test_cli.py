@@ -264,6 +264,19 @@ def test_traceroute_unroutable_target_exits_1(tmp_path, capsys):
     assert "NOT reached" in capsys.readouterr().out
 
 
+def test_traceroute_without_a_local_route_exits_1(tmp_path, capsys):
+    raw = json.loads(fixture_path("diamond.json").read_text())
+    raw["fib"] = [f for f in raw["fib"] if f["node"] != "S"]  # S's ::/0
+    scenario = tmp_path / "no-route.json"
+    scenario.write_text(json.dumps(raw))
+    code = run_cli("traceroute", str(scenario), "S", "2001:db8:2::1", "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        " 0  S            [local]  -> ",
+        "target 2001:db8:2::1: NOT reached",
+    ]
+
+
 def test_determinism_same_seed_identical_trace_files(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert run_cli("run", str(fixture_path("setup1.json")), "--seed", "5", "--out", str(out1)) == 0

@@ -494,3 +494,68 @@ def test_queue_woken_daemon_needs_a_positive_interval_and_a_known_node():
     with pytest.raises(SimError):
         sim.add_daemon(d)
     assert not sim.daemons
+
+
+# ---------------------------------------------------------------------------
+# stop_at: a handler or daemon ends the running run_until early.
+
+class Marker(Daemon):
+    """Ticks once, at at_ns, recording (id, instant) and calling action."""
+
+    def __init__(self, daemon_id, at_ns, ran, action=None):
+        super().__init__(daemon_id, 0, at_ns)
+        self.ran = ran
+        self.action = action
+
+    def tick(self, sim, now):
+        self.ran.append((self.id, now))
+        if self.action is not None:
+            self.action(sim)
+
+
+def stop_at_sim(action=None):
+    """Markers at 2, 5, 6 and 9 ms, and one at 4 ms that calls action."""
+    sim, ran = queue_sim(), []
+    for t in (2, 5, 6, 9):
+        sim.add_daemon(Marker(f"m{t}", t * MS, ran))
+    sim.add_daemon(Marker("stopper", 4 * MS, ran, action))
+    return sim, ran
+
+
+def test_stop_at_runs_every_event_up_to_t_and_ends_there():
+    def stop(sim):
+        sim.stop_at(6 * MS)
+        sim.add_daemon(Marker("at-t", 6 * MS, ran))  # scheduled after the call
+
+    sim, ran = stop_at_sim(stop)
+    sim.run_until(10 * MS)
+    assert ran == [
+        ("m2", 2 * MS), ("stopper", 4 * MS), ("m5", 5 * MS), ("m6", 6 * MS), ("at-t", 6 * MS),
+    ]
+    assert sim.clock == 6 * MS
+    sim.run_until(10 * MS)  # the later event stayed queued
+    assert ran[-1] == ("m9", 9 * MS)
+    assert sim.clock == 10 * MS
+
+
+def test_stop_at_before_the_clock_stops_at_the_clock():
+    sim, ran = stop_at_sim(lambda sim: sim.stop_at(1 * MS))
+    sim.run_until(10 * MS)
+    assert ran == [("m2", 2 * MS), ("stopper", 4 * MS)]
+    assert sim.clock == 4 * MS
+
+
+def test_stop_at_beyond_the_target_changes_nothing():
+    sim, ran = stop_at_sim(lambda sim: sim.stop_at(20 * MS))
+    sim.run_until(10 * MS)
+    assert [t for _, t in ran] == [2 * MS, 4 * MS, 5 * MS, 6 * MS, 9 * MS]
+    assert sim.clock == 10 * MS
+
+
+def test_stop_at_outside_run_until_does_not_shorten_the_next_run():
+    sim, ran = stop_at_sim()
+    sim.run_until(3 * MS)
+    sim.stop_at(3 * MS)
+    sim.run_until(10 * MS)
+    assert [t for _, t in ran] == [2 * MS, 4 * MS, 5 * MS, 6 * MS, 9 * MS]
+    assert sim.clock == 10 * MS

@@ -29,7 +29,7 @@ from srv6sim.scenario import (
     load_scenario,
     parse_scenario,
 )
-from srv6sim.sim import stream_rng, write_trace
+from srv6sim.sim import Simulation, stream_rng, write_trace
 from util import owd_scenario_raw
 from srv6sim.usecases import (
     CompensatorState,
@@ -607,6 +607,28 @@ def test_traceroute_unreachable_target_partial_dag():
     assert not res.reached
     assert "A" in res.hops
     assert res.hops["A"].nexthop_nodes == []  # no-route reply from the hop
+
+
+@pytest.mark.parametrize("removed", ["", "A"], ids=["oamp", "icmp"])
+def test_traceroute_runs_the_simulation_once_per_probe(removed, monkeypatch):
+    sim, oamp = diamond_sim()
+    for node in removed:
+        oamp.pop(node)
+    calls = Counter()
+    run_until, send = Simulation.run_until, Simulation.send
+
+    def counted_run_until(self, t_ns):
+        calls["run_until"] += 1
+        return run_until(self, t_ns)
+
+    def counted_send(self, node_id, packet):
+        calls[f"send:{node_id}"] += 1
+        return send(self, node_id, packet)
+
+    monkeypatch.setattr(Simulation, "run_until", counted_run_until)
+    monkeypatch.setattr(Simulation, "send", counted_send)
+    assert multipath_traceroute(sim, "S", S2, oamp).reached
+    assert 0 < calls["run_until"] <= calls["send:S"]
 
 
 def test_traceroute_adds_a_responder_only_where_a_node_has_none(tmp_path):
