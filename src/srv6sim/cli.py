@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import statistics as pystats
+import struct
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,12 +19,13 @@ from pathlib import Path
 from .behaviors import End, EndProgram, EndT
 from .dataplane import Node
 from .fib import FibEntry
-from .packet import SegmentRoutingHeader, pton
+from .packet import PROTO_ROUTING, PROTO_UDP, SegmentRoutingHeader, make_udp_packet, pton
 from .programs import (
     Outcome,
     helper_adjust_srh,
     helper_action,
     helper_store_bytes,
+    make_program,
 )
 from .scenario import (
     ConfigError,
@@ -255,55 +257,65 @@ def cmd_traceroute(args) -> int:
 # ---------------------------------------------------------------------------
 # Microbenchmark: in-process pipeline cost, no simulator in the loop.
 
-BENCH_FUNCTIONS = (
-    "plain",
-    "end_native",
-    "end_program_noop",
-    "end_t_program",
-    "tag_increment",
-    "add_tlv",
-)
-
 _B_SRC = pton("2001:db8:1::1")
 _B_DST = pton("2001:db8:2::1")
 _B_NH = pton("2001:db8:2::1")
 _B_SID = pton("fd00:72::b")
+_B_TLV = bytes((0x63, 6)) + b"\xab" * 6
 
 
-def _bench_node() -> Node:
-    node = Node("R", [pton("2001:db8::1")])
-    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [(_B_NH, "l1")]))
-    node.fib_insert(FibEntry(pton("fd00::"), 8, [(_B_NH, "l1")]))
-    return node
+def _bench_end_t(ctx):
+    helper_action(ctx, EndT(0))
+    return Outcome.REDIRECT
 
 
-def _bench_packet(with_srh: bool):
-    from .packet import make_udp_packet, PROTO_ROUTING, PROTO_UDP
+def _bench_tag_increment(ctx):
+    srh = ctx.packet.outer_srh
+    helper_store_bytes(ctx, 6, struct.pack(">H", (srh.tag + 1) & 0xFFFF))
+    return Outcome.OK
 
-    p = make_udp_packet(_B_SRC, _B_DST, b"\x00" * 64)
-    if with_srh:
-        srh = SegmentRoutingHeader(
-            segments=[_B_DST, _B_SID], segments_left=1, next_header=PROTO_UDP
-        )
-        p.headers[0][0].dst = _B_SID
-        p.headers[0][0].next_header = PROTO_ROUTING
-        p.headers[0][1].append(srh)
-    return p
+
+def _bench_add_tlv(ctx):
+    helper_adjust_srh(ctx, 8)
+    helper_store_bytes(ctx, 8 + 16 * len(ctx.packet.outer_srh.segments), _B_TLV)
+    return Outcome.OK
+
+
+# What each SRH case binds to the SID: None for native End, otherwise
+# the End.BPF program.
+_BENCH_SID_BINDINGS = {
+    "end_native": None,
+    "end_program_noop": make_program("noop"),
+    "end_t_program": _bench_end_t,
+    "tag_increment": _bench_tag_increment,
+    "add_tlv": _bench_add_tlv,
+}
+BENCH_FUNCTIONS = ("plain", *_BENCH_SID_BINDINGS)
 
 
 def _bench_case(name: str):
     """Returns (node, packet, reset) for one benchmarked function."""
-    node = _bench_node()
+    node = Node("R", [pton("2001:db8::1")])
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [(_B_NH, "l1")]))
+    node.fib_insert(FibEntry(pton("fd00::"), 8, [(_B_NH, "l1")]))
+    p = make_udp_packet(_B_SRC, _B_DST, b"\x00" * 64)
+    hdr = p.headers[0][0]
     if name == "plain":
-        p = _bench_packet(with_srh=False)
-
         def reset():
-            p.headers[0][0].hop_limit = 64
+            hdr.hop_limit = 64
 
         return node, p, reset
 
-    p = _bench_packet(with_srh=True)
-    hdr, srh = p.headers[0][0], p.headers[0][1][0]
+    program = _BENCH_SID_BINDINGS[name]
+    if program is None:
+        node.add_sid(_B_SID, End())
+    else:
+        node.add_program("bench", program)
+        node.add_sid(_B_SID, EndProgram("bench"))
+    srh = SegmentRoutingHeader(segments=[_B_DST, _B_SID], segments_left=1, next_header=PROTO_UDP)
+    hdr.dst = _B_SID
+    hdr.next_header = PROTO_ROUTING
+    p.headers[0][1].append(srh)
     base_plen = hdr.payload_length
 
     def reset():
@@ -313,44 +325,6 @@ def _bench_case(name: str):
         srh.segments_left = 1
         srh.tlv_bytes = b""
 
-    if name == "end_native":
-        node.add_sid(_B_SID, End())
-    elif name == "end_program_noop":
-        def noop(ctx):
-            return Outcome.OK
-
-        node.add_program("bench", noop)
-        node.add_sid(_B_SID, EndProgram("bench"))
-    elif name == "end_t_program":
-        def end_t_prog(ctx):
-            helper_action(ctx, EndT(0))
-            return Outcome.REDIRECT
-
-        node.add_program("bench", end_t_prog)
-        node.add_sid(_B_SID, EndProgram("bench"))
-    elif name == "tag_increment":
-        import struct as _s
-
-        def tag_prog(ctx):
-            srh_ = ctx.packet.outer_srh
-            helper_store_bytes(ctx, 6, _s.pack(">H", (srh_.tag + 1) & 0xFFFF))
-            return Outcome.OK
-
-        node.add_program("bench", tag_prog)
-        node.add_sid(_B_SID, EndProgram("bench"))
-    elif name == "add_tlv":
-        tlv = bytes((0x63, 6)) + b"\xab" * 6
-
-        def add_tlv_prog(ctx):
-            helper_adjust_srh(ctx, 8)
-            off = 8 + 16 * len(ctx.packet.outer_srh.segments)
-            helper_store_bytes(ctx, off, tlv)
-            return Outcome.OK
-
-        node.add_program("bench", add_tlv_prog)
-        node.add_sid(_B_SID, EndProgram("bench"))
-    else:
-        raise ValueError(f"unknown bench function {name!r}")
     return node, p, reset
 
 
