@@ -626,10 +626,11 @@ def multipath_traceroute(
         awaited, sent_at = key, sim.clock
         sim.send(src, probe)
         sim.run_until(sent_at + timeout_ns)
-        awaited = None
-        if key not in replies:
+        awaited = None  # a late reply must not cut a later run short
+        reply = replies.get(key)
+        if reply is None:
             unknown += 1
-        return replies.get(key)
+        return reply
 
     def oamp_query(hop: str) -> list[Address] | None:
         sid = oamp_sids[hop]
