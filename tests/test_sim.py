@@ -555,7 +555,7 @@ def test_stop_at_beyond_the_target_changes_nothing():
 def test_stop_at_outside_run_until_does_not_shorten_the_next_run():
     sim, ran = stop_at_sim()
     sim.run_until(3 * MS)
-    sim.stop_at(3 * MS)
+    sim.stop_at(5 * MS)
     sim.run_until(10 * MS)
     assert [t for _, t in ran] == [2 * MS, 4 * MS, 5 * MS, 6 * MS, 9 * MS]
     assert sim.clock == 10 * MS
