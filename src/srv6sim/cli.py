@@ -148,7 +148,6 @@ def cmd_owd(args) -> int:
     if not dm_programs or not dm_endpoints:
         raise ConfigError("$", "scenario has no delay-measurement path (dm_transit + end_dm)")
     controller_addr = dm_programs[0].params["controller_addr"]
-    controller_port = int(dm_programs[0].params.get("controller_port", 9000))
     ratio = int(dm_programs[0].params.get("ratio", 100))
 
     out_dir = Path(args.out)

@@ -91,6 +91,9 @@ class Node:
         self._flush_route_cache()
 
     def add_program(self, name: str, program: Program) -> None:
+        """Load a program: create the maps it declares, then bind name."""
+        for map_name, (key_size, value_size) in getattr(program, "maps", {}).items():
+            self.maps.create(map_name, key_size, value_size)
         self.programs[name] = program
 
     # -- lookups ------------------------------------------------------------

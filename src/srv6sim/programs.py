@@ -53,8 +53,10 @@ class MapStore:
         self._maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
 
     def create(self, name: str, key_size: int, value_size: int) -> None:
-        if name not in self._maps:
-            self._maps[name] = (key_size, value_size, {})
+        """Create a map, or share the existing one if the widths match."""
+        entry = self._maps.setdefault(name, (key_size, value_size, {}))
+        if entry[:2] != (key_size, value_size):
+            raise ValueError(f"map {name!r} exists with widths {entry[:2]}")
 
     def get(self, name: str, key: bytes) -> bytes | None:
         try:
@@ -117,15 +119,14 @@ class EventQueue:
 class ProgramContext:
     packet: Packet
     hook: Hook
-    node: str
     now_ns: int
-    event_sink: EventQueue
-    maps: MapStore
     dataplane: "Node"
     pending_action_taken: bool = False
 
 
 Program = Callable[[ProgramContext], Outcome]
+# A program may carry ``maps = {name: (key_size, value_size)}``, its
+# object's maps section; Node.add_program creates them when it loads it.
 
 # Program registry: name -> factory(params dict) -> Program. Scenario
 # files reference these names; use cases register theirs on import.
@@ -300,17 +301,18 @@ def helper_push_encap(
 
 
 def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
-    return ctx.maps.get(name, key)
+    return ctx.dataplane.maps.get(name, key)
 
 
 def map_put(ctx: ProgramContext, name: str, key: bytes, value: bytes) -> None:
-    ctx.maps.put(name, key, value)
+    ctx.dataplane.maps.put(name, key, value)
 
 
 def emit_event(ctx: ProgramContext, payload: bytes) -> None:
     if len(payload) > MAX_EVENT_PAYLOAD:
         raise HelperError("payload_too_large", str(len(payload)))
-    ctx.event_sink.emit(EmittedEvent(ctx.node, ctx.now_ns, payload))
+    node = ctx.dataplane
+    node.events.emit(EmittedEvent(node.id, ctx.now_ns, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +365,7 @@ def _make_context(node: "Node", packet: Packet, now: int, hook: Hook) -> Program
     """The node's context for this hook, reset for one program run."""
     ctx = node.contexts.get(hook)
     if ctx is None:
-        ctx = node.contexts[hook] = ProgramContext(
-            packet, hook, node.id, now, node.events, node.maps, node
-        )
+        ctx = node.contexts[hook] = ProgramContext(packet, hook, now, node)
     else:
         ctx.packet = packet
         ctx.now_ns = now
@@ -376,12 +376,8 @@ def _make_context(node: "Node", packet: Packet, now: int, hook: Hook) -> Program
 def run_endpoint_program(
     node: "Node", program: Program, packet: Packet, now: int
 ) -> ForwardingDecision:
-    """End.BPF analog: advance the SRH, run the program, finalize."""
-    srh = packet.outer_srh
-    if srh is None:
-        return Drop(DropReason.NO_SRH)
-    if srh.segments_left == 0:
-        return Drop(DropReason.SEGMENTS_EXHAUSTED)
+    """End.BPF analog: advance the SRH (behaviors.end raises BehaviorError
+    without one, or with none left), run the program, finalize."""
     behaviors.end(packet)
     ctx = _make_context(node, packet, now, Hook.ENDPOINT)
     try:

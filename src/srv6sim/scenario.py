@@ -482,6 +482,7 @@ def apply_overrides(
         duration_ms = read_value("#/properties/duration_ms", duration_ms, "$.duration_ms")
         cfg.duration_ns = int(duration_ms * 1_000_000)
     if ratio is not None:
+        ratio = read_value("#/$defs/dm_transit_params/properties/ratio", ratio, "$.ratio")
         for entry in list(cfg.sids) + list(cfg.transits):
             if entry.program == "dm_transit":
                 entry.params["ratio"] = ratio

@@ -5,6 +5,7 @@ aggregation with delay compensation, and ECMP nexthop discovery."""
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -144,7 +145,6 @@ def dm_transit_factory(params: dict) -> Program:
     _pushable("path_srh", path_srh)
 
     def run(ctx: ProgramContext) -> Outcome:
-        ctx.maps.create(DM_COUNTER_MAP, 4, 8)
         raw = map_get(ctx, DM_COUNTER_MAP, key)
         counter = struct.unpack(">Q", raw)[0] if raw else 0
         map_put(ctx, DM_COUNTER_MAP, key, struct.pack(">Q", counter + 1))
@@ -158,6 +158,7 @@ def dm_transit_factory(params: dict) -> Program:
             return Outcome.OK
         return Outcome.OK
 
+    run.maps = {DM_COUNTER_MAP: (4, 8)}
     return run
 
 
@@ -257,8 +258,6 @@ def iwrr_schedule(weight_a: int, weight_b: int) -> tuple[int, ...]:
 
 
 def reduce_weights(weight_a: int, weight_b: int) -> tuple[int, int]:
-    import math
-
     g = math.gcd(weight_a, weight_b)
     return weight_a // g, weight_b // g
 
@@ -279,7 +278,6 @@ def wrr_factory(params: dict) -> Program:
     _pushable("srh_b", srh_b)
 
     def run(ctx: ProgramContext) -> Outcome:
-        ctx.maps.create(WRR_STATE_MAP, 4, 12)
         try:
             raw = map_get(ctx, WRR_STATE_MAP, key)
             if raw:
@@ -301,16 +299,14 @@ def wrr_factory(params: dict) -> Program:
             return Outcome.DROP
         return Outcome.OK
 
+    run.maps = {WRR_STATE_MAP: (4, 12)}
     return run
 
 
 def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
     """Per-path packet counts accumulated by the scheduler state map;
-    (0, 0) before wrr has scheduled a packet and created the map."""
-    try:
-        raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
-    except HelperError:
-        return 0, 0
+    (0, 0) before wrr has scheduled a packet."""
+    raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
     if not raw:
         return 0, 0
     _, count_a, count_b = struct.unpack(">III", raw)

@@ -243,6 +243,7 @@ def test_criterion_4_owd_reproduction():
                 "outer_src": node.addresses[0],
             },
         )
+        node.add_program(f"dm{ratio}", prog)
         shared = base.copy()
         probes = 0
         for i in range(1_000_000):
@@ -293,6 +294,7 @@ def test_criterion_5_wrr_proportionality():
             "outer_src": node.addresses[0],
         },
     )
+    node.add_program("wrr", prog)
     base = make_udp_packet(S1, S2, b"x" * 32)
     picks = []
     for i in range(8000):

@@ -74,6 +74,7 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("bench", "--count", "0"), "$.count"),
         (("bench", "--count", "-1"), "$.count"),
         (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
+        (("owd", "setup1.json", "--ratio", "0"), "$.ratio"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):

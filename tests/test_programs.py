@@ -53,10 +53,7 @@ from test_behaviors import router, sr_packet, S1, S2, F, SID, NH_R3
 
 def make_ctx(packet, node=None, hook=Hook.ENDPOINT, now=1_500_000):
     node = node or router()
-    return ProgramContext(
-        packet=packet, hook=hook, node=node.id, now_ns=now,
-        event_sink=node.events, maps=node.maps, dataplane=node,
-    )
+    return ProgramContext(packet=packet, hook=hook, now_ns=now, dataplane=node)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +332,11 @@ def test_map_state_persists_across_invocations():
     node = router([FibEntry(b"\x00" * 16, 0, [NH_R3])])
 
     def counter_program(ctx):
-        ctx.maps.create("count", 1, 1)
         raw = map_get(ctx, "count", b"\x00") or b"\x00"
         map_put(ctx, "count", b"\x00", bytes((raw[0] + 1,)))
         return Outcome.OK
 
+    counter_program.maps = {"count": (1, 1)}
     node.add_program("count", counter_program)
     from srv6sim.behaviors import EndProgram
 
@@ -347,6 +344,36 @@ def test_map_state_persists_across_invocations():
     for _ in range(2):
         node.process_ingress(sr_packet([S2, SID], 1), 0)
     assert node.maps.get("count", b"\x00") == b"\x02"
+
+
+def counting_program(value_size=1):
+    def run(ctx):
+        raw = map_get(ctx, "count", b"\x00") or bytes(value_size)
+        count = int.from_bytes(raw, "big") + 1
+        map_put(ctx, "count", b"\x00", count.to_bytes(value_size, "big"))
+        return Outcome.OK
+
+    run.maps = {"count": (1, value_size)}
+    return run
+
+
+def test_programs_declaring_one_map_share_it():
+    node = router()
+    first, second = counting_program(), counting_program()
+    node.add_program("first", first)
+    node.add_program("second", second)
+    for program in (first, second, second):
+        run_transit_program(node, program, make_udp_packet(S1, S2, b"x"), 0)
+    assert node.maps.get("count", b"\x00") == b"\x03"
+
+
+def test_program_declaring_other_widths_fails_to_load():
+    node = router()
+    node.add_program("first", counting_program(1))
+    with pytest.raises(ValueError, match="'count'"):
+        node.add_program("second", counting_program(2))
+    assert "second" not in node.programs
+    assert node.maps.get("count", b"\x00") is None
 
 
 def test_map_width_mismatch_and_unknown():
@@ -367,7 +394,7 @@ def test_emit_event_payload_cap():
         emit_event(ctx, b"\x00" * 300)
     assert exc.value.code == "payload_too_large"
     emit_event(ctx, b"\x00" * 256)
-    assert len(ctx.event_sink) == 1
+    assert len(ctx.dataplane.events) == 1
 
 
 def test_event_queue_drop_oldest_with_counter():
@@ -476,6 +503,23 @@ def test_endpoint_program_requires_segments():
     node.add_sid(SID, EndProgram("noop"))
     p = sr_packet([SID], 0)
     assert node.process_ingress(p, 0) == Drop(DropReason.SEGMENTS_EXHAUSTED)
+
+
+def test_endpoint_program_without_srh_drops_before_running():
+    node = router()
+    ran = []
+    node.add_program("p", lambda ctx: ran.append(ctx) or Outcome.OK)
+    from srv6sim.behaviors import EndProgram
+
+    node.add_sid(SID, EndProgram("p"))
+    cases = [
+        (make_udp_packet(S1, SID, b"x"), DropReason.NO_SRH),
+        (sr_packet([SID], 0), DropReason.SEGMENTS_EXHAUSTED),
+    ]
+    for p, reason in cases:
+        decision = node.process_ingress(p, 0)
+        assert decision == Drop(reason) and decision.detail == ""
+    assert ran == []
 
 
 def test_advance_happens_before_program_entry():

@@ -2,17 +2,21 @@ import random
 
 import pytest
 
-from srv6sim.behaviors import EndX
+from srv6sim.behaviors import EndX, Forward
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
     PROTO_ROUTING,
     PROTO_UDP,
     SegmentRoutingHeader,
+    check_packet,
+    decode_packet,
+    encode_packet,
     make_udp_packet,
     pton,
 )
 from srv6sim.programs import EVENT_QUEUE_CAPACITY, EmittedEvent
+from srv6sim.scenario import build_simulation, fixture_path, load_scenario
 from srv6sim.sim import (
     Daemon,
     InsufficientData,
@@ -559,3 +563,29 @@ def test_stop_at_outside_run_until_does_not_shorten_the_next_run():
     sim.run_until(10 * MS)
     assert [t for _, t in ran] == [2 * MS, 4 * MS, 5 * MS, 6 * MS, 9 * MS]
     assert sim.clock == 10 * MS
+
+
+# ---------------------------------------------------------------------------
+# Per-hop invariants.
+
+@pytest.mark.parametrize("fixture", ["setup1.json", "setup2-hybrid.json", "diamond.json"])
+def test_every_forwarded_packet_is_valid_and_round_trips(monkeypatch, fixture):
+    """Strict per-hop check over a whole fixture run: each packet a node
+    forwards passes check_packet, its encoding decodes and re-encodes to
+    the same bytes, and its wire size is the encoding's length."""
+    apply = Simulation._apply
+    hops = []
+
+    def checked(self, node, p, decision):
+        if type(decision) is Forward:
+            check_packet(p)
+            b = encode_packet(p.copy())  # encoding rewrites lengths and checksums
+            assert encode_packet(decode_packet(b)) == b
+            assert p.wire_size() == len(b)
+            hops.append(node.id)
+        apply(self, node, p, decision)
+
+    monkeypatch.setattr(Simulation, "_apply", checked)
+    cfg = load_scenario(fixture_path(fixture))
+    build_simulation(cfg).run_until(cfg.duration_ns)
+    assert hops

@@ -73,6 +73,7 @@ def dm_transit_node(ratio=100, route_id=7):
             "outer_src": node.addresses[0],
         },
     )
+    node.add_program("prog", prog)
     return node, prog
 
 
@@ -307,6 +308,7 @@ def wrr_node(weights=(50, 30)):
             "outer_src": node.addresses[0],
         },
     )
+    node.add_program("prog", prog)
     return node, prog
 
 
@@ -333,6 +335,25 @@ def test_wrr_equal_weights_alternate():
         run_transit_program(node, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert picks == [0, 1] * 5
+
+
+def test_wrr_state_map_exists_once_the_scenario_is_built():
+    sim = build_simulation(load_scenario(fixture_path("setup2-hybrid.json")))
+    box = sim.nodes["A"]
+    assert wrr_counts(box, 1) == (0, 0)
+    assert box.maps.get("wrr_state", struct.pack(">I", 1)) is None
+    sim.run_until(1_600_000_000)  # traffic starts at 1.5 s
+    assert sum(wrr_counts(box, 1)) > 0
+
+
+def test_a_program_run_without_loading_finds_no_map():
+    node = Node("R", [pton("2001:db8::1")])
+    prog = make_program("dm_transit", {
+        "path_srh": SegmentRoutingHeader(segments=[S2, DM_SID], segments_left=1),
+        "controller_addr": CTRL[0],
+    })
+    decision = run_transit_program(node, prog, make_udp_packet(S1, S2, b"x"), 0)
+    assert decision == Drop(DropReason.PROGRAM_ERROR, "unknown_map: dm_counter")
 
 
 def wrr_twins():
