@@ -258,8 +258,9 @@ class PacketMeta:
     # finalize revalidates; this and the three pending fields are per hop,
     # cleared at each ingress
     srh_dirty: SegmentRoutingHeader | None = None
-    # (flow, seq) of the trace, filled by the first trace record; the
-    # transport never changes after construction, so it stays valid
+    # (flow, seq) of the trace, set by the traffic generator or else by the
+    # first egress row; the transport never changes after construction, so
+    # it stays valid
     trace_ids: tuple[int | None, int | None] | None = None
 
 
@@ -285,14 +286,16 @@ class Packet:
         return self.transport if isinstance(self.transport, Udp) else None
 
     def wire_size(self) -> int:
-        n = 0
-        for hdr, srhs in self.headers:
-            n += 40 + sum(s.wire_length for s in srhs)
-        if isinstance(self.transport, Udp):
-            n += self.transport.wire_length
-        else:
-            n += len(self.transport)
-        return n
+        # the wire_length properties, summed in one loop
+        headers = self.headers
+        n = 40 * len(headers)
+        for _, srhs in headers:
+            for s in srhs:
+                n += 8 + 16 * len(s.segments) + len(s.tlv_bytes)
+        tp = self.transport
+        if type(tp) is Udp:
+            return n + 8 + len(tp.payload)
+        return n + len(tp)
 
     def copy(self) -> "Packet":
         headers = []
@@ -326,13 +329,11 @@ def make_udp_packet(
     traffic_class: int = 0,
 ) -> Packet:
     """Plain single-header UDP packet with a consistent header chain."""
-    udp = Udp(src_port, dst_port, payload, length=8 + len(payload))
-    hdr = Ipv6Header(
-        src=src, dst=dst, next_header=PROTO_UDP, hop_limit=hop_limit,
-        flow_label=flow_label, traffic_class=traffic_class,
-        payload_length=udp.length,
-    )
-    return Packet(headers=[(hdr, [])], transport=udp)
+    # positional: every generated packet is made here
+    length = 8 + len(payload)
+    udp = Udp(src_port, dst_port, payload, length)
+    hdr = Ipv6Header(src, dst, PROTO_UDP, hop_limit, traffic_class, flow_label, length)
+    return Packet([(hdr, [])], udp)
 
 
 def _ones_complement_sum(data: bytes) -> int:

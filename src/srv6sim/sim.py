@@ -8,12 +8,12 @@ is FIFO. Identical (config, seed) runs produce byte-identical traces.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable
+from heapq import heappop, heappush
+from typing import Callable, NamedTuple
 
 from .behaviors import Drop, Forward, LocalDeliver
 from .dataplane import Node
@@ -24,6 +24,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # generated payloads start with this magic so traces can recover flow ids
 FLOW_MAGIC = b"\x9c\x6f"
+_FLOW_IDS = struct.Struct(">HI")  # (flow, seq), right after the magic
 
 
 class SimError(Exception):
@@ -73,8 +74,10 @@ def stream_rng(seed: int, name: str) -> Rng:
     return Rng(fnv1a64(name.encode() + seed.to_bytes(8, "big")))
 
 
-@dataclass(slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """Column names of a trace row. ``Simulation.trace`` holds plain
+    tuples in this order; ``TraceRecord._make(row)`` reads one by name."""
+
     time_ns: int
     node: str
     direction: str  # ingress | egress | drop
@@ -107,6 +110,9 @@ class Link:
     ):
         if bandwidth_bps <= 0:
             raise SimError(f"link {link_id}: bandwidth must be positive")
+        # no delay is negative, so a delivery never precedes its transmit
+        if delay_mean_ns < 0 or delay_stddev_ns < 0:
+            raise SimError(f"link {link_id}: delays must not be negative")
         self.id = link_id
         self.a = a
         self.b = b
@@ -168,21 +174,20 @@ class UdpStream:
         return 1_000_000_000 // self.rate_pps
 
     def build(self, seq: int) -> Packet:
-        payload = FLOW_MAGIC + struct.pack(">HI", self.flow, seq)
-        payload += b"\x00" * (self.payload_size - len(payload))
-        return make_udp_packet(
-            self.src, self.dst, payload,
-            src_port=self.src_port, dst_port=self.dst_port,
-            flow_label=self.flow_label,
+        flow = self.flow
+        payload = FLOW_MAGIC + _FLOW_IDS.pack(flow, seq) + bytes(self.payload_size - 8)
+        p = make_udp_packet(
+            self.src, self.dst, payload, self.src_port, self.dst_port, 64, self.flow_label
         )
+        p.meta.trace_ids = (flow, seq)  # what trace_ids(p) would parse back
+        return p
 
 
 def trace_ids(p: Packet) -> tuple[int | None, int | None]:
     """Recover (flow, seq) from a generated payload, if present."""
     tp = p.transport
     if isinstance(tp, Udp) and len(tp.payload) >= 8 and tp.payload[:2] == FLOW_MAGIC:
-        flow, seq = struct.unpack_from(">HI", tp.payload, 2)
-        return flow, seq
+        return _FLOW_IDS.unpack_from(tp.payload, 2)
     return None, None
 
 
@@ -292,7 +297,7 @@ class Simulation:
         self.ports: dict[str, dict[str, Link]] = defaultdict(dict)
         self.daemons: dict[str, Daemon] = {}
         self.handlers: dict[Address, object] = {}
-        self.trace: list[TraceRecord] = []
+        self.trace: list[tuple] = []  # rows in TraceRecord column order
         self.stats = Statistics()
         self.addr_to_node: dict[Address, str] = {}
         self._heap: list = []
@@ -360,6 +365,8 @@ class Simulation:
         link = self.links.get(link_id)
         if link is None or node_id not in link.dirs:
             raise UnknownLink(f"{link_id!r} at node {node_id!r}")
+        if delay_ns < 0:
+            raise SimError(f"qdisc delay on {link_id!r} at node {node_id!r} must not be negative")
         link.dirs[node_id].qdisc_extra_ns = delay_ns
 
     # -- event plumbing -------------------------------------------------------
@@ -368,7 +375,7 @@ class Simulation:
         if t < self.clock:  # externally injected past times fire now
             t = self.clock
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, event))
+        heappush(self._heap, (t, self._seq, event))
 
     def inject(self, node_id: str, packet: Packet, t: int | None = None) -> None:
         """Schedule a locally originated packet at the given time."""
@@ -388,12 +395,13 @@ class Simulation:
             raise SimError("run_until target precedes current clock")
         self._until = t_ns
         heap = self._heap
+        deliver = self._process_deliver
         while heap and heap[0][0] <= self._until:
-            time_ns, _, event = heapq.heappop(heap)
+            time_ns, _, event = heappop(heap)
             self.clock = time_ns
             kind = event[0]
             if kind == "deliver":
-                self._process_deliver(event[1], event[2], event[3], event[4])
+                deliver(event[1], event[2], event[3], event[4])
             elif kind == "inject":
                 self.stats.injected += 1
                 self._local_output(self.nodes[event[1]], event[2])
@@ -428,20 +436,14 @@ class Simulation:
                 stream.start_ns + (seq + 1) * stream.gap_ns, ("gen", stream, seq + 1)
             )
 
-    def _record(self, node_id: str, direction: str, p: Packet, size: int) -> None:
-        meta = p.meta
-        ids = meta.trace_ids
-        if ids is None:
-            ids = meta.trace_ids = trace_ids(p)
-        self.trace.append(TraceRecord(self.clock, node_id, direction, ids[0], ids[1], size))
-
     def _process_deliver(self, link_id: str, node_id: str, p: Packet, size: int) -> None:
-        # the packet does not change on the link: its egress size still holds
+        # the packet does not change on the link: the size and trace ids
+        # of its egress row still hold
         self.stats.link_delivered[link_id] += 1
         node = self.nodes[node_id]
-        self._record(node_id, "ingress", p, size)
-        decision = node.process_ingress(p, self.clock)
-        self._apply(node, p, decision)
+        flow, seq = p.meta.trace_ids
+        self.trace.append((self.clock, node_id, "ingress", flow, seq, size))
+        self._apply(node, p, node.process_ingress(p, self.clock))
         if node.originated:
             pending, node.originated = node.originated, []
             for out in pending:
@@ -451,21 +453,28 @@ class Simulation:
     def _apply(self, node: Node, p: Packet, decision) -> None:
         kind = type(decision)
         if kind is Forward:
-            link = self.ports[node.id].get(decision.link)
+            node_id = node.id
+            link = self.ports[node_id].get(decision.link)
             if link is None:
-                self.stats.dropped[node.id] += 1
-                self.stats.drop_reasons["bad_egress_link"] += 1
-                self._record(node.id, "drop", p, p.wire_size())
+                self._drop(node_id, "bad_egress_link", p)
                 return
-            self.stats.forwarded[node.id] += 1
+            # the egress row and the delivery event, inline: no link delay
+            # is negative, so the delivery is never before the clock
+            self.stats.forwarded[node_id] += 1
             size = p.wire_size()
-            self._record(node.id, "egress", p, size)
-            delivery = link.transmit(node.id, size, self.clock)
-            self._schedule(delivery, ("deliver", link.id, link.peer(node.id), p, size))
+            meta = p.meta
+            ids = meta.trace_ids
+            if ids is None:
+                ids = meta.trace_ids = trace_ids(p)
+            flow, seq = ids
+            now = self.clock
+            self.trace.append((now, node_id, "egress", flow, seq, size))
+            delivery = link.transmit(node_id, size, now)
+            peer = link.b if node_id == link.a else link.a  # link.peer(node_id)
+            self._seq += 1
+            heappush(self._heap, (delivery, self._seq, ("deliver", link.id, peer, p, size)))
         elif kind is Drop:
-            self.stats.dropped[node.id] += 1
-            self.stats.drop_reasons[decision.reason.value] += 1
-            self._record(node.id, "drop", p, p.wire_size())
+            self._drop(node.id, decision.reason.value, p)
         elif kind is LocalDeliver:
             self.stats.delivered[node.id] += 1
             handler = self.handlers.get(p.outer_header.dst)
@@ -474,37 +483,37 @@ class Simulation:
         else:  # pragma: no cover
             raise SimError(f"bad decision {decision!r}")
 
+    def _drop(self, node_id: str, reason: str, p: Packet) -> None:
+        self.stats.dropped[node_id] += 1
+        self.stats.drop_reasons[reason] += 1
+        flow, seq = p.meta.trace_ids or trace_ids(p)
+        self.trace.append((self.clock, node_id, "drop", flow, seq, p.wire_size()))
+
     def _local_output(self, node: Node, p: Packet) -> None:
         """Send a packet originated at a node (no hop-limit decrement)."""
-        decision = node.finish_forwarding(p)
-        self._apply(node, p, decision)
+        self._apply(node, p, node.finish_forwarding(p))
 
 
 # ---------------------------------------------------------------------------
 # Trace analysis.
 
-def _sink_ingress(trace: list[TraceRecord], flow: int) -> list[TraceRecord]:
+def _sink_ingress(trace: list[tuple], flow: int) -> list[tuple]:
     # the sink is the node where arrivals exceed departures (egress+drop):
     # transit nodes re-emit or drop everything they receive
     balance: dict[str, int] = defaultdict(int)
-    for r in trace:
-        if r.flow != flow:
-            continue
-        balance[r.node] += 1 if r.direction == "ingress" else -1
+    for _, node, direction, row_flow, _, _ in trace:
+        if row_flow == flow:
+            balance[node] += 1 if direction == "ingress" else -1
     sinks = [n for n, surplus in balance.items() if surplus > 0]
     if len(sinks) != 1:
         raise InsufficientData(
             f"flow {flow}: cannot identify a unique sink (candidates {sorted(sinks)})"
         )
     sink = sinks[0]
-    return [
-        r
-        for r in trace
-        if r.flow == flow and r.node == sink and r.direction == "ingress"
-    ]
+    return [r for r in trace if r[3] == flow and r[1] == sink and r[2] == "ingress"]
 
 
-def reorder_fraction(trace: list[TraceRecord], flow: int) -> float:
+def reorder_fraction(trace: list[tuple], flow: int) -> float:
     """Fraction of packets arriving at the sink after a higher sequence
     number was already seen."""
     records = _sink_ingress(trace, flow)
@@ -512,11 +521,11 @@ def reorder_fraction(trace: list[TraceRecord], flow: int) -> float:
         raise InsufficientData(f"flow {flow}: fewer than 2 sink arrivals")
     late = 0
     max_seq = -1
-    for r in records:
-        if r.seq < max_seq:
+    for _, _, _, _, seq, _ in records:
+        if seq < max_seq:
             late += 1
         else:
-            max_seq = r.seq
+            max_seq = seq
     return late / len(records)
 
 
@@ -524,7 +533,7 @@ UDP_PLAIN_OVERHEAD = 48  # IPv6 + UDP headers of a decapsulated packet
 
 
 def goodput_estimate(
-    trace: list[TraceRecord],
+    trace: list[tuple],
     flow: int,
     gap_threshold: int = 3,
     stall_penalty_ns: int = 30_000_000,
@@ -540,27 +549,28 @@ def goodput_estimate(
         raise InsufficientData(f"flow {flow}: fewer than 2 sink arrivals")
     bits = 0
     stalls = 0
-    expected = records[0].seq  # next in-order sequence (cumulative-ack point)
+    first, last = TraceRecord._make(records[0]), TraceRecord._make(records[-1])
+    expected = first.seq  # next in-order sequence (cumulative-ack point)
     pending: set[int] = set()
-    for r in records:
-        bits += max(0, r.size - UDP_PLAIN_OVERHEAD) * 8
-        if r.seq - expected > gap_threshold:
+    for _, _, _, _, seq, size in records:
+        bits += max(0, size - UDP_PLAIN_OVERHEAD) * 8
+        if seq - expected > gap_threshold:
             stalls += 1
-        pending.add(r.seq)
+        pending.add(seq)
         while expected in pending:
             pending.discard(expected)
             expected += 1
-    duration = records[-1].time_ns - records[0].time_ns
+    duration = last.time_ns - first.time_ns
     total_ns = duration + stalls * stall_penalty_ns
     if total_ns <= 0:
         raise InsufficientData("zero observation window")
     return bits / (total_ns / 1e9)
 
 
-def write_trace(trace: list[TraceRecord], path) -> None:
+def write_trace(trace: list[tuple], path) -> None:
     """Tab-separated export: time_ns, node, direction, flow, seq, size."""
     with open(path, "w", encoding="ascii") as fh:
-        for r in trace:
-            flow = "-" if r.flow is None else r.flow
-            seq = "-" if r.seq is None else r.seq
-            fh.write(f"{r.time_ns}\t{r.node}\t{r.direction}\t{flow}\t{seq}\t{r.size}\n")
+        for time_ns, node, direction, flow, seq, size in trace:
+            flow = "-" if flow is None else flow
+            seq = "-" if seq is None else seq
+            fh.write(f"{time_ns}\t{node}\t{direction}\t{flow}\t{seq}\t{size}\n")

@@ -278,21 +278,19 @@ def wrr_factory(params: dict) -> Program:
     _pushable("srh_b", srh_b)
 
     def run(ctx: ProgramContext) -> Outcome:
-        try:
-            raw = map_get(ctx, WRR_STATE_MAP, key)
-            if raw:
-                cursor, count_a, count_b = struct.unpack(">III", raw)
-            else:
-                cursor, count_a, count_b = 0, 0, 0
-            pick = schedule[cursor % len(schedule)]
-            cursor = (cursor + 1) % len(schedule)
-            if pick == 0:
-                count_a += 1
-            else:
-                count_b += 1
-            map_put(ctx, WRR_STATE_MAP, key, struct.pack(">III", cursor, count_a, count_b))
-        except HelperError:
-            return Outcome.DROP
+        # a map fault is a program error, reported by run_transit_program
+        raw = map_get(ctx, WRR_STATE_MAP, key)
+        if raw:
+            cursor, count_a, count_b = struct.unpack(">III", raw)
+        else:
+            cursor, count_a, count_b = 0, 0, 0
+        pick = schedule[cursor % len(schedule)]
+        cursor = (cursor + 1) % len(schedule)
+        if pick == 0:
+            count_a += 1
+        else:
+            count_b += 1
+        map_put(ctx, WRR_STATE_MAP, key, struct.pack(">III", cursor, count_a, count_b))
         try:
             helper_push_encap(ctx, "encaps", srh_a if pick == 0 else srh_b, outer_src)
         except HelperError:

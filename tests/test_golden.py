@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from srv6sim.behaviors import Forward
 from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
 from srv6sim.sim import Simulation, trace_ids, write_trace
 
@@ -79,17 +80,32 @@ def test_fixture_digests_unchanged(name, seed, tmp_path):
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
-    """The size carried to each trace record and the (flow, seq) cached in
-    the packet metadata equal what the packet itself gives at that point."""
-    record = Simulation._record
+    """The size carried to each ingress and egress row and the (flow, seq)
+    cached in the packet metadata, whether the traffic generator set it or
+    a row parsed it, equal what the packet itself gives at that point."""
+    process_deliver = Simulation._process_deliver
+    apply = Simulation._apply
     directions = set()
 
-    def checked(self, node_id, direction, p, size):
-        assert size == p.wire_size()
-        record(self, node_id, direction, p, size)
-        assert p.meta.trace_ids == trace_ids(p)
-        directions.add(direction)
+    def check_row(row, p, size):
+        assert p.meta.trace_ids == trace_ids(p) == row[3:5]
+        assert row[5] == size
+        directions.add(row[2])
 
-    monkeypatch.setattr(Simulation, "_record", checked)
+    def checked_deliver(self, link_id, node_id, p, size):
+        assert size == p.wire_size()
+        n = len(self.trace)
+        process_deliver(self, link_id, node_id, p, size)
+        assert self.trace[n][:3] == (self.clock, node_id, "ingress")
+        check_row(self.trace[n], p, size)
+
+    def checked_apply(self, node, p, decision):
+        apply(self, node, p, decision)
+        if type(decision) is Forward:
+            assert self.trace[-1][:3] == (self.clock, node.id, "egress")
+            check_row(self.trace[-1], p, p.wire_size())
+
+    monkeypatch.setattr(Simulation, "_process_deliver", checked_deliver)
+    monkeypatch.setattr(Simulation, "_apply", checked_apply)
     sim, _ = _run(name, seed)
     assert sim.trace and {"ingress", "egress"} <= directions

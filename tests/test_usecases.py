@@ -29,7 +29,7 @@ from srv6sim.scenario import (
     load_scenario,
     parse_scenario,
 )
-from srv6sim.sim import Simulation, stream_rng, write_trace
+from srv6sim.sim import Simulation, TraceRecord, stream_rng, write_trace
 from util import owd_scenario_raw
 from srv6sim.usecases import (
     CompensatorState,
@@ -354,6 +354,16 @@ def test_a_program_run_without_loading_finds_no_map():
     })
     decision = run_transit_program(node, prog, make_udp_packet(S1, S2, b"x"), 0)
     assert decision == Drop(DropReason.PROGRAM_ERROR, "unknown_map: dm_counter")
+
+
+def test_a_wrr_run_without_loading_reports_the_map_fault():
+    node = Node("R", [pton("2001:db8::1")])
+    prog = make_program("wrr", {
+        "srh_a": SegmentRoutingHeader(segments=[S2, pton("fd00:6d::a")], segments_left=1),
+        "srh_b": SegmentRoutingHeader(segments=[S2, pton("fd00:6d::b")], segments_left=1),
+    })
+    decision = run_transit_program(node, prog, make_udp_packet(S1, S2, b"x"), 0)
+    assert decision == Drop(DropReason.PROGRAM_ERROR, "unknown_map: wrr_state")
 
 
 def wrr_twins():
@@ -803,8 +813,8 @@ def oamp_events_before_the_prober(tmp_path):
     responder.reply_addr = sim.nodes["S"].addresses[0]
     sim.run_until(10_000_000)
     assert len(queue) == 0
-    replies = [r.time_ns for r in sim.trace if r.node == "A" and r.direction == "egress"
-               and r.flow is None]
+    replies = [r.time_ns for r in map(TraceRecord._make, sim.trace)
+               if r.node == "A" and r.direction == "egress" and r.flow is None]
     return replies, trace_bytes(sim, tmp_path)
 
 
