@@ -57,9 +57,10 @@ class LocalDeliver:
 
 ForwardingDecision = Forward | Drop | LocalDeliver
 
-# Decisions are immutable, so these two are shared by every hop.
+# Decisions are immutable, so these are shared: one Drop per reason, without detail.
 LOCAL_DELIVER = LocalDeliver()
-DROP_NO_ROUTE = Drop(DropReason.NO_ROUTE)
+DROPS = {reason: Drop(reason) for reason in DropReason}
+DROP_NO_ROUTE = DROPS[DropReason.NO_ROUTE]
 
 
 class BehaviorError(Exception):
@@ -67,6 +68,9 @@ class BehaviorError(Exception):
         super().__init__(detail or reason.value)
         self.reason = reason
         self.detail = detail
+
+    def drop(self) -> Drop:
+        return Drop(self.reason, self.detail) if self.detail else DROPS[self.reason]
 
 
 # ---------------------------------------------------------------------------

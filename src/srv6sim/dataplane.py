@@ -8,6 +8,7 @@ from .behaviors import (
     Behavior,
     BehaviorError,
     DROP_NO_ROUTE,
+    DROPS,
     Drop,
     DropReason,
     Forward,
@@ -55,8 +56,9 @@ class Node:
         self.maps = MapStore()
         self.events = EventQueue()
         self.originated: list[Packet] = []
-        # one ProgramContext per hook, reset for each program run
-        self.contexts: dict[Hook, ProgramContext] = {}
+        # one ProgramContext per hook, made here and reset for each run
+        self.endpoint_ctx = ProgramContext(None, Hook.ENDPOINT, 0, self)
+        self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
         # The route cache, as the seg6 dst_cache: per destination, its SID
         # or transit behaviour (None: plain forwarding) and its table-0
         # route (a shared Forward, the ECMP nexthop list or DROP_NO_ROUTE).
@@ -157,14 +159,14 @@ class Node:
         meta = p.meta
         if meta.pending_destination is not None:
             return Forward(meta.pending_link, meta.pending_destination)
-        dst = p.outer_header.dst
+        dst = p.headers[0][0].dst
         if dst in self.local_addrs:
             return LOCAL_DELIVER
         if meta.pending_table:
             try:
                 nh, link = self.fib_lookup(dst, meta.pending_table, p)
             except BehaviorError as exc:
-                return Drop(exc.reason, exc.detail)
+                return exc.drop()
             return Forward(link, nh)
         route = self._routes.get(dst) or self._route(dst)
         if route.__class__ is list:
@@ -181,12 +183,12 @@ class Node:
         meta.ingress_node = self.id
         meta.pending_destination = meta.pending_link = None
         meta.pending_table = meta.srh_dirty = None
-        hdr = p.outer_header
+        hdr = p.headers[0][0]
         hdr.hop_limit -= 1
         if hdr.hop_limit <= 0:
             hdr.hop_limit = 0
             self._emit_time_exceeded(p)
-            return Drop(DropReason.HOP_LIMIT_EXCEEDED)
+            return DROPS[DropReason.HOP_LIMIT_EXCEEDED]
         dst = hdr.dst
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
@@ -210,7 +212,7 @@ class Node:
                 behaviors.end(p)
             b.action(p)
         except BehaviorError as exc:
-            return Drop(exc.reason, exc.detail)
+            return exc.drop()
         except InvariantViolation as exc:
             return Drop(DropReason.INVARIANT, str(exc))
         return self.finish_forwarding(p)

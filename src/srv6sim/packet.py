@@ -167,15 +167,15 @@ def walk_tlvs(region: bytes):
         off += 2 + length
 
 
-def find_tlv(srh: SegmentRoutingHeader, tlv_type: int) -> Tlv | None:
-    """First TLV of the given type, or None (also None on a broken walk)."""
+def first_tlvs(srh: SegmentRoutingHeader) -> dict[int, Tlv]:
+    """First TLV of each type in srh's TLV region; a broken walk keeps those before it."""
+    found: dict[int, Tlv] = {}
     try:
         for _, tlv in walk_tlvs(srh.tlv_bytes):
-            if tlv.type == tlv_type:
-                return tlv
+            found.setdefault(tlv.type, tlv)
     except ParseError:
-        return None
-    return None
+        pass
+    return found
 
 
 @dataclass(slots=True)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import behaviors
-from .behaviors import Behavior, BehaviorError, Drop, DropReason, ForwardingDecision
+from .behaviors import Behavior, BehaviorError, DROPS, Drop, DropReason, ForwardingDecision
 from .packet import Address, InvariantViolation, Packet, SegmentRoutingHeader, validate_srh
 
 if TYPE_CHECKING:
@@ -38,6 +38,11 @@ class Hook(Enum):
     TRANSIT = "transit"
 
 
+# enum class attribute reads go through a metaclass hook; hot paths read these
+_OK, _DROP, _REDIRECT = Outcome
+_ENDPOINT, _TRANSIT = Hook
+
+
 class HelperError(Exception):
     """Raised by helpers on contract violations; programs may catch it."""
 
@@ -47,36 +52,17 @@ class HelperError(Exception):
 
 
 class MapStore:
-    """Named key/value stores with fixed octet widths, one per node."""
+    """A node's maps: ``maps[name]`` is (key_size, value_size, data). Its
+    get and put are the checked helpers map_get and map_put, on the store."""
 
     def __init__(self):
-        self._maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
+        self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
 
     def create(self, name: str, key_size: int, value_size: int) -> None:
         """Create a map, or share the existing one if the widths match."""
-        entry = self._maps.setdefault(name, (key_size, value_size, {}))
+        entry = self.maps.setdefault(name, (key_size, value_size, {}))
         if entry[:2] != (key_size, value_size):
             raise ValueError(f"map {name!r} exists with widths {entry[:2]}")
-
-    def get(self, name: str, key: bytes) -> bytes | None:
-        try:
-            ksize, _, data = self._maps[name]
-        except KeyError:
-            raise HelperError("unknown_map", name) from None
-        if len(key) != ksize:
-            raise HelperError("width_mismatch", f"key {len(key)} != {ksize}")
-        return data.get(key)
-
-    def put(self, name: str, key: bytes, value: bytes) -> None:
-        try:
-            ksize, vsize, data = self._maps[name]
-        except KeyError:
-            raise HelperError("unknown_map", name) from None
-        if len(key) != ksize:
-            raise HelperError("width_mismatch", f"key {len(key)} != {ksize}")
-        if len(value) != vsize:
-            raise HelperError("width_mismatch", f"value {len(value)} != {vsize}")
-        data[key] = value
 
 
 @dataclass(slots=True)
@@ -122,6 +108,10 @@ class ProgramContext:
     now_ns: int
     dataplane: "Node"
     pending_action_taken: bool = False
+    maps: dict = field(init=False)  # dataplane.maps.maps, for map_get/map_put
+
+    def __post_init__(self):
+        self.maps = self.dataplane.maps.maps
 
 
 Program = Callable[[ProgramContext], Outcome]
@@ -255,7 +245,7 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     when its descriptor was built and is not marked for finalize; an SRH a
     helper wrote before the action stays marked. One action per program
     run."""
-    if ctx.hook is not Hook.ENDPOINT:
+    if ctx.hook is not _ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
     if ctx.pending_action_taken:
         raise HelperError("action_already_taken")
@@ -283,7 +273,7 @@ def helper_push_encap(
     As bpf_lwt_push_encap, the push validates the program's SRH once per
     call and then copies it, so it is not marked for finalize; an SRH a
     helper wrote before stays marked, though it may now be inner."""
-    if ctx.hook is not Hook.TRANSIT:
+    if ctx.hook is not _TRANSIT:
         raise HelperError("wrong_hook", "helper_push_encap is transit-only")
     try:
         if mode == "insert":
@@ -301,11 +291,29 @@ def helper_push_encap(
 
 
 def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
-    return ctx.dataplane.maps.get(name, key)
+    try:
+        ksize, _, data = ctx.maps[name]
+    except KeyError:
+        raise HelperError("unknown_map", name) from None
+    if len(key) != ksize:
+        raise HelperError("width_mismatch", f"key {len(key)} != {ksize}")
+    return data.get(key)
 
 
 def map_put(ctx: ProgramContext, name: str, key: bytes, value: bytes) -> None:
-    ctx.dataplane.maps.put(name, key, value)
+    try:
+        ksize, vsize, data = ctx.maps[name]
+    except KeyError:
+        raise HelperError("unknown_map", name) from None
+    if len(key) != ksize:
+        raise HelperError("width_mismatch", f"key {len(key)} != {ksize}")
+    if len(value) != vsize:
+        raise HelperError("width_mismatch", f"value {len(value)} != {vsize}")
+    data[key] = value
+
+
+MapStore.get = map_get
+MapStore.put = map_put
 
 
 def emit_event(ctx: ProgramContext, payload: bytes) -> None:
@@ -340,37 +348,25 @@ def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     bypasses the lookup.
     """
     p = ctx.packet
-    if p.meta.srh_dirty is not None:
-        bad = validate_srh(p.meta.srh_dirty)
+    meta = p.meta
+    if meta.srh_dirty is not None:
+        bad = validate_srh(meta.srh_dirty)
         if bad is not None:
             return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
-    if outcome is Outcome.DROP:
-        return Drop(DropReason.PROGRAM_DROP)
-    if outcome is Outcome.REDIRECT:
-        dest = p.meta.pending_destination
+    if outcome is _DROP:
+        return DROPS[DropReason.PROGRAM_DROP]
+    if outcome is _REDIRECT:
+        dest = meta.pending_destination
         if dest is None:
-            return Drop(DropReason.REDIRECT_WITHOUT_DESTINATION)
-        if p.meta.pending_link is None:
+            return DROPS[DropReason.REDIRECT_WITHOUT_DESTINATION]
+        if meta.pending_link is None:
             if dest in ctx.dataplane.local_addrs:
                 return behaviors.LOCAL_DELIVER
             return Drop(DropReason.REDIRECT_WITHOUT_DESTINATION, "no egress link")
-        return behaviors.Forward(p.meta.pending_link, dest)
+        return behaviors.Forward(meta.pending_link, dest)
     # OK: the default lookup overrides any destination a helper stored
-    p.meta.pending_destination = None
-    p.meta.pending_link = None
+    meta.pending_destination = meta.pending_link = None
     return ctx.dataplane.finish_forwarding(p)
-
-
-def _make_context(node: "Node", packet: Packet, now: int, hook: Hook) -> ProgramContext:
-    """The node's context for this hook, reset for one program run."""
-    ctx = node.contexts.get(hook)
-    if ctx is None:
-        ctx = node.contexts[hook] = ProgramContext(packet, hook, now, node)
-    else:
-        ctx.packet = packet
-        ctx.now_ns = now
-        ctx.pending_action_taken = False
-    return ctx
 
 
 def run_endpoint_program(
@@ -379,7 +375,8 @@ def run_endpoint_program(
     """End.BPF analog: advance the SRH (behaviors.end raises BehaviorError
     without one, or with none left), run the program, finalize."""
     behaviors.end(packet)
-    ctx = _make_context(node, packet, now, Hook.ENDPOINT)
+    ctx = node.endpoint_ctx
+    ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
     try:
         outcome = program(ctx)
     except HelperError as exc:
@@ -391,7 +388,8 @@ def run_transit_program(
     node: "Node", program: Program, packet: Packet, now: int
 ) -> ForwardingDecision:
     """LWT hook analog: no advance, then the same finalize contract."""
-    ctx = _make_context(node, packet, now, Hook.TRANSIT)
+    ctx = node.transit_ctx
+    ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
     try:
         outcome = program(ctx)
     except HelperError as exc:
@@ -404,6 +402,6 @@ def _noop_factory(params: dict) -> Program:
     """Program that does nothing: the BPF reimplementation of End."""
 
     def run(ctx: ProgramContext) -> Outcome:
-        return Outcome.OK
+        return _OK
 
     return run

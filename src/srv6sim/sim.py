@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -132,7 +133,7 @@ class Link:
         """Occupy the sender-side direction and return the delivery time."""
         d = self.dirs[sender]
         start = now if now > d.busy_until else d.busy_until
-        ser = self.serialization_ns(size_bytes)
+        ser = size_bytes * 8 * 1_000_000_000 // self.bandwidth_bps  # serialization_ns
         d.busy_until = start + ser
         if self.delay_stddev_ns > 0:
             delay = int(self.rng.gauss(self.delay_mean_ns, self.delay_stddev_ns))
@@ -168,10 +169,6 @@ class UdpStream:
             raise SimError("rate_pps must be positive")
         if self.payload_size < 8:
             raise SimError("payload_size must be at least 8")
-
-    @property
-    def gap_ns(self) -> int:
-        return 1_000_000_000 // self.rate_pps
 
     def build(self, seq: int) -> Packet:
         flow = self.flow
@@ -255,12 +252,13 @@ class Daemon:
 
 
 class _Wakeup:
-    """A queue-woken daemon's alarm: the queue calls it on every emit."""
+    """A queue-woken daemon's alarm: the queue calls it on every emit. It
+    holds the simulation, which holds it, weakly."""
 
     __slots__ = ("sim", "daemon", "queue", "origin", "last", "armed")
 
     def __init__(self, sim: "Simulation", daemon: Daemon, queue, origin: int):
-        self.sim = sim
+        self.sim = weakref.ref(sim)
         self.daemon = daemon
         self.queue = queue
         self.origin = origin
@@ -271,7 +269,7 @@ class _Wakeup:
         if self.armed or not self.queue:
             return
         self.armed = True
-        now = self.sim.clock
+        now = self.sim().clock
         interval = self.daemon.interval_ns
         t = self.origin if now <= self.origin else now + (self.origin - now) % interval
         # An emit exactly at a grid instant is drained at that instant,
@@ -280,12 +278,12 @@ class _Wakeup:
         # interval, as it would for a daemon polling every interval.
         if t == self.last:
             t += interval
-        self.sim._schedule(t, ("wake", self))
+        self.sim()._schedule(t, ("wake", self))
 
     def fire(self, now: int) -> None:
         self.armed = False
         self.last = now
-        self.daemon.tick(self.sim, now)
+        self.daemon.tick(self.sim(), now)
 
 
 class Simulation:
@@ -383,7 +381,6 @@ class Simulation:
 
     def send(self, node_id: str, packet: Packet) -> None:
         """Immediately originate a packet at a node (daemon/handler use)."""
-        self.stats.injected += 1
         self._local_output(self.nodes[node_id], packet)
 
     # -- execution ------------------------------------------------------------
@@ -403,7 +400,6 @@ class Simulation:
             if kind == "deliver":
                 deliver(event[1], event[2], event[3], event[4])
             elif kind == "inject":
-                self.stats.injected += 1
                 self._local_output(self.nodes[event[1]], event[2])
             elif kind == "gen":
                 self._process_gen(event[1], event[2])
@@ -430,11 +426,14 @@ class Simulation:
 
     def _process_gen(self, stream: UdpStream, seq: int) -> None:
         self.stats.injected += 1
-        self._local_output(self.nodes[stream.src_node], stream.build(seq))
-        if seq + 1 < stream.count:
-            self._schedule(
-                stream.start_ns + (seq + 1) * stream.gap_ns, ("gen", stream, seq + 1)
-            )
+        node = self.nodes[stream.src_node]
+        p = stream.build(seq)
+        self._apply(node, p, node.finish_forwarding(p))  # _local_output, inline
+        seq += 1
+        if seq < stream.count:  # one gap later, clamped to the clock as by _schedule
+            t = max(self.clock, stream.start_ns + seq * (1_000_000_000 // stream.rate_pps))
+            self._seq += 1
+            heappush(self._heap, (t, self._seq, ("gen", stream, seq)))
 
     def _process_deliver(self, link_id: str, node_id: str, p: Packet, size: int) -> None:
         # the packet does not change on the link: the size and trace ids
@@ -447,7 +446,6 @@ class Simulation:
         if node.originated:
             pending, node.originated = node.originated, []
             for out in pending:
-                self.stats.injected += 1
                 self._local_output(node, out)
 
     def _apply(self, node: Node, p: Packet, decision) -> None:
@@ -477,7 +475,7 @@ class Simulation:
             self._drop(node.id, decision.reason.value, p)
         elif kind is LocalDeliver:
             self.stats.delivered[node.id] += 1
-            handler = self.handlers.get(p.outer_header.dst)
+            handler = self.handlers.get(p.headers[0][0].dst)
             if handler is not None:
                 handler(p, self.clock)
         else:  # pragma: no cover
@@ -490,7 +488,8 @@ class Simulation:
         self.trace.append((self.clock, node_id, "drop", flow, seq, p.wire_size()))
 
     def _local_output(self, node: Node, p: Packet) -> None:
-        """Send a packet originated at a node (no hop-limit decrement)."""
+        """Count and send a packet a node originates (no hop-limit decrement)."""
+        self.stats.injected += 1
         self._apply(node, p, node.finish_forwarding(p))
 
 

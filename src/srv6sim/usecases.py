@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 from .packet import (
@@ -19,7 +20,7 @@ from .packet import (
     Tlv,
     Udp,
     encode_tlvs,
-    find_tlv,
+    first_tlvs,
     make_udp_packet,
     ntop,
 )
@@ -47,10 +48,12 @@ TLV_TYPE_DM = 1
 TLV_TYPE_CONTROLLER = 2
 
 DM_EVENT_LEN = 38  # path_id:4 tx:8 rx:8 ctrl_addr:16 ctrl_port:2
+_U64 = struct.Struct(">Q")  # dm_counter values
+_WRR_STATE = struct.Struct(">III")  # wrr_state values: cursor, count_a, count_b
 
 
 def dm_tlv(tx_ts_ns: int) -> Tlv:
-    return Tlv(TLV_TYPE_DM, struct.pack(">Q", tx_ts_ns))
+    return Tlv(TLV_TYPE_DM, _U64.pack(tx_ts_ns))
 
 
 def controller_tlv(addr: Address, port: int) -> Tlv:
@@ -66,15 +69,17 @@ def _pushable(name: str, srh: SegmentRoutingHeader) -> None:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def read_dm_tlv(srh: SegmentRoutingHeader) -> int | None:
-    tlv = find_tlv(srh, TLV_TYPE_DM)
+def read_dm_tlv(srh: SegmentRoutingHeader, tlvs: dict | None = None) -> int | None:
+    tlv = (first_tlvs(srh) if tlvs is None else tlvs).get(TLV_TYPE_DM)
     if tlv is None or tlv.length != 8:
         return None
-    return struct.unpack(">Q", tlv.value)[0]
+    return _U64.unpack(tlv.value)[0]
 
 
-def read_controller_tlv(srh: SegmentRoutingHeader) -> tuple[Address, int] | None:
-    tlv = find_tlv(srh, TLV_TYPE_CONTROLLER)
+def read_controller_tlv(
+    srh: SegmentRoutingHeader, tlvs: dict | None = None
+) -> tuple[Address, int] | None:
+    tlv = (first_tlvs(srh) if tlvs is None else tlvs).get(TLV_TYPE_CONTROLLER)
     if tlv is None or tlv.length != 18:
         return None
     return bytes(tlv.value[:16]), struct.unpack(">H", tlv.value[16:])[0]
@@ -143,20 +148,20 @@ def dm_transit_factory(params: dict) -> Program:
     path_srh: SegmentRoutingHeader = params["path_srh"].copy()
     path_srh.tlv_bytes = encode_tlvs(dm_tlv(0), ctrl_tlv)
     _pushable("path_srh", path_srh)
+    ok = Outcome.OK  # read once: an enum class attribute read is slow
 
     def run(ctx: ProgramContext) -> Outcome:
         raw = map_get(ctx, DM_COUNTER_MAP, key)
-        counter = struct.unpack(">Q", raw)[0] if raw else 0
-        map_put(ctx, DM_COUNTER_MAP, key, struct.pack(">Q", counter + 1))
+        counter = _U64.unpack(raw)[0] if raw else 0
+        map_put(ctx, DM_COUNTER_MAP, key, _U64.pack(counter + 1))
         if counter % ratio != 0:
-            return Outcome.OK
+            return ok
         path_srh.tlv_bytes = encode_tlvs(dm_tlv(helper_timestamp(ctx)), ctrl_tlv)
         try:
             helper_push_encap(ctx, "encaps", path_srh, outer_src)
         except HelperError:
-            # a failed probe must never harm the underlying traffic
-            return Outcome.OK
-        return Outcome.OK
+            pass  # a failed probe must never harm the underlying traffic
+        return ok
 
     run.maps = {DM_COUNTER_MAP: (4, 8)}
     return run
@@ -179,8 +184,9 @@ def end_dm_factory(params: dict) -> Program:
         srh = ctx.packet.outer_srh
         if srh is None:
             return Outcome.DROP
-        tx = read_dm_tlv(srh)
-        ctrl = read_controller_tlv(srh)
+        tlvs = first_tlvs(srh)  # one walk for both TLVs
+        tx = read_dm_tlv(srh, tlvs)
+        ctrl = read_controller_tlv(srh, tlvs)
         if tx is None or ctrl is None:
             return Outcome.DROP
         if srh.segments_left > 0:
@@ -276,12 +282,13 @@ def wrr_factory(params: dict) -> Program:
     key = struct.pack(">I", route_id)
     _pushable("srh_a", srh_a)
     _pushable("srh_b", srh_b)
+    ok = Outcome.OK  # read once: an enum class attribute read is slow
 
     def run(ctx: ProgramContext) -> Outcome:
         # a map fault is a program error, reported by run_transit_program
         raw = map_get(ctx, WRR_STATE_MAP, key)
         if raw:
-            cursor, count_a, count_b = struct.unpack(">III", raw)
+            cursor, count_a, count_b = _WRR_STATE.unpack(raw)
         else:
             cursor, count_a, count_b = 0, 0, 0
         pick = schedule[cursor % len(schedule)]
@@ -290,12 +297,12 @@ def wrr_factory(params: dict) -> Program:
             count_a += 1
         else:
             count_b += 1
-        map_put(ctx, WRR_STATE_MAP, key, struct.pack(">III", cursor, count_a, count_b))
+        map_put(ctx, WRR_STATE_MAP, key, _WRR_STATE.pack(cursor, count_a, count_b))
         try:
             helper_push_encap(ctx, "encaps", srh_a if pick == 0 else srh_b, outer_src)
         except HelperError:
             return Outcome.DROP
-        return Outcome.OK
+        return ok
 
     run.maps = {WRR_STATE_MAP: (4, 12)}
     return run
@@ -307,7 +314,7 @@ def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
     raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
     if not raw:
         return 0, 0
-    _, count_a, count_b = struct.unpack(">III", raw)
+    _, count_a, count_b = _WRR_STATE.unpack(raw)
     return count_a, count_b
 
 
@@ -386,7 +393,7 @@ class TwdProber(Daemon):
 
     def setup(self, sim: Simulation) -> None:
         for pl in self.links:
-            sim.bind(pl.return_addr, self._receiver(sim, pl))
+            sim.bind(pl.return_addr, self._receiver(weakref.proxy(sim), pl))  # no cycle
 
     def _receiver(self, sim: Simulation, pl: ProbeLink):
         def on_probe(p: Packet, now: int) -> None:

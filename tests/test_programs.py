@@ -16,6 +16,7 @@ from srv6sim.behaviors import (
     EndX,
     Forward,
     TransitInsert,
+    TransitProgram,
 )
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
@@ -543,6 +544,39 @@ def test_advance_happens_before_program_entry():
     assert seen["sl"] == 0
     assert seen["dst"] == seen["active"] == S2
     assert seen["clock"] == seen["rx"] == 4_200
+
+
+def test_each_run_resets_the_node_context_of_its_hook():
+    """Two End.BPF programs back to back each take their action on the
+    node's endpoint context, reset for the run; a transit run gets the
+    node's other context."""
+    node = router([FibEntry(b"\x00" * 16, 0, [NH_R3])])
+    dst = pton("2001:db8:7::1")
+    seen = []
+
+    def act(ctx):
+        seen.append((ctx, ctx.hook, ctx.packet, ctx.now_ns))
+        helper_action(ctx, EndX(*NH_R3))  # action_already_taken on a stale context
+        return Outcome.REDIRECT
+
+    def observe(ctx):
+        seen.append((ctx, ctx.hook, ctx.packet, ctx.now_ns))
+        return Outcome.OK
+
+    node.add_program("first", act)
+    node.add_program("second", lambda ctx: act(ctx))
+    node.add_program("transit", observe)
+    node.add_sid(SID, EndProgram("first"))
+    node.add_sid(F, EndProgram("second"))
+    node.add_transit(dst, 64, TransitProgram("transit"))
+    p1, p2, p3 = sr_packet([S2, SID], 1), sr_packet([S2, F], 1), make_udp_packet(S1, dst, b"x")
+    assert node.process_ingress(p1, 100) == Forward(NH_R3[1], NH_R3[0])
+    assert node.process_ingress(p2, 200) == Forward(NH_R3[1], NH_R3[0])
+    node.process_ingress(p3, 300)
+    (c1, h1, q1, t1), (c2, h2, q2, t2), (c3, h3, q3, t3) = seen
+    assert q1 is p1 and q2 is p2 and q3 is p3 and (t1, t2, t3) == (100, 200, 300)
+    assert c1 is c2 and h1 is h2 is Hook.ENDPOINT
+    assert c3 is not c1 and h3 is Hook.TRANSIT
 
 
 def test_uncaught_helper_error_drops_packet():

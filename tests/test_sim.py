@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -620,3 +622,22 @@ def test_every_forwarded_packet_is_valid_and_round_trips(monkeypatch, fixture):
     # every forward went through _apply: an inlined path that bypasses it
     # fails here instead of shrinking the check
     assert len(hops) == sum(stats.forwarded.values())
+
+
+@pytest.mark.parametrize("fixture", ["setup1.json", "setup2-hybrid.json", "diamond.json"])
+def test_finished_simulation_is_freed_by_reference_counting(fixture):
+    """No reference cycle holds a simulation: its daemons' wake-ups and its
+    probers' receivers refer back to it weakly, and the cycles between a
+    node and its program contexts do not reach it."""
+    cfg = load_scenario(fixture_path(fixture))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = build_simulation(cfg)
+        sim.run_until(cfg.duration_ns // 4)
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
