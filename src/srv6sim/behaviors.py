@@ -194,7 +194,7 @@ class TransitEncaps(SrhTemplate):
     type_name = "encaps"
 
     def action(self, p: Packet) -> None:
-        t_encaps(p, self.srh, self.src)
+        encapsulate(p, self.srh, self.src)
 
 
 @dataclass(frozen=True)
@@ -313,11 +313,3 @@ def t_insert(p: Packet, srh: SegmentRoutingHeader) -> Packet:
         srh.tlv_bytes, srh.routing_type,
     ))
 
-
-def t_encaps(
-    p: Packet,
-    srh: SegmentRoutingHeader,
-    src: Address,
-    hop_limit: int = DEFAULT_HOP_LIMIT,
-) -> Packet:
-    return encapsulate(p, srh, src, hop_limit)

@@ -25,7 +25,7 @@ from .packet import (
     Ipv6Header,
     encode_packet,
 )
-from .programs import EventQueue, Hook, MapStore, Program, ProgramContext, flow_key
+from .programs import EventQueue, Hook, Program, ProgramContext, flow_key
 
 ICMP_TIME_EXCEEDED = 3
 # entries per route-cache dict; a full dict is cleared, not evicted from
@@ -53,7 +53,7 @@ class Node:
         self.sids: dict[Address, Behavior] = {}
         self.transits = PrefixTable()
         self.programs: dict[str, Program] = {}
-        self.maps = MapStore()
+        self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
         self.events = EventQueue()
         self.originated: list[Packet] = []
         # one ProgramContext per hook, made here and reset for each run
@@ -61,10 +61,10 @@ class Node:
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
         # The route cache, as the seg6 dst_cache: per destination, its SID
         # or transit behaviour (None: plain forwarding) and its table-0
-        # route (a shared Forward, the ECMP nexthop list or DROP_NO_ROUTE).
-        # Every table mutator below clears it.
+        # route, (decision, nexthops) with a shared Forward, DROP_NO_ROUTE
+        # or None (ECMP) as decision. Every table mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
-        self._routes: dict[Address, Forward | Drop | list[tuple[Address, str]]] = {}
+        self._routes: dict[Address, tuple[Forward | Drop | None, list[tuple[Address, str]]]] = {}
 
     def _flush_route_cache(self) -> None:
         self._behaviors.clear()
@@ -93,61 +93,51 @@ class Node:
         self._flush_route_cache()
 
     def add_program(self, name: str, program: Program) -> None:
-        """Load a program: create the maps it declares, then bind name."""
+        """Load a program: create or share the maps it declares, then bind name."""
         for map_name, (key_size, value_size) in getattr(program, "maps", {}).items():
-            self.maps.create(map_name, key_size, value_size)
+            entry = self.maps.setdefault(map_name, (key_size, value_size, {}))
+            if entry[:2] != (key_size, value_size):
+                raise ValueError(f"map {map_name!r} exists with widths {entry[:2]}")
         self.programs[name] = program
 
     # -- lookups ------------------------------------------------------------
 
-    def _nexthops(self, addr: Address, table: int) -> list[tuple[Address, str]]:
-        t = self.tables.get(table)
-        entry = t.lookup(addr) if t else None
-        if entry is None:
-            raise BehaviorError(DropReason.NO_ROUTE)
-        return entry.nexthops
-
-    def _route(self, dst: Address) -> Forward | Drop | list[tuple[Address, str]]:
+    def _route(self, dst: Address) -> tuple[Forward | Drop | None, list[tuple[Address, str]]]:
         """Fill dst's table-0 route into the route cache."""
         entry = self.tables[0].lookup(dst)
         if entry is None:
-            route = DROP_NO_ROUTE
+            route = DROP_NO_ROUTE, []
         elif len(entry.nexthops) == 1:
             nh, link = entry.nexthops[0]
-            route = Forward(link, nh)
+            route = Forward(link, nh), entry.nexthops
         else:
-            route = entry.nexthops
+            route = None, entry.nexthops
         _remember(self._routes, dst, route)
         return route
 
-    def fib_lookup(self, addr: Address, table: int, p: Packet) -> tuple[Address, str]:
-        """Nexthop for addr; table 0 is served from the route cache, and
-        p's ECMP flow key is built only when the matched route has more
-        than one nexthop."""
+    def _nexthops(self, addr: Address, table: int) -> list[tuple[Address, str]]:
+        """addr's nexthops in table; table 0 is served from the route cache."""
         if table:
-            nexthops = self._nexthops(addr, table)
+            t = self.tables.get(table)
+            entry = t.lookup(addr) if t else None
+            nexthops = [] if entry is None else entry.nexthops
         else:
-            route = self._routes.get(addr) or self._route(addr)
-            if route.__class__ is Forward:
-                return route.nexthop, route.link
-            if route is DROP_NO_ROUTE:
-                raise BehaviorError(DropReason.NO_ROUTE)
-            nexthops = route
+            nexthops = (self._routes.get(addr) or self._route(addr))[1]
+        if not nexthops:
+            raise BehaviorError(DropReason.NO_ROUTE)
+        return nexthops
+
+    def fib_lookup(self, addr: Address, table: int, p: Packet) -> tuple[Address, str]:
+        """Nexthop for addr; p's ECMP flow key is built only when the
+        matched route has more than one nexthop."""
+        nexthops = self._nexthops(addr, table)
         if len(nexthops) == 1:
             return nexthops[0]
         return select_nexthop(nexthops, flow_key(p))
 
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
-        """A fresh list of every nexthop of addr's route; table 0 is
-        served from the route cache."""
-        if table:
-            return list(self._nexthops(addr, table))
-        route = self._routes.get(addr) or self._route(addr)
-        if route.__class__ is Forward:
-            return [(route.nexthop, route.link)]
-        if route is DROP_NO_ROUTE:
-            raise BehaviorError(DropReason.NO_ROUTE)
-        return list(route)
+        """A fresh list of every nexthop of addr's route."""
+        return list(self._nexthops(addr, table))
 
     # -- pipeline -----------------------------------------------------------
 
@@ -168,11 +158,11 @@ class Node:
             except BehaviorError as exc:
                 return exc.drop()
             return Forward(link, nh)
-        route = self._routes.get(dst) or self._route(dst)
-        if route.__class__ is list:
-            nh, link = select_nexthop(route, flow_key(p))
+        decision, nexthops = self._routes.get(dst) or self._route(dst)
+        if decision is None:
+            nh, link = select_nexthop(nexthops, flow_key(p))
             return Forward(link, nh)
-        return route
+        return decision
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
         """Dispatch one received packet: hop-limit handling, local SID
@@ -180,7 +170,6 @@ class Node:
         previous node left in the metadata is cleared first."""
         meta = p.meta
         meta.rx_timestamp_ns = now
-        meta.ingress_node = self.id
         meta.pending_destination = meta.pending_link = None
         meta.pending_table = meta.srh_dirty = None
         hdr = p.headers[0][0]

@@ -253,7 +253,6 @@ class PacketMeta:
     pending_link: str | None = None
     pending_table: int | None = None
     rx_timestamp_ns: int = 0
-    ingress_node: str | None = None
     # the SRH a program helper wrote (see programs._mark_dirty), which
     # finalize revalidates; this and the three pending fields are per hop,
     # cleared at each ingress

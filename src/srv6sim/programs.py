@@ -51,20 +51,6 @@ class HelperError(Exception):
         self.code = code
 
 
-class MapStore:
-    """A node's maps: ``maps[name]`` is (key_size, value_size, data). Its
-    get and put are the checked helpers map_get and map_put, on the store."""
-
-    def __init__(self):
-        self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
-
-    def create(self, name: str, key_size: int, value_size: int) -> None:
-        """Create a map, or share the existing one if the widths match."""
-        entry = self.maps.setdefault(name, (key_size, value_size, {}))
-        if entry[:2] != (key_size, value_size):
-            raise ValueError(f"map {name!r} exists with widths {entry[:2]}")
-
-
 @dataclass(slots=True)
 class EmittedEvent:
     node: str
@@ -108,10 +94,10 @@ class ProgramContext:
     now_ns: int
     dataplane: "Node"
     pending_action_taken: bool = False
-    maps: dict = field(init=False)  # dataplane.maps.maps, for map_get/map_put
+    maps: dict = field(init=False)  # dataplane.maps, for map_get/map_put
 
     def __post_init__(self):
-        self.maps = self.dataplane.maps.maps
+        self.maps = self.dataplane.maps
 
 
 Program = Callable[[ProgramContext], Outcome]
@@ -283,16 +269,18 @@ def helper_push_encap(
             behaviors.check_srh(srh)
             if outer_src is None:
                 outer_src = ctx.dataplane.addresses[0]
-            behaviors.t_encaps(ctx.packet, srh, outer_src)
+            behaviors.encapsulate(ctx.packet, srh, outer_src)
         else:
             raise HelperError("bad_mode", mode)
     except InvariantViolation as exc:
         raise HelperError("invariant_violation", str(exc)) from None
 
 
-def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
+def map_get(holder, name: str, key: bytes) -> bytes | None:
+    """Read a map of holder: a ProgramContext, or outside a program run
+    the Node that owns the maps."""
     try:
-        ksize, _, data = ctx.maps[name]
+        ksize, _, data = holder.maps[name]
     except KeyError:
         raise HelperError("unknown_map", name) from None
     if len(key) != ksize:
@@ -300,9 +288,9 @@ def map_get(ctx: ProgramContext, name: str, key: bytes) -> bytes | None:
     return data.get(key)
 
 
-def map_put(ctx: ProgramContext, name: str, key: bytes, value: bytes) -> None:
+def map_put(holder, name: str, key: bytes, value: bytes) -> None:
     try:
-        ksize, vsize, data = ctx.maps[name]
+        ksize, vsize, data = holder.maps[name]
     except KeyError:
         raise HelperError("unknown_map", name) from None
     if len(key) != ksize:
@@ -310,10 +298,6 @@ def map_put(ctx: ProgramContext, name: str, key: bytes, value: bytes) -> None:
     if len(value) != vsize:
         raise HelperError("width_mismatch", f"value {len(value)} != {vsize}")
     data[key] = value
-
-
-MapStore.get = map_get
-MapStore.put = map_put
 
 
 def emit_event(ctx: ProgramContext, payload: bytes) -> None:

@@ -330,9 +330,10 @@ def config_digest(raw: dict) -> str:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("$", f"cannot read scenario: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON: {exc}") from None
     return parse_scenario(raw)

@@ -251,16 +251,18 @@ class Daemon:
         raise NotImplementedError
 
 
-class _Wakeup:
-    """A queue-woken daemon's alarm: the queue calls it on every emit. It
-    holds the simulation, which holds it, weakly."""
+class _Alarm:
+    """A daemon's one timer. A periodic daemon's alarm re-arms itself one
+    interval on, after each tick's own pushes (an interval of 0 ticks
+    once); a queue-woken daemon's alarm is armed by each emit, as the
+    queue calls it. It holds the simulation, which holds it, weakly."""
 
     __slots__ = ("sim", "daemon", "queue", "origin", "last", "armed")
 
     def __init__(self, sim: "Simulation", daemon: Daemon, queue, origin: int):
         self.sim = weakref.ref(sim)
         self.daemon = daemon
-        self.queue = queue
+        self.queue = queue  # None for a periodic daemon
         self.origin = origin
         self.last = origin - daemon.interval_ns  # the grid instant of the last tick
         self.armed = False
@@ -283,7 +285,11 @@ class _Wakeup:
     def fire(self, now: int) -> None:
         self.armed = False
         self.last = now
-        self.daemon.tick(self.sim(), now)
+        sim = self.sim()
+        daemon = self.daemon
+        daemon.tick(sim, now)
+        if self.queue is None and daemon.interval_ns > 0:
+            sim._schedule(now + daemon.interval_ns, ("wake", self))
 
 
 class Simulation:
@@ -338,18 +344,17 @@ class Simulation:
             raise SimError(f"duplicate daemon id {daemon.id!r}")
         origin = max(daemon.start_ns, self.clock)
         if daemon.drains is None:
-            self.daemons[daemon.id] = daemon
-            self._schedule(origin, ("tick", daemon.id))
-            return
-        if daemon.interval_ns <= 0:
+            self._schedule(origin, ("wake", _Alarm(self, daemon, None, origin)))
+        elif daemon.interval_ns <= 0:
             raise SimError(f"daemon {daemon.id!r}: a queue-woken daemon needs a positive interval")
-        node = self.nodes.get(daemon.drains)
-        if node is None:
+        elif daemon.drains not in self.nodes:
             raise SimError(f"daemon {daemon.id!r}: unknown node {daemon.drains!r}")
+        else:
+            queue = self.nodes[daemon.drains].events
+            daemon.wake = _Alarm(self, daemon, queue, origin)
+            queue.waiters.append(daemon.wake)
+            daemon.wake()  # events queued before the daemon was added
         self.daemons[daemon.id] = daemon
-        daemon.wake = _Wakeup(self, daemon, node.events, origin)
-        node.events.waiters.append(daemon.wake)
-        daemon.wake()  # events queued before the daemon was added
 
     def add_stream(self, stream: UdpStream) -> None:
         if stream.count > 0:
@@ -405,11 +410,6 @@ class Simulation:
                 self._process_gen(event[1], event[2])
             elif kind == "wake":
                 event[1].fire(time_ns)
-            elif kind == "tick":
-                daemon = self.daemons[event[1]]
-                daemon.tick(self, time_ns)
-                if daemon.interval_ns > 0:
-                    self._schedule(time_ns + daemon.interval_ns, ("tick", daemon.id))
         self.clock = self._until
         self._sync_event_stats()
         return self.stats

@@ -311,7 +311,7 @@ def wrr_factory(params: dict) -> Program:
 def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
     """Per-path packet counts accumulated by the scheduler state map;
     (0, 0) before wrr has scheduled a packet."""
-    raw = node.maps.get(WRR_STATE_MAP, struct.pack(">I", route_id))
+    raw = map_get(node, WRR_STATE_MAP, struct.pack(">I", route_id))
     if not raw:
         return 0, 0
     _, count_a, count_b = _WRR_STATE.unpack(raw)
@@ -608,7 +608,6 @@ def multipath_traceroute(
             steps = max(1, -(-(now - sent_at) // PROBE_STEP_NS))
             sim.stop_at(sent_at + steps * PROBE_STEP_NS)
 
-    sim.bind(prober_addr, on_reply)
     served = {d.node for d in sim.daemons.values() if isinstance(d, OampResponder)}
     for node_id in oamp_sids:
         if node_id not in served:
@@ -679,36 +678,44 @@ def multipath_traceroute(
     frontier: list[tuple[str, int]] = [(src, 0)]
     visited = {src}
     reached = False
-    while frontier:
-        hop, depth = frontier.pop(0)
-        if (target_node is not None and hop == target_node) or depth >= max_depth:
-            reached = reached or hop == target_node
-            continue
-        if depth == 0:
-            # local FIB query at the probing host
-            try:
-                nexthops = [a for a, _ in src_node.fib_ecmp_list(target)]
-            except BehaviorError:  # no route
-                nexthops = []
-            method = "local"
-        elif hop in oamp_sids:
-            addrs = oamp_query(hop)
-            nexthops = addrs or []
-            method = "oamp"
+    previous = sim.handlers.get(prober_addr)  # restored after: on_reply holds sim
+    sim.bind(prober_addr, on_reply)
+    try:
+        while frontier:
+            hop, depth = frontier.pop(0)
+            if (target_node is not None and hop == target_node) or depth >= max_depth:
+                reached = reached or hop == target_node
+                continue
+            if depth == 0:
+                # local FIB query at the probing host
+                try:
+                    nexthops = [a for a, _ in src_node.fib_ecmp_list(target)]
+                except BehaviorError:  # no route
+                    nexthops = []
+                method = "local"
+            elif hop in oamp_sids:
+                addrs = oamp_query(hop)
+                nexthops = addrs or []
+                method = "oamp"
+            else:
+                successors = set()
+                for path in ensure_icmp_paths():
+                    if depth < len(path) and path[depth] == hop:
+                        if depth + 1 < len(path) and path[depth + 1] is not None:
+                            successors.add(path[depth + 1])
+                nexthops = [sim.nodes[n].addresses[0] for n in sorted(successors)]
+                method = "icmp"
+            nh_nodes = [sim.addr_to_node.get(a, ntop(a)) for a in nexthops]
+            hops[hop] = HopResult(hop, depth, method, nexthops, nh_nodes)
+            for nh in nh_nodes:
+                if nh == target_node:
+                    reached = True
+                if nh in sim.nodes and nh not in visited:
+                    visited.add(nh)
+                    frontier.append((nh, depth + 1))
+    finally:
+        if previous is None:
+            del sim.handlers[prober_addr]
         else:
-            successors = set()
-            for path in ensure_icmp_paths():
-                if depth < len(path) and path[depth] == hop:
-                    if depth + 1 < len(path) and path[depth + 1] is not None:
-                        successors.add(path[depth + 1])
-            nexthops = [sim.nodes[n].addresses[0] for n in sorted(successors)]
-            method = "icmp"
-        nh_nodes = [sim.addr_to_node.get(a, ntop(a)) for a in nexthops]
-        hops[hop] = HopResult(hop, depth, method, nexthops, nh_nodes)
-        for nh in nh_nodes:
-            if nh == target_node:
-                reached = True
-            if nh in sim.nodes and nh not in visited:
-                visited.add(nh)
-                frontier.append((nh, depth + 1))
+            sim.bind(prober_addr, previous)
     return TracerouteResult(src, target, hops, reached, unknown)

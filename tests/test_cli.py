@@ -145,8 +145,19 @@ def test_module_entry_point_runs_the_cli():
     assert "usage: srv6sim" in out.stdout
 
 
-def test_run_missing_file_exits_2(tmp_path):
-    assert run_cli("run", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 2
+def test_run_missing_file_exits_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    for scenario, out in [
+        (tmp_path / "nope.json", tmp_path),
+        (not_utf8, tmp_path),
+        (tmp_path, tmp_path),  # a directory as the scenario
+        (fixture_path("diamond.json"), a_file),  # --out names an existing file
+    ]:
+        assert run_cli("run", str(scenario), "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_run_drop_storm_exits_3(tmp_path):

@@ -201,9 +201,9 @@ def test_action_second_call_rejected():
 def test_action_end_dt6_decapsulates_into_context():
     inner = make_udp_packet(S1, S2, b"inner")
     p = inner.copy()
-    from srv6sim.behaviors import t_encaps
+    from srv6sim.behaviors import encapsulate
 
-    t_encaps(p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1"))
+    encapsulate(p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1"))
     node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
     ctx = make_ctx(p, node)
     helper_action(ctx, EndDT6(0))
@@ -322,7 +322,7 @@ def test_ecmp_helper_no_route():
 
 def test_map_put_get_roundtrip_and_absent():
     node = router()
-    node.maps.create("m", 4, 8)
+    node.maps["m"] = (4, 8, {})
     ctx = make_ctx(make_udp_packet(S1, S2, b"x"), node)
     assert map_get(ctx, "m", b"\x00" * 4) is None
     map_put(ctx, "m", b"\x00" * 4, b"\x01" * 8)
@@ -344,7 +344,7 @@ def test_map_state_persists_across_invocations():
     node.add_sid(SID, EndProgram("count"))
     for _ in range(2):
         node.process_ingress(sr_packet([S2, SID], 1), 0)
-    assert node.maps.get("count", b"\x00") == b"\x02"
+    assert map_get(node, "count", b"\x00") == b"\x02"
 
 
 def counting_program(value_size=1):
@@ -365,7 +365,7 @@ def test_programs_declaring_one_map_share_it():
     node.add_program("second", second)
     for program in (first, second, second):
         run_transit_program(node, program, make_udp_packet(S1, S2, b"x"), 0)
-    assert node.maps.get("count", b"\x00") == b"\x03"
+    assert map_get(node, "count", b"\x00") == b"\x03"
 
 
 def test_program_declaring_other_widths_fails_to_load():
@@ -374,12 +374,12 @@ def test_program_declaring_other_widths_fails_to_load():
     with pytest.raises(ValueError, match="'count'"):
         node.add_program("second", counting_program(2))
     assert "second" not in node.programs
-    assert node.maps.get("count", b"\x00") is None
+    assert map_get(node, "count", b"\x00") is None
 
 
 def test_map_width_mismatch_and_unknown():
     node = router()
-    node.maps.create("m", 4, 8)
+    node.maps["m"] = (4, 8, {})
     ctx = make_ctx(make_udp_packet(S1, S2, b"x"), node)
     with pytest.raises(HelperError) as exc:
         map_put(ctx, "m", b"\x00" * 3, b"\x00" * 8)
@@ -753,10 +753,10 @@ def test_flow_key_covers_ports_label_and_addresses():
 
 
 def test_flow_key_ignores_inner_ports_of_encapsulated_packets():
-    from srv6sim.behaviors import t_encaps
+    from srv6sim.behaviors import encapsulate
 
     p = make_udp_packet(S1, S2, b"x", src_port=1, dst_port=2)
-    t_encaps(p, SegmentRoutingHeader(segments=[F], segments_left=0), pton("2001:db8::1"))
+    encapsulate(p, SegmentRoutingHeader(segments=[F], segments_left=0), pton("2001:db8::1"))
     k = flow_key(p)
     p.transport.src_port = 9
     assert flow_key(p) == k

@@ -35,6 +35,7 @@ from srv6sim.sim import (
     trace_ids,
     write_trace,
 )
+from srv6sim.usecases import multipath_traceroute
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
@@ -624,17 +625,29 @@ def test_every_forwarded_packet_is_valid_and_round_trips(monkeypatch, fixture):
     assert len(hops) == sum(stats.forwarded.values())
 
 
-@pytest.mark.parametrize("fixture", ["setup1.json", "setup2-hybrid.json", "diamond.json"])
-def test_finished_simulation_is_freed_by_reference_counting(fixture):
-    """No reference cycle holds a simulation: its daemons' wake-ups and its
-    probers' receivers refer back to it weakly, and the cycles between a
-    node and its program contexts do not reach it."""
+@pytest.mark.parametrize(
+    "fixture, traceroute",
+    [
+        pytest.param("setup1.json", False, id="setup1.json"),
+        pytest.param("setup2-hybrid.json", False, id="setup2-hybrid.json"),
+        pytest.param("diamond.json", False, id="diamond.json"),
+        pytest.param("diamond.json", True, id="diamond.json-traceroute"),
+    ],
+)
+def test_finished_simulation_is_freed_by_reference_counting(fixture, traceroute):
+    """No reference cycle holds a simulation: its daemons' alarms and its
+    probers' receivers refer back to it weakly, the cycles between a node
+    and its program contexts do not reach it, and a traceroute unbinds
+    its reply handler."""
     cfg = load_scenario(fixture_path(fixture))
     enabled = gc.isenabled()
     gc.disable()
     try:
         sim = build_simulation(cfg)
         sim.run_until(cfg.duration_ns // 4)
+        if traceroute:
+            oamp_sids = {s.node: s.sid for s in cfg.sids if s.program == "end_oamp"}
+            assert multipath_traceroute(sim, "S", S2, oamp_sids).reached
         freed = weakref.ref(sim)
         del sim
         assert freed() is None

@@ -21,7 +21,7 @@ from srv6sim.packet import (
     make_udp_packet,
     pton,
 )
-from srv6sim.programs import EventQueue, EmittedEvent, make_program, run_transit_program
+from srv6sim.programs import EventQueue, EmittedEvent, make_program, map_get, run_transit_program
 from srv6sim.scenario import (
     apply_overrides,
     build_simulation,
@@ -341,7 +341,7 @@ def test_wrr_state_map_exists_once_the_scenario_is_built():
     sim = build_simulation(load_scenario(fixture_path("setup2-hybrid.json")))
     box = sim.nodes["A"]
     assert wrr_counts(box, 1) == (0, 0)
-    assert box.maps.get("wrr_state", struct.pack(">I", 1)) is None
+    assert map_get(box, "wrr_state", struct.pack(">I", 1)) is None
     sim.run_until(1_600_000_000)  # traffic starts at 1.5 s
     assert sum(wrr_counts(box, 1)) > 0
 
