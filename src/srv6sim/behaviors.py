@@ -266,18 +266,13 @@ def insert_srh(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
     return _splice(p, new_srh.copy())
 
 
-def encapsulate(
-    p: Packet,
-    outer_srh: SegmentRoutingHeader,
-    outer_src: Address,
-    hop_limit: int = DEFAULT_HOP_LIMIT,
-) -> Packet:
+def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) -> Packet:
     """Wrap the whole packet in a fresh IPv6 header carrying a copy of the
     already validated outer_srh (the seg6_do_srh_encap analog)."""
     new = outer_srh.copy()
     new.next_header = PROTO_IPV6
     hdr = Ipv6Header(
-        outer_src, new.segments[new.segments_left], PROTO_ROUTING, hop_limit,
+        outer_src, new.segments[new.segments_left], PROTO_ROUTING, DEFAULT_HOP_LIMIT,
         0, 0, new.wire_length + p.wire_size(),
     )
     p.headers.insert(0, (hdr, [new]))

@@ -93,7 +93,6 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def write(self, out_dir: Path, fmt: str) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
         ext = "tsv" if fmt == "tsv" else "txt"
         path = out_dir / f"{self.scenario}-{self.experiment}-report.{ext}"
         path.write_text(self.to_tsv() if fmt == "tsv" else self.to_text())
@@ -111,11 +110,18 @@ def _load(path: str, args) -> ScenarioConfig:
     )
 
 
-def _run_common(cfg: ScenarioConfig, report: Report, out_dir: Path) -> tuple[Simulation, int]:
+def _run_common(
+    cfg: ScenarioConfig, report: Report, out_dir: Path, handlers: dict
+) -> tuple[Simulation, int]:
+    """Create out_dir (an unusable one fails before anything is built),
+    build, bind handlers {address: handler}, run, write the trace and
+    stats files and add the run counters to report."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     sim = build_simulation(cfg)
+    for addr, handler in handlers.items():
+        sim.bind(addr, handler)
     stats = sim.run_until(cfg.duration_ns)
     trace_file = out_dir / f"{cfg.name}-{report.experiment}-trace.tsv"
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace(sim.trace, trace_file)
     (out_dir / f"{cfg.name}-{report.experiment}-stats.txt").write_text(stats.summary())
     report.trace_path = str(trace_file)
@@ -135,7 +141,7 @@ def cmd_run(args) -> int:
     cfg = _load(args.scenario, args)
     out_dir = Path(args.out)
     report = Report("run", cfg.name, cfg.digest, {"seed": cfg.seed})
-    sim, code = _run_common(cfg, report, out_dir)
+    _, code = _run_common(cfg, report, out_dir, {})
     report.write(out_dir, args.format)
     print(report.to_text())
     return code
@@ -155,15 +161,8 @@ def cmd_owd(args) -> int:
         "owd", cfg.name, cfg.digest,
         {"seed": cfg.seed, "ratio": ratio, "duration_ms": cfg.duration_ns // 1_000_000},
     )
-    sim = build_simulation(cfg)
     collector = DelayCollector()
-    sim.bind(controller_addr, collector)
-    stats = sim.run_until(cfg.duration_ns)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_file = out_dir / f"{cfg.name}-owd-trace.tsv"
-    write_trace(sim.trace, trace_file)
-    report.trace_path = str(trace_file)
+    sim, code = _run_common(cfg, report, out_dir, {controller_addr: collector})
 
     owds = [r.owd_ns for r in collector.records]
     report.add("probe_count", len(owds), "probes")
@@ -171,16 +170,11 @@ def cmd_owd(args) -> int:
     report.add("owd_min", min(owds) / 1e6 if owds else 0.0, "ms")
     report.add("owd_max", max(owds) / 1e6 if owds else 0.0, "ms")
     report.add("owd_p99", _p99(owds) / 1e6 if owds else 0.0, "ms")
-    report.add("event_drop_count", sum(stats.events_dropped.values()), "events")
+    report.add("event_drop_count", sum(sim.stats.events_dropped.values()), "events")
     report.add("malformed_events", collector.malformed, "events")
-    report.add("injected", stats.injected, "packets")
-    report.add("delivered_total", stats.total_delivered, "packets")
-    report.add("dropped_total", stats.total_dropped, "packets")
     report.write(out_dir, args.format)
     print(report.to_text())
-    if stats.injected > 0 and stats.total_dropped / stats.injected > 0.5:
-        return EXIT_ANOMALY
-    return EXIT_OK
+    return code
 
 
 def _p99(values: list[int]) -> float:
@@ -203,12 +197,11 @@ def cmd_hybrid(args) -> int:
     route_id = int(wrr_route.params.get("route_id", 0))
 
     out_dir = Path(args.out)
-    compensation = getattr(args, "compensation", "on") or "on"
     report = Report(
         "hybrid", cfg.name, cfg.digest,
-        {"seed": cfg.seed, "compensation": compensation},
+        {"seed": cfg.seed, "compensation": args.compensation},
     )
-    sim, code = _run_common(cfg, report, out_dir)
+    sim, code = _run_common(cfg, report, out_dir, {})
 
     box = sim.nodes[wrr_route.node]
     count_a, count_b = wrr_counts(box, route_id)
@@ -247,6 +240,8 @@ def cmd_traceroute(args) -> int:
     }
     if args.no_oamp:
         for node in args.no_oamp.split(","):
+            if node not in sim.nodes:
+                raise ConfigError("$.no_oamp", f"unknown node {node!r}")
             oamp_sids.pop(node, None)
     result = multipath_traceroute(sim, args.src, target, oamp_sids)
     print(result.render())
@@ -446,6 +441,8 @@ def cmd_bench(args) -> int:
             raise ConfigError("$.functions", f"unknown function {f!r}")
     if args.count < 1:
         raise ConfigError("$.count", f"{args.count} packets: need at least 1")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = run_bench(functions, count=args.count)
     report = Report("bench", "bench", "-" * 64, {"count": args.count})
     baseline = results.get("plain")
@@ -453,7 +450,6 @@ def cmd_bench(args) -> int:
         report.add(f"pps_{name}", results[name], "pps")
         if baseline:
             report.add(f"normalized_{name}", results[name] / baseline, "")
-    out_dir = Path(args.out)
     report.write(out_dir, args.format)
     print(report.to_text())
     return EXIT_OK
@@ -461,13 +457,21 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, with_scenario=True):
-    if with_scenario:
-        sub.add_argument("scenario", help="scenario JSON path")
+def _add_scenario(sub):
+    sub.add_argument("scenario", help="scenario JSON path")
     sub.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sub.add_argument("--duration", type=float, default=None, help="override duration (ms)")
+
+
+def _add_output(sub):
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--format", choices=("text", "tsv"), default="text")
+
+
+def _add_run(sub):
+    """The flags of the commands that run a scenario for its whole duration."""
+    _add_scenario(sub)
+    sub.add_argument("--duration", type=float, default=None, help="override duration (ms)")
+    _add_output(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,28 +482,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     run = sp.add_parser("run", help="run a scenario and report counters")
-    _add_common(run)
+    _add_run(run)
     run.set_defaults(func=cmd_run)
 
     owd = sp.add_parser("owd", help="one-way delay measurement experiment")
-    _add_common(owd)
+    _add_run(owd)
     owd.add_argument("--ratio", type=int, default=None, help="probing ratio 1:N")
     owd.set_defaults(func=cmd_owd)
 
     hyb = sp.add_parser("hybrid", help="hybrid-access aggregation experiment")
-    _add_common(hyb)
+    _add_run(hyb)
     hyb.add_argument("--compensation", choices=("on", "off"), default="on")
     hyb.set_defaults(func=cmd_hybrid)
 
     tr = sp.add_parser("traceroute", help="multipath discovery toward a target")
-    _add_common(tr)
+    _add_scenario(tr)
     tr.add_argument("src", help="probing node id")
     tr.add_argument("target", help="target IPv6 address")
     tr.add_argument("--no-oamp", default="", help="comma-separated nodes to probe via ICMP only")
     tr.set_defaults(func=cmd_traceroute)
 
     bench = sp.add_parser("bench", help="pipeline microbenchmark")
-    _add_common(bench, with_scenario=False)
+    _add_output(bench)
     bench.add_argument("--functions", default="", help=f"subset of {','.join(BENCH_FUNCTIONS)}")
     bench.add_argument("--count", type=int, default=20000, help="packets per timed loop")
     bench.set_defaults(func=cmd_bench)
@@ -510,10 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -136,15 +136,14 @@ class Tlv:
         return bytes((self.type, len(self.value))) + self.value
 
 
-def encode_tlvs(*tlvs: Tlv, pad: bool = True) -> bytes:
-    """Serialize TLVs, optionally padding the region to a multiple of 8."""
+def encode_tlvs(*tlvs: Tlv) -> bytes:
+    """Serialize TLVs, padding the region to a multiple of 8."""
     raw = b"".join(t.encode() for t in tlvs)
-    if pad:
-        short = (-len(raw)) % 8
-        if short == 1:
-            raw += Tlv(TLV_PAD1).encode()
-        elif short > 1:
-            raw += Tlv(TLV_PADN, b"\x00" * (short - 2)).encode()
+    short = (-len(raw)) % 8
+    if short == 1:
+        raw += Tlv(TLV_PAD1).encode()
+    elif short > 1:
+        raw += Tlv(TLV_PADN, b"\x00" * (short - 2)).encode()
     return raw
 
 

@@ -62,8 +62,7 @@ class EventQueue:
     """Bounded one-producer queue; overflow drops the oldest event. Each
     emit calls the waiters (the readers' wake-ups), in registration order."""
 
-    def __init__(self, capacity: int = EVENT_QUEUE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self._events: deque[EmittedEvent] = deque()
         self.dropped = 0
         self.emitted = 0
@@ -73,7 +72,7 @@ class EventQueue:
         return len(self._events)
 
     def emit(self, event: EmittedEvent) -> None:
-        if len(self._events) >= self.capacity:
+        if len(self._events) >= EVENT_QUEUE_CAPACITY:
             self._events.popleft()
             self.dropped += 1
         self._events.append(event)

@@ -375,14 +375,10 @@ class Simulation:
     # -- event plumbing -------------------------------------------------------
 
     def _schedule(self, t: int, event: tuple) -> None:
-        if t < self.clock:  # externally injected past times fire now
+        if t < self.clock:  # a stream added after its start begins now
             t = self.clock
         self._seq += 1
         heappush(self._heap, (t, self._seq, event))
-
-    def inject(self, node_id: str, packet: Packet, t: int | None = None) -> None:
-        """Schedule a locally originated packet at the given time."""
-        self._schedule(self.clock if t is None else t, ("inject", node_id, packet))
 
     def send(self, node_id: str, packet: Packet) -> None:
         """Immediately originate a packet at a node (daemon/handler use)."""
@@ -404,8 +400,6 @@ class Simulation:
             kind = event[0]
             if kind == "deliver":
                 deliver(event[1], event[2], event[3], event[4])
-            elif kind == "inject":
-                self._local_output(self.nodes[event[1]], event[2])
             elif kind == "gen":
                 self._process_gen(event[1], event[2])
             elif kind == "wake":
@@ -529,19 +523,16 @@ def reorder_fraction(trace: list[tuple], flow: int) -> float:
 
 
 UDP_PLAIN_OVERHEAD = 48  # IPv6 + UDP headers of a decapsulated packet
+GAP_THRESHOLD = 3  # triple-duplicate-ack analog
+STALL_PENALTY_NS = 30_000_000
 
 
-def goodput_estimate(
-    trace: list[tuple],
-    flow: int,
-    gap_threshold: int = 3,
-    stall_penalty_ns: int = 30_000_000,
-) -> float:
+def goodput_estimate(trace: list[tuple], flow: int) -> float:
     """Reorder-sensitive goodput in bits/second.
 
     Every arrival whose jump past the expected next sequence exceeds
-    gap_threshold (triple-duplicate-ack analog) charges one stall penalty;
-    delivered payload bits are divided by duration plus total penalties.
+    GAP_THRESHOLD charges one STALL_PENALTY_NS; delivered payload bits
+    are divided by duration plus total penalties.
     """
     records = _sink_ingress(trace, flow)
     if len(records) < 2:
@@ -553,14 +544,14 @@ def goodput_estimate(
     pending: set[int] = set()
     for _, _, _, _, seq, size in records:
         bits += max(0, size - UDP_PLAIN_OVERHEAD) * 8
-        if seq - expected > gap_threshold:
+        if seq - expected > GAP_THRESHOLD:
             stalls += 1
         pending.add(seq)
         while expected in pending:
             pending.discard(expected)
             expected += 1
     duration = last.time_ns - first.time_ns
-    total_ns = duration + stalls * stall_penalty_ns
+    total_ns = duration + stalls * STALL_PENALTY_NS
     if total_ns <= 0:
         raise InsufficientData("zero observation window")
     return bits / (total_ns / 1e9)

@@ -210,7 +210,6 @@ class OwdCollector(Daemon):
         super().__init__(daemon_id, interval_ns, drains=node)
         self.node = node
         self.malformed = 0
-        self.relayed = 0
 
     def tick(self, sim: Simulation, now: int) -> None:
         node = sim.nodes[self.node]
@@ -223,7 +222,6 @@ class OwdCollector(Daemon):
                 encode_dm_event(rec.path_id, rec.tx_ts_ns, rec.rx_ts_ns, rec.controller),
                 src_port=9000, dst_port=port,
             )
-            self.relayed += 1
             sim.send(self.node, pkt)
 
 
@@ -358,6 +356,9 @@ class ProbeLink:
     return_addr: Address  # per-link local address the probe returns to
 
 
+TWD_PROBE_PORT = 9100  # a probe's UDP ports and the port its controller TLV names
+
+
 class TwdProber(Daemon):
     """Aggregation-box daemon: sends a two-way probe per link each
     interval, updates the EWMA difference and (when compensation is on)
@@ -376,7 +377,6 @@ class TwdProber(Daemon):
         interval_ns: int = 100_000_000,
         alpha: float = 0.3,
         compensate: bool = True,
-        probe_port: int = 9100,
     ):
         if len(links) != 2:
             raise ValueError("TwdProber aggregates exactly two links")
@@ -384,7 +384,6 @@ class TwdProber(Daemon):
         self.node = node
         self.links = links
         self.compensate = compensate
-        self.probe_port = probe_port
         self.state = CompensatorState(alpha=alpha)
         self.applied: dict[str, int] = {pl.link: 0 for pl in links}
         self.history: list[tuple[int, str, int]] = []
@@ -431,7 +430,7 @@ class TwdProber(Daemon):
                 segments_left=2,
                 next_header=17,
                 tlv_bytes=encode_tlvs(
-                    dm_tlv(now), controller_tlv(final_addr, self.probe_port)
+                    dm_tlv(now), controller_tlv(final_addr, TWD_PROBE_PORT)
                 ),
             )
             hdr = Ipv6Header(
@@ -439,7 +438,7 @@ class TwdProber(Daemon):
             )
             probe = Packet(
                 headers=[(hdr, [srh])],
-                transport=Udp(self.probe_port, self.probe_port, b"\x00" * 8),
+                transport=Udp(TWD_PROBE_PORT, TWD_PROBE_PORT, b"\x00" * 8),
             )
             self.sent += 1
             sim.send(self.node, probe)
@@ -485,6 +484,9 @@ def decode_oamp_event(payload: bytes) -> tuple[int, list[Address]] | None:
     return hop_id, addrs
 
 
+OAMP_REPLY_PORT = 33500  # a discovery probe's source port and both ports of its reply
+
+
 class OampResponder(Daemon):
     """Converts nexthop-discovery events into UDP replies to the prober.
 
@@ -492,18 +494,10 @@ class OampResponder(Daemon):
     pointed at the prober out of band (the traceroute driver sets it).
     """
 
-    def __init__(
-        self,
-        daemon_id: str,
-        node: str,
-        interval_ns: int = 1_000_000,
-        reply_addr: Address | None = None,
-        reply_port: int = 33500,
-    ):
+    def __init__(self, daemon_id: str, node: str, interval_ns: int = 1_000_000):
         super().__init__(daemon_id, interval_ns, drains=node)
         self.node = node
-        self.reply_addr = reply_addr
-        self.reply_port = reply_port
+        self.reply_addr = None
 
     @property
     def reply_addr(self) -> Address | None:
@@ -522,7 +516,7 @@ class OampResponder(Daemon):
         for ev in node.events.drain():
             pkt = make_udp_packet(
                 node.addresses[0], self.reply_addr, ev.payload,
-                src_port=33500, dst_port=self.reply_port,
+                src_port=OAMP_REPLY_PORT, dst_port=OAMP_REPLY_PORT,
             )
             sim.send(self.node, pkt)
 
@@ -561,6 +555,7 @@ class TracerouteResult:
 
 # The prober reads its replies on a grid of this step, counted from each send.
 PROBE_STEP_NS = 1_000_000
+MAX_DEPTH = 16  # hops explored from the source
 
 
 def multipath_traceroute(
@@ -570,8 +565,6 @@ def multipath_traceroute(
     oamp_sids: dict[str, Address],
     flow_keys: int = 32,
     timeout_ns: int = 3_000_000_000,
-    max_depth: int = 16,
-    reply_port: int = 33500,
 ) -> TracerouteResult:
     """Breadth-first multipath discovery from src toward target.
 
@@ -615,7 +608,6 @@ def multipath_traceroute(
     for daemon in sim.daemons.values():
         if isinstance(daemon, OampResponder):
             daemon.reply_addr = prober_addr
-            daemon.reply_port = reply_port
 
     probe_ids = itertools.count(1)
     unknown = 0
@@ -636,12 +628,12 @@ def multipath_traceroute(
         sid = oamp_sids[hop]
         srh = SegmentRoutingHeader(
             segments=[target, sid], segments_left=1, next_header=17,
-            tlv_bytes=encode_tlvs(controller_tlv(prober_addr, reply_port)),
+            tlv_bytes=encode_tlvs(controller_tlv(prober_addr, OAMP_REPLY_PORT)),
         )
         hdr = Ipv6Header(src=prober_addr, dst=sid, next_header=PROTO_ROUTING)
         probe = Packet(
             headers=[(hdr, [srh])],
-            transport=Udp(reply_port, 33434, struct.pack(">I", next(probe_ids)) + b"\x00" * 4),
+            transport=Udp(OAMP_REPLY_PORT, 33434, struct.pack(">I", next(probe_ids)) + b"\x00" * 4),
         )
         return ask(probe, ("oamp", sim.nodes[hop].index))
 
@@ -666,7 +658,7 @@ def multipath_traceroute(
         icmp_paths = []
         for k in range(flow_keys):
             path: list[str | None] = [src]
-            for ttl in range(1, max_depth + 1):
+            for ttl in range(1, MAX_DEPTH + 1):
                 hop = icmp_probe(ttl, flow_label=k)
                 path.append(hop)
                 if hop is None or hop == target_node:
@@ -683,7 +675,7 @@ def multipath_traceroute(
     try:
         while frontier:
             hop, depth = frontier.pop(0)
-            if (target_node is not None and hop == target_node) or depth >= max_depth:
+            if (target_node is not None and hop == target_node) or depth >= MAX_DEPTH:
                 reached = reached or hop == target_node
                 continue
             if depth == 0:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from srv6sim import cli
 from srv6sim.cli import main, run_bench, BENCH_FUNCTIONS
 from srv6sim.scenario import fixture_path
 
@@ -75,11 +76,14 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("bench", "--count", "-1"), "$.count"),
         (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
         (("owd", "setup1.json", "--ratio", "0"), "$.ratio"),
+        (("traceroute", "diamond.json", "S", "2001:db8:2::1", "--no-oamp", "a,Q"), "$.no_oamp"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
     argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    if argv[0] != "traceroute":  # traceroute writes no files
+        argv += ["--out", str(tmp_path)]
+    assert run_cli(*argv) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
 
 
@@ -158,6 +162,51 @@ def test_run_missing_file_exits_2(tmp_path, capsys):
     ]:
         assert run_cli("run", str(scenario), "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("run", "setup1.json"), "build_simulation"),
+        (("owd", "setup1.json"), "build_simulation"),
+        (("hybrid", "setup2-hybrid.json"), "build_simulation"),
+        (("bench", "--functions", "plain", "--count", "200"), "run_bench"),
+    ],
+    ids=["run", "owd", "hybrid", "bench"],
+)
+def test_unusable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    calls = []
+    real = getattr(cli, work)
+    monkeypatch.setattr(cli, work, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
+    assert run_cli(*argv, "--out", str(a_file)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert calls == []
+
+
+TRACEROUTE_ARGV = ("traceroute", "diamond.json", "S", "2001:db8:2::1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--seed", "1"),
+        ("bench", "--duration", "5"),
+        (*TRACEROUTE_ARGV, "--out", "d"),
+        (*TRACEROUTE_ARGV, "--format", "tsv"),
+        (*TRACEROUTE_ARGV, "--duration", "5"),
+    ],
+    ids=["bench-seed", "bench-duration", "traceroute-out", "traceroute-format",
+         "traceroute-duration"],
+)
+def test_flag_a_command_does_not_read_is_rejected(capsys, argv):
+    argv = [str(fixture_path(a)) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_drop_storm_exits_3(tmp_path):
@@ -242,11 +291,8 @@ def test_hybrid_tsv_format(tmp_path):
     assert any(l.startswith("reorder_fraction\t") for l in tsv.splitlines())
 
 
-def test_traceroute_diamond_prints_both_nexthops(tmp_path, capsys):
-    code = run_cli(
-        "traceroute", str(fixture_path("diamond.json")), "S", "2001:db8:2::1",
-        "--out", str(tmp_path),
-    )
+def test_traceroute_diamond_prints_both_nexthops(capsys):
+    code = run_cli("traceroute", str(fixture_path("diamond.json")), "S", "2001:db8:2::1")
     assert code == 0
     out = capsys.readouterr().out
     branch = [l for l in out.splitlines() if l.strip().startswith("1  A")][0]
@@ -255,10 +301,10 @@ def test_traceroute_diamond_prints_both_nexthops(tmp_path, capsys):
     assert "reached" in out
 
 
-def test_traceroute_no_oamp_flag_forces_fallback(tmp_path, capsys):
+def test_traceroute_no_oamp_flag_forces_fallback(capsys):
     code = run_cli(
         "traceroute", str(fixture_path("diamond.json")), "S", "2001:db8:2::1",
-        "--no-oamp", "A", "--out", str(tmp_path),
+        "--no-oamp", "A",
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -267,11 +313,8 @@ def test_traceroute_no_oamp_flag_forces_fallback(tmp_path, capsys):
     assert "(B)" in branch and "(C)" in branch
 
 
-def test_traceroute_unroutable_target_exits_1(tmp_path, capsys):
-    code = run_cli(
-        "traceroute", str(fixture_path("diamond.json")), "S", "fd00:ff::1",
-        "--out", str(tmp_path),
-    )
+def test_traceroute_unroutable_target_exits_1(capsys):
+    code = run_cli("traceroute", str(fixture_path("diamond.json")), "S", "fd00:ff::1")
     assert code == 1
     assert "NOT reached" in capsys.readouterr().out
 
@@ -281,7 +324,7 @@ def test_traceroute_without_a_local_route_exits_1(tmp_path, capsys):
     raw["fib"] = [f for f in raw["fib"] if f["node"] != "S"]  # S's ::/0
     scenario = tmp_path / "no-route.json"
     scenario.write_text(json.dumps(raw))
-    code = run_cli("traceroute", str(scenario), "S", "2001:db8:2::1", "--out", str(tmp_path))
+    code = run_cli("traceroute", str(scenario), "S", "2001:db8:2::1")
     assert code == 1
     assert capsys.readouterr().out.splitlines() == [
         " 0  S            [local]  -> ",

@@ -399,7 +399,7 @@ def test_emit_event_payload_cap():
 
 
 def test_event_queue_drop_oldest_with_counter():
-    q = EventQueue(capacity=4096)
+    q = EventQueue()
     for i in range(4097):
         q.emit(EmittedEvent("R", i, struct.pack(">I", i)))
     assert q.dropped == 1

@@ -216,6 +216,10 @@ PARAMS = ("transits", 0, "behavior", "params")
         ("setup1.json", ("links", 0, "rtt_stddev_ms"), 1e308, "$.links[0].rtt_stddev_ms"),
         ("setup1.json", ("daemons", 0, "interval_ms"), 1e308, "$.daemons[0].interval_ms"),
         ("setup1.json", ("links", 0, "bandwidth_mbps"), 1e308, "$.links[0].bandwidth_mbps"),
+        # the name prefixes every output file, so it is one path component
+        ("setup1.json", ("name",), "../escaped", "$.name"),
+        ("setup1.json", ("name",), "a/b", "$.name"),
+        ("setup1.json", ("name",), "a\u0000b", "$.name"),
     ],
 )
 def test_schema_rule_rejected_with_path(name, at, value, path):

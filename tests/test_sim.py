@@ -150,7 +150,7 @@ def test_injected_packet_arrives_after_serialization_plus_delay():
     sim = two_node_sim(delay_ms=15.0)
     p = make_udp_packet(pton("2001:db8:a::1"), S2, b"\x00" * 64)
     size = p.wire_size()
-    sim.inject("A", p, t=0)
+    sim.send("A", p)
     sim.run_until(100_000_000)
     rows = map(TraceRecord._make, sim.trace)
     arrivals = [r for r in rows if r.node == "B" and r.direction == "ingress"]
@@ -212,7 +212,7 @@ def test_set_qdisc_delay_and_reset():
     sim.set_qdisc_delay("A", "l", 12_500_000)
     p = make_udp_packet(pton("2001:db8:a::1"), S2, b"\x00" * 64)
     size = p.wire_size()
-    sim.inject("A", p, t=0)
+    sim.send("A", p)
     sim.run_until(50_000_000)
     ser = size * 8 * 1_000_000_000 // (50 * 1_000_000)
     rows = map(TraceRecord._make, sim.trace)
@@ -348,7 +348,7 @@ def test_end_x_pending_state_does_not_leak_to_the_next_hop():
         SegmentRoutingHeader(segments=[z_addr, sid], segments_left=1, next_header=PROTO_UDP)
     )
     p.headers[0][0].payload_length = p.wire_size() - 40
-    sim.inject("A", p, t=0)
+    sim.send("A", p)
     stats = sim.run_until(1_000_000_000)
     assert stats.delivered["Z"] == 1
     assert stats.total_dropped == 0

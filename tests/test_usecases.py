@@ -696,12 +696,23 @@ def polling_twin(cls):
 @pytest.fixture
 def use_polling_twins(monkeypatch):
     def use():
-        responder = polling_twin(OampResponder)
-        monkeypatch.setattr(scenario, "OwdCollector", polling_twin(OwdCollector))
-        monkeypatch.setattr(scenario, "OampResponder", responder)
-        monkeypatch.setattr(usecases, "OampResponder", responder)
+        """Build every draining daemon as its polling twin; returns the twins."""
+        twins = {
+            "owd_collector": polling_twin(OwdCollector),
+            "oamp_responder": polling_twin(OampResponder),
+        }
+        for kind, twin in twins.items():
+            monkeypatch.setitem(scenario.DAEMON_TYPES, kind, twin)
+        monkeypatch.setattr(usecases, "OampResponder", twins["oamp_responder"])
+        return tuple(twins.values())
 
     return use
+
+
+def assert_built_as_twins(sim, twins):
+    drainers = [d for d in sim.daemons.values() if isinstance(d, (OwdCollector, OampResponder))]
+    assert drainers
+    assert all(type(d) in twins and d.drains is None for d in drainers)
 
 
 def trace_bytes(sim, tmp_path):
@@ -728,7 +739,8 @@ REMOVED_OAMP = ["".join(c) for r in range(5) for c in itertools.combinations("AB
 @pytest.mark.parametrize("removed", REMOVED_OAMP, ids=lambda r: r or "none")
 def test_woken_responders_trace_as_their_polling_twins(removed, tmp_path, use_polling_twins):
     woken = traceroute_outputs(removed, tmp_path)
-    use_polling_twins()
+    twins = use_polling_twins()
+    assert_built_as_twins(diamond_sim()[0], twins)
     assert traceroute_outputs(removed, tmp_path) == woken
 
 
@@ -797,7 +809,8 @@ def owd_outputs(seed, tmp_path):
 def test_woken_collector_traces_as_its_polling_twin(seed, tmp_path, use_polling_twins):
     woken = owd_outputs(seed, tmp_path)
     assert woken[2]  # the controller got delay records
-    use_polling_twins()
+    twins = use_polling_twins()
+    assert_built_as_twins(build_simulation(load_scenario(fixture_path("setup1.json"))), twins)
     assert owd_outputs(seed, tmp_path) == woken
 
 
