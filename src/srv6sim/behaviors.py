@@ -256,7 +256,7 @@ def _splice(p: Packet, new: SegmentRoutingHeader) -> Packet:
     srhs.insert(0, new)
     hdr.next_header = PROTO_ROUTING
     hdr.dst = new.segments[new.segments_left]
-    hdr.payload_length = p.wire_size() - 40
+    hdr.payload_length += new.wire_length
     return p
 
 
@@ -273,7 +273,7 @@ def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) 
     new.next_header = PROTO_IPV6
     hdr = Ipv6Header(
         outer_src, new.segments[new.segments_left], PROTO_ROUTING, DEFAULT_HOP_LIMIT,
-        0, 0, new.wire_length + p.wire_size(),
+        0, 0, new.wire_length + p.headers[0][0].payload_length + 40,
     )
     p.headers.insert(0, (hdr, [new]))
     return p

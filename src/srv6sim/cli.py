@@ -162,7 +162,7 @@ def cmd_owd(args) -> int:
         {"seed": cfg.seed, "ratio": ratio, "duration_ms": cfg.duration_ns // 1_000_000},
     )
     collector = DelayCollector()
-    sim, code = _run_common(cfg, report, out_dir, {controller_addr: collector})
+    _, code = _run_common(cfg, report, out_dir, {controller_addr: collector})
 
     owds = [r.owd_ns for r in collector.records]
     report.add("probe_count", len(owds), "probes")
@@ -170,7 +170,6 @@ def cmd_owd(args) -> int:
     report.add("owd_min", min(owds) / 1e6 if owds else 0.0, "ms")
     report.add("owd_max", max(owds) / 1e6 if owds else 0.0, "ms")
     report.add("owd_p99", _p99(owds) / 1e6 if owds else 0.0, "ms")
-    report.add("event_drop_count", sum(sim.stats.events_dropped.values()), "events")
     report.add("malformed_events", collector.malformed, "events")
     report.write(out_dir, args.format)
     print(report.to_text())
@@ -197,10 +196,8 @@ def cmd_hybrid(args) -> int:
     route_id = int(wrr_route.params.get("route_id", 0))
 
     out_dir = Path(args.out)
-    report = Report(
-        "hybrid", cfg.name, cfg.digest,
-        {"seed": cfg.seed, "compensation": args.compensation},
-    )
+    used = "on" if prober_cfg.params.get("compensate", True) else "off"  # after --compensation
+    report = Report("hybrid", cfg.name, cfg.digest, {"seed": cfg.seed, "compensation": used})
     sim, code = _run_common(cfg, report, out_dir, {})
 
     box = sim.nodes[wrr_route.node]
@@ -492,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hyb = sp.add_parser("hybrid", help="hybrid-access aggregation experiment")
     _add_run(hyb)
-    hyb.add_argument("--compensation", choices=("on", "off"), default="on")
+    hyb.add_argument("--compensation", choices=("on", "off"), help="override compensate")
     hyb.set_defaults(func=cmd_hybrid)
 
     tr = sp.add_parser("traceroute", help="multipath discovery toward a target")

@@ -56,6 +56,8 @@ class Node:
         self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
         self.events = EventQueue()
         self.originated: list[Packet] = []
+        # per-hop counters, folded into Simulation.stats when run_until returns
+        self.forwarded = self.delivered = self.dropped = 0
         # one ProgramContext per hook, made here and reset for each run
         self.endpoint_ctx = ProgramContext(None, Hook.ENDPOINT, 0, self)
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
@@ -218,8 +220,6 @@ class Node:
             quoted = encode_packet(offender)[:64]
         except Exception:
             quoted = b""
-        hdr = Ipv6Header(
-            src=self.addresses[0], dst=src, next_header=PROTO_ICMPV6, hop_limit=64
-        )
         body = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0)) + quoted
+        hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, payload_length=len(body))
         self.originated.append(Packet(headers=[(hdr, [])], transport=body))

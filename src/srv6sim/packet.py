@@ -334,6 +334,17 @@ def make_udp_packet(
     return Packet([(hdr, [])], udp)
 
 
+def make_srh_udp_packet(
+    src: Address, segments: list[Address], tlv_bytes: bytes,
+    payload: bytes, src_port: int, dst_port: int,
+) -> Packet:
+    """UDP packet through an SRH of segments in reverse visit order."""
+    srh = SegmentRoutingHeader(segments, len(segments) - 1, PROTO_UDP, tlv_bytes=tlv_bytes)
+    length = 8 + len(payload)
+    hdr = Ipv6Header(src, segments[-1], PROTO_ROUTING, payload_length=srh.wire_length + length)
+    return Packet([(hdr, [srh])], Udp(src_port, dst_port, payload, length))
+
+
 def _ones_complement_sum(data: bytes) -> int:
     if len(data) % 2:
         data += b"\x00"

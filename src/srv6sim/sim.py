@@ -122,6 +122,8 @@ class Link:
         self.delay_stddev_ns = delay_stddev_ns
         self.rng = rng
         self.dirs = {a: _LinkDir(), b: _LinkDir()}
+        self.node_a = self.node_b = None  # the end Nodes, set by Simulation.add_link
+        self.delivered = 0
 
     def peer(self, node_id: str) -> str:
         return self.b if node_id == self.a else self.a
@@ -190,6 +192,7 @@ def trace_ids(p: Packet) -> tuple[int | None, int | None]:
 
 @dataclass
 class Statistics:
+    """Run counters, current when run_until returns."""
     injected: int = 0
     delivered: dict = field(default_factory=lambda: defaultdict(int))
     forwarded: dict = field(default_factory=lambda: defaultdict(int))
@@ -330,10 +333,13 @@ class Simulation:
     ) -> Link:
         if link_id in self.links:
             raise SimError(f"duplicate link id {link_id!r}")
+        if a not in self.nodes or b not in self.nodes:
+            raise SimError(f"link {link_id!r}: add nodes {a!r} and {b!r} first")
         link = Link(
             link_id, a, b, bandwidth_bps, delay_mean_ns, delay_stddev_ns,
             stream_rng(self.seed, f"link:{link_id}"),
         )
+        link.node_a, link.node_b = self.nodes[a], self.nodes[b]
         self.links[link_id] = link
         self.ports[a][link_id] = link
         self.ports[b][link_id] = link
@@ -405,7 +411,7 @@ class Simulation:
             elif kind == "wake":
                 event[1].fire(time_ns)
         self.clock = self._until
-        self._sync_event_stats()
+        self._sync_stats()
         return self.stats
 
     def stop_at(self, t_ns: int) -> None:
@@ -413,10 +419,22 @@ class Simulation:
         Clamped to the clock, and never later than the run's target."""
         self._until = min(self._until, max(t_ns, self.clock))
 
-    def _sync_event_stats(self) -> None:
+    def _sync_stats(self) -> None:
+        # the per-hop counters only where nonzero: summary() lists every key
+        st = self.stats
         for node in self.nodes.values():
-            self.stats.events_emitted[node.id] = node.events.emitted
-            self.stats.events_dropped[node.id] = node.events.dropped
+            nid = node.id
+            st.events_emitted[nid] = node.events.emitted
+            st.events_dropped[nid] = node.events.dropped
+            if node.forwarded:
+                st.forwarded[nid] = node.forwarded
+            if node.delivered:
+                st.delivered[nid] = node.delivered
+            if node.dropped:
+                st.dropped[nid] = node.dropped
+        for link in self.links.values():
+            if link.delivered:
+                st.link_delivered[link.id] = link.delivered
 
     def _process_gen(self, stream: UdpStream, seq: int) -> None:
         self.stats.injected += 1
@@ -429,13 +447,12 @@ class Simulation:
             self._seq += 1
             heappush(self._heap, (t, self._seq, ("gen", stream, seq)))
 
-    def _process_deliver(self, link_id: str, node_id: str, p: Packet, size: int) -> None:
+    def _process_deliver(self, link: Link, node: Node, p: Packet, size: int) -> None:
         # the packet does not change on the link: the size and trace ids
         # of its egress row still hold
-        self.stats.link_delivered[link_id] += 1
-        node = self.nodes[node_id]
+        link.delivered += 1
         flow, seq = p.meta.trace_ids
-        self.trace.append((self.clock, node_id, "ingress", flow, seq, size))
+        self.trace.append((self.clock, node.id, "ingress", flow, seq, size))
         self._apply(node, p, node.process_ingress(p, self.clock))
         if node.originated:
             pending, node.originated = node.originated, []
@@ -448,12 +465,12 @@ class Simulation:
             node_id = node.id
             link = self.ports[node_id].get(decision.link)
             if link is None:
-                self._drop(node_id, "bad_egress_link", p)
+                self._drop(node, "bad_egress_link", p)
                 return
-            # the egress row and the delivery event, inline: no link delay
-            # is negative, so the delivery is never before the clock
-            self.stats.forwarded[node_id] += 1
-            size = p.wire_size()
+            # the egress row and the delivery event, inline: no link delay is
+            # negative, and every builder and behaviour keeps payload_length
+            node.forwarded += 1
+            size = p.headers[0][0].payload_length + 40
             meta = p.meta
             ids = meta.trace_ids
             if ids is None:
@@ -462,24 +479,25 @@ class Simulation:
             now = self.clock
             self.trace.append((now, node_id, "egress", flow, seq, size))
             delivery = link.transmit(node_id, size, now)
-            peer = link.b if node_id == link.a else link.a  # link.peer(node_id)
+            peer = link.node_b if node is link.node_a else link.node_a
             self._seq += 1
-            heappush(self._heap, (delivery, self._seq, ("deliver", link.id, peer, p, size)))
+            heappush(self._heap, (delivery, self._seq, ("deliver", link, peer, p, size)))
         elif kind is Drop:
-            self._drop(node.id, decision.reason.value, p)
+            self._drop(node, decision.reason.value, p)
         elif kind is LocalDeliver:
-            self.stats.delivered[node.id] += 1
+            node.delivered += 1
             handler = self.handlers.get(p.headers[0][0].dst)
             if handler is not None:
                 handler(p, self.clock)
         else:  # pragma: no cover
             raise SimError(f"bad decision {decision!r}")
 
-    def _drop(self, node_id: str, reason: str, p: Packet) -> None:
-        self.stats.dropped[node_id] += 1
+    def _drop(self, node: Node, reason: str, p: Packet) -> None:
+        node.dropped += 1
         self.stats.drop_reasons[reason] += 1
         flow, seq = p.meta.trace_ids or trace_ids(p)
-        self.trace.append((self.clock, node_id, "drop", flow, seq, p.wire_size()))
+        size = p.headers[0][0].payload_length + 40
+        self.trace.append((self.clock, node.id, "drop", flow, seq, size))
 
     def _local_output(self, node: Node, p: Packet) -> None:
         """Count and send a packet a node originates (no hop-limit decrement)."""

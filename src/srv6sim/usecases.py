@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 from .packet import (
     Address,
     InvariantViolation,
-    Ipv6Header,
-    PROTO_ROUTING,
     Packet,
     SegmentRoutingHeader,
     Tlv,
     Udp,
     encode_tlvs,
     first_tlvs,
+    make_srh_udp_packet,
     make_udp_packet,
     ntop,
 )
@@ -425,20 +424,10 @@ class TwdProber(Daemon):
         node = sim.nodes[self.node]
         final_addr = node.addresses[0]
         for pl in self.links:
-            srh = SegmentRoutingHeader(
-                segments=[final_addr, pl.return_addr, pl.dm_sid],
-                segments_left=2,
-                next_header=17,
-                tlv_bytes=encode_tlvs(
-                    dm_tlv(now), controller_tlv(final_addr, TWD_PROBE_PORT)
-                ),
-            )
-            hdr = Ipv6Header(
-                src=final_addr, dst=pl.dm_sid, next_header=PROTO_ROUTING
-            )
-            probe = Packet(
-                headers=[(hdr, [srh])],
-                transport=Udp(TWD_PROBE_PORT, TWD_PROBE_PORT, b"\x00" * 8),
+            probe = make_srh_udp_packet(
+                final_addr, [final_addr, pl.return_addr, pl.dm_sid],
+                encode_tlvs(dm_tlv(now), controller_tlv(final_addr, TWD_PROBE_PORT)),
+                b"\x00" * 8, TWD_PROBE_PORT, TWD_PROBE_PORT,
             )
             self.sent += 1
             sim.send(self.node, probe)
@@ -625,15 +614,10 @@ def multipath_traceroute(
         return reply
 
     def oamp_query(hop: str) -> list[Address] | None:
-        sid = oamp_sids[hop]
-        srh = SegmentRoutingHeader(
-            segments=[target, sid], segments_left=1, next_header=17,
-            tlv_bytes=encode_tlvs(controller_tlv(prober_addr, OAMP_REPLY_PORT)),
-        )
-        hdr = Ipv6Header(src=prober_addr, dst=sid, next_header=PROTO_ROUTING)
-        probe = Packet(
-            headers=[(hdr, [srh])],
-            transport=Udp(OAMP_REPLY_PORT, 33434, struct.pack(">I", next(probe_ids)) + b"\x00" * 4),
+        probe = make_srh_udp_packet(
+            prober_addr, [target, oamp_sids[hop]],
+            encode_tlvs(controller_tlv(prober_addr, OAMP_REPLY_PORT)),
+            struct.pack(">I", next(probe_ids)) + b"\x00" * 4, OAMP_REPLY_PORT, 33434,
         )
         return ask(probe, ("oamp", sim.nodes[hop].index))
 

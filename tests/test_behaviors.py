@@ -31,6 +31,7 @@ from srv6sim.packet import (
     make_udp_packet,
     pton,
 )
+from util import assert_lengths_closed
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
@@ -348,16 +349,6 @@ def test_pipeline_is_deterministic():
         return node.process_ingress(p, 123), encode_packet(p)
 
     assert run_once() == run_once()
-
-
-def assert_lengths_closed(p):
-    """Every header's payload_length covers exactly what follows it."""
-    total = p.wire_size()
-    consumed = 0
-    for hdr, srhs in p.headers:
-        consumed += 40
-        assert hdr.payload_length == total - consumed
-        consumed += sum(s.wire_length for s in srhs)
 
 
 def test_length_closure_through_mutations():

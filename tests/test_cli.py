@@ -235,11 +235,11 @@ def test_owd_report_zero_jitter_p99_equals_mean(tmp_path, capsys):
     metrics = {}
     for line in text.splitlines():
         parts = line.split()
-        if len(parts) >= 2 and parts[0].startswith(("owd_", "probe_", "event_")):
+        if len(parts) >= 2 and parts[0].startswith(("owd_", "probe_", "events_")):
             metrics[parts[0]] = parts[1]
     assert metrics["probe_count"] == "10"  # 1000 packets at 1:100
     assert metrics["owd_p99"] == metrics["owd_mean"] == metrics["owd_max"]
-    assert metrics["event_drop_count"] == "0"
+    assert metrics["events_dropped"] == "0"
 
 
 def test_owd_ratio_override_changes_probe_count(tmp_path):
@@ -359,3 +359,25 @@ def test_bench_consecutive_runs_stable():
                 break
         else:
             pytest.fail(f"{f}: consecutive bench runs differ by more than 10%")
+
+
+@pytest.mark.parametrize(
+    "compensate, flag, used",
+    [(False, None, "off"), (False, "on", "on"), (True, "off", "off"), (True, None, "on")],
+)
+def test_hybrid_compensation_is_the_scenarios_unless_the_flag_overrides(
+    tmp_path, compensate, flag, used
+):
+    raw = json.loads(fixture_path("setup2-hybrid.json").read_text())
+    prober = next(d for d in raw["daemons"] if d["type"] == "twd_prober")
+    prober["params"]["compensate"] = compensate
+    scenario = tmp_path / "setup2-hybrid.json"
+    scenario.write_text(json.dumps(raw))
+    argv = ["hybrid", str(scenario), "--format", "tsv", "--out", str(tmp_path)]
+    assert run_cli(*argv, *(["--compensation", flag] if flag else [])) == 0
+    rows = dict(
+        line.split("\t")[:2]
+        for line in (tmp_path / "setup2-hybrid-hybrid-report.tsv").read_text().splitlines()
+    )
+    assert rows["param:compensation"] == used
+    assert (float(rows["applied_delay_last"]) > 0) == (used == "on")

@@ -2,9 +2,10 @@
 
 Pins the sha256 of the ``write_trace`` bytes and of ``Statistics.summary()``
 for every bundled fixture at seeds 1, 5 and 42, each run for its full
-``duration_ms``. A performance or refactoring change must leave every
-digest unchanged; a change that alters behaviour on purpose updates them
-in the same commit and says why.
+``duration_ms``, and the per-link delivered counts the summary omits. A
+performance or refactoring change must leave every digest unchanged; a
+change that alters behaviour on purpose updates them in the same commit
+and says why.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ GOLDEN = {
     ),
 }
 
+# fixture -> packets each link delivered, at every seed of GOLDEN; the
+# summary digest does not cover these
+LINK_DELIVERED = {
+    "setup1.json": {"l01": 1010, "l12": 1010},
+    "setup2-hybrid.json": {"la": 2640, "lb": 1640, "lm": 4000, "ls": 4000},
+    "diamond.json": {"lab": 50, "lbd": 50, "ldt": 50, "lsa": 50},
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -76,6 +85,9 @@ def test_fixture_digests_unchanged(name, seed, tmp_path):
     assert (_sha256(path.read_bytes()), _sha256(stats.summary().encode())) == GOLDEN[
         (name, seed)
     ]
+    # the per-link counts, which perfbench divides by time, match the rows
+    assert sum(stats.link_delivered.values()) == sum(1 for r in sim.trace if r[2] == "ingress")
+    assert stats.link_delivered == LINK_DELIVERED[name]
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
@@ -92,11 +104,11 @@ def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
         assert row[5] == size
         directions.add(row[2])
 
-    def checked_deliver(self, link_id, node_id, p, size):
+    def checked_deliver(self, link, node, p, size):
         assert size == p.wire_size()
         n = len(self.trace)
-        process_deliver(self, link_id, node_id, p, size)
-        assert self.trace[n][:3] == (self.clock, node_id, "ingress")
+        process_deliver(self, link, node, p, size)
+        assert self.trace[n][:3] == (self.clock, node.id, "ingress")
         check_row(self.trace[n], p, size)
 
     def checked_apply(self, node, p, decision):

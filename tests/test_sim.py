@@ -36,6 +36,7 @@ from srv6sim.sim import (
     write_trace,
 )
 from srv6sim.usecases import multipath_traceroute
+from util import assert_lengths_closed
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
@@ -232,6 +233,26 @@ def test_negative_delays_are_rejected():
     with pytest.raises(SimError):
         sim.set_qdisc_delay("A", "l", -1)
     assert sim.links["l"].dirs["A"].qdisc_extra_ns == 0
+
+
+def test_link_to_a_node_not_yet_added_is_rejected():
+    sim = Simulation()
+    sim.add_node(Node("A", [S1]))
+    for a, b in (("A", "B"), ("B", "A")):
+        with pytest.raises(SimError):
+            sim.add_link("l", a, b, 1_000_000, 0)
+    assert not sim.links and not sim.ports
+
+
+def test_forward_to_a_link_that_is_not_a_port_drops_the_packet():
+    sim = two_node_sim()
+    sim.nodes["A"].fib_insert(FibEntry(S2, 128, [(S2, "elsewhere")]))
+    p = make_udp_packet(S1, S2, b"x" * 16)
+    sim.send("A", p)
+    stats = sim.run_until(1_000_000_000)
+    assert sim.trace == [(0, "A", "drop", None, None, p.wire_size())]
+    assert (dict(stats.dropped), dict(stats.drop_reasons)) == ({"A": 1}, {"bad_egress_link": 1})
+    assert not stats.forwarded and not stats.link_delivered
 
 
 def test_set_qdisc_unknown_link():
@@ -625,15 +646,49 @@ def test_every_forwarded_packet_is_valid_and_round_trips(monkeypatch, fixture):
     assert len(hops) == sum(stats.forwarded.values())
 
 
-@pytest.mark.parametrize(
-    "fixture, traceroute",
-    [
-        pytest.param("setup1.json", False, id="setup1.json"),
-        pytest.param("setup2-hybrid.json", False, id="setup2-hybrid.json"),
-        pytest.param("diamond.json", False, id="diamond.json"),
-        pytest.param("diamond.json", True, id="diamond.json-traceroute"),
-    ],
-)
+FIXTURE_RUNS = [
+    pytest.param("setup1.json", False, id="setup1.json"),
+    pytest.param("setup2-hybrid.json", False, id="setup2-hybrid.json"),
+    pytest.param("diamond.json", False, id="diamond.json"),
+    pytest.param("diamond.json", True, id="diamond.json-traceroute"),
+]
+
+
+@pytest.mark.parametrize("fixture, traceroute", FIXTURE_RUNS)
+def test_every_forwarded_or_dropped_packet_keeps_its_lengths(monkeypatch, fixture, traceroute):
+    """The hop sizes a packet by its outer payload_length, so each live
+    packet a node forwards or drops keeps every layer's payload_length and
+    its UDP length equal to what its structure gives. The traceroute keeps
+    the discovery SIDs of A and B only, so it sends both probe kinds and
+    quotes probes in time-exceeded replies."""
+    apply, drop = Simulation._apply, Simulation._drop
+    seen = {"forward": 0, "drop": 0}
+
+    def checked_apply(self, node, p, decision):
+        if type(decision) is Forward:
+            assert_lengths_closed(p)
+            seen["forward"] += 1
+        apply(self, node, p, decision)
+
+    def checked_drop(self, node, reason, p):
+        assert_lengths_closed(p)
+        seen["drop"] += 1
+        drop(self, node, reason, p)
+
+    monkeypatch.setattr(Simulation, "_apply", checked_apply)
+    monkeypatch.setattr(Simulation, "_drop", checked_drop)
+    cfg = load_scenario(fixture_path(fixture))
+    sim = build_simulation(cfg)
+    if traceroute:
+        oamp_sids = {s.node: s.sid for s in cfg.sids if s.node in ("A", "B")}
+        assert multipath_traceroute(sim, "S", S2, oamp_sids).reached
+        assert seen["drop"]  # the hop-limited probes
+    else:
+        sim.run_until(cfg.duration_ns)
+    assert seen["forward"]
+
+
+@pytest.mark.parametrize("fixture, traceroute", FIXTURE_RUNS)
 def test_finished_simulation_is_freed_by_reference_counting(fixture, traceroute):
     """No reference cycle holds a simulation: its daemons' alarms and its
     probers' receivers refer back to it weakly, the cycles between a node

@@ -79,6 +79,20 @@ def random_packet(rng: random.Random) -> Packet:
     return Packet(headers=headers, transport=transport)
 
 
+def assert_lengths_closed(p: Packet) -> None:
+    """Every header's payload_length covers exactly what follows it, as
+    the packet's structure sizes it, and a UDP length covers its payload."""
+    total = p.wire_size()
+    consumed = 0
+    for hdr, srhs in p.headers:
+        consumed += 40
+        assert hdr.payload_length == total - consumed, (hdr.payload_length, total - consumed)
+        consumed += sum(s.wire_length for s in srhs)
+    if isinstance(p.transport, Udp):
+        udp = p.transport
+        assert udp.length == 8 + len(udp.payload), (udp.length, 8 + len(udp.payload))
+
+
 def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packet:
     """Single-header packet addressed to `sid` with an outer SRH whose
     segments_left >= min_left."""
