@@ -19,7 +19,7 @@ from pathlib import Path
 from .behaviors import End, EndProgram, EndT
 from .dataplane import Node
 from .fib import FibEntry
-from .packet import PROTO_ROUTING, PROTO_UDP, SegmentRoutingHeader, make_udp_packet, pton
+from .packet import make_srh_udp_packet, make_udp_packet, pton
 from .programs import (
     Outcome,
     helper_adjust_srh,
@@ -289,9 +289,10 @@ def _bench_case(name: str):
     node = Node("R", [pton("2001:db8::1")])
     node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [(_B_NH, "l1")]))
     node.fib_insert(FibEntry(pton("fd00::"), 8, [(_B_NH, "l1")]))
-    p = make_udp_packet(_B_SRC, _B_DST, b"\x00" * 64)
-    hdr = p.headers[0][0]
     if name == "plain":
+        p = make_udp_packet(_B_SRC, _B_DST, b"\x00" * 64)
+        hdr = p.headers[0][0]
+
         def reset():
             hdr.hop_limit = 64
 
@@ -303,10 +304,8 @@ def _bench_case(name: str):
     else:
         node.add_program("bench", program)
         node.add_sid(_B_SID, EndProgram("bench"))
-    srh = SegmentRoutingHeader(segments=[_B_DST, _B_SID], segments_left=1, next_header=PROTO_UDP)
-    hdr.dst = _B_SID
-    hdr.next_header = PROTO_ROUTING
-    p.headers[0][1].append(srh)
+    p = make_srh_udp_packet(_B_SRC, [_B_DST, _B_SID], b"", b"\x00" * 64, 49152, 33434)
+    hdr, (srh,) = p.headers[0]
     base_plen = hdr.payload_length
 
     def reset():

@@ -22,6 +22,7 @@ from .packet import (
     InvariantViolation,
     PROTO_ICMPV6,
     Packet,
+    PacketError,
     Ipv6Header,
     encode_packet,
 )
@@ -189,6 +190,22 @@ class Node:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)
 
+    def output(self, p: Packet, now: int) -> ForwardingDecision:
+        """Route a packet this node originates, as seg6's lwtunnel output:
+        a destination on the node is delivered (local SIDs act on input
+        only), any other takes its transit behaviour, if one matches, then
+        the common forwarding tail."""
+        dst = p.headers[0][0].dst
+        if dst in self.local_addrs:
+            return LOCAL_DELIVER
+        b = self._behaviors.get(dst, _MISS)
+        if b is _MISS:
+            b = self.transits.lookup(dst)  # not local, so not a SID
+            _remember(self._behaviors, dst, b)
+        if b is None:
+            return self.finish_forwarding(p)
+        return self._dispatch(b, p, now)
+
     def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
         """Run a SID or transit behaviour, then the common forwarding tail."""
         try:
@@ -218,7 +235,7 @@ class Node:
             return
         try:
             quoted = encode_packet(offender)[:64]
-        except Exception:
+        except PacketError:  # an offender with a broken invariant is not quoted
             quoted = b""
         body = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0)) + quoted
         hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, payload_length=len(body))

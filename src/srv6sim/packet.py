@@ -30,6 +30,7 @@ TLV_PAD1 = 0
 TLV_PADN = 4
 
 _V6_HDR = struct.Struct(">IHBB16s16s")
+_SRH_HDR = struct.Struct(">BBBBBBH")
 _UDP_HDR = struct.Struct(">HHHH")
 
 
@@ -256,9 +257,9 @@ class PacketMeta:
     # finalize revalidates; this and the three pending fields are per hop,
     # cleared at each ingress
     srh_dirty: SegmentRoutingHeader | None = None
-    # (flow, seq) of the trace, set by the traffic generator or else by the
-    # first egress row; the transport never changes after construction, so
-    # it stays valid
+    # (flow, seq) of the trace, set where the packet is originated: by the
+    # traffic generator or else by Simulation._local_output; the transport
+    # never changes after construction, so it stays valid
     trace_ids: tuple[int | None, int | None] | None = None
 
 
@@ -374,21 +375,26 @@ def udp_checksum(p: Packet) -> int:
     return csum if csum else 0xFFFF
 
 
-def _expected_next(layer_idx: int, p: Packet) -> int | None:
-    if layer_idx + 1 < len(p.headers):
-        return PROTO_IPV6
-    if isinstance(p.transport, Udp):
-        return PROTO_UDP
-    return None  # opaque transport: any protocol code is carried as-is
-
-
 def check_packet(p: Packet) -> None:
-    """Raise InvariantViolation on any broken type or chain invariant."""
-    if not p.headers:
+    """Raise InvariantViolation on any broken type, chain or length
+    invariant. The layers are checked innermost first: each header's
+    payload_length must be the structural size of what follows it, and a
+    UDP length must be 8 plus its payload."""
+    headers = p.headers
+    if not headers:
         raise InvariantViolation("packet needs at least one IPv6 header")
-    for i, (hdr, srhs) in enumerate(p.headers):
+    tp = p.transport
+    if isinstance(tp, Udp):
+        follows = 8 + len(tp.payload)  # octets after the current layer's SRHs
+        if tp.length != follows:
+            raise InvariantViolation(f"UDP length {tp.length} != {follows}")
+        expected: int | None = PROTO_UDP
+    else:
+        follows = len(tp)
+        expected = None  # opaque transport: any protocol code is carried as-is
+    for i in range(len(headers) - 1, -1, -1):
+        hdr, srhs = headers[i]
         hdr.check()
-        expected = _expected_next(i, p)
         if srhs:
             if hdr.next_header != PROTO_ROUTING:
                 raise InvariantViolation(
@@ -403,19 +409,26 @@ def check_packet(p: Packet) -> None:
                     raise InvariantViolation(
                         f"SRH {i}.{j} next_header {srh.next_header} != {want}"
                     )
+                follows += srh.wire_length
         elif expected is not None and hdr.next_header != expected:
             raise InvariantViolation(
                 f"header {i} next_header {hdr.next_header} != {expected}"
             )
+        if hdr.payload_length != follows:
+            raise InvariantViolation(
+                f"header {i} payload_length {hdr.payload_length} != {follows}"
+            )
+        follows += 40
+        expected = PROTO_IPV6
 
 
 def encode_packet(p: Packet) -> bytes:
-    """Serialize to wire bytes; recomputes payload_length, UDP length and
-    checksum fields in place so that decode(encode(p)) == p."""
+    """Serialize to wire bytes. The packet must pass check_packet, and its
+    lengths are written as it keeps them; only the UDP checksum is computed
+    here, and stored in place, so that decode(encode(p)) == p."""
     check_packet(p)
     if isinstance(p.transport, Udp):
         udp = p.transport
-        udp.length = udp.wire_length
         udp.checksum = udp_checksum(p)
         tail = _UDP_HDR.pack(udp.src_port, udp.dst_port, udp.length, udp.checksum)
         tail += udp.payload
@@ -425,41 +438,21 @@ def encode_packet(p: Packet) -> bytes:
     out = tail
     for hdr, srhs in reversed(p.headers):
         for srh in reversed(srhs):
-            seg_blob = b"".join(srh.segments)
-            out = (
-                struct.pack(
-                    ">BBBBBBH",
-                    srh.next_header,
-                    srh.hdr_ext_len,
-                    srh.routing_type,
-                    srh.segments_left,
-                    srh.last_entry,
-                    srh.flags,
-                    srh.tag,
-                )
-                + seg_blob
-                + srh.tlv_bytes
-                + out
-            )
-        hdr.payload_length = len(out)
-        out = (
-            _V6_HDR.pack(
-                (hdr.version << 28) | (hdr.traffic_class << 20) | hdr.flow_label,
-                hdr.payload_length,
-                hdr.next_header,
-                hdr.hop_limit,
-                hdr.src,
-                hdr.dst,
-            )
-            + out
-        )
+            out = _SRH_HDR.pack(
+                srh.next_header, srh.hdr_ext_len, srh.routing_type, srh.segments_left,
+                srh.last_entry, srh.flags, srh.tag,
+            ) + b"".join(srh.segments) + srh.tlv_bytes + out
+        out = _V6_HDR.pack(
+            (hdr.version << 28) | (hdr.traffic_class << 20) | hdr.flow_label,
+            hdr.payload_length, hdr.next_header, hdr.hop_limit, hdr.src, hdr.dst,
+        ) + out
     return out
 
 
 def _parse_srh(buf: bytes, off: int) -> tuple[SegmentRoutingHeader, int]:
     if off + 8 > len(buf):
         raise ParseError(off, "SRH truncated")
-    nh, hel, rtype, sl, le, flags, tag = struct.unpack_from(">BBBBBBH", buf, off)
+    nh, hel, rtype, sl, le, flags, tag = _SRH_HDR.unpack_from(buf, off)
     if rtype != ROUTING_TYPE_SRH:
         raise ParseError(off + 2, f"bad routing_type {rtype}")
     total = 8 * (hel + 1)

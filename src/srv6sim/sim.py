@@ -440,7 +440,7 @@ class Simulation:
         self.stats.injected += 1
         node = self.nodes[stream.src_node]
         p = stream.build(seq)
-        self._apply(node, p, node.finish_forwarding(p))  # _local_output, inline
+        self._apply(node, p, node.output(p, self.clock))  # _local_output, inline
         seq += 1
         if seq < stream.count:  # one gap later, clamped to the clock as by _schedule
             t = max(self.clock, stream.start_ns + seq * (1_000_000_000 // stream.rate_pps))
@@ -471,11 +471,7 @@ class Simulation:
             # negative, and every builder and behaviour keeps payload_length
             node.forwarded += 1
             size = p.headers[0][0].payload_length + 40
-            meta = p.meta
-            ids = meta.trace_ids
-            if ids is None:
-                ids = meta.trace_ids = trace_ids(p)
-            flow, seq = ids
+            flow, seq = p.meta.trace_ids
             now = self.clock
             self.trace.append((now, node_id, "egress", flow, seq, size))
             delivery = link.transmit(node_id, size, now)
@@ -489,20 +485,22 @@ class Simulation:
             handler = self.handlers.get(p.headers[0][0].dst)
             if handler is not None:
                 handler(p, self.clock)
-        else:  # pragma: no cover
-            raise SimError(f"bad decision {decision!r}")
 
     def _drop(self, node: Node, reason: str, p: Packet) -> None:
         node.dropped += 1
         self.stats.drop_reasons[reason] += 1
-        flow, seq = p.meta.trace_ids or trace_ids(p)
+        flow, seq = p.meta.trace_ids
         size = p.headers[0][0].payload_length + 40
         self.trace.append((self.clock, node.id, "drop", flow, seq, size))
 
     def _local_output(self, node: Node, p: Packet) -> None:
-        """Count and send a packet a node originates (no hop-limit decrement)."""
+        """Count and send a packet a node originates (no hop-limit
+        decrement), setting its trace ids unless its builder did."""
         self.stats.injected += 1
-        self._apply(node, p, node.finish_forwarding(p))
+        meta = p.meta
+        if meta.trace_ids is None:
+            meta.trace_ids = trace_ids(p)
+        self._apply(node, p, node.output(p, self.clock))
 
 
 # ---------------------------------------------------------------------------

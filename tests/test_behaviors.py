@@ -21,17 +21,17 @@ from srv6sim.fib import FibEntry
 from srv6sim.packet import (
     InvariantViolation,
     PROTO_ICMPV6,
-    PROTO_ROUTING,
     PROTO_UDP,
     SegmentRoutingHeader,
     Tlv,
+    check_packet,
     decode_packet,
     encode_packet,
     encode_tlvs,
+    make_srh_udp_packet,
     make_udp_packet,
     pton,
 )
-from util import assert_lengths_closed
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
@@ -42,11 +42,10 @@ NH_R3 = (pton("2001:db8::3"), "l3")
 
 def sr_packet(segments, sl, dst=None, hop=64):
     """Packet with one SRH; segments given in reverse (storage) order."""
-    p = make_udp_packet(S1, dst or segments[sl], b"payload", hop_limit=hop)
-    srh = SegmentRoutingHeader(segments=list(segments), segments_left=sl, next_header=PROTO_UDP)
-    p.headers[0][0].next_header = PROTO_ROUTING
-    p.headers[0][0].dst = dst or srh.active_segment
-    p.headers[0][1].append(srh)
+    p = make_srh_udp_packet(S1, list(segments), b"", b"payload", 49152, 33434)
+    hdr, (srh,) = p.headers[0]
+    srh.segments_left, hdr.hop_limit = sl, hop
+    hdr.dst = dst or srh.active_segment
     return p
 
 
@@ -321,6 +320,14 @@ def test_hop_limit_exhaustion_emits_time_exceeded():
     assert icmp.transport[4:6] == b"\x60\x00"
 
 
+def test_time_exceeded_quotes_nothing_of_an_offender_with_a_stale_length():
+    node = router()
+    p = make_udp_packet(S1, S2, b"x", hop_limit=1)
+    p.outer_header.payload_length += 8
+    assert node.process_ingress(p, 5) == Drop(DropReason.HOP_LIMIT_EXCEEDED)
+    assert [icmp.transport for icmp in node.originated] == [bytes((3, 0, 0, 0))]
+
+
 def test_local_delivery():
     node = router()
     p = make_udp_packet(S1, pton("2001:db8::1"), b"x")
@@ -353,15 +360,15 @@ def test_pipeline_is_deterministic():
 
 def test_length_closure_through_mutations():
     p = make_udp_packet(S1, S2, b"x" * 20)
-    assert_lengths_closed(p)
+    check_packet(p)
     behaviors.t_insert(p, SegmentRoutingHeader(segments=[F], segments_left=0))
-    assert_lengths_closed(p)
+    check_packet(p)
     behaviors.encapsulate(
         p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1")
     )
-    assert_lengths_closed(p)
+    check_packet(p)
     behaviors.end_dt6(p, 0)
-    assert_lengths_closed(p)
+    check_packet(p)
     assert decode_packet(encode_packet(p)) == p
 
 

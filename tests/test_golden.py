@@ -93,8 +93,8 @@ def test_fixture_digests_unchanged(name, seed, tmp_path):
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
     """The size carried to each ingress and egress row and the (flow, seq)
-    cached in the packet metadata, whether the traffic generator set it or
-    a row parsed it, equal what the packet itself gives at that point."""
+    cached in the packet metadata, which the traffic generator or the
+    node's local output set, equal what the packet itself gives there."""
     process_deliver = Simulation._process_deliver
     apply = Simulation._apply
     directions = set()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from srv6sim.behaviors import encapsulate
 from srv6sim.packet import (
     ROUTING_TYPE_SRH,
     TLV_PAD1,
@@ -18,9 +19,11 @@ from srv6sim.packet import (
     SrhViolation,
     Tlv,
     Udp,
+    check_packet,
     decode_packet,
     encode_packet,
     encode_tlvs,
+    make_srh_udp_packet,
     make_udp_packet,
     parse_hex_dump,
     pton,
@@ -85,6 +88,22 @@ def test_active_segment_is_reverse_indexed():
     assert srh.active_segment == S1
     srh.segments_left = 0
     assert srh.active_segment == S2
+
+
+@pytest.mark.parametrize("layer", [0, 1, "udp"])
+def test_a_stale_length_is_rejected_and_encode_rewrites_none(layer):
+    p = encapsulate(make_udp_packet(S1, S2, b"payload"), SegmentRoutingHeader([S2], 0), S1)
+    check_packet(p)
+    if layer == "udp":
+        p.transport.length += 8
+    else:
+        p.headers[layer][0].payload_length += 8
+    lengths = [h.payload_length for h, _ in p.headers] + [p.transport.length]
+    stale = "UDP length" if layer == "udp" else f"header {layer} payload_length"
+    for check in (check_packet, encode_packet):
+        with pytest.raises(InvariantViolation, match=stale):
+            check(p)
+    assert [h.payload_length for h, _ in p.headers] + [p.transport.length] == lengths
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +199,7 @@ def test_decode_bad_version():
 
 
 def test_decode_bad_routing_type():
-    p = make_udp_packet(S1, S2, b"x")
-    srh = SegmentRoutingHeader(segments=[S2], segments_left=0, next_header=17)
-    p.headers[0][0].next_header = 43
-    p.headers[0][1].append(srh)
+    p = make_srh_udp_packet(S1, [S2], b"", b"x", 49152, 33434)
     raw = bytearray(encode_packet(p))
     raw[42] = 99  # routing_type octet
     with pytest.raises(ParseError, match="routing_type"):
@@ -191,11 +207,7 @@ def test_decode_bad_routing_type():
 
 
 def test_decode_hdr_ext_len_smaller_than_segment_list():
-    p = make_udp_packet(S1, S2, b"x")
-    p.headers[0][0].next_header = 43
-    p.headers[0][1].append(
-        SegmentRoutingHeader(segments=[S1, S2], segments_left=0, next_header=17)
-    )
+    p = make_srh_udp_packet(S1, [S1, S2], b"", b"x", 49152, 33434)
     raw = bytearray(encode_packet(p))
     raw[41] = 2  # hdr_ext_len: implies 24 octets < 8 + 32
     with pytest.raises(ParseError):
@@ -203,12 +215,8 @@ def test_decode_hdr_ext_len_smaller_than_segment_list():
 
 
 def test_decode_tlv_walk_overrun():
-    p = make_udp_packet(S1, S2, b"x")
     tlv = encode_tlvs(Tlv(9, b"\x01\x02\x03\x04\x05\x06"))
-    p.headers[0][0].next_header = 43
-    p.headers[0][1].append(
-        SegmentRoutingHeader(segments=[S2], segments_left=0, next_header=17, tlv_bytes=tlv)
-    )
+    p = make_srh_udp_packet(S1, [S2], tlv, b"x", 49152, 33434)
     raw = bytearray(encode_packet(p))
     # corrupt the TLV length so the value runs past the region end
     raw[40 + 8 + 16 + 1] = 200
@@ -374,11 +382,8 @@ def test_validate_srh_matches_the_tlv_walk_reference(srh):
 
 
 def test_encode_rejects_invalid_srh():
-    p = make_udp_packet(S1, S2, b"x")
-    p.headers[0][0].next_header = 43
-    p.headers[0][1].append(
-        SegmentRoutingHeader(segments=[S2], segments_left=3, next_header=17)
-    )
+    p = make_srh_udp_packet(S1, [S2], b"", b"x", 49152, 33434)
+    p.outer_srh.segments_left = 3
     with pytest.raises(InvariantViolation):
         encode_packet(p)
 

@@ -135,7 +135,7 @@ def test_store_bytes_rejected_writes_leave_bytes_untouched():
 
 def test_adjust_grow_zero_fills():
     p = sr_packet([S2, F], 1)
-    raw_before = encode_packet(p)  # also recomputes payload_length in place
+    raw_before = encode_packet(p)
     ctx = make_ctx(p)
     before_hel = p.outer_srh.hdr_ext_len
     helper_adjust_srh(ctx, 8)
@@ -147,6 +147,7 @@ def test_adjust_grow_zero_fills():
 def test_adjust_shrink_restores_original_bytes():
     p = sr_packet([S2, F], 1)
     p.outer_srh.tlv_bytes = encode_tlvs(Tlv(9, b"\x01\x02\x03\x04\x05\x06"))
+    p.outer_header.payload_length += len(p.outer_srh.tlv_bytes)
     original = encode_packet(p.copy())
     ctx = make_ctx(p)
     helper_adjust_srh(ctx, 8)

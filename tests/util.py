@@ -76,21 +76,22 @@ def random_packet(rng: random.Random) -> Packet:
             flow_label=rng.randrange(1 << 20),
         )
         headers.append((hdr, srhs))
-    return Packet(headers=headers, transport=transport)
+    return with_lengths(Packet(headers=headers, transport=transport))
 
 
-def assert_lengths_closed(p: Packet) -> None:
-    """Every header's payload_length covers exactly what follows it, as
-    the packet's structure sizes it, and a UDP length covers its payload."""
-    total = p.wire_size()
-    consumed = 0
-    for hdr, srhs in p.headers:
-        consumed += 40
-        assert hdr.payload_length == total - consumed, (hdr.payload_length, total - consumed)
-        consumed += sum(s.wire_length for s in srhs)
-    if isinstance(p.transport, Udp):
-        udp = p.transport
-        assert udp.length == 8 + len(udp.payload), (udp.length, 8 + len(udp.payload))
+def with_lengths(p: Packet) -> Packet:
+    """Set a hand-built packet's lengths from its structure, as a builder
+    does: each payload_length covers what follows its header. Returns p."""
+    tp = p.transport
+    if isinstance(tp, Udp):
+        tp.length = follows = 8 + len(tp.payload)
+    else:
+        follows = len(tp)
+    for hdr, srhs in reversed(p.headers):
+        follows += sum(s.wire_length for s in srhs)
+        hdr.payload_length = follows
+        follows += 40
+    return p
 
 
 def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packet:
@@ -114,14 +115,13 @@ def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packe
         hop_limit=rng.randrange(8, 256),
         flow_label=rng.randrange(1 << 20),
     )
-    return Packet(
+    return with_lengths(Packet(
         headers=[(hdr, [srh])],
         transport=Udp(rng.randrange(65536), rng.randrange(65536), rng.randbytes(32)),
-    )
+    ))
 
 
 SID_END = pton("fd00:72::e")
-SID_BPF = pton("fd00:72::b")
 
 
 def _noop_program(ctx) -> Outcome:
