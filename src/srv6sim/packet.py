@@ -72,11 +72,8 @@ class Ipv6Header:
     traffic_class: int = 0
     flow_label: int = 0
     payload_length: int = 0
-    version: int = 6
 
     def check(self) -> None:
-        if self.version != 6:
-            raise InvariantViolation("IPv6 version must be 6")
         if not (0 <= self.traffic_class <= 0xFF):
             raise InvariantViolation("traffic_class out of range")
         if not (0 <= self.flow_label <= 0xFFFFF):
@@ -240,7 +237,6 @@ class Udp:
     dst_port: int
     payload: bytes = b""
     length: int = 0
-    checksum: int = 0
 
     @property
     def wire_length(self) -> int:
@@ -303,17 +299,11 @@ class Packet:
                 src=hdr.src, dst=hdr.dst, next_header=hdr.next_header,
                 hop_limit=hdr.hop_limit, traffic_class=hdr.traffic_class,
                 flow_label=hdr.flow_label, payload_length=hdr.payload_length,
-                version=hdr.version,
             )
             headers.append((h, [s.copy() for s in srhs]))
-        if isinstance(self.transport, Udp):
-            tp: Udp | bytes = Udp(
-                self.transport.src_port, self.transport.dst_port,
-                self.transport.payload, self.transport.length,
-                self.transport.checksum,
-            )
-        else:
-            tp = self.transport
+        tp = self.transport
+        if isinstance(tp, Udp):
+            tp = Udp(tp.src_port, tp.dst_port, tp.payload, tp.length)
         return Packet(headers=headers, transport=tp)
 
 
@@ -423,14 +413,13 @@ def check_packet(p: Packet) -> None:
 
 
 def encode_packet(p: Packet) -> bytes:
-    """Serialize to wire bytes. The packet must pass check_packet, and its
-    lengths are written as it keeps them; only the UDP checksum is computed
-    here, and stored in place, so that decode(encode(p)) == p."""
+    """Serialize to wire bytes without writing into p. The packet must pass
+    check_packet, and its lengths are written as it keeps them; the UDP
+    checksum exists only in the bytes, computed here."""
     check_packet(p)
     if isinstance(p.transport, Udp):
         udp = p.transport
-        udp.checksum = udp_checksum(p)
-        tail = _UDP_HDR.pack(udp.src_port, udp.dst_port, udp.length, udp.checksum)
+        tail = _UDP_HDR.pack(udp.src_port, udp.dst_port, udp.length, udp_checksum(p))
         tail += udp.payload
     else:
         tail = bytes(p.transport)
@@ -443,7 +432,7 @@ def encode_packet(p: Packet) -> bytes:
                 srh.last_entry, srh.flags, srh.tag,
             ) + b"".join(srh.segments) + srh.tlv_bytes + out
         out = _V6_HDR.pack(
-            (hdr.version << 28) | (hdr.traffic_class << 20) | hdr.flow_label,
+            (6 << 28) | (hdr.traffic_class << 20) | hdr.flow_label,
             hdr.payload_length, hdr.next_header, hdr.hop_limit, hdr.src, hdr.dst,
         ) + out
     return out
@@ -480,7 +469,7 @@ def decode_packet(b: bytes) -> Packet:
     """Parse wire bytes into a Packet with a fresh PacketMeta.
 
     UDP checksums are verified warn-only (logged), so replayed or fuzzed
-    byte streams stay usable.
+    byte streams stay usable, and not kept: encode_packet computes them.
     """
     headers: list[tuple[Ipv6Header, list[SegmentRoutingHeader]]] = []
     off = 0
@@ -514,8 +503,7 @@ def decode_packet(b: bytes) -> Packet:
             if ulen != len(b) - off:
                 raise ParseError(off + 4, f"UDP length {ulen} != {len(b) - off}")
             payload = bytes(b[off + 8 :])
-            udp = Udp(sport, dport, payload, ulen, csum)
-            pkt = Packet(headers=headers, transport=udp)
+            pkt = Packet(headers=headers, transport=Udp(sport, dport, payload, ulen))
             ref = udp_checksum(pkt)
             if csum not in (0, ref):
                 log.warning("UDP checksum mismatch: got %#06x want %#06x", csum, ref)

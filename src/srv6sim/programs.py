@@ -51,19 +51,13 @@ class HelperError(Exception):
         self.code = code
 
 
-@dataclass(slots=True)
-class EmittedEvent:
-    node: str
-    timestamp_ns: int
-    payload: bytes
-
-
 class EventQueue:
-    """Bounded one-producer queue; overflow drops the oldest event. Each
+    """Bounded one-producer queue of event payloads, as a perf buffer hands
+    its reader only the bytes written; overflow drops the oldest event. Each
     emit calls the waiters (the readers' wake-ups), in registration order."""
 
     def __init__(self):
-        self._events: deque[EmittedEvent] = deque()
+        self._events: deque[bytes] = deque()
         self.dropped = 0
         self.emitted = 0
         self.waiters: list[Callable[[], None]] = []
@@ -71,16 +65,16 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._events)
 
-    def emit(self, event: EmittedEvent) -> None:
+    def emit(self, payload: bytes) -> None:
         if len(self._events) >= EVENT_QUEUE_CAPACITY:
             self._events.popleft()
             self.dropped += 1
-        self._events.append(event)
+        self._events.append(payload)
         self.emitted += 1
         for wake in self.waiters:
             wake()
 
-    def drain(self) -> list[EmittedEvent]:
+    def drain(self) -> list[bytes]:
         out = list(self._events)
         self._events.clear()
         return out
@@ -302,8 +296,7 @@ def map_put(holder, name: str, key: bytes, value: bytes) -> None:
 def emit_event(ctx: ProgramContext, payload: bytes) -> None:
     if len(payload) > MAX_EVENT_PAYLOAD:
         raise HelperError("payload_too_large", str(len(payload)))
-    node = ctx.dataplane
-    node.events.emit(EmittedEvent(node.id, ctx.now_ns, payload))
+    ctx.dataplane.events.emit(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -523,8 +523,14 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         sim.nodes[s.node].add_sid(s.sid, s.behavior)
     for t in cfg.transits:
         sim.nodes[t.node].add_transit(t.prefix, t.plen, t.behavior)
-    for d in cfg.daemons:
+    readers = {}  # node -> id of the daemon that reads its event queue
+    for i, d in enumerate(cfg.daemons):
         daemon = DAEMON_TYPES[d.type](d.id, d.node, interval_ns=d.interval_ns, **d.params)
+        # ids are unique, so another id here is a second reader, and each
+        # reader would take the other's events
+        if daemon.drains is not None and readers.setdefault(daemon.drains, d.id) != d.id:
+            raise ConfigError(f"$.daemons[{i}].node", f"node {d.node!r}'s event queue is "
+                              f"already read by daemon {readers[daemon.drains]!r}")
         sim.add_daemon(daemon)
         setup = getattr(daemon, "setup", None)
         if setup is not None:

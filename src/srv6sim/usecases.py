@@ -114,8 +114,8 @@ def owd_collector_drain(queue: EventQueue) -> tuple[list[DelayRecord], int]:
     """Decode all queued delay events; returns (records, malformed count)."""
     records = []
     malformed = 0
-    for ev in queue.drain():
-        rec = decode_dm_event(ev.payload)
+    for payload in queue.drain():
+        rec = decode_dm_event(payload)
         if rec is None:
             malformed += 1
         else:
@@ -502,9 +502,9 @@ class OampResponder(Daemon):
         if self.reply_addr is None:
             return  # leave events queued until a prober registers
         node = sim.nodes[self.node]
-        for ev in node.events.drain():
+        for payload in node.events.drain():
             pkt = make_udp_packet(
-                node.addresses[0], self.reply_addr, ev.payload,
+                node.addresses[0], self.reply_addr, payload,
                 src_port=OAMP_REPLY_PORT, dst_port=OAMP_REPLY_PORT,
             )
             sim.send(self.node, pkt)
@@ -590,7 +590,11 @@ def multipath_traceroute(
             steps = max(1, -(-(now - sent_at) // PROBE_STEP_NS))
             sim.stop_at(sent_at + steps * PROBE_STEP_NS)
 
+    # a node whose event queue another daemon (a collector) reads is probed
+    # by ICMP; a responder is added only where no daemon reads the queue
     served = {d.node for d in sim.daemons.values() if isinstance(d, OampResponder)}
+    taken = {d.drains for d in sim.daemons.values() if not isinstance(d, OampResponder)}
+    oamp_sids = {n: sid for n, sid in oamp_sids.items() if n not in taken}
     for node_id in oamp_sids:
         if node_id not in served:
             sim.add_daemon(OampResponder(f"oamp_responder:{node_id}", node_id))

@@ -152,7 +152,7 @@ def test_end_b6_rejects_invalid_srh():
 
 def test_end_b6_encaps_wraps_packet():
     p = sr_packet([S2, F], 1)
-    inner_bytes_before = encode_packet(p.copy())
+    inner_bytes_before = encode_packet(p)
     outer = SegmentRoutingHeader(segments=[pton("fd00:9::1")], segments_left=0)
     behaviors.end(p)
     EndB6Encaps(outer, pton("2001:db8::1")).action(p)
@@ -212,7 +212,7 @@ def test_t_insert_rejects_sr_packets():
 
 def test_t_encaps_preserves_inner_bytes():
     p = make_udp_packet(S1, S2, b"x" * 40)
-    inner_raw = encode_packet(p.copy())
+    inner_raw = encode_packet(p)
     behaviors.encapsulate(p, SegmentRoutingHeader(segments=[F], segments_left=0), pton("2001:db8::1"))
     raw = encode_packet(p)
     assert raw.endswith(inner_raw)

@@ -313,6 +313,35 @@ def test_traceroute_no_oamp_flag_forces_fallback(capsys):
     assert "(B)" in branch and "(C)" in branch
 
 
+def diamond_with_daemons(tmp_path, *daemons):
+    raw = json.loads(fixture_path("diamond.json").read_text())
+    raw["daemons"] = [d for d in raw["daemons"] if d["node"] != "A"] + list(daemons)
+    scenario = tmp_path / "diamond-daemons.json"
+    scenario.write_text(json.dumps(raw))
+    return str(scenario)
+
+
+COLLECTOR_A = {"id": "collector-a", "type": "owd_collector", "node": "A", "interval_ms": 1}
+RESPONDER_A = {"id": "oamp-a", "type": "oamp_responder", "node": "A", "interval_ms": 1}
+
+
+def test_second_reader_of_a_node_event_queue_exits_2(tmp_path, capsys):
+    # each would take the other's events: a DM event and a two-nexthop
+    # OAMP event are both 38 octets
+    scenario = diamond_with_daemons(tmp_path, RESPONDER_A, COLLECTOR_A)
+    assert run_cli("traceroute", scenario, "S", "2001:db8:2::1") == 2
+    err = capsys.readouterr().err
+    assert "$.daemons[4].node" in err and "'oamp-a'" in err
+
+
+def test_traceroute_probes_by_icmp_a_node_whose_queue_a_collector_reads(tmp_path, capsys):
+    scenario = diamond_with_daemons(tmp_path, COLLECTOR_A)
+    assert run_cli("traceroute", scenario, "S", "2001:db8:2::1") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == " 1  A            [icmp]  -> 2001:db8:bb::1 (B), 2001:db8:cc::1 (C)"
+    assert out[-1] == "target 2001:db8:2::1: reached"
+
+
 def test_traceroute_unroutable_target_exits_1(capsys):
     code = run_cli("traceroute", str(fixture_path("diamond.json")), "S", "fd00:ff::1")
     assert code == 1

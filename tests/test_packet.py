@@ -11,7 +11,9 @@ from srv6sim.packet import (
     ROUTING_TYPE_SRH,
     TLV_PAD1,
     TLV_PADN,
+    PROTO_ICMPV6,
     InvariantViolation,
+    Ipv6Header,
     NoTransport,
     Packet,
     ParseError,
@@ -31,7 +33,7 @@ from srv6sim.packet import (
     validate_srh,
     walk_tlvs,
 )
-from util import random_packet
+from util import random_packet, with_lengths
 
 VECTOR_DIR = Path(__file__).parent / "vectors"
 
@@ -127,7 +129,7 @@ def test_vector_plain_udp():
     hdr = p.outer_header
     assert (hdr.src, hdr.dst, hdr.next_header, hdr.hop_limit) == (S1, S2, 17, 64)
     assert hdr.payload_length == 13
-    assert p.transport == Udp(0x1234, 0x5678, b"hello", 13, 0xF7DE)
+    assert p.transport == Udp(0x1234, 0x5678, b"hello", 13)
     assert udp_checksum(p) == 0xF7DE
     assert encode_packet(p) == raw
 
@@ -144,7 +146,7 @@ def test_vector_srh_two_segments():
     tlvs = [t for _, t in walk_tlvs(srh.tlv_bytes)]
     assert [t.type for t in tlvs] == [1, 2, 4]
     assert tlvs[0].value == struct.pack(">Q", 1_500_000)
-    assert p.transport.checksum == 0xB6BB
+    assert udp_checksum(p) == 0xB6BB
     assert encode_packet(p) == raw
 
 
@@ -156,7 +158,7 @@ def test_vector_encap_two_headers():
     assert outer.next_header == 43
     assert p.headers[0][1][0].next_header == 41
     assert inner.src == S1 and inner.dst == S2
-    assert p.transport.checksum == 0x07D2
+    assert udp_checksum(p) == 0x07D2
     assert encode_packet(p) == raw
 
 
@@ -181,6 +183,38 @@ def test_roundtrip_checksum_stable():
     raw = encode_packet(p)
     back = decode_packet(raw)
     assert udp_checksum(back) == udp_checksum(p)
+
+
+def four_packet_kinds() -> dict[str, Packet]:
+    tlv = encode_tlvs(Tlv(9, b"\x01\x02\x03\x04\x05\x06"))
+    encapsulated = make_udp_packet(S1, S2, b"inner", flow_label=7)
+    encapsulate(encapsulated, SegmentRoutingHeader([S2, S1], 1), pton("2001:db8::e"))
+    icmp = Ipv6Header(S1, S2, PROTO_ICMPV6)
+    return {
+        "udp": make_udp_packet(S1, S2, b"hello", traffic_class=3, flow_label=0x12345),
+        "srh": make_srh_udp_packet(S1, [S2, pton("fd00:72::e")], tlv, b"x" * 9, 4000, 5000),
+        "encapsulated": encapsulated,
+        "opaque": with_lengths(Packet([(icmp, [])], b"\x03\x00\x00\x00opaque")),
+    }
+
+
+def test_encode_leaves_every_field_unchanged():
+    for kind, p in four_packet_kinds().items():
+        before = repr(p)  # every field, the meta too
+        raw = encode_packet(p)
+        assert repr(p) == before, kind
+        assert encode_packet(p) == raw, kind
+
+
+def test_copy_is_equal_and_shares_no_mutable_part():
+    for kind, p in four_packet_kinds().items():
+        c = p.copy()
+        assert c == p and repr(c.transport) == repr(p.transport), kind
+        assert encode_packet(c) == encode_packet(p), kind
+        for (h, srhs), (hc, srhs_c) in zip(p.headers, c.headers):
+            assert hc is not h and srhs_c is not srhs
+            assert all(a is not b and a.segments is not b.segments for a, b in zip(srhs, srhs_c))
+        assert (c.transport is p.transport) == isinstance(p.transport, bytes), kind
 
 
 # ---------------------------------------------------------------------------

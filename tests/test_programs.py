@@ -31,7 +31,6 @@ from srv6sim.packet import (
 )
 from srv6sim.programs import (
     EventQueue,
-    EmittedEvent,
     HelperError,
     Hook,
     Outcome,
@@ -78,7 +77,7 @@ def test_store_bytes_flags_octet():
 
 def test_store_bytes_rejects_segments_left():
     p = sr_packet([S2, F], 1)
-    before = encode_packet(p.copy())
+    before = encode_packet(p)
     ctx = make_ctx(p)
     with pytest.raises(HelperError) as exc:
         helper_store_bytes(ctx, 3, b"\x00")
@@ -89,7 +88,7 @@ def test_store_bytes_rejects_segments_left():
 
 def test_store_bytes_rejects_span_from_tag_into_segments():
     p = sr_packet([S2, F], 1)
-    before = encode_packet(p.copy())
+    before = encode_packet(p)
     ctx = make_ctx(p)
     with pytest.raises(HelperError):
         helper_store_bytes(ctx, 6, b"\x00" * 4)
@@ -121,7 +120,7 @@ def test_store_bytes_rejected_writes_leave_bytes_untouched():
     for _ in range(200):
         p = random_sr_packet(rng, SID)
         ctx = make_ctx(p)
-        before = encode_packet(p.copy())
+        before = encode_packet(p)
         offset = rng.randrange(0, p.outer_srh.wire_length + 8)
         data = rng.randbytes(rng.randrange(1, 9))
         try:
@@ -148,7 +147,7 @@ def test_adjust_shrink_restores_original_bytes():
     p = sr_packet([S2, F], 1)
     p.outer_srh.tlv_bytes = encode_tlvs(Tlv(9, b"\x01\x02\x03\x04\x05\x06"))
     p.outer_header.payload_length += len(p.outer_srh.tlv_bytes)
-    original = encode_packet(p.copy())
+    original = encode_packet(p)
     ctx = make_ctx(p)
     helper_adjust_srh(ctx, 8)
     helper_adjust_srh(ctx, -8)
@@ -402,11 +401,11 @@ def test_emit_event_payload_cap():
 def test_event_queue_drop_oldest_with_counter():
     q = EventQueue()
     for i in range(4097):
-        q.emit(EmittedEvent("R", i, struct.pack(">I", i)))
+        q.emit(struct.pack(">I", i))
     assert q.dropped == 1
     events = q.drain()
     assert len(events) == 4096
-    assert struct.unpack(">I", events[0].payload)[0] == 1  # oldest was dropped
+    assert struct.unpack(">I", events[0])[0] == 1  # oldest was dropped
     assert len(q) == 0
 
 

@@ -21,7 +21,7 @@ from srv6sim.packet import (
     make_udp_packet,
     pton,
 )
-from srv6sim.programs import EventQueue, EmittedEvent, make_program, map_get, run_transit_program
+from srv6sim.programs import EventQueue, make_program, map_get, run_transit_program
 from srv6sim.scenario import (
     apply_overrides,
     build_simulation,
@@ -139,7 +139,7 @@ def test_dm_transit_leaves_non_sampled_packets_byte_identical():
     run_transit_program(node, prog, base.copy(), 0)  # consume the sampled slot
     for i in range(1, 100):
         p = base.copy()
-        before = encode_packet(p.copy())
+        before = encode_packet(p)
         run_transit_program(node, prog, p, i)
         assert encode_packet(p) == before
 
@@ -221,7 +221,7 @@ def test_end_dm_drops_probe_without_controller_tlv():
 
 def test_collector_drain_single_event():
     q = EventQueue()
-    q.emit(EmittedEvent("M", 50, encode_dm_event(1, 10, 25, CTRL)))
+    q.emit(encode_dm_event(1, 10, 25, CTRL))
     records, bad = owd_collector_drain(q)
     assert bad == 0
     assert records == [DelayRecord(1, 10, 25, 15, CTRL)]
@@ -230,8 +230,8 @@ def test_collector_drain_single_event():
 
 def test_collector_drain_counts_malformed():
     q = EventQueue()
-    q.emit(EmittedEvent("M", 1, b"short"))
-    q.emit(EmittedEvent("M", 2, encode_dm_event(1, 5, 9, CTRL)))
+    q.emit(b"short")
+    q.emit(encode_dm_event(1, 5, 9, CTRL))
     records, bad = owd_collector_drain(q)
     assert bad == 1 and len(records) == 1
 
@@ -522,7 +522,7 @@ def test_end_oamp_reports_both_branch_nexthops():
     assert decision == Drop(DropReason.PROGRAM_DROP)  # probe ends here
     events = node.events.drain()
     assert len(events) == 1
-    hop_id, addrs = decode_oamp_event(events[0].payload)
+    hop_id, addrs = decode_oamp_event(events[0])
     assert hop_id == 3
     assert addrs == [pton("2001:db8:bb::1"), pton("2001:db8:cc::1")]
 
@@ -531,7 +531,7 @@ def test_end_oamp_singleton_for_host_route():
     node, sid = oamp_node()
     node.fib_insert(FibEntry(S2, 128, [(pton("2001:db8:bb::1"), "lab")]))
     node.process_ingress(oamp_probe(sid, S2), 0)
-    _, addrs = decode_oamp_event(node.events.drain()[0].payload)
+    _, addrs = decode_oamp_event(node.events.drain()[0])
     assert addrs == [pton("2001:db8:bb::1")]
 
 
@@ -539,7 +539,7 @@ def test_end_oamp_unrouted_target_emits_no_route_reply():
     node, sid = oamp_node()
     decision = node.process_ingress(oamp_probe(sid, pton("fd00:ff::1")), 0)
     assert isinstance(decision, Drop)
-    hop_id, addrs = decode_oamp_event(node.events.drain()[0].payload)
+    hop_id, addrs = decode_oamp_event(node.events.drain()[0])
     assert hop_id == 3 and addrs == []
 
 
@@ -676,6 +676,18 @@ def test_traceroute_adds_a_responder_only_where_a_node_has_none(tmp_path):
     assert sorted(bare.daemons) == [f"oamp_responder:{n}" for n in "ABCD"]
     assert res_bare.render() == res.render()
     assert trace_bytes(bare, tmp_path) == trace_bytes(sim, tmp_path)
+
+
+def test_traceroute_restores_a_handler_bound_before_it():
+    sim, oamp = diamond_sim()
+    prober_addr = sim.nodes["S"].addresses[0]
+    got = []
+    sim.bind(prober_addr, lambda p, now: got.append(now))
+    assert multipath_traceroute(sim, "S", S2, oamp).reached
+    assert got == []  # the replies went to the traceroute's own handler
+    sim.send("A", make_udp_packet(sim.nodes["A"].addresses[0], prober_addr, b"after"))
+    sim.run_until(sim.clock + 10_000_000)
+    assert len(got) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +832,7 @@ def oamp_events_before_the_prober(tmp_path):
     queue = sim.nodes["A"].events
     sim.run_until(2_500_000)
     for hop_id in (1, 2):
-        queue.emit(EmittedEvent("A", sim.clock, struct.pack(">IH", hop_id, 0)))
+        queue.emit(struct.pack(">IH", hop_id, 0))
     sim.run_until(5_500_000)
     assert len(queue) == 2  # no prober yet: the events wait
     responder.reply_addr = sim.nodes["S"].addresses[0]
