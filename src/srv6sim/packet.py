@@ -505,7 +505,7 @@ def decode_packet(b: bytes) -> Packet:
             payload = bytes(b[off + 8 :])
             pkt = Packet(headers=headers, transport=Udp(sport, dport, payload, ulen))
             ref = udp_checksum(pkt)
-            if csum not in (0, ref):
+            if csum != ref:  # 0 too: RFC 8200 8.1 forbids it over IPv6
                 log.warning("UDP checksum mismatch: got %#06x want %#06x", csum, ref)
             return pkt
         # opaque transport, carried as raw octets

@@ -53,14 +53,15 @@ class HelperError(Exception):
 
 class EventQueue:
     """Bounded one-producer queue of event payloads, as a perf buffer hands
-    its reader only the bytes written; overflow drops the oldest event. Each
-    emit calls the waiters (the readers' wake-ups), in registration order."""
+    its one reader only the bytes written; overflow drops the oldest event.
+    ``reader`` is the daemon that drains it (set by Simulation.add_daemon),
+    and each emit wakes it."""
 
     def __init__(self):
         self._events: deque[bytes] = deque()
         self.dropped = 0
         self.emitted = 0
-        self.waiters: list[Callable[[], None]] = []
+        self.reader = None
 
     def __len__(self) -> int:
         return len(self._events)
@@ -71,8 +72,8 @@ class EventQueue:
             self.dropped += 1
         self._events.append(payload)
         self.emitted += 1
-        for wake in self.waiters:
-            wake()
+        if self.reader is not None:
+            self.reader.wake()
 
     def drain(self) -> list[bytes]:
         out = list(self._events)

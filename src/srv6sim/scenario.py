@@ -23,7 +23,7 @@ from .dataplane import Node
 from .fib import FibEntry
 from .packet import Address, InvariantViolation, SegmentRoutingHeader, pton
 from .programs import make_program
-from .sim import Simulation, UdpStream
+from .sim import SimError, Simulation, UdpStream
 from .usecases import OampResponder, OwdCollector, ProbeLink, TwdProber
 
 
@@ -523,15 +523,12 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         sim.nodes[s.node].add_sid(s.sid, s.behavior)
     for t in cfg.transits:
         sim.nodes[t.node].add_transit(t.prefix, t.plen, t.behavior)
-    readers = {}  # node -> id of the daemon that reads its event queue
     for i, d in enumerate(cfg.daemons):
         daemon = DAEMON_TYPES[d.type](d.id, d.node, interval_ns=d.interval_ns, **d.params)
-        # ids are unique, so another id here is a second reader, and each
-        # reader would take the other's events
-        if daemon.drains is not None and readers.setdefault(daemon.drains, d.id) != d.id:
-            raise ConfigError(f"$.daemons[{i}].node", f"node {d.node!r}'s event queue is "
-                              f"already read by daemon {readers[daemon.drains]!r}")
-        sim.add_daemon(daemon)
+        try:
+            sim.add_daemon(daemon)
+        except SimError as exc:  # the parser checked ids, nodes and intervals: a second reader
+            raise ConfigError(f"$.daemons[{i}].node", str(exc)) from None
         setup = getattr(daemon, "setup", None)
         if setup is not None:
             setup(sim)

@@ -232,10 +232,10 @@ class Daemon:
     added; subclasses override tick().
 
     A periodic daemon ticks at every grid instant. A daemon whose tick
-    only drains a node's event queue names that node in ``drains`` and,
-    as a perf-buffer reader sleeping in poll(), ticks only when the queue
-    has events: an emit wakes it for the first grid instant at or after
-    the emit, and a tick does not re-arm itself.
+    only drains its node's event queue sets ``drains`` and, as the one
+    perf-buffer reader sleeping in poll(), ticks only when the queue has
+    events: an emit wakes it for the first grid instant at or after the
+    emit, and a tick does not re-arm itself.
     """
 
     # set by Simulation.add_daemon for a daemon that drains a queue:
@@ -243,11 +243,13 @@ class Daemon:
     wake: Callable[[], None] | None = None
 
     def __init__(
-        self, daemon_id: str, interval_ns: int, start_ns: int = 0, drains: str | None = None
+        self, daemon_id: str, interval_ns: int, start_ns: int = 0,
+        node: str | None = None, drains: bool = False,
     ):
         self.id = daemon_id
         self.interval_ns = interval_ns
         self.start_ns = start_ns
+        self.node = node
         self.drains = drains
 
     def tick(self, sim: "Simulation", now: int) -> None:  # pragma: no cover
@@ -349,22 +351,25 @@ class Simulation:
         if daemon.id in self.daemons:
             raise SimError(f"duplicate daemon id {daemon.id!r}")
         origin = max(daemon.start_ns, self.clock)
-        if daemon.drains is None:
+        if not daemon.drains:
             self._schedule(origin, ("wake", _Alarm(self, daemon, None, origin)))
         elif daemon.interval_ns <= 0:
             raise SimError(f"daemon {daemon.id!r}: a queue-woken daemon needs a positive interval")
-        elif daemon.drains not in self.nodes:
-            raise SimError(f"daemon {daemon.id!r}: unknown node {daemon.drains!r}")
+        elif daemon.node not in self.nodes:
+            raise SimError(f"daemon {daemon.id!r}: unknown node {daemon.node!r}")
         else:
-            queue = self.nodes[daemon.drains].events
+            queue = self.nodes[daemon.node].events
+            if queue.reader is not None:  # each would take the other's events
+                raise SimError(f"daemon {daemon.id!r}: node {daemon.node!r}'s event "
+                               f"queue is already read by daemon {queue.reader.id!r}")
+            queue.reader = daemon
             daemon.wake = _Alarm(self, daemon, queue, origin)
-            queue.waiters.append(daemon.wake)
             daemon.wake()  # events queued before the daemon was added
         self.daemons[daemon.id] = daemon
 
     def add_stream(self, stream: UdpStream) -> None:
-        if stream.count > 0:
-            self._schedule(stream.start_ns, ("gen", stream, 0))
+        if stream.count > 0:  # a stream added after its start begins now
+            self._schedule(max(stream.start_ns, self.clock), ("gen", stream, 0))
 
     def bind(self, addr: Address, handler) -> None:
         """Register a local-delivery handler (socket analog) for an address."""
@@ -381,8 +386,6 @@ class Simulation:
     # -- event plumbing -------------------------------------------------------
 
     def _schedule(self, t: int, event: tuple) -> None:
-        if t < self.clock:  # a stream added after its start begins now
-            t = self.clock
         self._seq += 1
         heappush(self._heap, (t, self._seq, event))
 
@@ -442,10 +445,10 @@ class Simulation:
         p = stream.build(seq)
         self._apply(node, p, node.output(p, self.clock))  # _local_output, inline
         seq += 1
-        if seq < stream.count:  # one gap later, clamped to the clock as by _schedule
-            t = max(self.clock, stream.start_ns + seq * (1_000_000_000 // stream.rate_pps))
+        if seq < stream.count:  # one gap later
             self._seq += 1
-            heappush(self._heap, (t, self._seq, ("gen", stream, seq)))
+            heappush(self._heap, (self.clock + 1_000_000_000 // stream.rate_pps, self._seq,
+                                  ("gen", stream, seq)))
 
     def _process_deliver(self, link: Link, node: Node, p: Packet, size: int) -> None:
         # the packet does not change on the link: the size and trace ids

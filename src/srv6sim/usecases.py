@@ -206,21 +206,18 @@ class OwdCollector(Daemon):
     datagram with the event payload carried verbatim."""
 
     def __init__(self, daemon_id: str, node: str, interval_ns: int = 50_000_000):
-        super().__init__(daemon_id, interval_ns, drains=node)
-        self.node = node
+        super().__init__(daemon_id, interval_ns, node=node, drains=True)
         self.malformed = 0
 
     def tick(self, sim: Simulation, now: int) -> None:
         node = sim.nodes[self.node]
-        records, bad = owd_collector_drain(node.events)
-        self.malformed += bad
-        for rec in records:
+        for payload in node.events.drain():
+            rec = decode_dm_event(payload)  # read only for its controller
+            if rec is None:
+                self.malformed += 1
+                continue
             addr, port = rec.controller
-            pkt = make_udp_packet(
-                node.addresses[0], addr,
-                encode_dm_event(rec.path_id, rec.tx_ts_ns, rec.rx_ts_ns, rec.controller),
-                src_port=9000, dst_port=port,
-            )
+            pkt = make_udp_packet(node.addresses[0], addr, payload, src_port=9000, dst_port=port)
             sim.send(self.node, pkt)
 
 
@@ -379,8 +376,7 @@ class TwdProber(Daemon):
     ):
         if len(links) != 2:
             raise ValueError("TwdProber aggregates exactly two links")
-        super().__init__(daemon_id, interval_ns)
-        self.node = node
+        super().__init__(daemon_id, interval_ns, node=node)
         self.links = links
         self.compensate = compensate
         self.state = CompensatorState(alpha=alpha)
@@ -484,8 +480,7 @@ class OampResponder(Daemon):
     """
 
     def __init__(self, daemon_id: str, node: str, interval_ns: int = 1_000_000):
-        super().__init__(daemon_id, interval_ns, drains=node)
-        self.node = node
+        super().__init__(daemon_id, interval_ns, node=node, drains=True)
         self.reply_addr = None
 
     @property
@@ -590,14 +585,15 @@ def multipath_traceroute(
             steps = max(1, -(-(now - sent_at) // PROBE_STEP_NS))
             sim.stop_at(sent_at + steps * PROBE_STEP_NS)
 
-    # a node whose event queue another daemon (a collector) reads is probed
-    # by ICMP; a responder is added only where no daemon reads the queue
-    served = {d.node for d in sim.daemons.values() if isinstance(d, OampResponder)}
-    taken = {d.drains for d in sim.daemons.values() if not isinstance(d, OampResponder)}
-    oamp_sids = {n: sid for n, sid in oamp_sids.items() if n not in taken}
-    for node_id in oamp_sids:
-        if node_id not in served:
+    asked = {}  # the nodes asked by OAMP probe: a responder reads their events
+    for node_id, sid in oamp_sids.items():
+        reader = sim.nodes[node_id].events.reader
+        if reader is None:
             sim.add_daemon(OampResponder(f"oamp_responder:{node_id}", node_id))
+        elif not isinstance(reader, OampResponder):
+            continue  # another daemon (a collector) reads its events: probe by ICMP
+        asked[node_id] = sid
+    oamp_sids = asked
     for daemon in sim.daemons.values():
         if isinstance(daemon, OampResponder):
             daemon.reply_addr = prober_addr

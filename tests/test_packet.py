@@ -451,3 +451,15 @@ def test_checksum_no_transport():
     p.headers[0][0].next_header = 58
     with pytest.raises(NoTransport):
         udp_checksum(p)
+
+
+def test_decode_warns_on_any_checksum_but_the_computed_one(caplog):
+    # over IPv6 a zero UDP checksum is invalid (RFC 8200 section 8.1)
+    p = make_udp_packet(S1, S2, b"payload")
+    wire = encode_packet(p)
+    for csum, warns in ((udp_checksum(p), False), (0, True), (0x1234, True)):
+        caplog.clear()
+        raw = bytearray(wire)
+        struct.pack_into(">H", raw, 46, csum)  # the UDP checksum field
+        assert decode_packet(bytes(raw)) == p  # warn-only: the packet still decodes
+        assert ("UDP checksum mismatch" in caplog.text) == warns, csum

@@ -174,8 +174,7 @@ def test_stream_injection_times_and_sequences():
 
 
 def test_stream_added_after_its_start_begins_at_the_clock():
-    # the stream keeps its grid from start_ns: the packets of the grid
-    # instants already past all go out at the clock, the rest on the grid
+    # the first packet goes out at the clock, each next one a gap later
     sim = two_node_sim(delay_ms=1.0, bw_mbps=1000)
     sim.run_until(5_500_000)
     sim.add_stream(UdpStream("A", pton("2001:db8:a::1"), S2, rate_pps=1000, payload_size=64,
@@ -183,7 +182,8 @@ def test_stream_added_after_its_start_begins_at_the_clock():
     sim.run_until(100 * MS)
     egress = [r for r in map(TraceRecord._make, sim.trace) if r.direction == "egress"]
     assert [(r.time_ns, r.seq) for r in egress] == [
-        (5_500_000, 0), (5_500_000, 1), (5_500_000, 2), (5_500_000, 3), (6 * MS, 4), (7 * MS, 5),
+        (5_500_000, 0), (6_500_000, 1), (7_500_000, 2), (8_500_000, 3), (9_500_000, 4),
+        (10_500_000, 5),
     ]
 
 
@@ -397,7 +397,7 @@ def test_end_x_pending_state_does_not_leak_to_the_next_hop():
 
 # ---------------------------------------------------------------------------
 # Queue-woken daemons, each against its polling twin: the same daemon with
-# no ``drains``, which ticks at every grid instant and drains what it finds.
+# ``drains`` off, which ticks at every grid instant and drains what it finds.
 
 MS = 1_000_000
 
@@ -406,7 +406,7 @@ class Drainer(Daemon):
     """Drains node N's event queue on each tick and records what it got."""
 
     def __init__(self, daemon_id, interval_ns, start_ns=0, woken=True):
-        super().__init__(daemon_id, interval_ns, start_ns, drains="N" if woken else None)
+        super().__init__(daemon_id, interval_ns, start_ns, node="N", drains=woken)
         self.ticks = []  # (now, drained payloads)
 
     def tick(self, sim, now):
@@ -439,16 +439,15 @@ def drained(daemon):
     return [(t, got) for t, got in daemon.ticks if got]
 
 
-def run_emitters(woken, emits, intervals=(MS,), until=20 * MS):
-    """Emitters first, then one drainer per interval; the drainers."""
+def run_emitters(woken, emits):
+    """Emitters first, then a drainer on a 1 ms grid; the drainer at 20 ms."""
     sim = queue_sim()
     for i, (at, payloads) in enumerate(emits):
         sim.add_daemon(Emitter(f"e{i}", at, payloads))
-    drainers = [Drainer(f"d{i}", iv, woken=woken) for i, iv in enumerate(intervals)]
-    for d in drainers:
-        sim.add_daemon(d)
-    sim.run_until(until)
-    return drainers
+    drainer = Drainer("d", MS, woken=woken)
+    sim.add_daemon(drainer)
+    sim.run_until(20 * MS)
+    return drainer
 
 
 EMITS = [
@@ -458,8 +457,8 @@ EMITS = [
 
 
 def test_woken_daemon_drains_as_its_polling_twin_without_empty_ticks():
-    (woken,) = run_emitters(True, EMITS)
-    (twin,) = run_emitters(False, EMITS)
+    woken = run_emitters(True, EMITS)
+    twin = run_emitters(False, EMITS)
     assert drained(woken) == drained(twin) == [
         (1 * MS, [b"a", b"b", b"c"]), (2 * MS, [b"d", b"e"]), (3 * MS, [b"f"]),
         (10 * MS, [b"g", b"h"]),
@@ -514,23 +513,16 @@ def test_events_queued_before_add_daemon_are_drained_at_the_origin(start_ns, ori
     assert results[0] == results[1] == [(origin, [b"early", b"earlier"])]
 
 
-def test_two_daemons_on_one_queue_wake_in_registration_order():
-    emits = [(300_000, [b"a"]), (1_200_000, [b"b"]), (3_100_000, [b"c"])]
-    for intervals in ((MS, MS), (3 * MS, MS)):
-        woken = run_emitters(True, emits, intervals)
-        twins = run_emitters(False, emits, intervals)
-        assert [drained(d) for d in woken] == [drained(d) for d in twins]
-    # one grid: the first registered drains everything, the second finds
-    # the queue empty; on different grids the earlier instant wins
-    same = run_emitters(True, emits, (MS, MS))
-    assert [d.ticks for d in same] == [
-        [(1 * MS, [b"a"]), (2 * MS, [b"b"]), (4 * MS, [b"c"])],
-        [(1 * MS, []), (2 * MS, []), (4 * MS, [])],
-    ]
-    mixed = run_emitters(True, emits, (3 * MS, MS))
-    assert [drained(d) for d in mixed] == [
-        [], [(1 * MS, [b"a"]), (2 * MS, [b"b"]), (4 * MS, [b"c"])],
-    ]
+def test_a_second_reader_of_one_queue_is_refused():
+    # one perf buffer, one reader: each would take the other's events
+    sim = queue_sim()
+    first = Drainer("first", MS)
+    sim.add_daemon(first)
+    with pytest.raises(SimError, match="already read by daemon 'first'"):
+        sim.add_daemon(Drainer("second", 3 * MS))
+    sim.add_daemon(Drainer("poller", MS, woken=False))  # a periodic daemon is no reader
+    assert sim.nodes["N"].events.reader is first
+    assert list(sim.daemons) == ["first", "poller"]
 
 
 def test_overflow_between_grid_points_keeps_the_same_survivors_and_drops():
@@ -565,7 +557,7 @@ def test_queue_woken_daemon_needs_a_positive_interval_and_a_known_node():
     with pytest.raises(SimError):
         sim.add_daemon(Drainer("zero", 0))
     d = Drainer("ghost", MS)
-    d.drains = "X"
+    d.node = "X"
     with pytest.raises(SimError):
         sim.add_daemon(d)
     assert not sim.daemons

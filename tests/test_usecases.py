@@ -695,12 +695,19 @@ def test_traceroute_restores_a_handler_bound_before_it():
 
 def polling_twin(cls):
     """cls as a periodic daemon: it ticks at every grid instant and drains
-    whatever is queued, as every draining daemon did before wake-ups."""
+    whatever is queued, as every draining daemon did before wake-ups. It is
+    still its queue's one reader: Simulation.add_daemon registers it and
+    hands it a queue-woken alarm, which the twin turns periodic."""
 
     class Polling(cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.drains = None
+        @property
+        def wake(self):
+            return lambda: None  # an emit wakes no poller
+
+        @wake.setter
+        def wake(self, alarm):
+            alarm.queue = None  # re-arms itself one interval after each tick
+            alarm.sim()._schedule(alarm.origin, ("wake", alarm))
 
     return Polling
 
@@ -724,7 +731,7 @@ def use_polling_twins(monkeypatch):
 def assert_built_as_twins(sim, twins):
     drainers = [d for d in sim.daemons.values() if isinstance(d, (OwdCollector, OampResponder))]
     assert drainers
-    assert all(type(d) in twins and d.drains is None for d in drainers)
+    assert all(type(d) in twins and sim.nodes[d.node].events.reader is d for d in drainers)
 
 
 def trace_bytes(sim, tmp_path):
@@ -734,14 +741,23 @@ def trace_bytes(sim, tmp_path):
 
 
 def traceroute_outputs(removed, tmp_path, target=S2, **kwargs):
+    """The simulation after a traceroute from S with removed left to the
+    ICMP fallback, and the outputs that run gave."""
     sim, oamp = diamond_sim()
     for node in removed:
         oamp.pop(node)
     res = multipath_traceroute(sim, "S", target, oamp, **kwargs)
-    return (
+    return sim, (
         trace_bytes(sim, tmp_path), sim.stats.summary(), res.render(), res.unknown_probes,
         sim.clock,
     )
+
+
+def assert_one_reader_per_discovery_node(sim):
+    for node in "ABCD":
+        readers = [d for d in sim.daemons.values()
+                   if isinstance(d, (OwdCollector, OampResponder)) and d.node == node]
+        assert readers == [sim.nodes[node].events.reader], node
 
 
 # every subset of the diamond's OAMP nodes left to the ICMP fallback
@@ -750,10 +766,13 @@ REMOVED_OAMP = ["".join(c) for r in range(5) for c in itertools.combinations("AB
 
 @pytest.mark.parametrize("removed", REMOVED_OAMP, ids=lambda r: r or "none")
 def test_woken_responders_trace_as_their_polling_twins(removed, tmp_path, use_polling_twins):
-    woken = traceroute_outputs(removed, tmp_path)
+    sim, woken = traceroute_outputs(removed, tmp_path)
+    assert_one_reader_per_discovery_node(sim)
     twins = use_polling_twins()
     assert_built_as_twins(diamond_sim()[0], twins)
-    assert traceroute_outputs(removed, tmp_path) == woken
+    sim, twin = traceroute_outputs(removed, tmp_path)
+    assert_one_reader_per_discovery_node(sim)
+    assert twin == woken
 
 
 UNREACHABLE = pton("fd00:ff::1")
@@ -803,7 +822,7 @@ def outputs_digest(outputs) -> str:
 @pytest.mark.parametrize("case", TRACEROUTE_CASES)
 def test_traceroute_outputs_unchanged(case, tmp_path):
     removed, target, kwargs = TRACEROUTE_CASES[case]
-    outputs = traceroute_outputs(removed, tmp_path, target, **kwargs)
+    _, outputs = traceroute_outputs(removed, tmp_path, target, **kwargs)
     assert outputs_digest(outputs) == TRACEROUTE_GOLDEN[case]
 
 
