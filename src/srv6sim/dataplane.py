@@ -16,7 +16,7 @@ from .behaviors import (
     LOCAL_DELIVER,
     ProgramBehavior,
 )
-from .fib import FibEntry, PrefixTable, select_nexthop
+from .fib import FibEntry, PrefixTable, remember, select_nexthop
 from .packet import (
     Address,
     InvariantViolation,
@@ -29,16 +29,8 @@ from .packet import (
 from .programs import EventQueue, Hook, Program, ProgramContext, flow_key
 
 ICMP_TIME_EXCEEDED = 3
-# entries per route-cache dict; a full dict is cleared, not evicted from
-ROUTE_CACHE_SIZE = 4096
 
 _MISS = object()
-
-
-def _remember(cache: dict, key: Address, value) -> None:
-    if len(cache) >= ROUTE_CACHE_SIZE:
-        cache.clear()
-    cache[key] = value
 
 
 class Node:
@@ -68,6 +60,9 @@ class Node:
         # or None (ECMP) as decision. Every table mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
         self._routes: dict[Address, tuple[Forward | Drop | None, list[tuple[Address, str]]]] = {}
+        # The flow-hash memo: each ECMP flow key's FNV-1a hash. It holds
+        # hashes, not nexthop choices, so no mutator needs to clear it.
+        self._hashes: dict[bytes, int] = {}
 
     def _flush_route_cache(self) -> None:
         self._behaviors.clear()
@@ -115,7 +110,7 @@ class Node:
             route = Forward(link, nh), entry.nexthops
         else:
             route = None, entry.nexthops
-        _remember(self._routes, dst, route)
+        remember(self._routes, dst, route)
         return route
 
     def _nexthops(self, addr: Address, table: int) -> list[tuple[Address, str]]:
@@ -136,7 +131,7 @@ class Node:
         nexthops = self._nexthops(addr, table)
         if len(nexthops) == 1:
             return nexthops[0]
-        return select_nexthop(nexthops, flow_key(p))
+        return select_nexthop(nexthops, flow_key(p), self._hashes)
 
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
         """A fresh list of every nexthop of addr's route."""
@@ -163,7 +158,7 @@ class Node:
             return Forward(link, nh)
         decision, nexthops = self._routes.get(dst) or self._route(dst)
         if decision is None:
-            nh, link = select_nexthop(nexthops, flow_key(p))
+            nh, link = select_nexthop(nexthops, flow_key(p), self._hashes)
             return Forward(link, nh)
         return decision
 
@@ -185,7 +180,7 @@ class Node:
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
             b = self.sids.get(dst) or self.transits.lookup(dst)
-            _remember(self._behaviors, dst, b)
+            remember(self._behaviors, dst, b)
         if b is None:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)
@@ -201,7 +196,7 @@ class Node:
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
             b = self.transits.lookup(dst)  # not local, so not a SID
-            _remember(self._behaviors, dst, b)
+            remember(self._behaviors, dst, b)
         if b is None:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)

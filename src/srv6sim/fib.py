@@ -9,6 +9,9 @@ from .packet import Address
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
+# entries per route-cache dict; a full dict is cleared, not evicted from
+ROUTE_CACHE_SIZE = 4096
+
 _MISSING = object()
 
 
@@ -152,8 +155,20 @@ def _match_shorter(node, key: int, shift_limit: int):
     return best
 
 
+def remember(cache: dict, key: bytes, value) -> None:
+    """Store value in a route-cache dict, clearing the dict when full."""
+    if len(cache) >= ROUTE_CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+
+
 def select_nexthop(
-    nexthops: list[tuple[Address, str]], flow_key: bytes
+    nexthops: list[tuple[Address, str]], flow_key: bytes, hashes: dict[bytes, int]
 ) -> tuple[Address, str]:
-    """Deterministic ECMP choice: FNV-1a of the flow key modulo set size."""
-    return nexthops[fnv1a64(flow_key) % len(nexthops)]
+    """Deterministic ECMP choice: FNV-1a of the flow key modulo set size.
+    hashes is the caller's memo of each flow key's hash, a route-cache dict."""
+    h = hashes.get(flow_key)
+    if h is None:
+        h = fnv1a64(flow_key)
+        remember(hashes, flow_key, h)
+    return nexthops[h % len(nexthops)]

@@ -337,14 +337,11 @@ def make_srh_udp_packet(
 
 
 def _ones_complement_sum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack(">H", data):
-        total += word
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    """RFC 1071 end-around-carry sum of data's 16-bit words. As 2**16 is 1
+    mod 0xFFFF, it is the number the words spell, mod 0xFFFF, except that
+    a nonzero multiple of 0xFFFF sums to 0xFFFF."""
+    n = int.from_bytes(data + b"\x00" if len(data) % 2 else data, "big")
+    return n % 0xFFFF or (0xFFFF if n else 0)
 
 
 def udp_checksum(p: Packet) -> int:

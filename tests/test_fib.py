@@ -244,7 +244,7 @@ def test_ecmp_selection_reaches_all_nexthops():
     picks = set()
     for _ in range(1000):
         key = rng.randbytes(40)
-        picks.add(select_nexthop([NH1, NH2], key))
+        picks.add(select_nexthop([NH1, NH2], key, {}))
     assert picks == {NH1, NH2}
 
 
@@ -258,7 +258,7 @@ def test_ecmp_flow_label_alone_spreads_lookups():
             pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x", flow_label=label
         )
         pick = node.fib_lookup(p.outer_header.dst, 0, p)
-        assert pick == select_nexthop(entry.nexthops, flow_key(p))
+        assert pick == select_nexthop(entry.nexthops, flow_key(p), {})
         picks.add(pick)
     assert picks == {NH1, NH2}
 
@@ -279,15 +279,15 @@ def test_single_nexthop_lookup_builds_no_flow_key(monkeypatch):
 
 def test_ecmp_selection_stable_per_flow_key():
     key = b"the same flow key"
-    first = select_nexthop([NH1, NH2], key)
+    first = select_nexthop([NH1, NH2], key, {})
     for _ in range(100):
-        assert select_nexthop([NH1, NH2], key) == first
+        assert select_nexthop([NH1, NH2], key, {}) == first
 
 
 def test_single_nexthop_ignores_flow_key():
     rng = random.Random(5)
     for _ in range(50):
-        assert select_nexthop([NH1], rng.randbytes(8)) == NH1
+        assert select_nexthop([NH1], rng.randbytes(8), {}) == NH1
 
 
 def test_entry_requires_nexthop():
@@ -445,7 +445,7 @@ def test_route_cache_ecmp_route_hashes_every_packet(monkeypatch):
     for label in range(200):
         p = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x", flow_label=label)
         decision = node.process_ingress(p, label)
-        nh, link = select_nexthop(entry.nexthops, flow_key(p))
+        nh, link = select_nexthop(entry.nexthops, flow_key(p), {})
         assert decision == Forward(link, nh)
         picks.add(decision)
     assert len(calls) == 200
