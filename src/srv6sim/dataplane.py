@@ -143,7 +143,8 @@ class Node:
         """Common tail: pending destination wins, then local delivery,
         then a FIB lookup honouring a pending table. A table-0 lookup is
         served from the route cache: a single-nexthop route returns its
-        one shared Forward, an ECMP route still hashes each flow."""
+        one shared Forward, an ECMP route still chooses per packet, from
+        a flow hash the node keeps for each flow key."""
         meta = p.meta
         if meta.pending_destination is not None:
             return Forward(meta.pending_link, meta.pending_destination)

@@ -24,7 +24,6 @@ from .packet import (
     ntop,
 )
 from .programs import (
-    EventQueue,
     HelperError,
     Outcome,
     Program,
@@ -108,19 +107,6 @@ def decode_dm_event(payload: bytes) -> DelayRecord | None:
     addr = bytes(payload[20:36])
     (port,) = struct.unpack_from(">H", payload, 36)
     return DelayRecord(path_id, tx, rx, rx - tx, (addr, port))
-
-
-def owd_collector_drain(queue: EventQueue) -> tuple[list[DelayRecord], int]:
-    """Decode all queued delay events; returns (records, malformed count)."""
-    records = []
-    malformed = 0
-    for payload in queue.drain():
-        rec = decode_dm_event(payload)
-        if rec is None:
-            malformed += 1
-        else:
-            records.append(rec)
-    return records, malformed
 
 
 # ---------------------------------------------------------------------------

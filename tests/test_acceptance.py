@@ -46,8 +46,11 @@ from srv6sim.scenario import (
     parse_scenario,
 )
 from srv6sim.sim import goodput_estimate, reorder_fraction
-from srv6sim.usecases import multipath_traceroute, owd_collector_drain, wrr_counts
-from util import end_vs_noop_nodes, owd_scenario_raw, random_packet, random_sr_packet, SID_END
+from srv6sim.usecases import multipath_traceroute, wrr_counts
+from util import (
+    end_vs_noop_nodes, owd_collector_drain, owd_scenario_raw, random_packet, random_sr_packet,
+    SID_END,
+)
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srv6sim import dataplane
+from srv6sim import dataplane, fib
 from srv6sim.behaviors import (
     BehaviorError,
     DropReason,
@@ -18,7 +18,7 @@ from srv6sim.behaviors import (
     TransitInsert,
 )
 from srv6sim.dataplane import Node
-from srv6sim.fib import FibEntry, PrefixTable, fnv1a64, select_nexthop
+from srv6sim.fib import ROUTE_CACHE_SIZE, FibEntry, PrefixTable, fnv1a64, select_nexthop
 from srv6sim.packet import SegmentRoutingHeader, make_udp_packet, pton
 from srv6sim.programs import flow_key
 from test_behaviors import sr_packet
@@ -26,6 +26,7 @@ from util import rand_addr
 
 NH1 = (pton("2001:db8::a"), "l1")
 NH2 = (pton("2001:db8::b"), "l2")
+NH3 = (pton("2001:db8::c"), "l3")
 # the packet whose flow key an ECMP route would hash
 PKT = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x")
 
@@ -450,3 +451,55 @@ def test_route_cache_ecmp_route_hashes_every_packet(monkeypatch):
         picks.add(decision)
     assert len(calls) == 200
     assert picks == {Forward(NH1[1], NH1[0]), Forward(NH2[1], NH2[0])}
+
+
+def _udp_to(dst: bytes, label: int):
+    return make_udp_packet(pton("2001:db8:1::1"), dst, b"x", flow_label=label)
+
+
+def test_flow_hash_memo_is_bounded_and_decides_as_a_fresh_hash(monkeypatch):
+    """More flow labels than ROUTE_CACHE_SIZE through one ECMP node: each
+    decision is select_nexthop's with no memo, the node's memo is cleared
+    when full rather than grown, and a flow hashed since the last clear is
+    not hashed again."""
+    nexthops = [NH1, NH2, NH3]
+    labels = list(range(ROUTE_CACHE_SIZE + 500))
+    packets = [_udp_to(pton("2001:db8:2::1"), label) for label in labels + labels[-100:]]
+    wants = [select_nexthop(nexthops, flow_key(p), {}) for p in packets]
+    hashed = []
+
+    def counting_fnv1a64(data):
+        hashed.append(data)
+        return fnv1a64(data)
+
+    monkeypatch.setattr(fib, "fnv1a64", counting_fnv1a64)
+    node = make_node()
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, nexthops))
+    for p, (nh, link) in zip(packets, wants):
+        assert node.process_ingress(p, 0) == Forward(link, nh)
+        assert len(node._hashes) <= ROUTE_CACHE_SIZE
+    assert set(wants) == set(nexthops)
+    assert len(hashed) == len(labels)  # the repeated last 100 were memo hits
+    assert len(node._hashes) == len(labels) - ROUTE_CACHE_SIZE
+
+
+def test_route_cache_cleared_when_full_still_matches_a_cold_twin():
+    """More destinations than ROUTE_CACHE_SIZE through process_ingress: the
+    behaviour and route caches are cleared when full, and every decision,
+    before and after the clear, is that of a node that never saw the
+    destination."""
+    def routed() -> Node:
+        node = make_node()
+        node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1, NH2]))
+        node.fib_insert(FibEntry(pton("2001:db8:3::"), 64, [NH3]))
+        return node
+
+    rng = random.Random(20)
+    prefixes = [pton(f"2001:db8:{k}::")[:8] for k in (2, 3, 4)]  # ECMP, single, none
+    dsts = [prefixes[i % 3] + rng.randbytes(8) for i in range(ROUTE_CACHE_SIZE + 300)]
+    node = routed()
+    for i, dst in enumerate(dsts + dsts[-100:]):
+        got = node.process_ingress(_udp_to(dst, i), i)
+        assert got == routed().process_ingress(_udp_to(dst, i), i)
+        assert len(node._behaviors) <= ROUTE_CACHE_SIZE and len(node._routes) <= ROUTE_CACHE_SIZE
+    assert len(node._behaviors) == len(node._routes) == len(dsts) - ROUTE_CACHE_SIZE

@@ -32,6 +32,7 @@ from srv6sim.packet import (
     udp_checksum,
     validate_srh,
     walk_tlvs,
+    _ones_complement_sum,
 )
 from util import random_packet, with_lengths
 
@@ -41,17 +42,21 @@ S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
 
 
-def reference_checksum(pseudo_and_data: bytes) -> int:
-    """Independent ones-complement reference, folded byte pair by byte
-    pair; kept deliberately separate from the implementation under test."""
-    data = pseudo_and_data
+def reference_ones_complement_sum(data: bytes) -> int:
+    """Independent RFC 1071 reference: 16-bit words added one by one with
+    end-around carry; kept deliberately separate from the implementation
+    under test."""
     if len(data) % 2:
         data += b"\x00"
     total = 0
     for i in range(0, len(data), 2):
         total += (data[i] << 8) | data[i + 1]
         total = (total & 0xFFFF) + (total >> 16)
-    c = (~total) & 0xFFFF
+    return total
+
+
+def reference_checksum(pseudo_and_data: bytes) -> int:
+    c = (~reference_ones_complement_sum(pseudo_and_data)) & 0xFFFF
     return c if c else 0xFFFF
 
 
@@ -424,6 +429,28 @@ def test_encode_rejects_invalid_srh():
 
 # ---------------------------------------------------------------------------
 # UDP checksum.
+
+@pytest.mark.parametrize("data, total", [
+    (b"", 0),
+    (b"\x01", 0x0100),  # an odd length is padded with a zero octet
+    (b"\x12\x34\x56", 0x1234 + 0x5600),
+    (bytes(7), 0),
+    (b"\xff" * 7, 0xFF00),  # 3 * 0xFFFF + 0xFF00
+    (b"\xff" * 8, 0xFFFF),
+    # word sums that are nonzero multiples of 0xFFFF fold to 0xFFFF, not 0
+    (b"\x80\x00\x7f\xff", 0xFFFF),
+    (b"\xff\xfe\x00\x01\xff\xff", 0xFFFF),
+])
+def test_ones_complement_sum_fixed_cases(data, total):
+    assert reference_ones_complement_sum(data) == total
+    assert _ones_complement_sum(data) == total
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.binary(max_size=300) | st.lists(st.sampled_from([b"\x00", b"\xff"])).map(b"".join))
+def test_ones_complement_sum_matches_the_word_loop(data):
+    assert _ones_complement_sum(data) == reference_ones_complement_sum(data)
+
 
 def test_checksum_matches_reference_on_fixed_packet():
     p = make_udp_packet(S1, S2, b"\x00" * 32, src_port=1000, dst_port=2000)

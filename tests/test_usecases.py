@@ -30,7 +30,7 @@ from srv6sim.scenario import (
     parse_scenario,
 )
 from srv6sim.sim import Simulation, TraceRecord, stream_rng, write_trace
-from util import owd_scenario_raw
+from util import owd_collector_drain, owd_scenario_raw
 from srv6sim.usecases import (
     CompensatorState,
     DelayCollector,
@@ -45,7 +45,6 @@ from srv6sim.usecases import (
     encode_dm_event,
     iwrr_schedule,
     multipath_traceroute,
-    owd_collector_drain,
     read_controller_tlv,
     read_dm_tlv,
     reduce_weights,

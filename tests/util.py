@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: seeded random packet generation and
-a few tiny topology builders."""
+"""Shared helpers for the test suite: seeded random packet generation, a
+few tiny topology builders and a decoder of queued delay events."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 from srv6sim.behaviors import End, EndProgram
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
-from srv6sim.programs import Outcome
+from srv6sim.programs import EventQueue, Outcome
 from srv6sim.packet import (
     PROTO_IPV6,
     PROTO_ROUTING,
@@ -21,6 +21,7 @@ from srv6sim.packet import (
     encode_tlvs,
     pton,
 )
+from srv6sim.usecases import DelayRecord, decode_dm_event
 
 
 def rand_addr(rng: random.Random) -> bytes:
@@ -119,6 +120,19 @@ def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packe
         headers=[(hdr, [srh])],
         transport=Udp(rng.randrange(65536), rng.randrange(65536), rng.randbytes(32)),
     ))
+
+
+def owd_collector_drain(queue: EventQueue) -> tuple[list[DelayRecord], int]:
+    """Decode all queued delay events; returns (records, malformed count)."""
+    records = []
+    malformed = 0
+    for payload in queue.drain():
+        rec = decode_dm_event(payload)
+        if rec is None:
+            malformed += 1
+        else:
+            records.append(rec)
+    return records, malformed
 
 
 SID_END = pton("fd00:72::e")
