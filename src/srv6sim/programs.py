@@ -159,13 +159,14 @@ def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
             "write_out_of_bounds", f"[{offset}, {end}) not writable"
         )
     if in_flags_tag:
-        blob = bytearray(struct.pack(">BH", srh.flags, srh.tag))
-        blob[offset - 5 : end - 5] = data
-        srh.flags, srh.tag = struct.unpack(">BH", bytes(blob))
+        # flags and tag are the 3-octet word at octets 5..7
+        shift = 8 * (8 - end)
+        mask = ((1 << 8 * len(data)) - 1) << shift
+        word = (srh.flags << 16 | srh.tag) & ~mask | int.from_bytes(data, "big") << shift
+        srh.flags, srh.tag = word >> 16, word & 0xFFFF
     else:
-        region = bytearray(srh.tlv_bytes)
-        region[offset - seg_end : end - seg_end] = data
-        srh.tlv_bytes = bytes(region)
+        tlv = srh.tlv_bytes
+        srh.tlv_bytes = tlv[: offset - seg_end] + data + tlv[end - seg_end :]
     _mark_dirty(ctx.packet, srh)
 
 

@@ -328,6 +328,16 @@ def test_time_exceeded_quotes_nothing_of_an_offender_with_a_stale_length():
     assert [icmp.transport for icmp in node.originated] == [bytes((3, 0, 0, 0))]
 
 
+@pytest.mark.parametrize("addresses,src", [([], S1), ([pton("2001:db8::1")], bytes(16))])
+def test_hop_limit_drop_emits_no_time_exceeded_without_a_reply_path(addresses, src):
+    """No time-exceeded from a node with no address to send it from, nor
+    toward an unspecified source."""
+    node = Node("R", addresses)
+    p = make_udp_packet(src, S2, b"x", hop_limit=1)
+    assert node.process_ingress(p, 5) == Drop(DropReason.HOP_LIMIT_EXCEEDED)
+    assert node.originated == []
+
+
 def test_local_delivery():
     node = router()
     p = make_udp_packet(S1, pton("2001:db8::1"), b"x")

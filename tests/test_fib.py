@@ -1,5 +1,5 @@
-import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +21,10 @@ from srv6sim.dataplane import Node
 from srv6sim.fib import ROUTE_CACHE_SIZE, FibEntry, PrefixTable, fnv1a64, select_nexthop
 from srv6sim.packet import SegmentRoutingHeader, make_udp_packet, pton
 from srv6sim.programs import flow_key
+from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
+from srv6sim.usecases import multipath_traceroute
 from test_behaviors import sr_packet
+from test_usecases import S2, diamond_sim
 from util import rand_addr
 
 NH1 = (pton("2001:db8::a"), "l1")
@@ -135,9 +138,8 @@ _OPS = st.lists(
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(base=st.integers(0, (1 << 128) - 1), ops=_OPS)
 @example(base=0, ops=[("lookup", None)])
-# the /64 leaves a marker at /48 (the root) whose value is the base's /16;
-# removing that /16 (its sibling keeps the length populated) must clear
-# what the marker answers
+# a lookup under the /64 falls back to the base's /16; removing that /16
+# (its sibling keeps the length populated) must clear what it answers
 @example(
     base=(1 << 128) - 1,
     ops=[
@@ -180,20 +182,13 @@ class _CountingBucket(dict):
 
 def _probes(table: PrefixTable, addr: bytes) -> tuple[object, int]:
     """(lookup result, buckets probed) for one lookup of addr."""
-    table.lookup(addr)  # builds the search tree
+    table.lookup(addr)  # sorts the populated lengths
     probes = []
-
-    def counting(node):
-        if node is None:
-            return None
-        shift, bucket, longer, shorter = node
-        return (shift, _CountingBucket(bucket, probes), counting(longer), counting(shorter))
-
-    table._root = counting(table._root)
+    table._order = [(shift, _CountingBucket(bucket, probes)) for shift, bucket in table._order]
     return table.lookup(addr), len(probes)
 
 
-def test_lookup_probes_at_most_log2_of_populated_lengths():
+def test_lookup_probes_each_length_longer_than_its_match():
     rng = random.Random(128)
     base = int.from_bytes(rand_addr(rng), "big")
     entries = []
@@ -204,13 +199,13 @@ def test_lookup_probes_at_most_log2_of_populated_lengths():
         prefix = (_near(base, flip) >> (128 - plen) << (128 - plen)).to_bytes(16, "big")
         table.insert(prefix, plen, plen)
         entries.append((prefix, plen, plen))
-    bound = math.ceil(math.log2(129))
-    assert bound == 8
     for flip in [None, *range(128)]:
         addr = _near(base, flip).to_bytes(16, "big")
         value, probes = _probes(table, addr)
         assert value == brute_force_lookup(entries, addr)
-        assert probes <= bound
+        # the match's own length and each populated one above it; a miss
+        # probes all 128
+        assert probes == (128 if value is None else 1 + 128 - value)
 
 
 @pytest.mark.parametrize("plens", [(64,), (8, 64), (0, 128)])
@@ -220,6 +215,29 @@ def test_match_at_longest_length_of_small_table_takes_one_probe(plens):
     for plen in plens:
         table.insert(addr, plen, plen)
     assert _probes(table, addr) == (max(plens), 1)
+
+
+@pytest.mark.parametrize("run", ["setup1.json", "setup2-hybrid.json", "diamond.json", "traceroute"])
+def test_runs_ask_each_table_about_each_address_once(run, monkeypatch):
+    """Probing every length longer than the match costs less than a
+    search tree only while the route and behaviour caches keep each
+    (table, address) to one lookup: pinned on each bundled fixture's full
+    run at seed 1 and on a traceroute over the diamond."""
+    counts = Counter()
+    lookup = PrefixTable.lookup
+
+    def counting(table, addr):
+        counts[table, addr] += 1
+        return lookup(table, addr)
+
+    monkeypatch.setattr(PrefixTable, "lookup", counting)
+    if run == "traceroute":
+        sim, oamp = diamond_sim()
+        assert multipath_traceroute(sim, "S", S2, oamp).reached
+    else:
+        cfg = apply_overrides(load_scenario(fixture_path(run)), seed=1)
+        build_simulation(cfg).run_until(cfg.duration_ns)
+    assert counts and max(counts.values()) == 1
 
 
 def test_remove_falls_back_to_covering_prefix():
@@ -294,6 +312,18 @@ def test_single_nexthop_ignores_flow_key():
 def test_entry_requires_nexthop():
     with pytest.raises(ValueError):
         FibEntry(pton("2001:db8::"), 32, []).check()
+
+
+@pytest.mark.parametrize("plen", [-1, 129])
+def test_fib_insert_and_add_transit_reject_a_bad_prefix_length(plen):
+    node = make_node()
+    srh = SegmentRoutingHeader(segments=[pton("fd00::1")], segments_left=0)
+    with pytest.raises(ValueError, match=f"bad prefix length {plen}"):
+        node.fib_insert(FibEntry(pton("2001:db8::"), plen, [NH1]))
+    with pytest.raises(ValueError, match=f"bad prefix length {plen}"):
+        node.add_transit(pton("3000::"), plen, TransitInsert(srh))
+    assert len(node.tables[0]) == len(node.transits) == 0
+    assert node.transits.lookup(pton("3000::1")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,51 @@ def test_store_bytes_rejected_writes_leave_bytes_untouched():
             assert encode_packet(p) == before
 
 
+def test_store_bytes_without_srh_raises_no_srh():
+    p = make_udp_packet(S1, SID, b"x")
+    with pytest.raises(HelperError) as exc:
+        helper_store_bytes(make_ctx(p), 6, b"\x00\x01")
+    assert exc.value.code == "no_srh"
+
+
+def test_store_bytes_of_no_data_writes_nothing():
+    p = sr_packet([S2, F], 1)
+    before = encode_packet(p)
+    helper_store_bytes(make_ctx(p), 6, b"")
+    assert encode_packet(p) == before
+    assert p.meta.srh_dirty is None
+
+
+def _srh_wire(srh: SegmentRoutingHeader) -> bytes:
+    """The SRH's wire octets, whatever its TLV region holds."""
+    fixed = struct.pack(
+        ">BBBBBBH", srh.next_header, srh.hdr_ext_len, srh.routing_type,
+        srh.segments_left, srh.last_entry, srh.flags, srh.tag,
+    )
+    return fixed + b"".join(srh.segments) + srh.tlv_bytes
+
+
+def test_store_bytes_accepted_writes_splice_the_encoded_srh():
+    """Random accepted writes to flags, tag, both, and the TLV region each
+    leave the SRH's octets equal to the old ones with the data spliced in
+    at the offset, and mark the SRH for finalize."""
+    rng = random.Random(0x5701)
+    for _ in range(400):
+        p = random_sr_packet(rng, SID)
+        srh = p.outer_srh
+        before = _srh_wire(srh)
+        assert before == encode_packet(p)[40 : 40 + srh.wire_length]
+        spans = [(5, 6), (6, 8), (5, 8)]  # flags, tag, both
+        if srh.tlv_bytes:
+            spans.append((8 + 16 * len(srh.segments), srh.wire_length))
+        lo, hi = rng.choice(spans)
+        offset = rng.randrange(lo, hi)
+        data = rng.randbytes(rng.randrange(1, hi - offset + 1))
+        helper_store_bytes(make_ctx(p), offset, data)
+        assert _srh_wire(srh) == before[:offset] + data + before[offset + len(data) :]
+        assert p.meta.srh_dirty is srh
+
+
 # ---------------------------------------------------------------------------
 # helper_adjust_srh.
 
@@ -504,6 +549,14 @@ def test_endpoint_program_requires_segments():
     node.add_sid(SID, EndProgram("noop"))
     p = sr_packet([SID], 0)
     assert node.process_ingress(p, 0) == Drop(DropReason.SEGMENTS_EXHAUSTED)
+
+
+def test_sid_bound_to_an_unloaded_program_drops_with_program_error():
+    node = router()
+    node.add_sid(SID, EndProgram("x"))
+    decision = node.process_ingress(sr_packet([S2, SID], 1), 0)
+    assert decision == Drop(DropReason.PROGRAM_ERROR)
+    assert decision.detail == "no program 'x'"
 
 
 def test_endpoint_program_without_srh_drops_before_running():
