@@ -72,8 +72,11 @@ class Node:
 
     def fib_insert(self, entry: FibEntry) -> None:
         entry.check()
-        table = self.tables.setdefault(entry.table_id, PrefixTable())
-        table.insert(entry.prefix, entry.plen, entry)
+        table = self.tables.get(entry.table_id)
+        if table is None:
+            table = PrefixTable()
+        table.insert(entry.prefix, entry.plen, entry)  # checks the prefix length
+        self.tables[entry.table_id] = table  # a rejected entry adds no table
         self._flush_route_cache()
 
     def fib_remove(self, prefix: Address, plen: int, table: int = 0) -> bool:

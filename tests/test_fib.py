@@ -319,10 +319,10 @@ def test_fib_insert_and_add_transit_reject_a_bad_prefix_length(plen):
     node = make_node()
     srh = SegmentRoutingHeader(segments=[pton("fd00::1")], segments_left=0)
     with pytest.raises(ValueError, match=f"bad prefix length {plen}"):
-        node.fib_insert(FibEntry(pton("2001:db8::"), plen, [NH1]))
+        node.fib_insert(FibEntry(pton("2001:db8::"), plen, [NH1], table_id=7))
     with pytest.raises(ValueError, match=f"bad prefix length {plen}"):
         node.add_transit(pton("3000::"), plen, TransitInsert(srh))
-    assert len(node.tables[0]) == len(node.transits) == 0
+    assert list(node.tables) == [0] and len(node.tables[0]) == len(node.transits) == 0
     assert node.transits.lookup(pton("3000::1")) is None
 
 
