@@ -4,7 +4,6 @@ deterministic network simulator."""
 from .packet import (
     Ipv6Header,
     Packet,
-    PacketMeta,
     SegmentRoutingHeader,
     Tlv,
     Udp,

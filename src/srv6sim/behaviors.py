@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .packet import (
     Address,
@@ -20,6 +21,9 @@ from .packet import (
     SrhViolation,
     validate_srh,
 )
+
+if TYPE_CHECKING:
+    from .dataplane import Node
 
 DEFAULT_HOP_LIMIT = 64
 
@@ -79,21 +83,22 @@ class BehaviorError(Exception):
 # A descriptor class is the whole definition of one behaviour: its scenario
 # ``behavior.type`` name, its fields (named after the scenario keys the
 # loader reads, whose types the schema's behavior properties declare) and
-# its action. The native pipeline runs end() first when ``advance`` is set,
-# then the action; helper_action applies the action alone, without
-# re-advancing. Adding a behaviour is one class here, one entry in
-# SID_BEHAVIORS or TRANSIT_BEHAVIORS and one entry in the scenario schema's
-# type enum (plus a property for any new field).
+# its action, which returns its decision as seg6local's actions end in
+# their own lookup (None: the node's main-table lookup). The native
+# pipeline runs end() first when ``advance`` is set, then the action;
+# helper_action applies the action alone, without re-advancing, and keeps
+# its decision for a REDIRECT outcome. Adding a behaviour is one class
+# here, one entry in SID_BEHAVIORS or TRANSIT_BEHAVIORS and one entry in
+# the scenario schema's type enum (plus a property for any new field).
 
 class Behavior:
     """Base of every descriptor; the defaults describe a transit body."""
 
     type_name = ""
     advance = False  # the native pipeline runs end() before the action
-    helper = False  # helper_action may apply the action ...
-    resolves_table = False  # ... then look the destination up in self.table
+    helper = False  # helper_action may apply the action
 
-    def action(self, p: Packet) -> None:
+    def action(self, p: Packet, node: Node) -> ForwardingDecision | None:
         """The body run after any advance; mutates p in place."""
 
 
@@ -125,9 +130,8 @@ class EndX(Behavior):
     type_name = "end_x"
     advance = helper = True
 
-    def action(self, p: Packet) -> None:
-        p.meta.pending_destination = self.nexthop
-        p.meta.pending_link = self.link
+    def action(self, p: Packet, node: Node) -> Forward:
+        return Forward(self.link, self.nexthop)
 
 
 @dataclass(frozen=True)
@@ -135,10 +139,10 @@ class EndT(Behavior):
     table: int
 
     type_name = "end_t"
-    advance = helper = resolves_table = True
+    advance = helper = True
 
-    def action(self, p: Packet) -> None:
-        p.meta.pending_table = self.table
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
+        return node.finish_forwarding(p, self.table)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class EndB6(SrhTemplate):
     type_name = "end_b6"
     advance = helper = True
 
-    def action(self, p: Packet) -> None:
+    def action(self, p: Packet, node: Node) -> None:
         insert_srh(p, self.srh)
 
 
@@ -160,7 +164,7 @@ class EndB6Encaps(SrhTemplate):
     type_name = "end_b6_encaps"
     advance = helper = True
 
-    def action(self, p: Packet) -> None:
+    def action(self, p: Packet, node: Node) -> None:
         encapsulate(p, self.srh, self.src)
 
 
@@ -169,10 +173,11 @@ class EndDT6(Behavior):
     table: int
 
     type_name = "end_dt6"
-    helper = resolves_table = True
+    helper = True
 
-    def action(self, p: Packet) -> None:
-        end_dt6(p, self.table)
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
+        end_dt6(p)
+        return node.finish_forwarding(p, self.table)
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ class TransitInsert(SrhTemplate):
     type_name = "insert"
     room = 1  # t_insert appends the original destination
 
-    def action(self, p: Packet) -> None:
+    def action(self, p: Packet, node: Node) -> None:
         t_insert(p, self.srh)
 
 
@@ -193,7 +198,7 @@ class TransitEncaps(SrhTemplate):
 
     type_name = "encaps"
 
-    def action(self, p: Packet) -> None:
+    def action(self, p: Packet, node: Node) -> None:
         encapsulate(p, self.srh, self.src)
 
 
@@ -279,7 +284,7 @@ def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) 
     return p
 
 
-def end_dt6(p: Packet, table: int) -> Packet:
+def end_dt6(p: Packet) -> Packet:
     """Decapsulate the outer IPv6 header (+SRH) at the last segment."""
     srh = p.outer_srh
     if srh is not None and srh.segments_left != 0:
@@ -287,7 +292,6 @@ def end_dt6(p: Packet, table: int) -> Packet:
     if len(p.headers) < 2:
         raise BehaviorError(DropReason.NO_INNER_HEADER)
     p.headers.pop(0)
-    p.meta.pending_table = table
     return p
 
 

@@ -142,21 +142,18 @@ class Node:
 
     # -- pipeline -----------------------------------------------------------
 
-    def finish_forwarding(self, p: Packet) -> ForwardingDecision:
-        """Common tail: pending destination wins, then local delivery,
-        then a FIB lookup honouring a pending table. A table-0 lookup is
+    def finish_forwarding(self, p: Packet, table: int = 0) -> ForwardingDecision:
+        """Common tail, the seg6_lookup_nexthop analog: local delivery,
+        else a lookup of the destination in table. A table-0 lookup is
         served from the route cache: a single-nexthop route returns its
         one shared Forward, an ECMP route still chooses per packet, from
         a flow hash the node keeps for each flow key."""
-        meta = p.meta
-        if meta.pending_destination is not None:
-            return Forward(meta.pending_link, meta.pending_destination)
         dst = p.headers[0][0].dst
         if dst in self.local_addrs:
             return LOCAL_DELIVER
-        if meta.pending_table:
+        if table:
             try:
-                nh, link = self.fib_lookup(dst, meta.pending_table, p)
+                nh, link = self.fib_lookup(dst, table, p)
             except BehaviorError as exc:
                 return exc.drop()
             return Forward(link, nh)
@@ -168,12 +165,7 @@ class Node:
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
         """Dispatch one received packet: hop-limit handling, local SID
-        match, transit match, then plain forwarding. The per-hop state a
-        previous node left in the metadata is cleared first."""
-        meta = p.meta
-        meta.rx_timestamp_ns = now
-        meta.pending_destination = meta.pending_link = None
-        meta.pending_table = meta.srh_dirty = None
+        match, transit match, then plain forwarding."""
         hdr = p.headers[0][0]
         hdr.hop_limit -= 1
         if hdr.hop_limit <= 0:
@@ -206,7 +198,7 @@ class Node:
         return self._dispatch(b, p, now)
 
     def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
-        """Run a SID or transit behaviour, then the common forwarding tail."""
+        """Run a SID or transit behaviour; a None decision takes the common tail."""
         try:
             if isinstance(b, ProgramBehavior):
                 program = self.programs.get(b.program)
@@ -217,12 +209,12 @@ class Node:
                 return programs.run_transit_program(self, program, p, now)
             if b.advance:
                 behaviors.end(p)
-            b.action(p)
+            decision = b.action(p, self)
         except BehaviorError as exc:
             return exc.drop()
         except InvariantViolation as exc:
             return Drop(DropReason.INVARIANT, str(exc))
-        return self.finish_forwarding(p)
+        return self.finish_forwarding(p) if decision is None else decision
 
     def _emit_time_exceeded(self, offender: Packet) -> None:
         """Queue a minimal ICMPv6 time-exceeded toward the packet source:

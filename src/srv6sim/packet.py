@@ -107,10 +107,6 @@ class SegmentRoutingHeader:
     def wire_length(self) -> int:
         return 8 + 16 * len(self.segments) + len(self.tlv_bytes)
 
-    @property
-    def active_segment(self) -> Address:
-        return self.segments[self.segments_left]
-
     def copy(self) -> "SegmentRoutingHeader":
         # positional: every SRH push makes one of these
         return SegmentRoutingHeader(
@@ -243,29 +239,16 @@ class Udp:
         return 8 + len(self.payload)
 
 
-@dataclass(slots=True, eq=False)
-class PacketMeta:
-    pending_destination: Address | None = None
-    pending_link: str | None = None
-    pending_table: int | None = None
-    rx_timestamp_ns: int = 0
-    # the SRH a program helper wrote (see programs._mark_dirty), which
-    # finalize revalidates; this and the three pending fields are per hop,
-    # cleared at each ingress
-    srh_dirty: SegmentRoutingHeader | None = None
-    # (flow, seq) of the trace, set where the packet is originated: by the
-    # traffic generator or else by Simulation._local_output; the transport
-    # never changes after construction, so it stays valid
-    trace_ids: tuple[int | None, int | None] | None = None
-
-
 @dataclass(slots=True)
 class Packet:
     # one (IPv6 header, routing headers) layer per encapsulation; End.B6
     # stacks a second SRH under the same IPv6 header
     headers: list[tuple[Ipv6Header, list[SegmentRoutingHeader]]]
     transport: Udp | bytes
-    meta: PacketMeta = field(default_factory=PacketMeta, compare=False)
+    # (flow, seq) of the trace, set where the packet is originated: by the
+    # traffic generator or else by Simulation._local_output; the transport
+    # never changes after construction, so it stays valid
+    trace_ids: tuple[int | None, int | None] | None = field(default=None, compare=False)
 
     @property
     def outer_header(self) -> Ipv6Header:
@@ -463,7 +446,7 @@ def _parse_srh(buf: bytes, off: int) -> tuple[SegmentRoutingHeader, int]:
 
 
 def decode_packet(b: bytes) -> Packet:
-    """Parse wire bytes into a Packet with a fresh PacketMeta.
+    """Parse wire bytes into a Packet, with no trace ids.
 
     UDP checksums are verified warn-only (logged), so replayed or fuzzed
     byte streams stay usable, and not kept: encode_packet computes them.
@@ -507,24 +490,3 @@ def decode_packet(b: bytes) -> Packet:
             return pkt
         # opaque transport, carried as raw octets
         return Packet(headers=headers, transport=bytes(b[off:]))
-
-
-def format_hex_dump(data: bytes) -> str:
-    """Offset-prefixed hex lines, 16 octets per line."""
-    lines = []
-    for base in range(0, len(data), 16):
-        chunk = data[base : base + 16]
-        lines.append(f"{base:04x}: " + " ".join(f"{x:02x}" for x in chunk))
-    return "\n".join(lines) + "\n"
-
-
-def parse_hex_dump(text: str) -> bytes:
-    """Inverse of format_hex_dump; ignores blank and comment lines."""
-    out = bytearray()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        _, _, rest = line.partition(":")
-        out.extend(int(tok, 16) for tok in rest.split())
-    return bytes(out)

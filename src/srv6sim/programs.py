@@ -5,7 +5,9 @@ ProgramContext with full read access to the packet and may mutate it only
 through the helpers below, which enforce the same write restrictions the
 in-kernel counterpart would. The returned outcome (OK / DROP / REDIRECT)
 drives post-program forwarding, with the modified SRH revalidated before
-the packet re-enters the pipeline.
+the packet re-enters the pipeline. A run's own state (the decision an
+action stored, the SRH a helper wrote) lives on its ProgramContext, as the
+kernel keeps it in the per-CPU seg6_bpf_srh_state, never in the packet.
 """
 
 from __future__ import annotations
@@ -87,7 +89,11 @@ class ProgramContext:
     hook: Hook
     now_ns: int
     dataplane: "Node"
+    # per run, reset by both runners: helper_action's use and decision,
+    # and the SRH a helper wrote (see _mark_dirty) for finalize
     pending_action_taken: bool = False
+    redirect: ForwardingDecision | None = None
+    srh_dirty: SegmentRoutingHeader | None = None
     maps: dict = field(init=False)  # dataplane.maps, for map_get/map_put
 
     def __post_init__(self):
@@ -125,14 +131,13 @@ def make_program(name: str, params: dict | None = None) -> Program:
 _SRH_FIXED = 8  # next_header, hdr_ext_len, routing_type, sl, le, flags, tag
 
 
-def _mark_dirty(p: Packet, srh: SegmentRoutingHeader) -> None:
+def _mark_dirty(ctx: ProgramContext, srh: SegmentRoutingHeader) -> None:
     """Record srh as the SRH a helper wrote, for finalize to revalidate.
     A different SRH marked earlier (now under a pushed one) is validated
     here and stays marked if it is invalid."""
-    meta = p.meta
-    old = meta.srh_dirty
+    old = ctx.srh_dirty
     if old is None or old is srh or validate_srh(old) is None:
-        meta.srh_dirty = srh
+        ctx.srh_dirty = srh
 
 
 def _outer_srh(ctx: ProgramContext) -> SegmentRoutingHeader:
@@ -167,7 +172,7 @@ def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
     else:
         tlv = srh.tlv_bytes
         srh.tlv_bytes = tlv[: offset - seg_end] + data + tlv[end - seg_end :]
-    _mark_dirty(ctx.packet, srh)
+    _mark_dirty(ctx, srh)
 
 
 def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
@@ -187,7 +192,7 @@ def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
         srh.tlv_bytes = srh.tlv_bytes[-delta_octets:]
     # the outer SRH sits directly under the outermost header
     ctx.packet.headers[0][0].payload_length += delta_octets
-    _mark_dirty(ctx.packet, srh)
+    _mark_dirty(ctx, srh)
 
 
 def helper_timestamp(ctx: ProgramContext) -> int:
@@ -202,45 +207,27 @@ def helper_ecmp_nexthops(ctx: ProgramContext, addr: Address) -> list[tuple[Addre
         raise HelperError("no_route") from None
 
 
-def _resolve_pending(ctx: ProgramContext, table: int) -> None:
-    """Eagerly resolve the current destination into the packet metadata,
-    mirroring the kernel helper's immediate FIB lookup. A destination
-    local to the node is marked with pending_link None."""
-    p = ctx.packet
-    dst = p.outer_header.dst
-    if dst in ctx.dataplane.local_addrs:
-        p.meta.pending_destination = dst
-        p.meta.pending_link = None
-        return
-    nh, link = ctx.dataplane.fib_lookup(dst, table, p)
-    p.meta.pending_destination = nh
-    p.meta.pending_link = link
-
-
 def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     """Apply the action of a descriptor marked ``helper``, with no
-    re-advance: the endpoint hook already advanced the SRH. Actions
-    needing a FIB lookup perform it now and store the result in the packet
-    metadata, so a REDIRECT outcome can forward without the default
-    lookup. The SRH an End.B6 or End.B6.Encaps action pushes was validated
-    when its descriptor was built and is not marked for finalize; an SRH a
-    helper wrote before the action stays marked. One action per program
-    run."""
+    re-advance: the endpoint hook already advanced the SRH. The decision
+    it returns (End.T's and End.DT6's lookup is made now, as the kernel
+    helper's is) is kept for a REDIRECT outcome; a Drop raises. The SRH
+    an End.B6 or End.B6.Encaps action pushes was validated when its
+    descriptor was built and is not marked for finalize; an SRH a helper
+    wrote before the action stays marked. One action per program run."""
     if ctx.hook is not _ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
     if ctx.pending_action_taken:
         raise HelperError("action_already_taken")
     if not (isinstance(action, Behavior) and action.helper):
         raise HelperError("bad_action", repr(action))
-    p = ctx.packet
     try:
-        action.action(p)
-        if action.resolves_table:
-            _resolve_pending(ctx, action.table)
+        decision = action.action(ctx.packet, ctx.dataplane)
     except BehaviorError as exc:
         raise HelperError(exc.reason.value, exc.detail) from None
-    except InvariantViolation as exc:
-        raise HelperError("invariant_violation", str(exc)) from None
+    if type(decision) is Drop:
+        raise HelperError(decision.reason.value, decision.detail)
+    ctx.redirect = decision
     ctx.pending_action_taken = True
 
 
@@ -320,31 +307,19 @@ def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     """Turn a program outcome into a forwarding decision.
 
     The SRH a helper wrote is revalidated first, wherever the packet now
-    carries it. OK performs the regular lookup on the current destination
-    (honouring a pending table, discarding any pending destination);
-    REDIRECT requires a destination already set in the metadata and
-    bypasses the lookup.
+    carries it. REDIRECT returns the decision helper_action stored, and
+    drops without one. OK looks the current destination up in the main
+    table, whatever a helper stored, as input_action_end_bpf does.
     """
-    p = ctx.packet
-    meta = p.meta
-    if meta.srh_dirty is not None:
-        bad = validate_srh(meta.srh_dirty)
+    if ctx.srh_dirty is not None:
+        bad = validate_srh(ctx.srh_dirty)
         if bad is not None:
             return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
     if outcome is _DROP:
         return DROPS[DropReason.PROGRAM_DROP]
     if outcome is _REDIRECT:
-        dest = meta.pending_destination
-        if dest is None:
-            return DROPS[DropReason.REDIRECT_WITHOUT_DESTINATION]
-        if meta.pending_link is None:
-            if dest in ctx.dataplane.local_addrs:
-                return behaviors.LOCAL_DELIVER
-            return Drop(DropReason.REDIRECT_WITHOUT_DESTINATION, "no egress link")
-        return behaviors.Forward(meta.pending_link, dest)
-    # OK: the default lookup overrides any destination a helper stored
-    meta.pending_destination = meta.pending_link = None
-    return ctx.dataplane.finish_forwarding(p)
+        return ctx.redirect or DROPS[DropReason.REDIRECT_WITHOUT_DESTINATION]
+    return ctx.dataplane.finish_forwarding(ctx.packet)
 
 
 def run_endpoint_program(
@@ -355,6 +330,7 @@ def run_endpoint_program(
     behaviors.end(packet)
     ctx = node.endpoint_ctx
     ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
+    ctx.redirect = ctx.srh_dirty = None
     try:
         outcome = program(ctx)
     except HelperError as exc:
@@ -368,6 +344,7 @@ def run_transit_program(
     """LWT hook analog: no advance, then the same finalize contract."""
     ctx = node.transit_ctx
     ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
+    ctx.redirect = ctx.srh_dirty = None
     try:
         outcome = program(ctx)
     except HelperError as exc:

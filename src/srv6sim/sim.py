@@ -125,17 +125,11 @@ class Link:
         self.node_a = self.node_b = None  # the end Nodes, set by Simulation.add_link
         self.delivered = 0
 
-    def peer(self, node_id: str) -> str:
-        return self.b if node_id == self.a else self.a
-
-    def serialization_ns(self, size_bytes: int) -> int:
-        return size_bytes * 8 * 1_000_000_000 // self.bandwidth_bps
-
     def transmit(self, sender: str, size_bytes: int, now: int) -> int:
         """Occupy the sender-side direction and return the delivery time."""
         d = self.dirs[sender]
         start = now if now > d.busy_until else d.busy_until
-        ser = size_bytes * 8 * 1_000_000_000 // self.bandwidth_bps  # serialization_ns
+        ser = size_bytes * 8 * 1_000_000_000 // self.bandwidth_bps  # serialization time
         d.busy_until = start + ser
         if self.delay_stddev_ns > 0:
             delay = int(self.rng.gauss(self.delay_mean_ns, self.delay_stddev_ns))
@@ -178,7 +172,7 @@ class UdpStream:
         p = make_udp_packet(
             self.src, self.dst, payload, self.src_port, self.dst_port, 64, self.flow_label
         )
-        p.meta.trace_ids = (flow, seq)  # what trace_ids(p) would parse back
+        p.trace_ids = (flow, seq)  # what trace_ids(p) would parse back
         return p
 
 
@@ -454,7 +448,7 @@ class Simulation:
         # the packet does not change on the link: the size and trace ids
         # of its egress row still hold
         link.delivered += 1
-        flow, seq = p.meta.trace_ids
+        flow, seq = p.trace_ids
         self.trace.append((self.clock, node.id, "ingress", flow, seq, size))
         self._apply(node, p, node.process_ingress(p, self.clock))
         if node.originated:
@@ -474,7 +468,7 @@ class Simulation:
             # negative, and every builder and behaviour keeps payload_length
             node.forwarded += 1
             size = p.headers[0][0].payload_length + 40
-            flow, seq = p.meta.trace_ids
+            flow, seq = p.trace_ids
             now = self.clock
             self.trace.append((now, node_id, "egress", flow, seq, size))
             delivery = link.transmit(node_id, size, now)
@@ -492,7 +486,7 @@ class Simulation:
     def _drop(self, node: Node, reason: str, p: Packet) -> None:
         node.dropped += 1
         self.stats.drop_reasons[reason] += 1
-        flow, seq = p.meta.trace_ids
+        flow, seq = p.trace_ids
         size = p.headers[0][0].payload_length + 40
         self.trace.append((self.clock, node.id, "drop", flow, seq, size))
 
@@ -500,9 +494,8 @@ class Simulation:
         """Count and send a packet a node originates (no hop-limit
         decrement), setting its trace ids unless its builder did."""
         self.stats.injected += 1
-        meta = p.meta
-        if meta.trace_ids is None:
-            meta.trace_ids = trace_ids(p)
+        if p.trace_ids is None:
+            p.trace_ids = trace_ids(p)
         self._apply(node, p, node.output(p, self.clock))
 
 

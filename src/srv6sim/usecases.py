@@ -176,7 +176,7 @@ def end_dm_factory(params: dict) -> Program:
             return Outcome.DROP
         if srh.segments_left > 0:
             return Outcome.OK  # two-way probe: leave the TLVs alone
-        rx = ctx.packet.meta.rx_timestamp_ns
+        rx = helper_timestamp(ctx)
         emit_event(ctx, encode_dm_event(path_id, tx, rx, ctrl))
         try:
             helper_action(ctx, EndDT6(table))

@@ -45,7 +45,7 @@ def sr_packet(segments, sl, dst=None, hop=64):
     p = make_srh_udp_packet(S1, list(segments), b"", b"payload", 49152, 33434)
     hdr, (srh,) = p.headers[0]
     srh.segments_left, hdr.hop_limit = sl, hop
-    hdr.dst = dst or srh.active_segment
+    hdr.dst = dst or srh.segments[srh.segments_left]
     return p
 
 
@@ -94,9 +94,7 @@ def test_end_leaves_tag_and_flags_alone():
 def test_end_x_sets_pending_destination():
     p = sr_packet([S2, F], 1)
     behaviors.end(p)
-    EndX(*NH_R3).action(p)
-    assert p.meta.pending_destination == NH_R3[0]
-    assert p.meta.pending_link == NH_R3[1]
+    assert EndX(*NH_R3).action(p, router()) == Forward(NH_R3[1], NH_R3[0])
     assert p.outer_srh.segments_left == 0
 
 
@@ -133,7 +131,7 @@ def test_end_b6_stacks_second_srh():
     p = sr_packet([S2, F], 1)
     new = SegmentRoutingHeader(segments=[pton("fd00:9::1")], segments_left=0)
     behaviors.end(p)
-    EndB6(new).action(p)
+    EndB6(new).action(p, router())
     srhs = p.headers[0][1]
     assert len(srhs) == 2
     assert p.outer_header.dst == pton("fd00:9::1")
@@ -147,7 +145,7 @@ def test_end_b6_rejects_invalid_srh():
     bad = SegmentRoutingHeader(segments=[F], segments_left=2)
     behaviors.end(p)
     with pytest.raises(InvariantViolation):
-        EndB6(bad).action(p)
+        EndB6(bad).action(p, router())
 
 
 def test_end_b6_encaps_wraps_packet():
@@ -155,7 +153,7 @@ def test_end_b6_encaps_wraps_packet():
     inner_bytes_before = encode_packet(p)
     outer = SegmentRoutingHeader(segments=[pton("fd00:9::1")], segments_left=0)
     behaviors.end(p)
-    EndB6Encaps(outer, pton("2001:db8::1")).action(p)
+    EndB6Encaps(outer, pton("2001:db8::1")).action(p, router())
     assert len(p.headers) == 2
     assert p.outer_header.hop_limit == 64
     assert p.outer_header.dst == pton("fd00:9::1")
@@ -170,23 +168,22 @@ def test_end_dt6_decapsulates_at_last_segment():
     inner = make_udp_packet(S1, S2, b"data")
     p = inner.copy()
     behaviors.encapsulate(p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1"))
-    behaviors.end_dt6(p, 0)
+    behaviors.end_dt6(p)
     assert len(p.headers) == 1
     assert p.outer_header.dst == S2
-    assert p.meta.pending_table == 0
 
 
 def test_end_dt6_not_last_segment():
     p = sr_packet([S2, SID], 1)
     with pytest.raises(BehaviorError) as exc:
-        behaviors.end_dt6(p, 0)
+        behaviors.end_dt6(p)
     assert exc.value.reason is DropReason.NOT_LAST_SEGMENT
 
 
 def test_end_dt6_requires_inner_header():
     p = sr_packet([S2, SID], 0)
     with pytest.raises(BehaviorError) as exc:
-        behaviors.end_dt6(p, 0)
+        behaviors.end_dt6(p)
     assert exc.value.reason is DropReason.NO_INNER_HEADER
 
 
@@ -303,7 +300,6 @@ def test_plain_forward_without_sid_or_transit():
     p = make_udp_packet(S1, S2, b"x")
     assert node.process_ingress(p, 0) == Forward("l3", NH_R3[0])
     assert p.outer_header.hop_limit == 63
-    assert p.meta.rx_timestamp_ns == 0
 
 
 def test_hop_limit_exhaustion_emits_time_exceeded():
@@ -377,7 +373,7 @@ def test_length_closure_through_mutations():
         p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1")
     )
     check_packet(p)
-    behaviors.end_dt6(p, 0)
+    behaviors.end_dt6(p)
     check_packet(p)
     assert decode_packet(encode_packet(p)) == p
 

@@ -383,8 +383,6 @@ def _lookup_packet(base: int, op: tuple):
         p = sr_packet([_SEG, dst], 1)
     else:
         p = make_udp_packet(pton("2001:db8:1::1"), dst, b"x")
-        if kind == "finish":
-            p.meta.pending_table = arg
     p.outer_header.flow_label = label
     return p
 
@@ -424,7 +422,8 @@ def test_route_cache_decisions_match_a_cold_twin(base, steps):
             if op[0] == "ingress":
                 got, want = node.process_ingress(p, i), cold.process_ingress(q, i)
             else:
-                got, want = node.finish_forwarding(p), cold.finish_forwarding(q)
+                table = op[3] or 0
+                got, want = node.finish_forwarding(p, table), cold.finish_forwarding(q, table)
             assert (got, p) == (want, q)
             assert getattr(got, "detail", None) == getattr(want, "detail", None)
             dst = _addr(base, op[1])

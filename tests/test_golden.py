@@ -93,14 +93,14 @@ def test_fixture_digests_unchanged(name, seed, tmp_path):
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
     """The size carried to each ingress and egress row and the (flow, seq)
-    cached in the packet metadata, which the traffic generator or the
+    cached in the packet's trace_ids, which the traffic generator or the
     node's local output set, equal what the packet itself gives there."""
     process_deliver = Simulation._process_deliver
     apply = Simulation._apply
     directions = set()
 
     def check_row(row, p, size):
-        assert p.meta.trace_ids == trace_ids(p) == row[3:5]
+        assert p.trace_ids == trace_ids(p) == row[3:5]
         assert row[5] == size
         directions.add(row[2])
 

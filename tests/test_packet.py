@@ -27,14 +27,13 @@ from srv6sim.packet import (
     encode_tlvs,
     make_srh_udp_packet,
     make_udp_packet,
-    parse_hex_dump,
     pton,
     udp_checksum,
     validate_srh,
     walk_tlvs,
     _ones_complement_sum,
 )
-from util import random_packet, with_lengths
+from util import format_hex_dump, parse_hex_dump, random_packet, with_lengths
 
 VECTOR_DIR = Path(__file__).parent / "vectors"
 
@@ -92,9 +91,9 @@ def test_srh_sizes_with_tlv_region():
 
 def test_active_segment_is_reverse_indexed():
     srh = SegmentRoutingHeader(segments=[S2, S1], segments_left=1)
-    assert srh.active_segment == S1
+    assert srh.segments[srh.segments_left] == S1
     srh.segments_left = 0
-    assert srh.active_segment == S2
+    assert srh.segments[srh.segments_left] == S2
 
 
 @pytest.mark.parametrize("layer", [0, 1, "udp"])
@@ -121,8 +120,6 @@ def _vector(name: str) -> bytes:
 
 
 def test_hex_dump_roundtrip():
-    from srv6sim.packet import format_hex_dump
-
     rng = random.Random(2)
     blob = rng.randbytes(77)
     assert parse_hex_dump(format_hex_dump(blob)) == blob
@@ -205,7 +202,7 @@ def four_packet_kinds() -> dict[str, Packet]:
 
 def test_encode_leaves_every_field_unchanged():
     for kind, p in four_packet_kinds().items():
-        before = repr(p)  # every field, the meta too
+        before = repr(p)  # every field, the trace ids too
         raw = encode_packet(p)
         assert repr(p) == before, kind
         assert encode_packet(p) == raw, kind

@@ -65,7 +65,7 @@ def test_store_bytes_increments_tag():
     ctx = make_ctx(p)
     helper_store_bytes(ctx, 6, struct.pack(">H", p.outer_srh.tag + 1))
     assert p.outer_srh.tag == 6
-    assert p.meta.srh_dirty
+    assert ctx.srh_dirty
 
 
 def test_store_bytes_flags_octet():
@@ -83,7 +83,7 @@ def test_store_bytes_rejects_segments_left():
         helper_store_bytes(ctx, 3, b"\x00")
     assert exc.value.code == "write_out_of_bounds"
     assert encode_packet(p) == before
-    assert not p.meta.srh_dirty
+    assert not ctx.srh_dirty
 
 
 def test_store_bytes_rejects_span_from_tag_into_segments():
@@ -139,9 +139,10 @@ def test_store_bytes_without_srh_raises_no_srh():
 def test_store_bytes_of_no_data_writes_nothing():
     p = sr_packet([S2, F], 1)
     before = encode_packet(p)
-    helper_store_bytes(make_ctx(p), 6, b"")
+    ctx = make_ctx(p)
+    helper_store_bytes(ctx, 6, b"")
     assert encode_packet(p) == before
-    assert p.meta.srh_dirty is None
+    assert ctx.srh_dirty is None
 
 
 def _srh_wire(srh: SegmentRoutingHeader) -> bytes:
@@ -169,9 +170,10 @@ def test_store_bytes_accepted_writes_splice_the_encoded_srh():
         lo, hi = rng.choice(spans)
         offset = rng.randrange(lo, hi)
         data = rng.randbytes(rng.randrange(1, hi - offset + 1))
-        helper_store_bytes(make_ctx(p), offset, data)
+        ctx = make_ctx(p)
+        helper_store_bytes(ctx, offset, data)
         assert _srh_wire(srh) == before[:offset] + data + before[offset + len(data) :]
-        assert p.meta.srh_dirty is srh
+        assert ctx.srh_dirty is srh
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_action_end_x_sets_pending():
     p = sr_packet([S2, SID], 1)
     ctx = make_ctx(p)
     helper_action(ctx, EndX(*NH_R3))
-    assert p.meta.pending_destination == NH_R3[0]
+    assert ctx.redirect == Forward(NH_R3[1], NH_R3[0])
     assert ctx.pending_action_taken
 
 
@@ -254,8 +256,7 @@ def test_action_end_dt6_decapsulates_into_context():
     helper_action(ctx, EndDT6(0))
     assert len(p.headers) == 1
     assert p.outer_header.dst == S2
-    assert p.meta.pending_destination == NH_R3[0]
-    assert p.meta.pending_link == NH_R3[1]
+    assert ctx.redirect == Forward(NH_R3[1], NH_R3[0])
 
 
 def test_action_wrong_hook():
@@ -271,8 +272,7 @@ def test_action_end_t_resolves_eagerly():
     p.outer_header.dst = S2
     ctx = make_ctx(p, node)
     helper_action(ctx, EndT(7))
-    assert p.meta.pending_table == 7
-    assert p.meta.pending_destination == pton("2001:db8::aa")
+    assert ctx.redirect == Forward("lx", pton("2001:db8::aa"))
 
 
 def test_action_end_b6_leaves_the_pushed_srh_unmarked():
@@ -281,7 +281,28 @@ def test_action_end_b6_leaves_the_pushed_srh_unmarked():
     ctx = make_ctx(p)
     helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)))
     assert len(p.headers[0][1]) == 2
-    assert p.meta.srh_dirty is None
+    assert ctx.srh_dirty is None
+
+
+def test_action_end_t_into_a_table_without_a_route_raises_no_route():
+    node = router()  # a default route in table 0 only
+    p = sr_packet([S2, SID], 1)
+    ctx = make_ctx(p, node)
+    with pytest.raises(HelperError) as exc:
+        helper_action(ctx, EndT(7))
+    assert exc.value.code == "no_route"
+    assert ctx.redirect is None and not ctx.pending_action_taken
+
+
+def test_action_end_dt6_before_the_last_segment_raises_not_last_segment():
+    p = sr_packet([S2, SID], 1)
+    before = encode_packet(p)
+    ctx = make_ctx(p)
+    with pytest.raises(HelperError) as exc:
+        helper_action(ctx, EndDT6(0))
+    assert exc.value.code == "not_last_segment"
+    assert ctx.redirect is None and not ctx.pending_action_taken
+    assert encode_packet(p) == before
 
 
 @pytest.mark.parametrize(
@@ -315,7 +336,7 @@ def test_push_encap_encapsulates_plain_traffic():
     assert len(p.headers) == 2
     assert p.outer_header.dst == F
     # the push validated its own SRH; finalize does not check it again
-    assert p.meta.srh_dirty is None
+    assert ctx.srh_dirty is None
 
 
 def test_push_encap_endpoint_hook_rejected():
@@ -541,6 +562,22 @@ def test_ok_outcome_overrides_pending_destination():
     assert decision == Forward("l3", NH_R3[0])
 
 
+def test_ok_outcome_after_end_t_action_looks_up_the_main_table():
+    # as input_action_end_bpf: any outcome but REDIRECT ends in a lookup
+    # of the main table, whatever table an action looked up
+    table_7 = FibEntry(pton("2001:db8:2::"), 64, [(pton("2001:db8::aa"), "lx")], table_id=7)
+    node = router([table_7, FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+
+    def program(ctx):
+        helper_action(ctx, EndT(7))
+        return Outcome.OK
+
+    node.add_program("p", program)
+    node.add_sid(SID, EndProgram("p"))
+    decision = node.process_ingress(sr_packet([S2, SID], 1), 0)
+    assert decision == Forward("l3", NH_R3[0])
+
+
 def test_endpoint_program_requires_segments():
     node = router()
     node.add_program("noop", lambda ctx: Outcome.OK)
@@ -586,7 +623,6 @@ def test_advance_happens_before_program_entry():
         seen["dst"] = ctx.packet.outer_header.dst
         seen["active"] = srh.segments[srh.segments_left]
         seen["clock"] = helper_timestamp(ctx)
-        seen["rx"] = ctx.packet.meta.rx_timestamp_ns
         return Outcome.OK
 
     node.add_program("probe", probe)
@@ -596,7 +632,7 @@ def test_advance_happens_before_program_entry():
     node.process_ingress(sr_packet([S2, SID], 1), 4_200)
     assert seen["sl"] == 0
     assert seen["dst"] == seen["active"] == S2
-    assert seen["clock"] == seen["rx"] == 4_200
+    assert seen["clock"] == 4_200
 
 
 def test_each_run_resets_the_node_context_of_its_hook():
@@ -630,6 +666,37 @@ def test_each_run_resets_the_node_context_of_its_hook():
     assert q1 is p1 and q2 is p2 and q3 is p3 and (t1, t2, t3) == (100, 200, 300)
     assert c1 is c2 and h1 is h2 is Hook.ENDPOINT
     assert c3 is not c1 and h3 is Hook.TRANSIT
+
+
+def test_run_state_stays_in_its_run():
+    """The decision an action stored and the SRH a helper wrote belong to
+    one run: the next run on the node's endpoint context starts without
+    them."""
+    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+
+    def via_r3(ctx):
+        helper_action(ctx, EndX(*NH_R3))
+        return Outcome.REDIRECT
+
+    def bump_tag(ctx):
+        helper_store_bytes(ctx, 6, struct.pack(">H", ctx.packet.outer_srh.tag + 1))
+        return Outcome.OK
+
+    node.add_program("via_r3", via_r3)
+    node.add_program("redirect", lambda ctx: Outcome.REDIRECT)
+    node.add_program("lazy", grow_and_leave_zeros)
+    node.add_program("tag", bump_tag)
+    sids = {name: pton(f"fd00:72::{i + 1:x}") for i, name in enumerate(node.programs)}
+    for name, sid in sids.items():
+        node.add_sid(sid, EndProgram(name))
+
+    def run(name):
+        return node.process_ingress(sr_packet([S2, sids[name]], 1), 0)
+
+    assert run("via_r3") == Forward(NH_R3[1], NH_R3[0])
+    assert run("redirect") == Drop(DropReason.REDIRECT_WITHOUT_DESTINATION)
+    assert run("lazy").reason is DropReason.INVALID_SRH_AFTER_PROGRAM
+    assert run("tag") == Forward(NH_R3[1], NH_R3[0])
 
 
 def test_uncaught_helper_error_drops_packet():

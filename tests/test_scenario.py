@@ -55,8 +55,8 @@ def test_setup2_builds_hybrid_topology():
     cfg = load_scenario(fixture_path("setup2-hybrid.json"))
     sim = build_simulation(cfg)
     # the two aggregated links share the same endpoints
-    assert sim.links["la"].peer("A") == "M"
-    assert sim.links["lb"].peer("A") == "M"
+    assert {sim.links["la"].a, sim.links["la"].b} == {"A", "M"}
+    assert {sim.links["lb"].a, sim.links["lb"].b} == {"A", "M"}
     assert sim.links["la"].delay_mean_ns == 15_000_000
     assert sim.links["la"].delay_stddev_ns == 2_500_000
     assert sim.links["lb"].delay_mean_ns == 2_500_000
@@ -351,7 +351,7 @@ def test_segments_listed_in_travel_order():
 
     assert srh.segments == [pton("2001:db8:2::1"), pton("fd00:73::d")]
     assert srh.segments_left == 1
-    assert srh.active_segment == pton("fd00:73::d")
+    assert srh.segments[srh.segments_left] == pton("fd00:73::d")
 
 
 def test_fixtures_validate_against_shipped_schema():

@@ -104,7 +104,7 @@ def test_jitter_never_negative_and_fifo_preserved():
     for i in range(500):
         now = i * 10_000
         d = link.transmit("A", 100, now)
-        ser = link.serialization_ns(100)
+        ser = 100 * 8 * 1_000_000_000 // link.bandwidth_bps
         assert d >= now + ser  # delay truncated at zero
         assert d >= last  # FIFO per direction
         last = d
@@ -113,7 +113,7 @@ def test_jitter_never_negative_and_fifo_preserved():
 def test_zero_stddev_gives_exact_mean_delay():
     link = zero_jitter_link(bw_mbps=1000, delay_ms=15.0)
     size = 112
-    ser = link.serialization_ns(size)
+    ser = size * 8 * 1_000_000_000 // link.bandwidth_bps
     assert link.transmit("A", size, 0) == ser + 15_000_000
 
 
@@ -361,10 +361,10 @@ def test_generated_packet_carries_its_ids_and_encodes_as_a_plain_udp_packet():
         "A", S1, S2, 1000, 100, 1, flow=9, src_port=4000, dst_port=5000, flow_label=0x12345
     )
     p = stream.build(70000)
-    assert p.meta.trace_ids == trace_ids(p) == (9, 70000)
+    assert p.trace_ids == trace_ids(p) == (9, 70000)
     payload = b"\x9c\x6f" + (9).to_bytes(2, "big") + (70000).to_bytes(4, "big") + bytes(92)
     plain = make_udp_packet(S1, S2, payload, src_port=4000, dst_port=5000, flow_label=0x12345)
-    assert plain.meta.trace_ids is None
+    assert plain.trace_ids is None
     assert encode_packet(p) == encode_packet(plain)
     assert p.wire_size() == plain.wire_size() == 148
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random packet generation, a
-few tiny topology builders and a decoder of queued delay events."""
+few tiny topology builders, a decoder of queued delay events and the hex
+dump format of the golden vectors."""
 
 from __future__ import annotations
 
@@ -120,6 +121,27 @@ def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packe
         headers=[(hdr, [srh])],
         transport=Udp(rng.randrange(65536), rng.randrange(65536), rng.randbytes(32)),
     ))
+
+
+def format_hex_dump(data: bytes) -> str:
+    """Offset-prefixed hex lines, 16 octets per line."""
+    lines = []
+    for base in range(0, len(data), 16):
+        chunk = data[base : base + 16]
+        lines.append(f"{base:04x}: " + " ".join(f"{x:02x}" for x in chunk))
+    return "\n".join(lines) + "\n"
+
+
+def parse_hex_dump(text: str) -> bytes:
+    """Inverse of format_hex_dump; ignores blank and comment lines."""
+    out = bytearray()
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        _, _, rest = line.partition(":")
+        out.extend(int(tok, 16) for tok in rest.split())
+    return bytes(out)
 
 
 def owd_collector_drain(queue: EventQueue) -> tuple[list[DelayRecord], int]:
