@@ -130,8 +130,12 @@ class EndX(Behavior):
     type_name = "end_x"
     advance = helper = True
 
+    def __post_init__(self) -> None:
+        # the decision is frozen, so every packet shares the one built here
+        object.__setattr__(self, "_forward", Forward(self.link, self.nexthop))
+
     def action(self, p: Packet, node: Node) -> Forward:
-        return Forward(self.link, self.nexthop)
+        return self._forward
 
 
 @dataclass(frozen=True)
@@ -234,13 +238,15 @@ TRANSIT_BEHAVIORS: dict[str, type[Behavior]] = {
 
 def end(p: Packet) -> Packet:
     """Advance to the next segment: segments_left -= 1, dst = new active."""
-    srh = p.outer_srh
-    if srh is None:
+    hdr, srhs = p.headers[0]
+    if not srhs:
         raise BehaviorError(DropReason.NO_SRH)
-    if srh.segments_left == 0:
+    srh = srhs[0]
+    sl = srh.segments_left
+    if sl == 0:
         raise BehaviorError(DropReason.SEGMENTS_EXHAUSTED)
-    srh.segments_left -= 1
-    p.outer_header.dst = srh.segments[srh.segments_left]
+    srh.segments_left = sl = sl - 1
+    hdr.dst = srh.segments[sl]
     return p
 
 
@@ -248,50 +254,60 @@ def check_srh(srh: SegmentRoutingHeader, room: int = 0) -> None:
     """The seg6_validate_srh analog, run where an SRH enters: raise
     InvariantViolation unless srh is valid and still fits hdr_ext_len
     with ``room`` more segments."""
-    bad = validate_srh(srh)
-    if bad is None and srh.hdr_ext_len + 2 * room > 0xFF:
+    bad = validate_srh(srh)  # which rejects hdr_ext_len > 255 itself
+    if bad is None and room and srh.hdr_ext_len + 2 * room > 0xFF:
         bad = SrhViolation("SizeOverflow", "hdr_ext_len > 255")
     if bad is not None:
         raise InvariantViolation(str(bad))
 
 
-def _splice(p: Packet, new: SegmentRoutingHeader) -> Packet:
+def _splice(
+    p: Packet, srh: SegmentRoutingHeader, segments: list[Address], segments_left: int
+) -> Packet:
+    """Splice a new SRH with srh's other fields directly after the outer
+    IPv6 header, fixing the header chain and payload_length."""
     hdr, srhs = p.headers[0]
-    new.next_header = PROTO_ROUTING if srhs else hdr.next_header
-    srhs.insert(0, new)
+    tlv = srh.tlv_bytes
+    srhs.insert(0, SegmentRoutingHeader(
+        segments, segments_left, PROTO_ROUTING if srhs else hdr.next_header,
+        srh.flags, srh.tag, tlv, srh.routing_type,
+    ))
     hdr.next_header = PROTO_ROUTING
-    hdr.dst = new.segments[new.segments_left]
-    hdr.payload_length += new.wire_length
+    hdr.dst = segments[segments_left]
+    hdr.payload_length += 8 + 16 * len(segments) + len(tlv)
     return p
 
 
 def insert_srh(p: Packet, new_srh: SegmentRoutingHeader) -> Packet:
     """Splice a copy of an already validated SRH directly after the outer
     IPv6 header, with no advance (the seg6_do_srh_inline analog)."""
-    return _splice(p, new_srh.copy())
+    return _splice(p, new_srh, list(new_srh.segments), new_srh.segments_left)
 
 
 def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) -> Packet:
     """Wrap the whole packet in a fresh IPv6 header carrying a copy of the
     already validated outer_srh (the seg6_do_srh_encap analog)."""
-    new = outer_srh.copy()
-    new.next_header = PROTO_IPV6
+    segments, sl, tlv = outer_srh.segments, outer_srh.segments_left, outer_srh.tlv_bytes
     hdr = Ipv6Header(
-        outer_src, new.segments[new.segments_left], PROTO_ROUTING, DEFAULT_HOP_LIMIT,
-        0, 0, new.wire_length + p.headers[0][0].payload_length + 40,
+        outer_src, segments[sl], PROTO_ROUTING, DEFAULT_HOP_LIMIT, 0, 0,
+        48 + 16 * len(segments) + len(tlv) + p.headers[0][0].payload_length,
     )
-    p.headers.insert(0, (hdr, [new]))
+    p.headers.insert(0, (hdr, [SegmentRoutingHeader(
+        list(segments), sl, PROTO_IPV6, outer_srh.flags, outer_srh.tag, tlv,
+        outer_srh.routing_type,
+    )]))
     return p
 
 
 def end_dt6(p: Packet) -> Packet:
     """Decapsulate the outer IPv6 header (+SRH) at the last segment."""
-    srh = p.outer_srh
-    if srh is not None and srh.segments_left != 0:
+    headers = p.headers
+    srhs = headers[0][1]
+    if srhs and srhs[0].segments_left != 0:
         raise BehaviorError(DropReason.NOT_LAST_SEGMENT)
-    if len(p.headers) < 2:
+    if len(headers) < 2:
         raise BehaviorError(DropReason.NO_INNER_HEADER)
-    p.headers.pop(0)
+    headers.pop(0)
     return p
 
 
@@ -306,9 +322,5 @@ def t_insert(p: Packet, srh: SegmentRoutingHeader) -> Packet:
     hdr, srhs = p.headers[0]
     if srhs:
         raise InvariantViolation("t_insert on a packet already carrying an SRH")
-    segments = [hdr.dst, *srh.segments]
-    return _splice(p, SegmentRoutingHeader(
-        segments, len(srh.segments), srh.next_header, srh.flags, srh.tag,
-        srh.tlv_bytes, srh.routing_type,
-    ))
+    return _splice(p, srh, [hdr.dst, *srh.segments], len(srh.segments))
 

@@ -108,7 +108,6 @@ class SegmentRoutingHeader:
         return 8 + 16 * len(self.segments) + len(self.tlv_bytes)
 
     def copy(self) -> "SegmentRoutingHeader":
-        # positional: every SRH push makes one of these
         return SegmentRoutingHeader(
             list(self.segments), self.segments_left, self.next_header,
             self.flags, self.tag, self.tlv_bytes, self.routing_type,

@@ -1,4 +1,9 @@
+import dataclasses
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srv6sim import behaviors
 from srv6sim.behaviors import (
@@ -21,6 +26,8 @@ from srv6sim.fib import FibEntry
 from srv6sim.packet import (
     InvariantViolation,
     PROTO_ICMPV6,
+    PROTO_IPV6,
+    PROTO_ROUTING,
     PROTO_UDP,
     SegmentRoutingHeader,
     Tlv,
@@ -31,6 +38,12 @@ from srv6sim.packet import (
     make_srh_udp_packet,
     make_udp_packet,
     pton,
+)
+from util import (
+    random_packet,
+    reference_encapsulate,
+    reference_insert_srh,
+    reference_t_insert,
 )
 
 S1 = pton("2001:db8:1::1")
@@ -96,6 +109,15 @@ def test_end_x_sets_pending_destination():
     behaviors.end(p)
     assert EndX(*NH_R3).action(p, router()) == Forward(NH_R3[1], NH_R3[0])
     assert p.outer_srh.segments_left == 0
+
+
+def test_end_x_returns_one_shared_frozen_forward():
+    action, node = EndX(*NH_R3), router()
+    first = action.action(sr_packet([S2, F], 0), node)
+    assert first == Forward(NH_R3[1], NH_R3[0])
+    assert action.action(sr_packet([S1, SID], 1), node) is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.link = "l9"
 
 
 def test_end_x_bypasses_ecmp():
@@ -290,6 +312,75 @@ def test_template_that_no_push_could_carry_is_rejected(case, segments):
         make(srh)
     srh.segments.pop()
     make(srh)
+
+
+# Each push as a function of the packet, with the SRH it copies (the
+# drawn one for a body, its private template for a descriptor's action),
+# and the reference that must give the same packet from the drawn SRH.
+def _body(push, *args):
+    return lambda srh: (lambda p: push(p, srh, *args), srh)
+
+
+def _action(make):
+    def build(srh):
+        descriptor = make(srh)
+        return lambda p: descriptor.action(p, Node("R", [])), descriptor.srh
+    return build
+
+
+def _reference_encapsulate(p, srh):
+    return reference_encapsulate(p, srh, OUTER_SRC)
+
+
+PUSHES = {
+    "encapsulate": (_body(behaviors.encapsulate, OUTER_SRC), _reference_encapsulate),
+    "insert_srh": (_body(behaviors.insert_srh), reference_insert_srh),
+    "t_insert": (_body(behaviors.t_insert), reference_t_insert),
+    "end_b6": (_action(EndB6), reference_insert_srh),
+    "end_b6_encaps": (_action(lambda srh: EndB6Encaps(srh, OUTER_SRC)), _reference_encapsulate),
+    "insert": (_action(TransitInsert), reference_t_insert),
+    "encaps": (_action(lambda srh: TransitEncaps(srh, OUTER_SRC)), _reference_encapsulate),
+}
+
+
+@st.composite
+def pushable_srhs(draw):
+    n = draw(st.integers(1, 5))
+    tlvs = draw(st.lists(st.tuples(st.integers(1, 255), st.binary(max_size=12)), max_size=3))
+    return SegmentRoutingHeader(
+        draw(st.lists(st.binary(min_size=16, max_size=16), min_size=n, max_size=n)),
+        draw(st.integers(0, n - 1)),
+        draw(st.sampled_from([PROTO_UDP, PROTO_ROUTING, PROTO_IPV6])),
+        draw(st.integers(0, 0xFF)),
+        draw(st.integers(0, 0xFFFF)),
+        encode_tlvs(*(Tlv(t, v) for t, v in tlvs)),
+    )
+
+
+def _error(push, p):
+    try:
+        push(p)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(PUSHES)), srh=pushable_srhs(), seed=st.integers(0, 2**32 - 1))
+def test_pushes_match_the_copy_then_patch_reference(case, srh, seed):
+    build, reference = PUSHES[case]
+    push, template = build(srh)
+    kept = template.copy()
+    p = random_packet(random.Random(seed))  # t_insert raises on one with an SRH
+    q = p.copy()
+    error = _error(push, p)
+    assert error == _error(lambda r: reference(r, kept), q)
+    assert p == q and encode_packet(p) == encode_packet(q)
+    if error is None:
+        new = p.outer_srh
+        assert new is not template and new.segments is not template.segments
+        new.segments.append(S1)
+        assert template == kept
 
 
 # ---------------------------------------------------------------------------

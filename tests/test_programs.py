@@ -815,6 +815,32 @@ def test_b6_action_pushes_an_srh_finalize_does_not_revalidate(action, monkeypatc
     assert validated == []
 
 
+@pytest.mark.parametrize("action", [
+    EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)),
+    EndB6Encaps(SegmentRoutingHeader(segments=[F], segments_left=0), pton("2001:db8::1")),
+], ids=["end_b6", "end_b6_encaps"])
+def test_redirect_after_a_b6_action_forwards_the_pushed_segment_by_the_main_table(action):
+    # as bpf_push_seg6_encap ends in seg6_lookup_nexthop(skb, NULL, 0)
+    def program(ctx):
+        helper_action(ctx, action)
+        return Outcome.REDIRECT
+
+    node = end_bpf_router(program)
+    node.fib_insert(FibEntry(F, 128, [(pton("2001:db8::f"), "lf")]))
+    p = sr_packet([S2, SID], 1)
+    assert node.process_ingress(p, 0) == Forward("lf", pton("2001:db8::f"))
+    assert p.outer_header.dst == F
+
+
+def test_b6_action_to_a_segment_without_a_route_raises_no_route():
+    node = Node("R", [pton("2001:db8::1")])  # no default route
+    ctx = make_ctx(sr_packet([S2, SID], 1), node)
+    with pytest.raises(HelperError) as exc:
+        helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)))
+    assert exc.value.code == "no_route"
+    assert ctx.redirect is None and not ctx.pending_action_taken
+
+
 def test_endpoint_store_then_end_b6_encaps_drops_the_invalid_srh():
     def program(ctx):
         zero_the_padn(ctx)

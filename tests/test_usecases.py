@@ -18,10 +18,11 @@ from srv6sim.packet import (
     Udp,
     encode_packet,
     encode_tlvs,
+    make_srh_udp_packet,
     make_udp_packet,
     pton,
 )
-from srv6sim.programs import EventQueue, make_program, map_get, run_transit_program
+from srv6sim.programs import EventQueue, HelperError, make_program, map_get, run_transit_program
 from srv6sim.scenario import (
     apply_overrides,
     build_simulation,
@@ -111,25 +112,55 @@ def test_dm_transit_probe_carries_both_tlvs():
     assert p.outer_header.dst == DM_SID
 
 
+def recorded_pushes(monkeypatch):
+    """Wrap dm_transit's helper_push_encap: the list it returns gets, per
+    call, its SRH argument and the code of the HelperError it raised."""
+    calls = []
+    push = usecases.helper_push_encap
+
+    def recorded(ctx, mode, srh, outer_src=None):
+        try:
+            push(ctx, mode, srh, outer_src)
+        except HelperError as exc:
+            calls.append((srh, exc.code))
+            raise
+        calls.append((srh, None))
+
+    monkeypatch.setattr(usecases, "helper_push_encap", recorded)
+    return calls
+
+
 def test_dm_transit_copies_its_path_srh_once_per_probe(monkeypatch):
     node, prog = dm_transit_node(ratio=1)
-    copied = []
-    copy = SegmentRoutingHeader.copy
-
-    def counted(self):
-        copied.append(self)
-        return copy(self)
-
-    monkeypatch.setattr(SegmentRoutingHeader, "copy", counted)
+    calls = recorded_pushes(monkeypatch)
+    probes = []
     for i in range(3):
         p = make_udp_packet(S1, S2, b"x" * 64)
         run_transit_program(node, prog, p, 1000 + i)
-        assert len(copied) == i + 1
-        template = copied[0]
-        assert copied[i] is template  # the push copies the stamped template
-        assert p.outer_srh is not template
-        assert read_dm_tlv(p.outer_srh) == 1000 + i
+        probes.append(p)
+    template = calls[0][0]
+    assert [code for _, code in calls] == [None] * 3
+    assert all(srh is template for srh, _ in calls)  # each probe stamps one template
+    pushed = [p.outer_srh for p in probes]
+    assert len({id(srh) for srh in pushed}) == 3
+    for i, srh in enumerate(pushed):
+        assert srh is not template and srh.segments is not template.segments
+        assert read_dm_tlv(srh) == 1000 + i
     assert template.segments == [S2, DM_SID] and template.segments_left == 1
+
+
+def test_dm_transit_on_the_endpoint_hook_leaves_the_packet_unprobed(monkeypatch):
+    # helper_push_encap is transit-only: the failed push is swallowed
+    node, prog = dm_transit_node(ratio=1)
+    node.add_sid(DM_SID, EndProgram("prog"))
+    calls = recorded_pushes(monkeypatch)
+    p = make_srh_udp_packet(S1, [S2, DM_SID], b"", b"x" * 64, 49152, 33434)
+    advanced = p.copy()
+    end(advanced)
+    advanced.headers[0][0].hop_limit -= 1
+    assert node.process_ingress(p, 5) == Forward("l1", S2)  # OK: the main table
+    assert [code for _, code in calls] == ["wrong_hook"]
+    assert encode_packet(p) == encode_packet(advanced)
 
 
 def test_dm_transit_leaves_non_sampled_packets_byte_identical():

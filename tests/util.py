@@ -1,12 +1,13 @@
 """Shared helpers for the test suite: seeded random packet generation, a
-few tiny topology builders, a decoder of queued delay events and the hex
-dump format of the golden vectors."""
+few tiny topology builders, a decoder of queued delay events, the hex
+dump format of the golden vectors and copy-then-patch references of the
+SRH pushes."""
 
 from __future__ import annotations
 
 import random
 
-from srv6sim.behaviors import End, EndProgram
+from srv6sim.behaviors import DEFAULT_HOP_LIMIT, End, EndProgram
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.programs import EventQueue, Outcome
@@ -14,6 +15,7 @@ from srv6sim.packet import (
     PROTO_IPV6,
     PROTO_ROUTING,
     PROTO_UDP,
+    InvariantViolation,
     Ipv6Header,
     Packet,
     SegmentRoutingHeader,
@@ -232,3 +234,42 @@ def end_vs_noop_nodes() -> tuple[Node, Node]:
         node.add_sid(SID_END, behavior)
         nodes.append(node)
     return nodes[0], nodes[1]
+
+
+# ---------------------------------------------------------------------------
+# The SRH pushes as copy-then-patch references: the template copied whole,
+# then each field the push changes written, lengths from wire_length.
+
+def _reference_splice(p: Packet, new: SegmentRoutingHeader) -> Packet:
+    hdr, srhs = p.headers[0]
+    new.next_header = PROTO_ROUTING if srhs else hdr.next_header
+    srhs.insert(0, new)
+    hdr.next_header = PROTO_ROUTING
+    hdr.dst = new.segments[new.segments_left]
+    hdr.payload_length += new.wire_length
+    return p
+
+
+def reference_insert_srh(p: Packet, srh: SegmentRoutingHeader) -> Packet:
+    return _reference_splice(p, srh.copy())
+
+
+def reference_t_insert(p: Packet, srh: SegmentRoutingHeader) -> Packet:
+    if p.headers[0][1]:
+        raise InvariantViolation("t_insert on a packet already carrying an SRH")
+    new = srh.copy()
+    new.segments.insert(0, p.headers[0][0].dst)
+    new.segments_left = len(srh.segments)
+    return _reference_splice(p, new)
+
+
+def reference_encapsulate(p: Packet, srh: SegmentRoutingHeader, src: bytes) -> Packet:
+    new = srh.copy()
+    new.next_header = PROTO_IPV6
+    hdr = Ipv6Header(
+        src=src, dst=new.segments[new.segments_left], next_header=PROTO_ROUTING,
+        hop_limit=DEFAULT_HOP_LIMIT,
+        payload_length=new.wire_length + 40 + p.headers[0][0].payload_length,
+    )
+    p.headers.insert(0, (hdr, [new]))
+    return p
