@@ -95,7 +95,7 @@ class Report:
     def write(self, out_dir: Path, fmt: str) -> Path:
         ext = "tsv" if fmt == "tsv" else "txt"
         path = out_dir / f"{self.scenario}-{self.experiment}-report.{ext}"
-        path.write_text(self.to_tsv() if fmt == "tsv" else self.to_text())
+        path.write_text(self.to_tsv() if fmt == "tsv" else self.to_text(), encoding="utf-8")
         return path
 
 
@@ -123,7 +123,9 @@ def _run_common(
     stats = sim.run_until(cfg.duration_ns)
     trace_file = out_dir / f"{cfg.name}-{report.experiment}-trace.tsv"
     write_trace(sim.trace, trace_file)
-    (out_dir / f"{cfg.name}-{report.experiment}-stats.txt").write_text(stats.summary())
+    (out_dir / f"{cfg.name}-{report.experiment}-stats.txt").write_text(
+        stats.summary(), encoding="utf-8"
+    )
     report.trace_path = str(trace_file)
     report.add("injected", stats.injected, "packets")
     report.add("forwarded_total", sum(stats.forwarded.values()), "packets")
@@ -217,7 +219,7 @@ def cmd_hybrid(args) -> int:
     report.add("twd_probes_received", prober.received, "probes")
     if prober.history:
         series = out_dir / f"{cfg.name}-hybrid-applied.tsv"
-        with open(series, "w") as fh:
+        with open(series, "w", encoding="utf-8") as fh:
             for t, link, delay in prober.history:
                 fh.write(f"{t}\t{link}\t{delay}\n")
         report.add("applied_delay_series", str(series), "file")

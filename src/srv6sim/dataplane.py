@@ -49,6 +49,8 @@ class Node:
         self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
         self.events = EventQueue()
         self.originated: list[Packet] = []
+        # egress ports, {link id: (sim.Link, peer Node)}, set by Simulation.add_link
+        self.ports: dict[str, tuple] = {}
         # per-hop counters, folded into Simulation.stats when run_until returns
         self.forwarded = self.delivered = self.dropped = 0
         # one ProgramContext per hook, made here and reset for each run

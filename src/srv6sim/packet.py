@@ -160,13 +160,21 @@ def walk_tlvs(region: bytes):
 
 
 def first_tlvs(srh: SegmentRoutingHeader) -> dict[int, Tlv]:
-    """First TLV of each type in srh's TLV region; a broken walk keeps those before it."""
+    """First TLV of each type in srh's TLV region, pads included; a broken
+    walk keeps those before it. A Tlv is built only for each kept record."""
+    region = srh.tlv_bytes
+    end = len(region)
     found: dict[int, Tlv] = {}
-    try:
-        for _, tlv in walk_tlvs(srh.tlv_bytes):
-            found.setdefault(tlv.type, tlv)
-    except ParseError:
-        pass
+    off = 0
+    while off < end:
+        t = region[off]
+        if t == TLV_PAD1:
+            stop = off + 1
+        elif off + 2 > end or (stop := off + 2 + region[off + 1]) > end:
+            break
+        if t not in found:  # a Pad1's slice is empty
+            found[t] = Tlv(t, region[off + 2 : stop])
+        off = stop
     return found
 
 

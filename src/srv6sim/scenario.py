@@ -154,7 +154,9 @@ def _compile_schema(root: dict) -> dict[str, Reader]:
         above = schema.get("exclusiveMinimum", float("-inf"))
         ranged = bounds or kind == "number"
         pattern = schema.get("pattern")
-        search = re.compile(pattern).search if pattern else None
+        # a closing $ of ECMA-262, as JSON Schema reads it, matches only at
+        # the end, where Python's also matches before a final newline
+        search = re.compile(re.sub(r"(?<!\\)\$$", r"\\Z", pattern)).search if pattern else None
 
         def read(value):
             if types is not None and type(value) not in types:

@@ -26,6 +26,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # generated payloads start with this magic so traces can recover flow ids
 FLOW_MAGIC = b"\x9c\x6f"
 _FLOW_IDS = struct.Struct(">HI")  # (flow, seq), right after the magic
+_FLOW_HEAD = struct.Struct(">2sHI")  # magic, flow, seq
+_TRACE_CHUNK = 4096  # write_trace's rows per write: bounds the text held at once
 
 
 class SimError(Exception):
@@ -122,7 +124,6 @@ class Link:
         self.delay_stddev_ns = delay_stddev_ns
         self.rng = rng
         self.dirs = {a: _LinkDir(), b: _LinkDir()}
-        self.node_a = self.node_b = None  # the end Nodes, set by Simulation.add_link
         self.delivered = 0
 
     def transmit(self, sender: str, size_bytes: int, now: int) -> int:
@@ -159,6 +160,8 @@ class UdpStream:
     dst_port: int = 33434
     flow_label: int = 0
     start_ns: int = 0
+    # payload_size - 8 zero octets, rebuilt by build when the size changes
+    _tail: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rate_pps <= 0:
@@ -168,7 +171,10 @@ class UdpStream:
 
     def build(self, seq: int) -> Packet:
         flow = self.flow
-        payload = FLOW_MAGIC + _FLOW_IDS.pack(flow, seq) + bytes(self.payload_size - 8)
+        tail = self._tail
+        if len(tail) != self.payload_size - 8:
+            tail = self._tail = bytes(self.payload_size - 8)
+        payload = _FLOW_HEAD.pack(FLOW_MAGIC, flow, seq) + tail
         p = make_udp_packet(
             self.src, self.dst, payload, self.src_port, self.dst_port, 64, self.flow_label
         )
@@ -297,7 +303,6 @@ class Simulation:
         self.clock = 0
         self.nodes: dict[str, Node] = {}
         self.links: dict[str, Link] = {}
-        self.ports: dict[str, dict[str, Link]] = defaultdict(dict)
         self.daemons: dict[str, Daemon] = {}
         self.handlers: dict[Address, object] = {}
         self.trace: list[tuple] = []  # rows in TraceRecord column order
@@ -335,10 +340,10 @@ class Simulation:
             link_id, a, b, bandwidth_bps, delay_mean_ns, delay_stddev_ns,
             stream_rng(self.seed, f"link:{link_id}"),
         )
-        link.node_a, link.node_b = self.nodes[a], self.nodes[b]
+        node_a, node_b = self.nodes[a], self.nodes[b]
         self.links[link_id] = link
-        self.ports[a][link_id] = link
-        self.ports[b][link_id] = link
+        node_a.ports[link_id] = (link, node_b)
+        node_b.ports[link_id] = (link, node_a)
         return link
 
     def add_daemon(self, daemon: Daemon) -> None:
@@ -459,11 +464,12 @@ class Simulation:
     def _apply(self, node: Node, p: Packet, decision) -> None:
         kind = type(decision)
         if kind is Forward:
-            node_id = node.id
-            link = self.ports[node_id].get(decision.link)
-            if link is None:
+            port = node.ports.get(decision.link)
+            if port is None:
                 self._drop(node, "bad_egress_link", p)
                 return
+            link, peer = port
+            node_id = node.id
             # the egress row and the delivery event, inline: no link delay is
             # negative, and every builder and behaviour keeps payload_length
             node.forwarded += 1
@@ -472,7 +478,6 @@ class Simulation:
             now = self.clock
             self.trace.append((now, node_id, "egress", flow, seq, size))
             delivery = link.transmit(node_id, size, now)
-            peer = link.node_b if node is link.node_a else link.node_a
             self._seq += 1
             heappush(self._heap, (delivery, self._seq, ("deliver", link, peer, p, size)))
         elif kind is Drop:
@@ -504,18 +509,23 @@ class Simulation:
 
 def _sink_ingress(trace: list[tuple], flow: int) -> list[tuple]:
     # the sink is the node where arrivals exceed departures (egress+drop):
-    # transit nodes re-emit or drop everything they receive
+    # transit nodes re-emit or drop everything they receive. One pass
+    # counts the balance and keeps each node's ingress rows.
     balance: dict[str, int] = defaultdict(int)
-    for _, node, direction, row_flow, _, _ in trace:
-        if row_flow == flow:
-            balance[node] += 1 if direction == "ingress" else -1
+    ingress: dict[str, list[tuple]] = defaultdict(list)
+    for r in trace:
+        if r[3] == flow:
+            if r[2] == "ingress":
+                balance[r[1]] += 1
+                ingress[r[1]].append(r)
+            else:
+                balance[r[1]] -= 1
     sinks = [n for n, surplus in balance.items() if surplus > 0]
     if len(sinks) != 1:
         raise InsufficientData(
             f"flow {flow}: cannot identify a unique sink (candidates {sorted(sinks)})"
         )
-    sink = sinks[0]
-    return [r for r in trace if r[3] == flow and r[1] == sink and r[2] == "ingress"]
+    return ingress[sinks[0]]
 
 
 def reorder_fraction(trace: list[tuple], flow: int) -> float:
@@ -570,9 +580,11 @@ def goodput_estimate(trace: list[tuple], flow: int) -> float:
 
 
 def write_trace(trace: list[tuple], path) -> None:
-    """Tab-separated export: time_ns, node, direction, flow, seq, size."""
-    with open(path, "w", encoding="ascii") as fh:
-        for time_ns, node, direction, flow, seq, size in trace:
-            flow = "-" if flow is None else flow
-            seq = "-" if seq is None else seq
-            fh.write(f"{time_ns}\t{node}\t{direction}\t{flow}\t{seq}\t{size}\n")
+    """Tab-separated UTF-8 export: time_ns, node, direction, flow, seq, size."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(0, len(trace), _TRACE_CHUNK):
+            fh.write("".join([
+                f"{t}\t{node}\t{direction}\t{'-' if flow is None else flow}\t"
+                f"{'-' if seq is None else seq}\t{size}\n"
+                for t, node, direction, flow, seq, size in trace[i : i + _TRACE_CHUNK]
+            ]))

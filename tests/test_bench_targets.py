@@ -7,6 +7,7 @@ may change only on its own, so the library keeps every target in place.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -23,3 +24,12 @@ def test_every_trace_target_is_an_attribute_of_its_owner(monkeypatch):
     assert targets
     missing = [f"{t.name}: {t.owner!r}.{t.attr}" for t in targets if t.attr not in vars(t.owner)]
     assert not missing
+
+
+def test_link_transmit_takes_what_the_queue_wait_wrapper_reads():
+    """The traced run's queue_wait(link, sender, size, now) gets
+    Link.transmit's arguments, by position."""
+    from srv6sim.sim import Link
+
+    params = list(inspect.signature(Link.transmit).parameters)
+    assert params == ["self", "sender", "size_bytes", "now"]

@@ -96,6 +96,34 @@ def test_huge_finite_duration_in_file_exits_2(tmp_path, capsys):
     assert "config error: $.duration_ms:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, fixture, extra", [
+    ("run", "setup1.json", ()),
+    ("owd", "setup1.json", ()),
+    ("hybrid", "setup2-hybrid.json", ("--duration", "2500")),
+])
+def test_non_ascii_node_id_is_written_verbatim_as_utf8(tmp_path, command, fixture, extra):
+    renamed = tmp_path / fixture
+    renamed.write_text(fixture_path(fixture).read_text().replace('"S1"', '"SÄ1"'), "utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, str(renamed), "--out", str(out), *extra) == 0
+    stem = f"{fixture.removesuffix('.json')}-{command}"
+    rows = [r.split("\t") for r in (out / f"{stem}-trace.tsv").read_text("utf-8").splitlines()]
+    assert {len(r) for r in rows} == {6}
+    assert ["egress", "1", "0"] == next(r[2:5] for r in rows if r[1] == "SÄ1")
+    assert "forwarded[SÄ1]\t" in (out / f"{stem}-stats.txt").read_text("utf-8")
+
+
+@pytest.mark.parametrize("bad_id", ["S\t1", "S1\n", "S1\r", ""])
+def test_node_id_that_would_break_a_trace_row_exits_2(tmp_path, capsys, bad_id):
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw["nodes"][0]["id"] = bad_id
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+    assert "config error: $.nodes[0].id:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-trace.tsv"))
+
+
 def srh_of(n: int) -> dict:
     return {"segments": [f"fd00:9::{i + 1:x}" for i in range(n)]}
 

@@ -25,6 +25,7 @@ from srv6sim.packet import (
     decode_packet,
     encode_packet,
     encode_tlvs,
+    first_tlvs,
     make_srh_udp_packet,
     make_udp_packet,
     pton,
@@ -33,7 +34,13 @@ from srv6sim.packet import (
     walk_tlvs,
     _ones_complement_sum,
 )
-from util import format_hex_dump, parse_hex_dump, random_packet, with_lengths
+from util import (
+    format_hex_dump,
+    parse_hex_dump,
+    random_packet,
+    reference_first_tlvs,
+    with_lengths,
+)
 
 VECTOR_DIR = Path(__file__).parent / "vectors"
 
@@ -415,6 +422,34 @@ def srhs(draw):
 @example(srh=SegmentRoutingHeader([S1] * 127, 0, tlv_bytes=bytes((TLV_PADN, 14)) + bytes(14)))
 def test_validate_srh_matches_the_tlv_walk_reference(srh):
     assert validate_srh(srh) == reference_validate_srh(srh)  # code and detail
+
+
+# records of two types, so a region often repeats one
+_REPEATED_TLV = st.tuples(st.sampled_from([1, 2]), st.binary(max_size=6)).map(
+    lambda tv: bytes((tv[0], len(tv[1]))) + tv[1]
+)
+_FIRST_TLVS_REGION = st.one_of(
+    _TLV_REGION,
+    st.tuples(st.lists(_TLV_PIECE | _REPEATED_TLV, max_size=8), _TLV_TAIL | st.just(b"")).map(
+        lambda pt: b"".join(pt[0]) + pt[1]
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(region=_FIRST_TLVS_REGION)
+# each kind of record repeated, then a header cut after its type
+@example(region=bytes((TLV_PAD1, TLV_PAD1, 1, 1, 7, TLV_PADN, 0, 1, 0, TLV_PADN, 1, 0, 2)))
+# a value that runs past the end, after a kept record
+@example(region=bytes((2, 1, 9, 1, 5, 0)))
+def test_first_tlvs_matches_the_tlv_walk_reference(region):
+    srh = SegmentRoutingHeader([S1], 0, tlv_bytes=region)
+    got, want = first_tlvs(srh), reference_first_tlvs(srh)
+    # the same records in the same order
+    assert [(t, v.type, v.value) for t, v in got.items()] == [
+        (t, v.type, v.value) for t, v in want.items()
+    ]
+    assert all(type(v.value) is bytes for v in got.values())
 
 
 def test_encode_rejects_invalid_srh():

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import struct
 import weakref
 
 import pytest
@@ -17,8 +18,10 @@ from srv6sim.packet import (
     pton,
 )
 from srv6sim.programs import EVENT_QUEUE_CAPACITY
+from srv6sim import sim as sim_mod
 from srv6sim.scenario import build_simulation, fixture_path, load_scenario, parse_scenario
 from srv6sim.sim import (
+    FLOW_MAGIC,
     Daemon,
     InsufficientData,
     Link,
@@ -35,6 +38,7 @@ from srv6sim.sim import (
     write_trace,
 )
 from srv6sim.usecases import multipath_traceroute
+from util import reference_sink_ingress, reference_write_trace
 
 S1 = pton("2001:db8:1::1")
 S2 = pton("2001:db8:2::1")
@@ -265,7 +269,7 @@ def test_link_to_a_node_not_yet_added_is_rejected():
     for a, b in (("A", "B"), ("B", "A")):
         with pytest.raises(SimError):
             sim.add_link("l", a, b, 1_000_000, 0)
-    assert not sim.links and not sim.ports
+    assert not sim.links and not any(node.ports for node in sim.nodes.values())
 
 
 def test_forward_to_a_link_that_is_not_a_port_drops_the_packet():
@@ -349,6 +353,91 @@ def test_trace_export_format(tmp_path):
     assert path.read_text() == "10\tA\tegress\t1\t0\t100\n20\tB\tingress\t-\t-\t44\n"
 
 
+@pytest.fixture(scope="module", params=["setup1.json", "setup2-hybrid.json", "diamond.json"])
+def fixture_run(request):
+    """(config, trace) of one fixture run to its end."""
+    cfg = load_scenario(fixture_path(request.param))
+    sim = build_simulation(cfg)
+    sim.run_until(cfg.duration_ns)
+    return cfg, sim.trace
+
+
+def test_trace_export_matches_the_per_row_writer_on_each_fixture(tmp_path, fixture_run):
+    _, trace = fixture_run
+    write_trace(trace, tmp_path / "got.tsv")
+    reference_write_trace(trace, tmp_path / "want.tsv")
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_trace_export_of_missing_ids_and_non_ascii_nodes_matches_the_per_row_writer(tmp_path):
+    # long enough to take several writes
+    trace = [
+        (i, ("SÄ1", "R", "节点")[i % 3], ("ingress", "egress", "drop")[i % 3],
+         None if i % 4 == 0 else i % 7, None if i % 5 == 0 else i, 40 + i % 1500)
+        for i in range(10_000)
+    ]
+    write_trace(trace, tmp_path / "got.tsv")
+    reference_write_trace(trace, tmp_path / "want.tsv")
+    got = (tmp_path / "got.tsv").read_bytes()
+    assert got == (tmp_path / "want.tsv").read_bytes()
+    assert got.decode("utf-8").splitlines()[:2] == ["0\tSÄ1\tingress\t-\t-\t40", "1\tR\tegress\t1\t1\t41"]
+
+
+def _metric_or_error(metric, trace, flow):
+    try:
+        return metric(trace, flow)
+    except InsufficientData as exc:
+        return f"InsufficientData: {exc}"
+
+
+def test_sink_metrics_match_the_two_pass_scan_on_each_fixture(monkeypatch, fixture_run):
+    cfg, trace = fixture_run
+    flows = sorted({g.flow for g in cfg.generators})
+    for flow in flows:
+        assert sim_mod._sink_ingress(trace, flow) == reference_sink_ingress(trace, flow)
+    metrics = (reorder_fraction, goodput_estimate)
+    got = [_metric_or_error(m, trace, flow) for m in metrics for flow in flows]
+    monkeypatch.setattr(sim_mod, "_sink_ingress", reference_sink_ingress)
+    assert got == [_metric_or_error(m, trace, flow) for m in metrics for flow in flows]
+    assert any(isinstance(v, float) for v in got)
+
+
+def test_sink_scan_matches_the_two_pass_scan_on_random_traces():
+    """Flows 1, 2 and none cross S -> A|B -> T, where A and B drop some;
+    stray rows at random nodes sometimes leave no unique sink."""
+    rng = random.Random(5)
+    for _ in range(300):
+        trace = []
+        for seq in range(rng.randrange(0, 12)):
+            flow, mid = rng.choice((1, 1, 2, None)), rng.choice("AB")
+            trace += [(seq, "S", "egress", flow, seq, 9), (seq, mid, "ingress", flow, seq, 9)]
+            if rng.random() < 0.2:
+                trace.append((seq, mid, "drop", flow, seq, 9))
+            else:
+                trace += [(seq, mid, "egress", flow, seq, 9), (seq, "T", "ingress", flow, seq, 9)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            row = (0, rng.choice("SABT"), rng.choice(("ingress", "egress", "drop")), 1, 0, 9)
+            trace.insert(rng.randrange(len(trace) + 1), row)
+        for flow in (1, 2, None):
+            outcomes = []
+            for scan in (sim_mod._sink_ingress, reference_sink_ingress):
+                try:
+                    outcomes.append(scan(trace, flow))
+                except InsufficientData as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+
+def test_two_candidate_sinks_raise_insufficient_data():
+    trace = synthetic_trace([0, 1, 2]) + [_rec(2000, "OTHER", "ingress", 1, 9)]
+    for metric in (reorder_fraction, goodput_estimate):
+        with pytest.raises(InsufficientData) as exc:
+            metric(trace, 1)
+        assert str(exc.value) == (
+            "flow 1: cannot identify a unique sink (candidates ['OTHER', 'SINK'])"
+        )
+
+
 def test_trace_ids_roundtrip():
     stream = UdpStream("A", S1, S2, 1000, 64, 1, flow=7)
     p = stream.build(41)
@@ -367,6 +456,33 @@ def test_generated_packet_carries_its_ids_and_encodes_as_a_plain_udp_packet():
     assert plain.trace_ids is None
     assert encode_packet(p) == encode_packet(plain)
     assert p.wire_size() == plain.wire_size() == 148
+
+
+def test_stream_builds_its_current_payload_size():
+    """A stream keeps one zero tail: a payload_size changed after a build
+    gives the next packets the new size."""
+    stream = UdpStream("A", S1, S2, 1000, 64, 10, flow=5)
+    for seq, size in enumerate((64, 64, 1200, 1200, 8, 65)):
+        stream.payload_size = size
+        p = stream.build(seq)
+        check_packet(p)
+        payload = p.transport.payload
+        assert len(payload) == size and payload[:2] == FLOW_MAGIC
+        assert struct.unpack(">HI", payload[2:8]) == p.trace_ids == trace_ids(p) == (5, seq)
+        assert payload[8:] == bytes(size - 8)
+
+
+def test_two_streams_of_different_sizes_each_build_their_own():
+    sim = two_node_sim(bw_mbps=1000)
+    src = pton("2001:db8:a::1")
+    got = []
+    sim.bind(S2, lambda p, now: got.append((p.trace_ids[0], len(p.transport.payload))))
+    sim.add_stream(UdpStream("A", src, S2, 1000, 64, 5, flow=1))
+    sim.add_stream(UdpStream("A", src, S2, 1000, 1200, 5, flow=2))
+    sim.run_until(1_000_000_000)
+    assert sorted(got) == [(1, 64)] * 5 + [(2, 1200)] * 5
+    egress = {(r.flow, r.size) for r in map(TraceRecord._make, sim.trace) if r.direction == "egress"}
+    assert egress == {(1, 64 + 48), (2, 1200 + 48)}
 
 
 def test_end_x_pending_state_does_not_leak_to_the_next_hop():

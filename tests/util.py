@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: seeded random packet generation, a
 few tiny topology builders, a decoder of queued delay events, the hex
-dump format of the golden vectors and copy-then-patch references of the
-SRH pushes."""
+dump format of the golden vectors, and references of optimised code:
+copy-then-patch SRH pushes, the walk_tlvs-based first_tlvs, the per-row
+trace writer and the two-pass sink scan."""
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from srv6sim.behaviors import DEFAULT_HOP_LIMIT, End, EndProgram
 from srv6sim.dataplane import Node
@@ -18,12 +20,15 @@ from srv6sim.packet import (
     InvariantViolation,
     Ipv6Header,
     Packet,
+    ParseError,
     SegmentRoutingHeader,
     Tlv,
     Udp,
     encode_tlvs,
     pton,
+    walk_tlvs,
 )
+from srv6sim.sim import InsufficientData
 from srv6sim.usecases import DelayRecord, decode_dm_event
 
 
@@ -273,3 +278,38 @@ def reference_encapsulate(p: Packet, srh: SegmentRoutingHeader, src: bytes) -> P
     )
     p.headers.insert(0, (hdr, [new]))
     return p
+
+
+# ---------------------------------------------------------------------------
+# Straightforward forms of the TLV read, the trace export and the sink scan.
+
+def reference_first_tlvs(srh: SegmentRoutingHeader) -> dict[int, Tlv]:
+    found: dict[int, Tlv] = {}
+    try:
+        for _, tlv in walk_tlvs(srh.tlv_bytes):
+            found.setdefault(tlv.type, tlv)
+    except ParseError:
+        pass
+    return found
+
+
+def reference_write_trace(trace: list[tuple], path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for time_ns, node, direction, flow, seq, size in trace:
+            flow = "-" if flow is None else flow
+            seq = "-" if seq is None else seq
+            fh.write(f"{time_ns}\t{node}\t{direction}\t{flow}\t{seq}\t{size}\n")
+
+
+def reference_sink_ingress(trace: list[tuple], flow: int) -> list[tuple]:
+    balance: dict[str, int] = defaultdict(int)
+    for _, node, direction, row_flow, _, _ in trace:
+        if row_flow == flow:
+            balance[node] += 1 if direction == "ingress" else -1
+    sinks = [n for n, surplus in balance.items() if surplus > 0]
+    if len(sinks) != 1:
+        raise InsufficientData(
+            f"flow {flow}: cannot identify a unique sink (candidates {sorted(sinks)})"
+        )
+    sink = sinks[0]
+    return [r for r in trace if r[3] == flow and r[1] == sink and r[2] == "ingress"]
