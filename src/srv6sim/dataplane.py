@@ -32,6 +32,8 @@ ICMP_TIME_EXCEEDED = 3
 
 _MISS = object()
 
+Route = tuple[Forward | Drop | None, list[tuple[Address, str]], list[Forward] | None]
+
 
 class Node:
     """A router/host. Its tables change only through the mutators below,
@@ -51,17 +53,18 @@ class Node:
         self.originated: list[Packet] = []
         # egress ports, {link id: (sim.Link, peer Node)}, set by Simulation.add_link
         self.ports: dict[str, tuple] = {}
-        # per-hop counters, folded into Simulation.stats when run_until returns
+        # per-hop counters, read by Simulation.stats where they are kept
         self.forwarded = self.delivered = self.dropped = 0
         # one ProgramContext per hook, made here and reset for each run
         self.endpoint_ctx = ProgramContext(None, Hook.ENDPOINT, 0, self)
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
         # The route cache, as the seg6 dst_cache: per destination, its SID
         # or transit behaviour (None: plain forwarding) and its table-0
-        # route, (decision, nexthops) with a shared Forward, DROP_NO_ROUTE
-        # or None (ECMP) as decision. Every table mutator below clears it.
+        # Route, (decision, nexthops, forwards): a shared Forward,
+        # DROP_NO_ROUTE or None (ECMP: forwards holds one shared Forward per
+        # nexthop) as decision. Every table mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
-        self._routes: dict[Address, tuple[Forward | Drop | None, list[tuple[Address, str]]]] = {}
+        self._routes: dict[Address, Route] = {}
         # The flow-hash memo: each ECMP flow key's FNV-1a hash. It holds
         # hashes, not nexthop choices, so no mutator needs to clear it.
         self._hashes: dict[bytes, int] = {}
@@ -105,16 +108,16 @@ class Node:
 
     # -- lookups ------------------------------------------------------------
 
-    def _route(self, dst: Address) -> tuple[Forward | Drop | None, list[tuple[Address, str]]]:
+    def _route(self, dst: Address) -> Route:
         """Fill dst's table-0 route into the route cache."""
         entry = self.tables[0].lookup(dst)
         if entry is None:
-            route = DROP_NO_ROUTE, []
+            route = DROP_NO_ROUTE, [], None
         elif len(entry.nexthops) == 1:
             nh, link = entry.nexthops[0]
-            route = Forward(link, nh), entry.nexthops
+            route = Forward(link, nh), entry.nexthops, None
         else:
-            route = None, entry.nexthops
+            route = None, entry.nexthops, [Forward(link, nh) for nh, link in entry.nexthops]
         remember(self._routes, dst, route)
         return route
 
@@ -148,8 +151,8 @@ class Node:
         """Common tail, the seg6_lookup_nexthop analog: local delivery,
         else a lookup of the destination in table. A table-0 lookup is
         served from the route cache: a single-nexthop route returns its
-        one shared Forward, an ECMP route still chooses per packet, from
-        a flow hash the node keeps for each flow key."""
+        one shared Forward, an ECMP route still chooses one of its shared
+        Forwards per packet, from a flow hash the node keeps per flow key."""
         dst = p.headers[0][0].dst
         if dst in self.local_addrs:
             return LOCAL_DELIVER
@@ -159,10 +162,9 @@ class Node:
             except BehaviorError as exc:
                 return exc.drop()
             return Forward(link, nh)
-        decision, nexthops = self._routes.get(dst) or self._route(dst)
+        decision, _, forwards = self._routes.get(dst) or self._route(dst)
         if decision is None:
-            nh, link = select_nexthop(nexthops, flow_key(p), self._hashes)
-            return Forward(link, nh)
+            return select_nexthop(forwards, flow_key(p), self._hashes)
         return decision
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
@@ -232,4 +234,5 @@ class Node:
             quoted = b""
         body = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0)) + quoted
         hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, payload_length=len(body))
-        self.originated.append(Packet(headers=[(hdr, [])], transport=body))
+        # born with the ids trace_ids() reads from a bytes transport
+        self.originated.append(Packet(headers=[(hdr, [])], transport=body, trace_ids=(None, None)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .packet import Address
 
@@ -11,6 +12,8 @@ FNV_PRIME = 0x100000001B3
 
 # entries per route-cache dict; a full dict is cleared, not evicted from
 ROUTE_CACHE_SIZE = 4096
+
+T = TypeVar("T")  # an item of the sequence select_nexthop picks from
 
 
 def fnv1a64(data: bytes) -> int:
@@ -105,11 +108,11 @@ def remember(cache: dict, key: bytes, value) -> None:
     cache[key] = value
 
 
-def select_nexthop(
-    nexthops: list[tuple[Address, str]], flow_key: bytes, hashes: dict[bytes, int]
-) -> tuple[Address, str]:
-    """Deterministic ECMP choice: FNV-1a of the flow key modulo set size.
-    hashes is the caller's memo of each flow key's hash, a route-cache dict."""
+def select_nexthop(nexthops: Sequence[T], flow_key: bytes, hashes: dict[bytes, int]) -> T:
+    """Deterministic ECMP choice from any sequence in nexthop order (a
+    route's (address, link) pairs, or the Forwards a node caches for them):
+    FNV-1a of the flow key modulo its length. hashes is the caller's memo
+    of each flow key's hash, a route-cache dict."""
     h = hashes.get(flow_key)
     if h is None:
         h = fnv1a64(flow_key)

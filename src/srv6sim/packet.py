@@ -252,9 +252,9 @@ class Packet:
     # stacks a second SRH under the same IPv6 header
     headers: list[tuple[Ipv6Header, list[SegmentRoutingHeader]]]
     transport: Udp | bytes
-    # (flow, seq) of the trace, set where the packet is originated: by the
-    # traffic generator or else by Simulation._local_output; the transport
-    # never changes after construction, so it stays valid
+    # (flow, seq) of the trace, set where the packet is originated: by its
+    # builder (the generator, an ICMP error) or Simulation._local_output;
+    # the transport never changes after construction, so it stays valid
     trace_ids: tuple[int | None, int | None] | None = field(default=None, compare=False)
 
     @property

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
@@ -190,25 +190,43 @@ def trace_ids(p: Packet) -> tuple[int | None, int | None]:
     return None, None
 
 
-@dataclass
 class Statistics:
-    """Run counters, current when run_until returns."""
-    injected: int = 0
-    delivered: dict = field(default_factory=lambda: defaultdict(int))
-    forwarded: dict = field(default_factory=lambda: defaultdict(int))
-    dropped: dict = field(default_factory=lambda: defaultdict(int))
-    drop_reasons: dict = field(default_factory=lambda: defaultdict(int))
-    link_delivered: dict = field(default_factory=lambda: defaultdict(int))
-    events_emitted: dict = field(default_factory=lambda: defaultdict(int))
-    events_dropped: dict = field(default_factory=lambda: defaultdict(int))
+    """Run counters. The simulation counts injected packets and drop
+    reasons here; every other map is built, at each read, from the Node
+    and Link objects that count it, so it is current at any instant. A map
+    holds its nonzero entries (the event maps hold every node), and in
+    each a missing key reads as 0 without being written anywhere."""
+
+    def __init__(self, nodes: dict[str, Node], links: dict[str, Link]):
+        self.injected = 0
+        self.drop_reasons: Counter[str] = Counter()
+        self._nodes = nodes
+        self._links = links
+
+    @staticmethod
+    def _nonzero(owners: dict, counter: str) -> dict[str, int]:
+        return defaultdict(int, {k: n for k, o in owners.items() if (n := getattr(o, counter))})
+
+    delivered = property(lambda self: self._nonzero(self._nodes, "delivered"))
+    forwarded = property(lambda self: self._nonzero(self._nodes, "forwarded"))
+    dropped = property(lambda self: self._nonzero(self._nodes, "dropped"))
+    link_delivered = property(lambda self: self._nonzero(self._links, "delivered"))
+
+    @property
+    def events_emitted(self) -> dict[str, int]:
+        return defaultdict(int, {nid: node.events.emitted for nid, node in self._nodes.items()})
+
+    @property
+    def events_dropped(self) -> dict[str, int]:
+        return defaultdict(int, {nid: node.events.dropped for nid, node in self._nodes.items()})
 
     @property
     def total_delivered(self) -> int:
-        return sum(self.delivered.values())
+        return sum(node.delivered for node in self._nodes.values())
 
     @property
     def total_dropped(self) -> int:
-        return sum(self.dropped.values())
+        return sum(node.dropped for node in self._nodes.values())
 
     def summary(self) -> str:
         lines = [f"injected\t{self.injected}"]
@@ -306,7 +324,7 @@ class Simulation:
         self.daemons: dict[str, Daemon] = {}
         self.handlers: dict[Address, object] = {}
         self.trace: list[tuple] = []  # rows in TraceRecord column order
-        self.stats = Statistics()
+        self.stats = Statistics(self.nodes, self.links)
         self.addr_to_node: dict[Address, str] = {}
         self._heap: list = []
         self._seq = 0
@@ -413,30 +431,12 @@ class Simulation:
             elif kind == "wake":
                 event[1].fire(time_ns)
         self.clock = self._until
-        self._sync_stats()
         return self.stats
 
     def stop_at(self, t_ns: int) -> None:
         """End the running run_until at t_ns: events up to t_ns still run.
         Clamped to the clock, and never later than the run's target."""
         self._until = min(self._until, max(t_ns, self.clock))
-
-    def _sync_stats(self) -> None:
-        # the per-hop counters only where nonzero: summary() lists every key
-        st = self.stats
-        for node in self.nodes.values():
-            nid = node.id
-            st.events_emitted[nid] = node.events.emitted
-            st.events_dropped[nid] = node.events.dropped
-            if node.forwarded:
-                st.forwarded[nid] = node.forwarded
-            if node.delivered:
-                st.delivered[nid] = node.delivered
-            if node.dropped:
-                st.dropped[nid] = node.dropped
-        for link in self.links.values():
-            if link.delivered:
-                st.link_delivered[link.id] = link.delivered
 
     def _process_gen(self, stream: UdpStream, seq: int) -> None:
         self.stats.injected += 1

@@ -20,7 +20,7 @@ from srv6sim.behaviors import (
 from srv6sim.dataplane import Node
 from srv6sim.fib import ROUTE_CACHE_SIZE, FibEntry, PrefixTable, fnv1a64, select_nexthop
 from srv6sim.packet import SegmentRoutingHeader, make_udp_packet, pton
-from srv6sim.programs import flow_key
+from srv6sim.programs import flow_key, helper_ecmp_nexthops
 from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
 from srv6sim.usecases import multipath_traceroute
 from test_behaviors import sr_packet
@@ -484,6 +484,38 @@ def test_route_cache_ecmp_route_hashes_every_packet(monkeypatch):
 
 def _udp_to(dst: bytes, label: int):
     return make_udp_packet(pton("2001:db8:1::1"), dst, b"x", flow_label=label)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_ecmp_route_returns_one_shared_forward_per_nexthop(width):
+    """Over 1,200 flow labels an ECMP route decides as the per-packet
+    reference Forward of select_nexthop over the entry's pairs; a repeated
+    flow gets the identical object, each nexthop has one, and after a
+    fib_insert or fib_remove the next decision follows the new nexthops."""
+    dst, prefix = pton("2001:db8:2::1"), pton("2001:db8:2::")
+    nexthops = [(pton(f"2001:db8::{k + 1:x}"), f"l{k}") for k in range(width)]
+    wider = nexthops + [(pton("2001:db8::ff"), "lw")]
+    covering = [(pton("2001:db8::fe"), "lc"), NH3]
+    node = make_node()
+    node.fib_insert(FibEntry(pton("2001:db8::"), 32, covering))
+    node.fib_insert(FibEntry(prefix, 64, nexthops))
+    for route, mutate in (
+        (nexthops, lambda: node.fib_insert(FibEntry(prefix, 64, wider))),
+        (wider, lambda: node.fib_remove(prefix, 64)),
+        (covering, None),
+    ):
+        shared = {}
+        for label in range(1200):
+            got = node.finish_forwarding(_udp_to(dst, label))
+            nh, link = select_nexthop(route, flow_key(_udp_to(dst, label)), {})
+            assert got == Forward(link, nh)
+            assert node.finish_forwarding(_udp_to(dst, label)) is got
+            assert shared.setdefault(got, got) is got
+        assert len(shared) == len(route)
+        for listed in (node.fib_ecmp_list(dst), helper_ecmp_nexthops(node.transit_ctx, dst)):
+            assert listed == route and all(type(pair) is tuple for pair in listed)
+        if mutate is not None:
+            mutate()
 
 
 def test_flow_hash_memo_is_bounded_and_decides_as_a_fresh_hash(monkeypatch):

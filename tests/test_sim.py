@@ -512,6 +512,98 @@ def test_end_x_pending_state_does_not_leak_to_the_next_hop():
 
 
 # ---------------------------------------------------------------------------
+# Statistics: read from the nodes and links that count.
+
+class CounterReader(Daemon):
+    """Reads sim.stats at every tick, beside the counts the nodes and links keep."""
+
+    def __init__(self, interval_ns):
+        super().__init__("counter-reader", interval_ns)
+        self.seen = []
+
+    def tick(self, sim, now):
+        st = sim.stats
+        got = (dict(st.forwarded), dict(st.delivered), dict(st.link_delivered))
+        own = tuple(
+            {k: c for k, o in owners.items() if (c := getattr(o, counter))}
+            for owners, counter in (
+                (sim.nodes, "forwarded"), (sim.nodes, "delivered"), (sim.links, "delivered"),
+            )
+        )
+        self.seen.append((got, own))
+
+
+def test_a_daemon_reads_the_nodes_own_counts_during_the_run():
+    cfg = load_scenario(fixture_path("setup1.json"))
+    sim = build_simulation(cfg)
+    reader = CounterReader(cfg.duration_ns // 16)
+    sim.add_daemon(reader)
+    sim.run_until(cfg.duration_ns)
+    assert [got for got, _ in reader.seen] == [own for _, own in reader.seen]
+    forwarded = [sum(own[0].values()) for _, own in reader.seen]
+    assert forwarded == sorted(forwarded) and len(set(forwarded)) > 10
+
+
+def test_reading_a_missing_counter_reads_zero_and_leaves_the_summary_alone():
+    cfg = load_scenario(fixture_path("setup1.json"))
+    sim = build_simulation(cfg)
+    st = sim.run_until(cfg.duration_ns)
+    summary = st.summary()
+    idle = next(n for n, node in sim.nodes.items() if not node.delivered)
+    assert st.delivered[idle] == 0
+    for counter in (
+        st.delivered, st.forwarded, st.dropped, st.link_delivered,
+        st.events_emitted, st.events_dropped, st.drop_reasons,
+    ):
+        assert counter["no-such-key"] == 0
+    assert idle not in st.delivered
+    assert st.summary() == summary
+
+
+def test_consecutive_runs_return_one_stats_whose_counts_accumulate():
+    cfg = load_scenario(fixture_path("setup1.json"))
+    sim = build_simulation(cfg)
+    first = sim.run_until(cfg.duration_ns // 2)
+    injected, forwarded = first.injected, dict(first.forwarded)
+    assert injected and forwarded
+    second = sim.run_until(cfg.duration_ns)
+    assert second is first is sim.stats
+    assert second.injected > injected
+    assert all(second.forwarded[n] >= c for n, c in forwarded.items())
+    assert sum(second.forwarded.values()) > sum(forwarded.values())
+    whole = build_simulation(cfg).run_until(cfg.duration_ns)
+    assert second.summary() == whole.summary()
+    assert second.link_delivered == whole.link_delivered
+
+
+# ---------------------------------------------------------------------------
+# ICMP errors carry their trace ids from birth.
+
+def test_time_exceeded_is_born_with_the_ids_of_its_bytes_transport():
+    node = Node("R", [R])
+    node.process_ingress(make_udp_packet(S1, S2, b"x", hop_limit=1), 0)
+    (icmp,) = node.originated
+    assert isinstance(icmp.transport, bytes)
+    assert icmp.trace_ids == (None, None) == trace_ids(icmp)
+
+
+def test_traceroute_parses_no_icmp_reply_for_its_trace_ids(monkeypatch):
+    parsed = []
+
+    def recording_trace_ids(p):
+        parsed.append(type(p.transport))
+        return trace_ids(p)
+
+    monkeypatch.setattr(sim_mod, "trace_ids", recording_trace_ids)
+    cfg = load_scenario(fixture_path("diamond.json"))
+    sim = build_simulation(cfg)
+    oamp_sids = {s.node: s.sid for s in cfg.sids if s.node in ("A", "B")}
+    assert multipath_traceroute(sim, "S", S2, oamp_sids).reached
+    assert sim.stats.drop_reasons["hop_limit_exceeded"]  # replies were sent
+    assert parsed and bytes not in parsed
+
+
+# ---------------------------------------------------------------------------
 # Queue-woken daemons, each against its polling twin: the same daemon with
 # ``drains`` off, which ticks at every grid instant and drains what it finds.
 
