@@ -29,6 +29,8 @@ from .packet import (
 from .programs import EventQueue, Hook, Program, ProgramContext, flow_key
 
 ICMP_TIME_EXCEEDED = 3
+_TIME_EXCEEDED_HEAD = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0))  # type, code, checksum
+_UNSPECIFIED = bytes(16)
 
 _MISS = object()
 
@@ -221,18 +223,22 @@ class Node:
         return self.finish_forwarding(p) if decision is None else decision
 
     def _emit_time_exceeded(self, offender: Packet) -> None:
-        """Queue a minimal ICMPv6 time-exceeded toward the packet source:
-        a 4-octet type tag followed by the offender's first 64 octets."""
+        """Queue an ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) toward the
+        offender's source, unless that is the unspecified address. The
+        body is the type, the code and a zero checksum, then the
+        offender's first 64 octets. The RFC's message also has 4 unused
+        octets, and quotes as much as fits in 1,280 octets; the short
+        quote is this model's choice, and the trace digests pin it."""
         if not self.addresses:
             return
-        src = offender.outer_header.src
-        if src == bytes(16):
+        src = offender.headers[0][0].src
+        if src == _UNSPECIFIED:
             return
         try:
             quoted = encode_packet(offender)[:64]
         except PacketError:  # an offender with a broken invariant is not quoted
             quoted = b""
-        body = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0)) + quoted
-        hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, payload_length=len(body))
+        body = _TIME_EXCEEDED_HEAD + quoted
+        hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, 0, 0, len(body))
         # born with the ids trace_ids() reads from a bytes transport
-        self.originated.append(Packet(headers=[(hdr, [])], transport=body, trace_ids=(None, None)))
+        self.originated.append(Packet([(hdr, [])], body, (None, None)))

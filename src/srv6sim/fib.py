@@ -8,7 +8,6 @@ from typing import Sequence, TypeVar
 from .packet import Address
 
 FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 
 # entries per route-cache dict; a full dict is cleared, not evicted from
 ROUTE_CACHE_SIZE = 4096
@@ -16,12 +15,11 @@ ROUTE_CACHE_SIZE = 4096
 T = TypeVar("T")  # an item of the sequence select_nexthop picks from
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = FNV_OFFSET
+def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash, resumed from state h: a left fold over the
+    octets, so fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)."""
     for b in data:
-        h ^= b
-        h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF  # the FNV prime
     return h
 
 
@@ -111,10 +109,18 @@ def remember(cache: dict, key: bytes, value) -> None:
 def select_nexthop(nexthops: Sequence[T], flow_key: bytes, hashes: dict[bytes, int]) -> T:
     """Deterministic ECMP choice from any sequence in nexthop order (a
     route's (address, link) pairs, or the Forwards a node caches for them):
-    FNV-1a of the flow key modulo its length. hashes is the caller's memo
-    of each flow key's hash, a route-cache dict."""
+    FNV-1a of the flow key modulo its length. hashes is the caller's memo,
+    a route-cache dict that maps octet strings to their FNV-1a: each flow
+    key, and each key's first 32 octets (its address pair). A memo miss
+    resumes from the pair's state and hashes only the rest of the key."""
     h = hashes.get(flow_key)
     if h is None:
-        h = fnv1a64(flow_key)
-        remember(hashes, flow_key, h)
+        pair = flow_key[:32]
+        h = hashes.get(pair)
+        if h is None:
+            h = fnv1a64(pair)
+            remember(hashes, pair, h)
+        if len(flow_key) > 32:
+            h = fnv1a64(flow_key[32:], h)
+            remember(hashes, flow_key, h)
     return nexthops[h % len(nexthops)]

@@ -32,6 +32,8 @@ TLV_PADN = 4
 _V6_HDR = struct.Struct(">IHBB16s16s")
 _SRH_HDR = struct.Struct(">BBBBBBH")
 _UDP_HDR = struct.Struct(">HHHH")
+# the IPv6 pseudo-header (RFC 8200 §8.1) and a UDP header with a zero checksum
+_UDP_PSEUDO = struct.Struct(">16s16sI3xBHHH2x")
 
 
 class PacketError(Exception):
@@ -241,10 +243,6 @@ class Udp:
     payload: bytes = b""
     length: int = 0
 
-    @property
-    def wire_length(self) -> int:
-        return 8 + len(self.payload)
-
 
 @dataclass(slots=True)
 class Packet:
@@ -266,12 +264,8 @@ class Packet:
         srhs = self.headers[0][1]
         return srhs[0] if srhs else None
 
-    @property
-    def inner_udp(self) -> Udp | None:
-        return self.transport if isinstance(self.transport, Udp) else None
-
     def wire_size(self) -> int:
-        # the wire_length properties, summed in one loop
+        # each layer's wire length, summed in one loop
         headers = self.headers
         n = 40 * len(headers)
         for _, srhs in headers:
@@ -340,14 +334,13 @@ def udp_checksum(p: Packet) -> int:
     Computed against the innermost IPv6 header; a zero result is encoded
     as 0xFFFF per the UDP-over-IPv6 rules.
     """
-    udp = p.inner_udp
-    if udp is None:
+    udp = p.transport
+    if not isinstance(udp, Udp):
         raise NoTransport("packet has no UDP transport")
     inner = p.headers[-1][0]
-    ulen = udp.wire_length
-    pseudo = inner.src + inner.dst + struct.pack(">IHBB", ulen, 0, 0, PROTO_UDP)
-    hdr = _UDP_HDR.pack(udp.src_port, udp.dst_port, ulen, 0)
-    total = _ones_complement_sum(pseudo + hdr + udp.payload)
+    ulen = 8 + len(udp.payload)
+    head = _UDP_PSEUDO.pack(inner.src, inner.dst, ulen, PROTO_UDP, udp.src_port, udp.dst_port, ulen)
+    total = _ones_complement_sum(head + udp.payload)
     csum = (~total) & 0xFFFF
     return csum if csum else 0xFFFF
 

@@ -13,7 +13,6 @@ kernel keeps it in the per-CPU seg6_bpf_srh_state, never in the packet.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
@@ -27,6 +26,7 @@ if TYPE_CHECKING:
 
 EVENT_QUEUE_CAPACITY = 4096
 MAX_EVENT_PAYLOAD = 256
+_FLOW_TAIL = struct.Struct(">IHH")  # a flow key after its address pair
 
 
 class Outcome(Enum):
@@ -55,12 +55,14 @@ class HelperError(Exception):
 
 class EventQueue:
     """Bounded one-producer queue of event payloads, as a perf buffer hands
-    its one reader only the bytes written; overflow drops the oldest event.
-    ``reader`` is the daemon that drains it (set by Simulation.add_daemon),
-    and each emit wakes it."""
+    its one reader only the bytes written. A full queue keeps what it
+    holds: like a perf buffer in its default, non-overwrite mode, it loses
+    the new event and counts it in ``dropped``. ``reader`` is the daemon
+    that drains it (set by Simulation.add_daemon), and each queued event
+    wakes it."""
 
     def __init__(self):
-        self._events: deque[bytes] = deque()
+        self._events: list[bytes] = []
         self.dropped = 0
         self.emitted = 0
         self.reader = None
@@ -68,18 +70,21 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._events)
 
-    def emit(self, payload: bytes) -> None:
-        if len(self._events) >= EVENT_QUEUE_CAPACITY:
-            self._events.popleft()
-            self.dropped += 1
-        self._events.append(payload)
+    def emit(self, payload: bytes) -> bool:
+        """Queue payload; False if the queue was full and it was lost.
+        ``emitted`` counts both, so emitted - dropped events reach the
+        reader."""
         self.emitted += 1
+        if len(self._events) >= EVENT_QUEUE_CAPACITY:
+            self.dropped += 1
+            return False
+        self._events.append(payload)
         if self.reader is not None:
             self.reader.wake()
+        return True
 
     def drain(self) -> list[bytes]:
-        out = list(self._events)
-        self._events.clear()
+        out, self._events = self._events, []
         return out
 
 
@@ -286,10 +291,13 @@ def map_put(holder, name: str, key: bytes, value: bytes) -> None:
     data[key] = value
 
 
-def emit_event(ctx: ProgramContext, payload: bytes) -> None:
+def emit_event(ctx: ProgramContext, payload: bytes) -> bool:
+    """Queue an event for the node's daemon. A full queue loses it and
+    returns False, as bpf_perf_event_output returns -ENOSPC, without
+    raising: the program goes on."""
     if len(payload) > MAX_EVENT_PAYLOAD:
         raise HelperError("payload_too_large", str(len(payload)))
-    ctx.dataplane.events.emit(payload)
+    return ctx.dataplane.events.emit(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +306,11 @@ def emit_event(ctx: ProgramContext, payload: bytes) -> None:
 def flow_key(p: Packet) -> bytes:
     """Flow identity for ECMP: outer addresses and flow label, plus the
     transport ports when the packet is plain UDP."""
-    hdr = p.outer_header
+    hdr = p.headers[0][0]
     udp = p.transport
     if len(p.headers) == 1 and not isinstance(udp, bytes):
-        ports = struct.pack(">HH", udp.src_port, udp.dst_port)
-    else:
-        ports = b"\x00\x00\x00\x00"
-    return hdr.src + hdr.dst + struct.pack(">I", hdr.flow_label) + ports
+        return hdr.src + hdr.dst + _FLOW_TAIL.pack(hdr.flow_label, udp.src_port, udp.dst_port)
+    return hdr.src + hdr.dst + _FLOW_TAIL.pack(hdr.flow_label, 0, 0)
 
 
 def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:

@@ -77,6 +77,7 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("run", "setup1.json", "--duration", "1e308"), "$.duration_ms"),
         (("owd", "setup1.json", "--ratio", "0"), "$.ratio"),
         (("traceroute", "diamond.json", "S", "2001:db8:2::1", "--no-oamp", "a,Q"), "$.no_oamp"),
+        (("traceroute", "diamond.json", "Q", "2001:db8:2::1"), "$.src"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
@@ -281,6 +282,11 @@ def test_owd_ratio_override_changes_probe_count(tmp_path):
 
 def test_owd_on_scenario_without_dm_exits_2(tmp_path):
     assert run_cli("owd", str(fixture_path("diamond.json")), "--out", str(tmp_path)) == 2
+
+
+def test_hybrid_on_scenario_without_wrr_and_prober_exits_2(tmp_path, capsys):
+    assert run_cli("hybrid", str(fixture_path("setup1.json")), "--out", str(tmp_path)) == 2
+    assert "config error: $: scenario is not a hybrid-access setup" in capsys.readouterr().err
 
 
 def test_hybrid_reports_wrr_split_and_reordering(tmp_path):

@@ -529,9 +529,9 @@ def test_flow_hash_memo_is_bounded_and_decides_as_a_fresh_hash(monkeypatch):
     wants = [select_nexthop(nexthops, flow_key(p), {}) for p in packets]
     hashed = []
 
-    def counting_fnv1a64(data):
+    def counting_fnv1a64(data, h=fib.FNV_OFFSET):
         hashed.append(data)
-        return fnv1a64(data)
+        return fnv1a64(data, h)
 
     monkeypatch.setattr(fib, "fnv1a64", counting_fnv1a64)
     node = make_node()
@@ -540,8 +540,35 @@ def test_flow_hash_memo_is_bounded_and_decides_as_a_fresh_hash(monkeypatch):
         assert node.process_ingress(p, 0) == Forward(link, nh)
         assert len(node._hashes) <= ROUTE_CACHE_SIZE
     assert set(wants) == set(nexthops)
-    assert len(hashed) == len(labels)  # the repeated last 100 were memo hits
-    assert len(node._hashes) == len(labels) - ROUTE_CACHE_SIZE
+    # every flow shares one address pair, hashed at the start and again
+    # after the clear; each flow then hashes only its 8-octet tail, and the
+    # repeated last 100 were memo hits
+    assert Counter(len(data) for data in hashed) == {32: 2, 8: len(labels)}
+    # the pair's entry made the clear come one flow earlier, and holds one
+    # more entry after it
+    assert len(node._hashes) == len(labels) - ROUTE_CACHE_SIZE + 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.binary(max_size=48), b=st.binary(max_size=48))
+def test_fnv1a64_resumes_from_a_prefix_state(a, b):
+    assert fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.binary(max_size=48), min_size=1, max_size=6), n=st.integers(1, 5))
+@example(keys=[b"", b"\x01" * 31, b"\x02" * 32, b"\x02" * 33], n=3)
+def test_select_nexthop_decides_as_a_fresh_hash_for_any_key_length(keys, n):
+    """A cold memo, and one shared by keys with the same first 32 octets:
+    both pick nexthops[fnv1a64(key) % len(nexthops)], for keys shorter and
+    longer than an address pair."""
+    nexthops = list(range(n))
+    shared = {}
+    for key in keys + [key[:32] + b"\x07" * 8 for key in keys]:
+        want = nexthops[fnv1a64(key) % n]
+        assert select_nexthop(nexthops, key, {}) == want
+        assert select_nexthop(nexthops, key, shared) == want
+    assert all(shared[k] == fnv1a64(k) for k in shared)
 
 
 def test_route_cache_cleared_when_full_still_matches_a_cold_twin():

@@ -30,7 +30,6 @@ from srv6sim.packet import (
     pton,
 )
 from srv6sim.programs import (
-    EventQueue,
     HelperError,
     Hook,
     Outcome,
@@ -212,6 +211,14 @@ def test_adjust_rejects_shrink_underflow():
     ctx = make_ctx(sr_packet([S2, F], 1))
     with pytest.raises(HelperError):
         helper_adjust_srh(ctx, -8)
+
+
+def test_adjust_grows_to_hdr_ext_len_255_exactly():
+    p = sr_packet([S2, F], 1)
+    p.outer_srh.tlv_bytes = b"\x00" * 2000  # Pad1 records: hdr_ext_len 254
+    assert p.outer_srh.hdr_ext_len == 254
+    helper_adjust_srh(make_ctx(p), 8)
+    assert p.outer_srh.hdr_ext_len == 255
 
 
 def test_adjust_rejects_hdr_ext_len_overflow():
@@ -464,15 +471,19 @@ def test_emit_event_payload_cap():
     assert len(ctx.dataplane.events) == 1
 
 
-def test_event_queue_drop_oldest_with_counter():
-    q = EventQueue()
-    for i in range(4097):
-        q.emit(struct.pack(">I", i))
-    assert q.dropped == 1
+def test_event_queue_full_loses_the_new_event_and_counts_it():
+    """A perf buffer in non-overwrite mode: the queued events survive, the
+    new one is lost and counted, and emit_event returns False instead of
+    raising, as bpf_perf_event_output returns -ENOSPC."""
+    ctx = make_ctx(make_udp_packet(S1, S2, b"x"))
+    q = ctx.dataplane.events
+    assert all(emit_event(ctx, struct.pack(">I", i)) for i in range(4096))
+    assert emit_event(ctx, struct.pack(">I", 4096)) is False
+    assert q.dropped == 1 and q.emitted == 4097
     events = q.drain()
-    assert len(events) == 4096
-    assert struct.unpack(">I", events[0])[0] == 1  # oldest was dropped
+    assert [struct.unpack(">I", e)[0] for e in events] == list(range(4096))
     assert len(q) == 0
+    assert q.emit(b"after") is True and q.drain() == [b"after"]
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,14 @@ def test_segments_listed_in_travel_order():
     assert srh.segments[srh.segments_left] == pton("fd00:73::d")
 
 
+def test_srh_segments_left_equal_to_its_segment_count_rejected():
+    raw = raw_fixture("setup1.json")
+    raw["transits"][0]["behavior"]["params"]["path_srh"]["segments_left"] = 2
+    with pytest.raises(ConfigError) as exc:
+        parse_scenario(raw)
+    assert exc.value.path == "$.transits[0].behavior.params.path_srh.segments_left"
+
+
 def test_fixtures_validate_against_shipped_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(schema_path().read_text())

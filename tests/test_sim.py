@@ -329,6 +329,12 @@ def test_reorder_fraction_requires_data():
         reorder_fraction(synthetic_trace([0, 1, 2]), flow=9)
 
 
+def test_goodput_requires_two_sink_arrivals():
+    with pytest.raises(InsufficientData, match="fewer than 2 sink arrivals"):
+        goodput_estimate(synthetic_trace([0]), 1)
+    assert goodput_estimate(synthetic_trace([0, 1]), 1) > 0
+
+
 def test_goodput_zero_reordering_is_bits_over_duration():
     trace = synthetic_trace([0, 1, 2, 3, 4])
     bits = 5 * (1288 - 48) * 8
@@ -747,7 +753,8 @@ def test_overflow_between_grid_points_keeps_the_same_survivors_and_drops():
         emit(sim, *payloads[5:])
         sim.run_until(3 * MS)
         results.append((drained(d), sim.nodes["N"].events.dropped))
-    assert results[0] == results[1] == ([(MS, payloads[10:])], 10)
+    # a full queue keeps what it holds and loses the last 10
+    assert results[0] == results[1] == ([(MS, payloads[:EVENT_QUEUE_CAPACITY])], 10)
 
 
 def test_woken_tick_does_not_rearm():

@@ -22,7 +22,14 @@ from srv6sim.packet import (
     make_udp_packet,
     pton,
 )
-from srv6sim.programs import EventQueue, HelperError, make_program, map_get, run_transit_program
+from srv6sim.programs import (
+    EVENT_QUEUE_CAPACITY,
+    EventQueue,
+    HelperError,
+    make_program,
+    map_get,
+    run_transit_program,
+)
 from srv6sim.scenario import (
     apply_overrides,
     build_simulation,
@@ -210,6 +217,14 @@ def test_end_dm_owd_mode_emits_and_forwards_inner():
     assert rec.rx_ts_ns == 16_000_000
     assert rec.owd_ns == 15_000_000
     assert rec.controller == CTRL
+
+
+def test_end_dm_forwards_when_its_event_queue_is_full():
+    node = end_dm_node()
+    for _ in range(EVENT_QUEUE_CAPACITY):
+        node.events.emit(b"old")
+    assert node.process_ingress(owd_probe(tx_ns=1), 2) == Forward("lm", S2)
+    assert node.events.dropped == 1 and len(node.events) == EVENT_QUEUE_CAPACITY
 
 
 def test_end_dm_twd_mode_forwards_probe_intact():
