@@ -179,8 +179,6 @@ def cmd_owd(args) -> int:
 
 
 def _p99(values: list[int]) -> float:
-    if not values:
-        return 0.0
     ordered = sorted(values)
     idx = max(0, int(len(ordered) * 0.99 + 0.5) - 1)
     return float(ordered[idx])

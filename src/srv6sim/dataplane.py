@@ -61,19 +61,21 @@ class Node:
         self.endpoint_ctx = ProgramContext(None, Hook.ENDPOINT, 0, self)
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
         # The route cache, as the seg6 dst_cache: per destination, its SID
-        # or transit behaviour (None: plain forwarding) and its table-0
-        # Route, (decision, nexthops, forwards): a shared Forward,
-        # DROP_NO_ROUTE or None (ECMP: forwards holds one shared Forward per
-        # nexthop) as decision. Every table mutator below clears it.
+        # or transit behaviour (None: plain forwarding), and per table in
+        # self.tables, per destination, its Route, (decision, nexthops,
+        # forwards): a shared Forward, DROP_NO_ROUTE or None (ECMP: forwards
+        # holds one shared Forward per nexthop) as decision. Every table
+        # mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
-        self._routes: dict[Address, Route] = {}
+        self._routes: dict[int, dict[Address, Route]] = {0: {}}
         # The flow-hash memo: each ECMP flow key's FNV-1a hash. It holds
         # hashes, not nexthop choices, so no mutator needs to clear it.
         self._hashes: dict[bytes, int] = {}
 
     def _flush_route_cache(self) -> None:
         self._behaviors.clear()
-        self._routes.clear()
+        for routes in self._routes.values():
+            routes.clear()
 
     # -- table management ---------------------------------------------------
 
@@ -83,7 +85,9 @@ class Node:
         if table is None:
             table = PrefixTable()
         table.insert(entry.prefix, entry.plen, entry)  # checks the prefix length
-        self.tables[entry.table_id] = table  # a rejected entry adds no table
+        if entry.table_id not in self.tables:  # a rejected entry adds no table
+            self.tables[entry.table_id] = table
+            self._routes[entry.table_id] = {}
         self._flush_route_cache()
 
     def fib_remove(self, prefix: Address, plen: int, table: int = 0) -> bool:
@@ -110,9 +114,11 @@ class Node:
 
     # -- lookups ------------------------------------------------------------
 
-    def _route(self, dst: Address) -> Route:
-        """Fill dst's table-0 route into the route cache."""
-        entry = self.tables[0].lookup(dst)
+    def _route(self, dst: Address, table: int) -> Route:
+        """Fill dst's route in table into the route cache; a table the node
+        does not have routes nothing, and nothing is cached for it."""
+        t = self.tables.get(table)
+        entry = t.lookup(dst) if t else None
         if entry is None:
             route = DROP_NO_ROUTE, [], None
         elif len(entry.nexthops) == 1:
@@ -120,51 +126,35 @@ class Node:
             route = Forward(link, nh), entry.nexthops, None
         else:
             route = None, entry.nexthops, [Forward(link, nh) for nh, link in entry.nexthops]
-        remember(self._routes, dst, route)
+        if t is not None:
+            remember(self._routes[table], dst, route)
         return route
 
-    def _nexthops(self, addr: Address, table: int) -> list[tuple[Address, str]]:
-        """addr's nexthops in table; table 0 is served from the route cache."""
-        if table:
-            t = self.tables.get(table)
-            entry = t.lookup(addr) if t else None
-            nexthops = [] if entry is None else entry.nexthops
-        else:
-            nexthops = (self._routes.get(addr) or self._route(addr))[1]
+    def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
+        """A fresh list of every nexthop of addr's route in table."""
+        try:
+            nexthops = self._routes[table][addr][1]
+        except KeyError:
+            nexthops = self._route(addr, table)[1]
         if not nexthops:
             raise BehaviorError(DropReason.NO_ROUTE)
-        return nexthops
-
-    def fib_lookup(self, addr: Address, table: int, p: Packet) -> tuple[Address, str]:
-        """Nexthop for addr; p's ECMP flow key is built only when the
-        matched route has more than one nexthop."""
-        nexthops = self._nexthops(addr, table)
-        if len(nexthops) == 1:
-            return nexthops[0]
-        return select_nexthop(nexthops, flow_key(p), self._hashes)
-
-    def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
-        """A fresh list of every nexthop of addr's route."""
-        return list(self._nexthops(addr, table))
+        return list(nexthops)
 
     # -- pipeline -----------------------------------------------------------
 
     def finish_forwarding(self, p: Packet, table: int = 0) -> ForwardingDecision:
         """Common tail, the seg6_lookup_nexthop analog: local delivery,
-        else a lookup of the destination in table. A table-0 lookup is
-        served from the route cache: a single-nexthop route returns its
-        one shared Forward, an ECMP route still chooses one of its shared
-        Forwards per packet, from a flow hash the node keeps per flow key."""
+        else the destination's route in table, served from the route cache:
+        a single-nexthop route returns its one shared Forward, an ECMP route
+        still chooses one of its shared Forwards per packet, from a flow
+        hash the node keeps per flow key."""
         dst = p.headers[0][0].dst
         if dst in self.local_addrs:
             return LOCAL_DELIVER
-        if table:
-            try:
-                nh, link = self.fib_lookup(dst, table, p)
-            except BehaviorError as exc:
-                return exc.drop()
-            return Forward(link, nh)
-        decision, _, forwards = self._routes.get(dst) or self._route(dst)
+        try:
+            decision, _, forwards = self._routes[table][dst]
+        except KeyError:
+            decision, _, forwards = self._route(dst, table)
         if decision is None:
             return select_nexthop(forwards, flow_key(p), self._hashes)
         return decision

@@ -18,7 +18,6 @@ log = logging.getLogger(__name__)
 
 Address = bytes  # 16 octets, network order
 
-PROTO_HOPOPT = 0
 PROTO_UDP = 17
 PROTO_IPV6 = 41
 PROTO_ROUTING = 43

@@ -78,6 +78,7 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("owd", "setup1.json", "--ratio", "0"), "$.ratio"),
         (("traceroute", "diamond.json", "S", "2001:db8:2::1", "--no-oamp", "a,Q"), "$.no_oamp"),
         (("traceroute", "diamond.json", "Q", "2001:db8:2::1"), "$.src"),
+        (("bench", "--functions", "nosuch"), "$.functions"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
@@ -86,6 +87,28 @@ def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):
         argv += ["--out", str(tmp_path)]
     assert run_cli(*argv) == 2
     assert f"config error: {path}:" in capsys.readouterr().err
+
+
+def _with_first_repeated(section: str) -> str:
+    """setup1 with the first entry of section repeated at its end."""
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw[section].append(dict(raw[section][0]))
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize("case", ["truncated", "duplicate_link", "duplicate_daemon"])
+def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
+    text, error = {
+        "truncated": (fixture_path("setup1.json").read_text()[:300], "$: invalid JSON"),
+        "duplicate_link": (_with_first_repeated("links"), "$.links[2].id: duplicate link id 'l01'"),
+        "duplicate_daemon": (
+            _with_first_repeated("daemons"), "$.daemons[1].id: duplicate daemon id 'collector'"
+        ),
+    }[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+    assert f"config error: {error}" in capsys.readouterr().err
 
 
 def test_huge_finite_duration_in_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from srv6sim import dataplane, fib
 from srv6sim.behaviors import (
+    DROP_NO_ROUTE,
     BehaviorError,
     DropReason,
     End,
@@ -16,12 +18,19 @@ from srv6sim.behaviors import (
     Forward,
     TransitEncaps,
     TransitInsert,
+    encapsulate,
 )
 from srv6sim.dataplane import Node
 from srv6sim.fib import ROUTE_CACHE_SIZE, FibEntry, PrefixTable, fnv1a64, select_nexthop
 from srv6sim.packet import SegmentRoutingHeader, make_udp_packet, pton
 from srv6sim.programs import flow_key, helper_ecmp_nexthops
-from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
+from srv6sim.scenario import (
+    apply_overrides,
+    build_simulation,
+    fixture_path,
+    load_scenario,
+    parse_scenario,
+)
 from srv6sim.usecases import multipath_traceroute
 from test_behaviors import sr_packet
 from test_usecases import S2, diamond_sim
@@ -44,21 +53,29 @@ def test_fnv1a64_known_values():
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
 
 
+def forward_to(node: Node, dst: bytes, table: int = 0):
+    """node's decision for a UDP packet to dst, routed by table."""
+    return node.finish_forwarding(make_udp_packet(pton("2001:db8:1::1"), dst, b"x"), table)
+
+
+def fwd(pair: tuple) -> Forward:
+    """The Forward of a (nexthop, link) pair."""
+    return Forward(pair[1], pair[0])
+
+
 def test_longest_prefix_wins():
     node = make_node()
     node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH2]))
-    nh, link = node.fib_lookup(pton("2001:db8::1"), 0, PKT)
-    assert (nh, link) == NH2
-    nh, link = node.fib_lookup(pton("2600::1"), 0, PKT)
-    assert (nh, link) == NH1
+    assert forward_to(node, pton("2001:db8::2")) == fwd(NH2)
+    assert forward_to(node, pton("2600::1")) == fwd(NH1)
 
 
 def test_insert_replaces_same_prefix():
     node = make_node()
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH1]))
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH2]))
-    assert node.fib_lookup(pton("2001:db8::5"), 0, PKT) == NH2
+    assert forward_to(node, pton("2001:db8::5")) == fwd(NH2)
 
 
 def test_host_route_exact_match():
@@ -66,21 +83,23 @@ def test_host_route_exact_match():
     addr = pton("2001:db8::42")
     node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH1]))
     node.fib_insert(FibEntry(addr, 128, [NH2]))
-    assert node.fib_lookup(addr, 0, PKT) == NH2
-    assert node.fib_lookup(pton("2001:db8::43"), 0, PKT) == NH1
+    assert forward_to(node, addr) == fwd(NH2)
+    assert forward_to(node, pton("2001:db8::43")) == fwd(NH1)
 
 
 def test_empty_table_no_route():
     node = make_node()
+    assert forward_to(node, pton("2001:db8::2")) is DROP_NO_ROUTE
     with pytest.raises(BehaviorError):
-        node.fib_lookup(pton("2001:db8::1"), 0, PKT)
+        node.fib_ecmp_list(pton("2001:db8::2"))
 
 
 def test_missing_table_no_route():
     node = make_node()
     node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
+    assert forward_to(node, pton("2001:db8::2"), 99) is DROP_NO_ROUTE
     with pytest.raises(BehaviorError):
-        node.fib_lookup(pton("2001:db8::1"), 99, PKT)
+        node.fib_ecmp_list(pton("2001:db8::2"), 99)
 
 
 def brute_force_lookup(entries, addr: bytes):
@@ -217,12 +236,34 @@ def test_match_at_longest_length_of_small_table_takes_one_probe(plens):
     assert _probes(table, addr) == (max(plens), 1)
 
 
-@pytest.mark.parametrize("run", ["setup1.json", "setup2-hybrid.json", "diamond.json", "traceroute"])
+def _setup1_through_end_t_into_table_1() -> dict:
+    """setup1 with S1 inserting an SRH toward an End.T SID on R, which
+    routes the generator's destination by R's table 1."""
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw["fib"].append({
+        "node": "R", "table": 1, "prefix": "2001:db8:2::/64",
+        "nexthops": [{"via": "2001:db8:2::1", "link": "l12"}],
+    })
+    raw["sids"].append(
+        {"node": "R", "sid": "fd00:72::7", "behavior": {"type": "end_t", "table": 1}}
+    )
+    raw["transits"].append({
+        "node": "S1", "prefix": "2001:db8:2::/64",
+        "behavior": {"type": "insert", "srh": {"segments": ["fd00:72::7"]}},
+    })
+    return raw
+
+
+# a new case goes last, so every earlier case keeps its id
+@pytest.mark.parametrize(
+    "run", ["setup1.json", "setup2-hybrid.json", "diamond.json", "traceroute", "end_t-table1"]
+)
 def test_runs_ask_each_table_about_each_address_once(run, monkeypatch):
     """Probing every length longer than the match costs less than a
     search tree only while the route and behaviour caches keep each
     (table, address) to one lookup: pinned on each bundled fixture's full
-    run at seed 1 and on a traceroute over the diamond."""
+    run at seed 1, on a traceroute over the diamond, and on setup1 routed
+    through an End.T SID into table 1."""
     counts = Counter()
     lookup = PrefixTable.lookup
 
@@ -235,8 +276,15 @@ def test_runs_ask_each_table_about_each_address_once(run, monkeypatch):
         sim, oamp = diamond_sim()
         assert multipath_traceroute(sim, "S", S2, oamp).reached
     else:
-        cfg = apply_overrides(load_scenario(fixture_path(run)), seed=1)
-        build_simulation(cfg).run_until(cfg.duration_ns)
+        if run == "end_t-table1":
+            cfg = parse_scenario(_setup1_through_end_t_into_table_1())
+        else:
+            cfg = apply_overrides(load_scenario(fixture_path(run)), seed=1)
+        sim = build_simulation(cfg)
+        sim.run_until(cfg.duration_ns)
+        if run == "end_t-table1":  # every packet took End.T, by table 1
+            assert counts[sim.nodes["R"].tables[1], pton("2001:db8:2::1")] == 1
+            assert sim.stats.delivered["S2"] == sim.stats.injected == 1000
     assert counts and max(counts.values()) == 1
 
 
@@ -276,10 +324,10 @@ def test_ecmp_flow_label_alone_spreads_lookups():
         p = make_udp_packet(
             pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x", flow_label=label
         )
-        pick = node.fib_lookup(p.outer_header.dst, 0, p)
-        assert pick == select_nexthop(entry.nexthops, flow_key(p), {})
+        pick = node.finish_forwarding(p)
+        assert pick == fwd(select_nexthop(entry.nexthops, flow_key(p), {}))
         picks.add(pick)
-    assert picks == {NH1, NH2}
+    assert picks == {fwd(NH1), fwd(NH2)}
 
 
 def test_single_nexthop_lookup_builds_no_flow_key(monkeypatch):
@@ -290,10 +338,11 @@ def test_single_nexthop_lookup_builds_no_flow_key(monkeypatch):
     node = make_node()
     node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1]))
     node.fib_insert(FibEntry(pton("2001:db8:3::"), 64, [NH1, NH2]))
-    assert node.fib_lookup(pton("2001:db8:2::1"), 0, PKT) == NH1
-    assert node.finish_forwarding(PKT) == Forward(NH1[1], NH1[0])
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH2], table_id=1))
+    assert node.finish_forwarding(PKT) == fwd(NH1)
+    assert node.finish_forwarding(PKT, 1) == fwd(NH2)
     with pytest.raises(AssertionError):
-        node.fib_lookup(pton("2001:db8:3::1"), 0, PKT)
+        forward_to(node, pton("2001:db8:3::1"))
 
 
 def test_ecmp_selection_stable_per_flow_key():
@@ -332,16 +381,25 @@ def test_fib_insert_and_add_transit_reject_a_bad_prefix_length(plen):
 _FLIPS = st.none() | st.sampled_from([16, 64, 127])
 _PLEN = st.sampled_from([0, 16, 64, 128])
 _SEG = pton("fd00:ca::5")  # a segment no mutation routes: a fixed far end
+_TABLES = st.integers(0, 3)
 _MUTATION = (
-    st.tuples(st.just("fib_insert"), _PLEN, _FLIPS, st.integers(0, 1), st.integers(1, 3))
+    st.tuples(st.just("fib_insert"), _PLEN, _FLIPS, _TABLES, st.integers(1, 3))
     # removes the route of an earlier fib_insert, picked by index
     | st.tuples(st.just("fib_remove"), st.integers(0, 7))
-    | st.tuples(st.just("add_sid"), _FLIPS, st.sampled_from(["end", "end_t", "end_x", "end_dt6"]))
+    # End.T and End.DT6 route by the drawn table; End and End.X ignore it
+    | st.tuples(
+        st.just("add_sid"), _FLIPS, st.sampled_from(["end", "end_t", "end_x", "end_dt6"]), _TABLES
+    )
     | st.tuples(st.just("add_transit"), _PLEN, _FLIPS, st.sampled_from(["insert", "encaps"]))
 )
 _LOOKUP = (
-    st.tuples(st.just("ingress"), _FLIPS, st.integers(0, 3), st.booleans())
-    | st.tuples(st.just("finish"), _FLIPS, st.integers(0, 3), st.sampled_from([None, 0, 1]))
+    # the kind of packet, and the flip of the address routed after dst: the
+    # SR packet's next segment or the encapsulated packet's inner destination
+    st.tuples(
+        st.just("ingress"), _FLIPS, st.integers(0, 3),
+        st.sampled_from(["plain", "sr", "encap"]), _FLIPS,
+    )
+    | st.tuples(st.just("finish"), _FLIPS, st.integers(0, 3), st.none() | _TABLES)
 )
 
 
@@ -361,12 +419,12 @@ def _mutate(node: Node, base: int, op: tuple, i: int, inserted: list) -> None:
             _, plen, flip, table, _ = inserted[op[1] % len(inserted)]
             node.fib_remove(_addr(base, flip), plen, table)
     elif kind == "add_sid":
-        _, flip, behavior = op
+        _, flip, behavior, table = op
         node.add_sid(_addr(base, flip), {
             "end": End(),
-            "end_t": EndT(1),
+            "end_t": EndT(table),
             "end_x": EndX(pton(f"2001:db8::{i:x}"), f"x{i}"),
-            "end_dt6": EndDT6(0),
+            "end_dt6": EndDT6(table),
         }[behavior])
     else:
         _, plen, flip, behavior = op
@@ -377,12 +435,15 @@ def _mutate(node: Node, base: int, op: tuple, i: int, inserted: list) -> None:
 
 
 def _lookup_packet(base: int, op: tuple):
-    kind, flip, label, arg = op
+    kind, flip, label, arg = op[:4]
     dst = _addr(base, flip)
-    if kind == "ingress" and arg:  # an SR packet whose active segment is dst
-        p = sr_packet([_SEG, dst], 1)
+    if kind == "ingress" and arg == "sr":  # an SR packet whose active segment is dst
+        p = sr_packet([_addr(base, op[4]), dst], 1)
     else:
         p = make_udp_packet(pton("2001:db8:1::1"), dst, b"x")
+        if kind == "ingress" and arg == "encap":  # dst as the last segment, over a UDP packet
+            p.outer_header.dst = _addr(base, op[4])
+            encapsulate(p, SegmentRoutingHeader([dst], 0), pton("2001:db8:1::2"))
     p.outer_header.flow_label = label
     return p
 
@@ -401,11 +462,27 @@ def _lpm_nexthops(node: Node, addr: bytes, table: int):
     return DropReason.NO_ROUTE if entry is None else list(entry.nexthops)
 
 
+def _end_t_and_dt6_into(table: int) -> list:
+    """Steps that route through table: an ECMP /16 around the base, an
+    End.T SID and an End.DT6 SID into it, each forwarding to an address
+    under the /16, and End.T into a table the node does not have."""
+    return [
+        (("fib_insert", 16, None, table, 2), [("finish", 64, 0, table)]),
+        (("add_sid", 127, "end_t", table), [("ingress", 127, k, "sr", 64) for k in range(3)]),
+        (("add_sid", 16, "end_dt6", table), [("ingress", 16, k, "encap", 64) for k in range(3)]),
+        (("add_sid", None, "end_t", 9), [("ingress", flip, 0, "sr", 64) for flip in (None, 127)]),
+    ]
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     base=st.integers(0, (1 << 128) - 1),
     steps=st.lists(st.tuples(_MUTATION, st.lists(_LOOKUP, min_size=1, max_size=4)), max_size=10),
 )
+@example(base=1 << 100, steps=_end_t_and_dt6_into(0))
+@example(base=1 << 100, steps=_end_t_and_dt6_into(1))
+@example(base=1 << 100, steps=_end_t_and_dt6_into(2))
+@example(base=1 << 100, steps=_end_t_and_dt6_into(3))
 def test_route_cache_decisions_match_a_cold_twin(base, steps):
     """A node whose route cache lives across interleaved table mutations
     and lookups decides, and lists ECMP nexthops, exactly as a fresh node
@@ -426,8 +503,9 @@ def test_route_cache_decisions_match_a_cold_twin(base, steps):
                 got, want = node.finish_forwarding(p, table), cold.finish_forwarding(q, table)
             assert (got, p) == (want, q)
             assert getattr(got, "detail", None) == getattr(want, "detail", None)
+            assert node._routes.keys() == node.tables.keys()  # nothing for a missing table
             dst = _addr(base, op[1])
-            for table in (0, 1):
+            for table in range(4):
                 listed = _ecmp_list(node, dst, table)
                 assert listed == _ecmp_list(cold, dst, table) == _lpm_nexthops(cold, dst, table)
                 if isinstance(listed, list):  # a fresh copy, the cache unharmed
@@ -436,28 +514,81 @@ def test_route_cache_decisions_match_a_cold_twin(base, steps):
 
 
 def test_route_cache_shares_one_forward_until_a_mutation():
+    """One (table, destination) returns the identical Forward on every
+    lookup until a table mutator runs, then an equal new one; each table
+    keeps its own."""
     node = make_node()
-    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1]))
-
-    def lookup():
-        p = make_udp_packet(pton("2001:db8:1::1"), pton("2001:db8:2::1"), b"x")
-        return node.finish_forwarding(p)
-
+    dst, prefix = pton("2001:db8:2::1"), pton("2001:db8:2::")
+    for table, nh in enumerate([NH1, NH2, NH3]):
+        node.fib_insert(FibEntry(prefix, 64, [nh], table))
     srh = SegmentRoutingHeader(segments=[pton("fd00::1")], segments_left=0)
     mutators = [
-        lambda: node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [NH1])),
+        lambda: node.fib_insert(FibEntry(prefix, 64, [NH1])),
+        lambda: node.fib_insert(FibEntry(prefix, 64, [NH3], 2)),
         lambda: node.fib_remove(pton("2001:db8:9::"), 64),
+        lambda: node.fib_remove(pton("2001:db8:9::"), 64, 1),
         lambda: node.add_sid(pton("fd00::9"), End()),
         lambda: node.add_transit(pton("2001:db8:9::"), 64, TransitInsert(srh)),
     ]
-    first = lookup()
-    assert first == Forward(NH1[1], NH1[0])
+    first = [forward_to(node, dst, table) for table in range(3)]
+    assert first == [fwd(NH1), fwd(NH2), fwd(NH3)]
     for mutate in mutators:
-        assert lookup() is first
+        assert all(forward_to(node, dst, table) is first[table] for table in range(3))
         mutate()
-        again = lookup()
-        assert again == first and again is not first
+        again = [forward_to(node, dst, table) for table in range(3)]
+        assert again == first and all(a is not f for a, f in zip(again, first))
         first = again
+
+
+def test_fib_insert_into_table_1_changes_the_next_table_1_decision():
+    """Each table-1 mutation shows in the next lookup, whether it comes
+    from finish_forwarding or from an End.T SID into table 1; table 0,
+    left empty, routes nothing throughout."""
+    node = make_node()
+    sid, dst, prefix = pton("fd00:7::1"), pton("2001:db8:2::1"), pton("2001:db8:2::")
+    node.add_sid(sid, EndT(1))
+    node.fib_insert(FibEntry(pton("2001:db8::"), 32, [NH1], 1))
+
+    def decisions():
+        p = sr_packet([dst, sid], 1)
+        end_t = node.process_ingress(p, 0)
+        assert node.finish_forwarding(p, 1) is end_t
+        assert forward_to(node, dst) is DROP_NO_ROUTE
+        return end_t
+
+    assert decisions() == fwd(NH1)
+    node.fib_insert(FibEntry(prefix, 64, [NH2], 1))
+    assert decisions() == fwd(NH2)
+    node.fib_insert(FibEntry(prefix, 64, [NH2, NH3], 1))
+    assert decisions() == fwd(select_nexthop([NH2, NH3], flow_key(sr_packet([dst, sid], 0)), {}))
+    assert node.fib_ecmp_list(dst, 1) == [NH2, NH3]
+    assert node.fib_remove(prefix, 64, 1)
+    assert decisions() == fwd(NH1)
+    assert node.fib_remove(pton("2001:db8::"), 32, 1)
+    assert decisions() is DROP_NO_ROUTE
+
+
+def test_end_t_into_a_missing_table_drops_no_route_and_caches_nothing():
+    """End.T and End.DT6 into tables the node does not have drop no_route
+    on every packet, while table 0 routes the same destination, and the
+    route cache keeps a map for table 0 alone."""
+    node = make_node()
+    node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
+    dst = pton("2001:db8:2::1")
+    sids = {n: pton(f"fd00:7::{n:x}") for n in range(1, 300)}
+    for n, sid in sids.items():
+        node.add_sid(sid, EndT(n) if n % 2 else EndDT6(n))
+    for _ in range(2):
+        for n, sid in sids.items():
+            if n % 2:
+                p = sr_packet([dst, sid], 1)
+            else:
+                srh = SegmentRoutingHeader([sid], 0)
+                p = encapsulate(_udp_to(dst, 0), srh, pton("2001:db8:1::2"))
+            assert node.process_ingress(p, 0) is DROP_NO_ROUTE
+            assert node.finish_forwarding(p) == fwd(NH1)
+    assert list(node.tables) == list(node._routes) == [0]
+    assert list(node._routes[0]) == [dst]
 
 
 def test_route_cache_ecmp_route_hashes_every_packet(monkeypatch):
@@ -589,5 +720,5 @@ def test_route_cache_cleared_when_full_still_matches_a_cold_twin():
     for i, dst in enumerate(dsts + dsts[-100:]):
         got = node.process_ingress(_udp_to(dst, i), i)
         assert got == routed().process_ingress(_udp_to(dst, i), i)
-        assert len(node._behaviors) <= ROUTE_CACHE_SIZE and len(node._routes) <= ROUTE_CACHE_SIZE
-    assert len(node._behaviors) == len(node._routes) == len(dsts) - ROUTE_CACHE_SIZE
+        assert len(node._behaviors) <= ROUTE_CACHE_SIZE and len(node._routes[0]) <= ROUTE_CACHE_SIZE
+    assert len(node._behaviors) == len(node._routes[0]) == len(dsts) - ROUTE_CACHE_SIZE
