@@ -84,8 +84,8 @@ class BehaviorError(Exception):
 # ``behavior.type`` name, its fields (named after the scenario keys the
 # loader reads, whose types the schema's behavior properties declare) and
 # its action, which returns its decision as seg6local's actions end in
-# their own lookup (None: the node's main-table lookup). The native
-# pipeline runs end() first when ``advance`` is set, then the action;
+# their own lookup (None: the node's main-table lookup). The node runs
+# end() first when ``advance`` is set, then the action or program;
 # helper_action applies the action alone, without re-advancing, and keeps
 # its decision for a REDIRECT outcome. Adding a behaviour is one class
 # here, one entry in SID_BEHAVIORS or TRANSIT_BEHAVIORS and one entry in
@@ -95,7 +95,7 @@ class Behavior:
     """Base of every descriptor; the defaults describe a transit body."""
 
     type_name = ""
-    advance = False  # the native pipeline runs end() before the action
+    advance = False  # the node runs end() before the action or program
     helper = False  # helper_action may apply the action
 
     def action(self, p: Packet, node: Node) -> ForwardingDecision | None:
@@ -216,7 +216,7 @@ class ProgramBehavior(Behavior):
 @dataclass(frozen=True)
 class EndProgram(ProgramBehavior):
     type_name = "end_program"
-    advance = True  # run_endpoint_program advances before the program
+    advance = True  # End plus a program: the node advances, then runs it
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ _UNSPECIFIED = bytes(16)
 
 _MISS = object()
 
-Route = tuple[Forward | Drop | None, list[tuple[Address, str]], list[Forward] | None]
+Route = tuple[Forward, ...]  # one shared Forward per nexthop; () for no route
 
 
 class Node:
@@ -62,10 +62,9 @@ class Node:
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
         # The route cache, as the seg6 dst_cache: per destination, its SID
         # or transit behaviour (None: plain forwarding), and per table in
-        # self.tables, per destination, its Route, (decision, nexthops,
-        # forwards): a shared Forward, DROP_NO_ROUTE or None (ECMP: forwards
-        # holds one shared Forward per nexthop) as decision. Every table
-        # mutator below clears it.
+        # self.tables, per destination, its Route: the tuple of one shared
+        # Forward per nexthop of its route, () when none matches. Every
+        # table mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
         self._routes: dict[int, dict[Address, Route]] = {0: {}}
         # The flow-hash memo: each ECMP flow key's FNV-1a hash. It holds
@@ -119,13 +118,7 @@ class Node:
         does not have routes nothing, and nothing is cached for it."""
         t = self.tables.get(table)
         entry = t.lookup(dst) if t else None
-        if entry is None:
-            route = DROP_NO_ROUTE, [], None
-        elif len(entry.nexthops) == 1:
-            nh, link = entry.nexthops[0]
-            route = Forward(link, nh), entry.nexthops, None
-        else:
-            route = None, entry.nexthops, [Forward(link, nh) for nh, link in entry.nexthops]
+        route = () if entry is None else tuple([Forward(link, nh) for nh, link in entry.nexthops])
         if t is not None:
             remember(self._routes[table], dst, route)
         return route
@@ -133,12 +126,12 @@ class Node:
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
         """A fresh list of every nexthop of addr's route in table."""
         try:
-            nexthops = self._routes[table][addr][1]
+            forwards = self._routes[table][addr]
         except KeyError:
-            nexthops = self._route(addr, table)[1]
-        if not nexthops:
+            forwards = self._route(addr, table)
+        if not forwards:
             raise BehaviorError(DropReason.NO_ROUTE)
-        return list(nexthops)
+        return [(f.nexthop, f.link) for f in forwards]
 
     # -- pipeline -----------------------------------------------------------
 
@@ -152,12 +145,14 @@ class Node:
         if dst in self.local_addrs:
             return LOCAL_DELIVER
         try:
-            decision, _, forwards = self._routes[table][dst]
+            forwards = self._routes[table][dst]
         except KeyError:
-            decision, _, forwards = self._route(dst, table)
-        if decision is None:
+            forwards = self._route(dst, table)
+        if len(forwards) == 1:
+            return forwards[0]
+        if forwards:
             return select_nexthop(forwards, flow_key(p), self._hashes)
-        return decision
+        return DROP_NO_ROUTE
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
         """Dispatch one received packet: hop-limit handling, local SID
@@ -194,17 +189,19 @@ class Node:
         return self._dispatch(b, p, now)
 
     def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
-        """Run a SID or transit behaviour; a None decision takes the common tail."""
+        """Run a SID or transit behaviour: an endpoint one advances the SRH
+        first, then its action or program runs; a None decision takes the
+        common tail."""
         try:
+            if b.advance:
+                behaviors.end(p)
             if isinstance(b, ProgramBehavior):
                 program = self.programs.get(b.program)
                 if program is None:
                     return Drop(DropReason.PROGRAM_ERROR, f"no program {b.program!r}")
                 if b.advance:
-                    return programs.run_endpoint_program(self, program, p, now)
-                return programs.run_transit_program(self, program, p, now)
-            if b.advance:
-                behaviors.end(p)
+                    return programs.run_endpoint_program(self.endpoint_ctx, program, p, now)
+                return programs.run_transit_program(self.transit_ctx, program, p, now)
             decision = b.action(p, self)
         except BehaviorError as exc:
             return exc.drop()

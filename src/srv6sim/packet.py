@@ -141,10 +141,10 @@ def encode_tlvs(*tlvs: Tlv) -> bytes:
     return raw
 
 
-def walk_tlvs(region: bytes):
-    """Yield (offset, Tlv) for each record; raises ParseError on overrun."""
-    off = 0
-    end = len(region)
+def walk_tlvs(region: bytes, off: int = 0, end: int | None = None):
+    """Yield (offset, Tlv) for each record of region[off:end], offsets
+    counted from the start of region; raises ParseError on overrun."""
+    end = len(region) if end is None else end
     while off < end:
         t = region[off]
         if t == TLV_PAD1:
@@ -434,12 +434,12 @@ def _parse_srh(buf: bytes, off: int) -> tuple[SegmentRoutingHeader, int]:
     segs = [
         bytes(buf[off + 8 + 16 * i : off + 24 + 16 * i]) for i in range(nseg)
     ]
-    tlv_region = bytes(buf[off + 8 + 16 * nseg : off + total])
-    for _ in walk_tlvs(tlv_region):
+    tlv_start = off + 8 + 16 * nseg
+    for _ in walk_tlvs(buf, tlv_start, off + total):  # errors at buffer offsets
         pass
     srh = SegmentRoutingHeader(
         segments=segs, segments_left=sl, next_header=nh,
-        flags=flags, tag=tag, tlv_bytes=tlv_region,
+        flags=flags, tag=tag, tlv_bytes=bytes(buf[tlv_start : off + total]),
     )
     return srh, off + total
 

@@ -94,9 +94,9 @@ class ProgramContext:
     hook: Hook
     now_ns: int
     dataplane: "Node"
-    # per run, reset by both runners: helper_action's use and decision,
-    # and the SRH a helper wrote (see _mark_dirty) for finalize
-    pending_action_taken: bool = False
+    # per run, reset by run_program: the decision helper_action stored
+    # (None until an action succeeds), and the SRH a helper wrote (see
+    # _mark_dirty) for finalize
     redirect: ForwardingDecision | None = None
     srh_dirty: SegmentRoutingHeader | None = None
     maps: dict = field(init=False)  # dataplane.maps, for map_get/map_put
@@ -224,7 +224,7 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     wrote before the action stays marked. One action per program run."""
     if ctx.hook is not _ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
-    if ctx.pending_action_taken:
+    if ctx.redirect is not None:
         raise HelperError("action_already_taken")
     if not (isinstance(action, Behavior) and action.helper):
         raise HelperError("bad_action", repr(action))
@@ -237,7 +237,6 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     if type(decision) is Drop:
         raise HelperError(decision.reason.value, decision.detail)
     ctx.redirect = decision
-    ctx.pending_action_taken = True
 
 
 def helper_push_encap(
@@ -332,14 +331,14 @@ def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     return ctx.dataplane.finish_forwarding(ctx.packet)
 
 
-def run_endpoint_program(
-    node: "Node", program: Program, packet: Packet, now: int
+def run_program(
+    ctx: ProgramContext, program: Program, packet: Packet, now: int
 ) -> ForwardingDecision:
-    """End.BPF analog: advance the SRH (behaviors.end raises BehaviorError
-    without one, or with none left), run the program, finalize."""
-    behaviors.end(packet)
-    ctx = node.endpoint_ctx
-    ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
+    """Run program on packet with the hook's context, then finalize. At
+    the endpoint hook the node has already advanced the SRH, as
+    input_action_end_bpf does before it resets seg6_bpf_srh_state; from
+    there on both hooks share this contract."""
+    ctx.packet, ctx.now_ns = packet, now
     ctx.redirect = ctx.srh_dirty = None
     try:
         outcome = program(ctx)
@@ -348,18 +347,9 @@ def run_endpoint_program(
     return finalize(ctx, outcome)
 
 
-def run_transit_program(
-    node: "Node", program: Program, packet: Packet, now: int
-) -> ForwardingDecision:
-    """LWT hook analog: no advance, then the same finalize contract."""
-    ctx = node.transit_ctx
-    ctx.packet, ctx.now_ns, ctx.pending_action_taken = packet, now, False
-    ctx.redirect = ctx.srh_dirty = None
-    try:
-        outcome = program(ctx)
-    except HelperError as exc:
-        return Drop(DropReason.PROGRAM_ERROR, str(exc))
-    return finalize(ctx, outcome)
+# The End.BPF and LWT hook entry points: one function under two names,
+# which Node._dispatch calls by hook, so a trace counts each hook's runs.
+run_endpoint_program = run_transit_program = run_program
 
 
 @register_program("noop")

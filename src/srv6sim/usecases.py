@@ -265,7 +265,7 @@ def wrr_factory(params: dict) -> Program:
     ok = Outcome.OK  # read once: an enum class attribute read is slow
 
     def run(ctx: ProgramContext) -> Outcome:
-        # a map fault is a program error, reported by run_transit_program
+        # a map fault is a program error, reported by run_program
         raw = map_get(ctx, WRR_STATE_MAP, key)
         if raw:
             cursor, count_a, count_b = _WRR_STATE.unpack(raw)

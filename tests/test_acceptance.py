@@ -252,11 +252,11 @@ def test_criterion_4_owd_reproduction():
         for i in range(1_000_000):
             if i % ratio == 0:
                 p = base.copy()
-                run_transit_program(node, prog, p, i)
+                run_transit_program(node.transit_ctx, prog, p, i)
                 if len(p.headers) == 2:
                     probes += 1
             else:
-                run_transit_program(node, prog, shared, i)
+                run_transit_program(node.transit_ctx, prog, shared, i)
                 assert len(shared.headers) == 1, "unexpected sampling"
         counts[ratio] = probes
     counts_ok = counts[100] == 10_000 and counts[10_000] == 100
@@ -302,7 +302,7 @@ def test_criterion_5_wrr_proportionality():
     picks = []
     for i in range(8000):
         p = base.copy()
-        run_transit_program(node, prog, p, i)
+        run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     counts = (picks.count(0), picks.count(1))
     oracle = iwrr_oracle(5, 3)

@@ -96,7 +96,17 @@ def _with_first_repeated(section: str) -> str:
     return json.dumps(raw)
 
 
-@pytest.mark.parametrize("case", ["truncated", "duplicate_link", "duplicate_daemon"])
+def _with_nodes(nodes) -> str:
+    """setup1 with its nodes array replaced by nodes."""
+    raw = json.loads(fixture_path("setup1.json").read_text())
+    raw["nodes"] = nodes
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["truncated", "duplicate_link", "duplicate_daemon", "nodes_not_array", "node_not_object"],
+)
 def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
     text, error = {
         "truncated": (fixture_path("setup1.json").read_text()[:300], "$: invalid JSON"),
@@ -104,6 +114,8 @@ def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
         "duplicate_daemon": (
             _with_first_repeated("daemons"), "$.daemons[1].id: duplicate daemon id 'collector'"
         ),
+        "nodes_not_array": (_with_nodes(5), "$.nodes: expected array, got 5"),
+        "node_not_object": (_with_nodes([5]), "$.nodes[0]: expected object, got 5"),
     }[case]
     bad = tmp_path / "bad.json"
     bad.write_text(text)

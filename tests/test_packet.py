@@ -263,8 +263,19 @@ def test_decode_tlv_walk_overrun():
     raw = bytearray(encode_packet(p))
     # corrupt the TLV length so the value runs past the region end
     raw[40 + 8 + 16 + 1] = 200
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         decode_packet(bytes(raw))
+    assert exc.value.offset == 40 + 8 + 16  # the broken TLV's buffer offset
+
+
+@pytest.mark.parametrize("with_srh, reason", [(True, "SRH truncated"), (False, "UDP header truncated")])
+def test_decode_a_header_cut_short(with_srh, reason):
+    p = make_srh_udp_packet(S1, [S2], b"", b"x", 49152, 33434) if with_srh else make_udp_packet(S1, S2, b"x")
+    raw = bytearray(encode_packet(p)[:44])
+    raw[4:6] = (4).to_bytes(2, "big")  # payload_length: the 4 octets left
+    with pytest.raises(ParseError) as exc:
+        decode_packet(bytes(raw))
+    assert (exc.value.offset, exc.value.reason) == (40, reason)
 
 
 def test_mutation_corpus_never_crashes():
@@ -457,6 +468,24 @@ def test_encode_rejects_invalid_srh():
     p.outer_srh.segments_left = 3
     with pytest.raises(InvariantViolation):
         encode_packet(p)
+
+
+@pytest.mark.parametrize("with_srh, owner, attr, value, error", [
+    (False, "hdr", "traffic_class", 0x100, "traffic_class out of range"),
+    (False, "hdr", "flow_label", 1 << 20, "flow_label out of range"),
+    (False, "hdr", "hop_limit", 0x100, "hop_limit out of range"),
+    (False, "hdr", "dst", bytes(15), "addresses must be 16 octets"),
+    (False, "packet", "headers", [], "packet needs at least one IPv6 header"),
+    (True, "hdr", "next_header", 17, "header 0 next_header 17 != 43 before SRH"),
+    (True, "srh", "next_header", 6, "SRH 0.0 next_header 6 != 17"),
+    (False, "hdr", "next_header", 6, "header 0 next_header 6 != 17"),
+])
+def test_encode_rejects_a_broken_header_or_chain(with_srh, owner, attr, value, error):
+    p = make_srh_udp_packet(S1, [S2], b"", b"x", 49152, 33434) if with_srh else make_udp_packet(S1, S2, b"x")
+    setattr({"packet": p, "hdr": p.headers[0][0], "srh": p.outer_srh}[owner], attr, value)
+    with pytest.raises(InvariantViolation) as exc:
+        encode_packet(p)
+    assert str(exc.value) == error
 
 
 # ---------------------------------------------------------------------------

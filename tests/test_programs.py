@@ -240,7 +240,7 @@ def test_action_end_x_sets_pending():
     ctx = make_ctx(p)
     helper_action(ctx, EndX(*NH_R3))
     assert ctx.redirect == Forward(NH_R3[1], NH_R3[0])
-    assert ctx.pending_action_taken
+    assert ctx.redirect is not None
 
 
 def test_action_second_call_rejected():
@@ -298,7 +298,7 @@ def test_action_end_t_into_a_table_without_a_route_raises_no_route():
     with pytest.raises(HelperError) as exc:
         helper_action(ctx, EndT(7))
     assert exc.value.code == "no_route"
-    assert ctx.redirect is None and not ctx.pending_action_taken
+    assert ctx.redirect is None
 
 
 def test_action_end_dt6_before_the_last_segment_raises_not_last_segment():
@@ -308,7 +308,7 @@ def test_action_end_dt6_before_the_last_segment_raises_not_last_segment():
     with pytest.raises(HelperError) as exc:
         helper_action(ctx, EndDT6(0))
     assert exc.value.code == "not_last_segment"
-    assert ctx.redirect is None and not ctx.pending_action_taken
+    assert ctx.redirect is None
     assert encode_packet(p) == before
 
 
@@ -327,7 +327,7 @@ def test_action_rejects_descriptors_without_helper_action(action):
     with pytest.raises(HelperError) as exc:
         helper_action(ctx, action)
     assert exc.value.code == "bad_action"
-    assert not ctx.pending_action_taken
+    assert ctx.redirect is None
     assert encode_packet(p) == before
 
 
@@ -359,6 +359,16 @@ def test_push_encap_insert_on_sr_packet_rejected():
     with pytest.raises(HelperError) as exc:
         helper_push_encap(ctx, "insert", SegmentRoutingHeader(segments=[F], segments_left=0))
     assert exc.value.code == "invariant_violation"
+
+
+def test_push_encap_unknown_mode_rejected():
+    p = make_udp_packet(S1, S2, b"x")
+    before = p.copy()
+    ctx = make_ctx(p, hook=Hook.TRANSIT)
+    with pytest.raises(HelperError) as exc:
+        helper_push_encap(ctx, "inline", SegmentRoutingHeader(segments=[F], segments_left=0))
+    assert (exc.value.code, str(exc.value)) == ("bad_mode", "bad_mode: inline")
+    assert p == before
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +447,7 @@ def test_programs_declaring_one_map_share_it():
     node.add_program("first", first)
     node.add_program("second", second)
     for program in (first, second, second):
-        run_transit_program(node, program, make_udp_packet(S1, S2, b"x"), 0)
+        run_transit_program(node.transit_ctx, program, make_udp_packet(S1, S2, b"x"), 0)
     assert map_get(node, "count", b"\x00") == b"\x03"
 
 
@@ -454,12 +464,18 @@ def test_map_width_mismatch_and_unknown():
     node = router()
     node.maps["m"] = (4, 8, {})
     ctx = make_ctx(make_udp_packet(S1, S2, b"x"), node)
-    with pytest.raises(HelperError) as exc:
-        map_put(ctx, "m", b"\x00" * 3, b"\x00" * 8)
-    assert exc.value.code == "width_mismatch"
-    with pytest.raises(HelperError) as exc:
-        map_get(ctx, "nope", b"\x00" * 4)
-    assert exc.value.code == "unknown_map"
+    faults = [
+        (map_put, ("m", bytes(3), bytes(8)), "width_mismatch"),  # key
+        (map_put, ("m", bytes(4), bytes(7)), "width_mismatch"),  # value
+        (map_get, ("m", bytes(5)), "width_mismatch"),
+        (map_get, ("nope", bytes(4)), "unknown_map"),
+        (map_put, ("nope", bytes(4), bytes(8)), "unknown_map"),
+    ]
+    for helper, args, code in faults:
+        with pytest.raises(HelperError) as exc:
+            helper(ctx, *args)
+        assert exc.value.code == code
+    assert node.maps == {"m": (4, 8, {})}
 
 
 def test_emit_event_payload_cap():
@@ -607,6 +623,20 @@ def test_sid_bound_to_an_unloaded_program_drops_with_program_error():
     assert decision.detail == "no program 'x'"
 
 
+def test_sid_bound_to_an_unloaded_program_advances_before_the_program_lookup():
+    """End.BPF is End plus a program: a packet that cannot advance drops
+    for that before the node looks its program up."""
+    node = router()
+    node.add_sid(SID, EndProgram("x"))
+    cases = [
+        (make_udp_packet(S1, SID, b"x"), DropReason.NO_SRH),
+        (sr_packet([SID], 0), DropReason.SEGMENTS_EXHAUSTED),
+    ]
+    for p, reason in cases:
+        decision = node.process_ingress(p, 0)
+        assert decision == Drop(reason) and decision.detail == ""
+
+
 def test_endpoint_program_without_srh_drops_before_running():
     node = router()
     ran = []
@@ -737,7 +767,7 @@ def test_transit_program_runner_no_advance():
         return Outcome.OK
 
     p = make_udp_packet(S1, S2, b"x")
-    decision = run_transit_program(node, encap, p, 0)
+    decision = run_transit_program(node.transit_ctx, encap, p, 0)
     assert decision == Forward("l3", NH_R3[0])
     assert len(p.headers) == 2
 
@@ -776,7 +806,7 @@ def test_transit_store_then_encaps_drops_the_invalid_srh(then_encaps):
         return Outcome.OK
 
     p = padded_sr_packet([S2, F], 1)
-    decision = run_transit_program(node, program, p, 0)
+    decision = run_transit_program(node.transit_ctx, program, p, 0)
     assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
     assert len(p.headers) == (2 if then_encaps else 1)
 
@@ -849,7 +879,7 @@ def test_b6_action_to_a_segment_without_a_route_raises_no_route():
     with pytest.raises(HelperError) as exc:
         helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[F], segments_left=0)))
     assert exc.value.code == "no_route"
-    assert ctx.redirect is None and not ctx.pending_action_taken
+    assert ctx.redirect is None
 
 
 def test_endpoint_store_then_end_b6_encaps_drops_the_invalid_srh():
@@ -878,7 +908,7 @@ def test_write_to_a_pushed_srh_keeps_an_invalid_buried_one_marked(first_write_va
         return Outcome.OK
 
     p = padded_sr_packet([S2, F], 1)
-    decision = run_transit_program(node, program, p, 0)
+    decision = run_transit_program(node.transit_ctx, program, p, 0)
     if first_write_valid:
         assert decision == Forward("l3", NH_R3[0])
     else:

@@ -263,6 +263,31 @@ def test_negative_delays_are_rejected():
     assert sim.links["l"].dirs["A"].qdisc_extra_ns == 0
 
 
+def test_non_positive_bandwidth_rate_or_short_payload_is_rejected():
+    for bandwidth in (0, -1):
+        with pytest.raises(SimError, match="bandwidth must be positive"):
+            Link("l", "A", "B", bandwidth, 0, 0, Rng(1))
+    dst = pton("2001:db8:b::1")
+    with pytest.raises(SimError, match="rate_pps must be positive"):
+        UdpStream("A", S1, dst, 0, 64, 1)
+    with pytest.raises(SimError, match="payload_size must be at least 8"):
+        UdpStream("A", S1, dst, 1000, 7, 1)
+    UdpStream("A", S1, dst, 1, 8, 1)  # the smallest valid stream
+
+
+def test_simulation_rejects_a_duplicate_link_or_daemon_id():
+    sim = two_node_sim()
+    with pytest.raises(SimError, match="duplicate link id 'l'"):
+        sim.add_link("l", "B", "A", 1_000_000, 0)
+    assert list(sim.links) == ["l"] and sim.links["l"].a == "A"
+    sim = queue_sim()
+    first = Drainer("d", MS)
+    sim.add_daemon(first)
+    with pytest.raises(SimError, match="duplicate daemon id 'd'"):
+        sim.add_daemon(Drainer("d", MS))
+    assert sim.daemons["d"] is first
+
+
 def test_link_to_a_node_not_yet_added_is_rejected():
     sim = Simulation()
     sim.add_node(Node("A", [S1]))
@@ -333,6 +358,13 @@ def test_goodput_requires_two_sink_arrivals():
     with pytest.raises(InsufficientData, match="fewer than 2 sink arrivals"):
         goodput_estimate(synthetic_trace([0]), 1)
     assert goodput_estimate(synthetic_trace([0, 1]), 1) > 0
+
+
+def test_goodput_of_two_arrivals_at_one_instant_has_no_window():
+    trace = [_rec(0, "SRC", "egress", 1, s) for s in (0, 1)]
+    trace += [_rec(1000, "SINK", "ingress", 1, s) for s in (0, 1)]
+    with pytest.raises(InsufficientData, match="zero observation window"):
+        goodput_estimate(trace, 1)
 
 
 def test_goodput_zero_reordering_is_bits_over_duration():

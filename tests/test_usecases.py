@@ -93,7 +93,7 @@ def test_dm_transit_samples_every_nth_packet():
     probes = 0
     for i in range(1000):
         p = base.copy()
-        run_transit_program(node, prog, p, i * 1000)
+        run_transit_program(node.transit_ctx, prog, p, i * 1000)
         if len(p.headers) == 2:
             probes += 1
     assert probes == 10
@@ -104,14 +104,14 @@ def test_dm_transit_ratio_one_samples_everything():
     base = make_udp_packet(S1, S2, b"x" * 64)
     for i in range(20):
         p = base.copy()
-        run_transit_program(node, prog, p, i)
+        run_transit_program(node.transit_ctx, prog, p, i)
         assert len(p.headers) == 2
 
 
 def test_dm_transit_probe_carries_both_tlvs():
     node, prog = dm_transit_node(ratio=1)
     p = make_udp_packet(S1, S2, b"x" * 64)
-    run_transit_program(node, prog, p, 1_234_567)
+    run_transit_program(node.transit_ctx, prog, p, 1_234_567)
     srh = p.outer_srh
     assert read_dm_tlv(srh) == 1_234_567
     assert read_controller_tlv(srh) == CTRL
@@ -143,7 +143,7 @@ def test_dm_transit_copies_its_path_srh_once_per_probe(monkeypatch):
     probes = []
     for i in range(3):
         p = make_udp_packet(S1, S2, b"x" * 64)
-        run_transit_program(node, prog, p, 1000 + i)
+        run_transit_program(node.transit_ctx, prog, p, 1000 + i)
         probes.append(p)
     template = calls[0][0]
     assert [code for _, code in calls] == [None] * 3
@@ -173,11 +173,11 @@ def test_dm_transit_on_the_endpoint_hook_leaves_the_packet_unprobed(monkeypatch)
 def test_dm_transit_leaves_non_sampled_packets_byte_identical():
     node, prog = dm_transit_node(ratio=100)
     base = make_udp_packet(S1, S2, b"x" * 64)
-    run_transit_program(node, prog, base.copy(), 0)  # consume the sampled slot
+    run_transit_program(node.transit_ctx, prog, base.copy(), 0)  # consume the sampled slot
     for i in range(1, 100):
         p = base.copy()
         before = encode_packet(p)
-        run_transit_program(node, prog, p, i)
+        run_transit_program(node.transit_ctx, prog, p, i)
         assert encode_packet(p) == before
 
 
@@ -363,7 +363,7 @@ def test_wrr_cycle_pattern_and_exact_split():
     picks = []
     for i in range(8000):
         p = base.copy()
-        run_transit_program(node, prog, p, i)
+        run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert tuple(picks[:8]) == (0, 1, 0, 1, 0, 1, 0, 0)
     assert picks[:8] * 1000 == picks  # whole cycles repeat exactly
@@ -377,7 +377,7 @@ def test_wrr_equal_weights_alternate():
     picks = []
     for i in range(10):
         p = base.copy()
-        run_transit_program(node, prog, p, i)
+        run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert picks == [0, 1] * 5
 
@@ -397,7 +397,7 @@ def test_a_program_run_without_loading_finds_no_map():
         "path_srh": SegmentRoutingHeader(segments=[S2, DM_SID], segments_left=1),
         "controller_addr": CTRL[0],
     })
-    decision = run_transit_program(node, prog, make_udp_packet(S1, S2, b"x"), 0)
+    decision = run_transit_program(node.transit_ctx, prog, make_udp_packet(S1, S2, b"x"), 0)
     assert decision == Drop(DropReason.PROGRAM_ERROR, "unknown_map: dm_counter")
 
 
@@ -407,7 +407,7 @@ def test_a_wrr_run_without_loading_reports_the_map_fault():
         "srh_a": SegmentRoutingHeader(segments=[S2, pton("fd00:6d::a")], segments_left=1),
         "srh_b": SegmentRoutingHeader(segments=[S2, pton("fd00:6d::b")], segments_left=1),
     })
-    decision = run_transit_program(node, prog, make_udp_packet(S1, S2, b"x"), 0)
+    decision = run_transit_program(node.transit_ctx, prog, make_udp_packet(S1, S2, b"x"), 0)
     assert decision == Drop(DropReason.PROGRAM_ERROR, "unknown_map: wrr_state")
 
 
