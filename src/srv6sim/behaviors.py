@@ -65,6 +65,7 @@ ForwardingDecision = Forward | Drop | LocalDeliver
 LOCAL_DELIVER = LocalDeliver()
 DROPS = {reason: Drop(reason) for reason in DropReason}
 DROP_NO_ROUTE = DROPS[DropReason.NO_ROUTE]
+DROP_HOP_LIMIT = DROPS[DropReason.HOP_LIMIT_EXCEEDED]  # only process_ingress returns it
 
 
 class BehaviorError(Exception):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import statistics as pystats
 import struct
 import sys
@@ -250,7 +251,6 @@ def cmd_traceroute(args) -> int:
 
 _B_SRC = pton("2001:db8:1::1")
 _B_DST = pton("2001:db8:2::1")
-_B_NH = pton("2001:db8:2::1")
 _B_SID = pton("fd00:72::b")
 _B_TLV = bytes((0x63, 6)) + b"\xab" * 6
 
@@ -287,8 +287,8 @@ BENCH_FUNCTIONS = ("plain", *_BENCH_SID_BINDINGS)
 def _bench_case(name: str):
     """Returns (node, packet, reset) for one benchmarked function."""
     node = Node("R", [pton("2001:db8::1")])
-    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [(_B_NH, "l1")]))
-    node.fib_insert(FibEntry(pton("fd00::"), 8, [(_B_NH, "l1")]))
+    node.fib_insert(FibEntry(pton("2001:db8:2::"), 64, [(_B_DST, "l1")]))
+    node.fib_insert(FibEntry(pton("fd00::"), 8, [(_B_DST, "l1")]))
     if name == "plain":
         p = make_udp_packet(_B_SRC, _B_DST, b"\x00" * 64)
         hdr = p.headers[0][0]
@@ -316,31 +316,6 @@ def _bench_case(name: str):
         srh.tlv_bytes = b""
 
     return node, p, reset
-
-
-class _pinned_cpu:
-    """Pin the process to one logical CPU for the duration, when possible."""
-
-    def __enter__(self):
-        self._saved = None
-        try:
-            import os
-
-            self._saved = os.sched_getaffinity(0)
-            os.sched_setaffinity(0, {min(self._saved)})
-        except (AttributeError, OSError):
-            pass
-        return self
-
-    def __exit__(self, *exc):
-        if self._saved:
-            try:
-                import os
-
-                os.sched_setaffinity(0, self._saved)
-            except OSError:
-                pass
-        return False
 
 
 # The estimator times functions in slices of BENCH_SLICE packets, round-robin
@@ -382,59 +357,63 @@ def _calibrate() -> int:
 def run_bench(functions=BENCH_FUNCTIONS, count: int = 20000, repeats: int = 3) -> dict:
     """Packets/second per function in reference units (see BENCH_SLICE).
 
-    The process is pinned to a single logical CPU. Each repeat runs `count`
-    packets per function as calibrated slices interleaved across functions;
-    a function's time is the sum, over slice positions, of the best
-    calibrated slice time across `repeats`. The collector stays off while
-    timing, as in timeit."""
-    gc_was_enabled = gc.isenabled()
+    The process is pinned to a single logical CPU, where the host allows
+    it. Each repeat runs `count` packets per function as calibrated slices
+    interleaved across functions; a function's time is the sum, over slice
+    positions, of the best calibrated slice time across `repeats`. The
+    collector stays off while timing, as in timeit."""
+    gc_was_enabled, cpus = gc.isenabled(), None
     gc.disable()
     try:
-        with _pinned_cpu():
-            return _run_bench_pinned(functions, count, repeats)
+        try:  # cpus: the affinity to restore, None if the pin failed
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(cpus)})
+        except (AttributeError, OSError):  # no affinity control on this host
+            cpus = None
+        cases = []
+        for name in functions:
+            node, p, reset = _bench_case(name)
+            ingress = node.process_ingress
+            # warmup pass also verifies the pipeline reaches a decision
+            for _ in range(500):
+                reset()
+                ingress(p, 0)
+            cases.append((name, ingress, p, reset))
+        starts = range(0, count, BENCH_SLICE)
+        best = {name: [None] * len(starts) for name in functions}
+        for _ in range(repeats):
+            cal = _calibrate()
+            for k, lo in enumerate(starts):
+                hi = min(lo + BENCH_SLICE, count)
+                for name, ingress, p, reset in cases:
+                    t0 = time.perf_counter_ns()
+                    for i in range(lo, hi):
+                        reset()
+                        ingress(p, i)
+                    dt = time.perf_counter_ns() - t0
+                    cal_next = _calibrate()
+                    # a preempted calibration loop only ever reads slow, so
+                    # the faster of the two bracketing loops is the clean one
+                    ref_ns = dt * BENCH_REF_CAL_NS / min(cal, cal_next)
+                    cal = cal_next
+                    slot = best[name]
+                    if slot[k] is None or ref_ns < slot[k]:
+                        slot[k] = ref_ns
+        return {name: count / (sum(best[name]) / 1e9) for name in functions}
     finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
         if gc_was_enabled:
             gc.enable()
 
 
-def _run_bench_pinned(functions, count: int, repeats: int) -> dict:
-    cases = []
-    for name in functions:
-        node, p, reset = _bench_case(name)
-        ingress = node.process_ingress
-        # warmup pass also verifies the pipeline reaches a decision
-        for _ in range(500):
-            reset()
-            ingress(p, 0)
-        cases.append((name, ingress, p, reset))
-    starts = range(0, count, BENCH_SLICE)
-    best = {name: [None] * len(starts) for name in functions}
-    for _ in range(repeats):
-        cal = _calibrate()
-        for k, lo in enumerate(starts):
-            hi = min(lo + BENCH_SLICE, count)
-            for name, ingress, p, reset in cases:
-                t0 = time.perf_counter_ns()
-                for i in range(lo, hi):
-                    reset()
-                    ingress(p, i)
-                dt = time.perf_counter_ns() - t0
-                cal_next = _calibrate()
-                # a preempted calibration loop only ever reads slow, so
-                # the faster of the two bracketing loops is the clean one
-                ref_ns = dt * BENCH_REF_CAL_NS / min(cal, cal_next)
-                cal = cal_next
-                slot = best[name]
-                if slot[k] is None or ref_ns < slot[k]:
-                    slot[k] = ref_ns
-    return {name: count / (sum(best[name]) / 1e9) for name in functions}
-
-
 def cmd_bench(args) -> int:
     functions = args.functions.split(",") if args.functions else list(BENCH_FUNCTIONS)
-    for f in functions:
+    for i, f in enumerate(functions):
         if f not in BENCH_FUNCTIONS:
             raise ConfigError("$.functions", f"unknown function {f!r}")
+        if f in functions[:i]:  # would be timed twice into one result
+            raise ConfigError("$.functions", f"{f!r} named twice")
     if args.count < 1:
         raise ConfigError("$.count", f"{args.count} packets: need at least 1")
     out_dir = Path(args.out)

@@ -7,8 +7,8 @@ from . import behaviors, programs
 from .behaviors import (
     Behavior,
     BehaviorError,
+    DROP_HOP_LIMIT,
     DROP_NO_ROUTE,
-    DROPS,
     Drop,
     DropReason,
     Forward,
@@ -52,7 +52,6 @@ class Node:
         self.programs: dict[str, Program] = {}
         self.maps: dict[str, tuple[int, int, dict[bytes, bytes]]] = {}
         self.events = EventQueue()
-        self.originated: list[Packet] = []
         # egress ports, {link id: (sim.Link, peer Node)}, set by Simulation.add_link
         self.ports: dict[str, tuple] = {}
         # per-hop counters, read by Simulation.stats where they are kept
@@ -92,7 +91,7 @@ class Node:
     def fib_remove(self, prefix: Address, plen: int, table: int = 0) -> bool:
         self._flush_route_cache()
         t = self.tables.get(table)
-        return t.remove(prefix, plen) if t else False
+        return t is not None and t.remove(prefix, plen)
 
     def add_sid(self, sid: Address, behavior: Behavior) -> None:
         self.sids[sid] = behavior
@@ -117,7 +116,7 @@ class Node:
         """Fill dst's route in table into the route cache; a table the node
         does not have routes nothing, and nothing is cached for it."""
         t = self.tables.get(table)
-        entry = t.lookup(dst) if t else None
+        entry = t.lookup(dst) if t is not None else None
         route = () if entry is None else tuple([Forward(link, nh) for nh, link in entry.nexthops])
         if t is not None:
             remember(self._routes[table], dst, route)
@@ -156,13 +155,13 @@ class Node:
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
         """Dispatch one received packet: hop-limit handling, local SID
-        match, transit match, then plain forwarding."""
+        match, transit match, then plain forwarding. Its decision is its
+        only output: the caller answers DROP_HOP_LIMIT with time_exceeded."""
         hdr = p.headers[0][0]
         hdr.hop_limit -= 1
         if hdr.hop_limit <= 0:
             hdr.hop_limit = 0
-            self._emit_time_exceeded(p)
-            return DROPS[DropReason.HOP_LIMIT_EXCEEDED]
+            return DROP_HOP_LIMIT
         dst = hdr.dst
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
@@ -209,18 +208,17 @@ class Node:
             return Drop(DropReason.INVARIANT, str(exc))
         return self.finish_forwarding(p) if decision is None else decision
 
-    def _emit_time_exceeded(self, offender: Packet) -> None:
-        """Queue an ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) toward the
-        offender's source, unless that is the unspecified address. The
-        body is the type, the code and a zero checksum, then the
-        offender's first 64 octets. The RFC's message also has 4 unused
-        octets, and quotes as much as fits in 1,280 octets; the short
-        quote is this model's choice, and the trace digests pin it."""
-        if not self.addresses:
-            return
+    def time_exceeded(self, offender: Packet) -> Packet | None:
+        """The ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) this node sends
+        toward the offender's source, or None if the node has no address
+        or that source is the unspecified address. The body is the type,
+        the code and a zero checksum, then the offender's first 64 octets.
+        The RFC's message also has 4 unused octets, and quotes as much as
+        fits in 1,280 octets; the short quote is this model's choice, and
+        the trace digests pin it."""
         src = offender.headers[0][0].src
-        if src == _UNSPECIFIED:
-            return
+        if not self.addresses or src == _UNSPECIFIED:
+            return None
         try:
             quoted = encode_packet(offender)[:64]
         except PacketError:  # an offender with a broken invariant is not quoted
@@ -228,4 +226,4 @@ class Node:
         body = _TIME_EXCEEDED_HEAD + quoted
         hdr = Ipv6Header(self.addresses[0], src, PROTO_ICMPV6, 64, 0, 0, len(body))
         # born with the ids trace_ids() reads from a bytes transport
-        self.originated.append(Packet([(hdr, [])], body, (None, None)))
+        return Packet([(hdr, [])], body, (None, None))

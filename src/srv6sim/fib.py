@@ -47,13 +47,9 @@ class PrefixTable:
 
     def __init__(self):
         self._buckets: dict[int, dict[int, object]] = {}
-        self._count = 0
         # (shift, bucket) per populated length, longest first; None until
         # the first lookup after a change
         self._order = None
-
-    def __len__(self) -> int:
-        return self._count
 
     @staticmethod
     def _masked(prefix: Address, plen: int) -> int:
@@ -65,8 +61,6 @@ class PrefixTable:
             raise ValueError(f"bad prefix length {plen}")
         bucket = self._buckets.setdefault(plen, {})
         key = self._masked(prefix, plen)
-        if key not in bucket:
-            self._count += 1
         bucket[key] = value
         self._order = None
 
@@ -78,7 +72,6 @@ class PrefixTable:
         if key not in bucket:
             return False
         del bucket[key]
-        self._count -= 1
         if not bucket:
             del self._buckets[plen]
         self._order = None

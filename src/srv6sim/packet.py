@@ -275,20 +275,6 @@ class Packet:
             return n + 8 + len(tp.payload)
         return n + len(tp)
 
-    def copy(self) -> "Packet":
-        headers = []
-        for hdr, srhs in self.headers:
-            h = Ipv6Header(
-                src=hdr.src, dst=hdr.dst, next_header=hdr.next_header,
-                hop_limit=hdr.hop_limit, traffic_class=hdr.traffic_class,
-                flow_label=hdr.flow_label, payload_length=hdr.payload_length,
-            )
-            headers.append((h, [s.copy() for s in srhs]))
-        tp = self.transport
-        if isinstance(tp, Udp):
-            tp = Udp(tp.src_port, tp.dst_port, tp.payload, tp.length)
-        return Packet(headers=headers, transport=tp)
-
 
 def make_udp_packet(
     src: Address,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from .behaviors import Drop, Forward, LocalDeliver
+from .behaviors import DROP_HOP_LIMIT, Drop, Forward, LocalDeliver
 from .dataplane import Node
 from .fib import fnv1a64
 from .packet import Address, Packet, Udp, make_udp_packet
@@ -439,10 +439,7 @@ class Simulation:
         self._until = min(self._until, max(t_ns, self.clock))
 
     def _process_gen(self, stream: UdpStream, seq: int) -> None:
-        self.stats.injected += 1
-        node = self.nodes[stream.src_node]
-        p = stream.build(seq)
-        self._apply(node, p, node.output(p, self.clock))  # _local_output, inline
+        self._local_output(self.nodes[stream.src_node], stream.build(seq))
         seq += 1
         if seq < stream.count:  # one gap later
             self._seq += 1
@@ -455,11 +452,11 @@ class Simulation:
         link.delivered += 1
         flow, seq = p.trace_ids
         self.trace.append((self.clock, node.id, "ingress", flow, seq, size))
-        self._apply(node, p, node.process_ingress(p, self.clock))
-        if node.originated:
-            pending, node.originated = node.originated, []
-            for out in pending:
-                self._local_output(node, out)
+        decision = node.process_ingress(p, self.clock)
+        self._apply(node, p, decision)
+        # as icmpv6_send: the error leaves after the drop, as any originated packet
+        if decision is DROP_HOP_LIMIT and (error := node.time_exceeded(p)) is not None:
+            self._local_output(node, error)
 
     def _apply(self, node: Node, p: Packet, decision) -> None:
         kind = type(decision)
@@ -496,8 +493,10 @@ class Simulation:
         self.trace.append((self.clock, node.id, "drop", flow, seq, size))
 
     def _local_output(self, node: Node, p: Packet) -> None:
-        """Count and send a packet a node originates (no hop-limit
-        decrement), setting its trace ids unless its builder did."""
+        """The one way a packet enters the network: count and send a packet
+        a node originates (a generated one, an ICMP error, or one a daemon
+        or handler sends), with no hop-limit decrement, setting its trace
+        ids unless its builder did."""
         self.stats.injected += 1
         if p.trace_ids is None:
             p.trace_ids = trace_ids(p)

@@ -48,7 +48,7 @@ from srv6sim.scenario import (
 from srv6sim.sim import goodput_estimate, reorder_fraction
 from srv6sim.usecases import multipath_traceroute, wrr_counts
 from util import (
-    end_vs_noop_nodes, owd_collector_drain, owd_scenario_raw, random_packet, random_sr_packet,
+    copy_packet, end_vs_noop_nodes, owd_collector_drain, owd_scenario_raw, random_packet, random_sr_packet,
     SID_END,
 )
 
@@ -118,11 +118,11 @@ def _random_helper_program(rng: random.Random, log: list):
                 srh = ctx.packet.outer_srh
                 offset = rng.randrange(0, srh.wire_length + 4)
                 data = rng.randbytes(rng.randrange(1, 12))
-                before = encode_packet(ctx.packet.copy())
+                before = encode_packet(copy_packet(ctx.packet))
                 try:
                     helper_store_bytes(ctx, offset, data)
                 except HelperError:
-                    log.append(encode_packet(ctx.packet.copy()) == before)
+                    log.append(encode_packet(copy_packet(ctx.packet)) == before)
             elif op == 1:  # random resize
                 delta = rng.choice((-16, -8, 8, 8, 16, 24))
                 try:
@@ -188,7 +188,7 @@ def test_criterion_3_noop_equivalence():
         # every tenth packet may arrive with segments already exhausted
         min_left = 0 if i % 10 == 0 else 1
         p1 = random_sr_packet(rng, SID_END, min_left=min_left)
-        p2 = p1.copy()
+        p2 = copy_packet(p1)
         if native.process_ingress(p1, i) == programmed.process_ingress(p2, i):
             matches += 1
     report("3", matches == 1000, f"{matches}/1000 identical forwarding decisions")
@@ -247,11 +247,11 @@ def test_criterion_4_owd_reproduction():
             },
         )
         node.add_program(f"dm{ratio}", prog)
-        shared = base.copy()
+        shared = copy_packet(base)
         probes = 0
         for i in range(1_000_000):
             if i % ratio == 0:
-                p = base.copy()
+                p = copy_packet(base)
                 run_transit_program(node.transit_ctx, prog, p, i)
                 if len(p.headers) == 2:
                     probes += 1
@@ -301,7 +301,7 @@ def test_criterion_5_wrr_proportionality():
     base = make_udp_packet(S1, S2, b"x" * 32)
     picks = []
     for i in range(8000):
-        p = base.copy()
+        p = copy_packet(base)
         run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     counts = (picks.count(0), picks.count(1))

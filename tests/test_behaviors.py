@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from srv6sim import behaviors
 from srv6sim.behaviors import (
     BehaviorError,
+    DROP_HOP_LIMIT,
     Drop,
     DropReason,
     End,
@@ -40,6 +41,7 @@ from srv6sim.packet import (
     pton,
 )
 from util import (
+    copy_packet,
     random_packet,
     reference_encapsulate,
     reference_insert_srh,
@@ -188,7 +190,7 @@ def test_end_b6_encaps_wraps_packet():
 
 def test_end_dt6_decapsulates_at_last_segment():
     inner = make_udp_packet(S1, S2, b"data")
-    p = inner.copy()
+    p = copy_packet(inner)
     behaviors.encapsulate(p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1"))
     behaviors.end_dt6(p)
     assert len(p.headers) == 1
@@ -372,7 +374,7 @@ def test_pushes_match_the_copy_then_patch_reference(case, srh, seed):
     push, template = build(srh)
     kept = template.copy()
     p = random_packet(random.Random(seed))  # t_insert raises on one with an SRH
-    q = p.copy()
+    q = copy_packet(p)
     error = _error(push, p)
     assert error == _error(lambda r: reference(r, kept), q)
     assert p == q and encode_packet(p) == encode_packet(q)
@@ -397,9 +399,9 @@ def test_hop_limit_exhaustion_emits_time_exceeded():
     node = router()
     p = make_udp_packet(S1, S2, b"x", hop_limit=1)
     decision = node.process_ingress(p, 5)
+    assert decision is DROP_HOP_LIMIT  # the shared Drop the simulation answers
     assert decision == Drop(DropReason.HOP_LIMIT_EXCEEDED)
-    assert len(node.originated) == 1
-    icmp = node.originated[0]
+    icmp = node.time_exceeded(p)
     assert icmp.outer_header.dst == S1
     assert icmp.outer_header.next_header == PROTO_ICMPV6
     assert isinstance(icmp.transport, bytes) and icmp.transport[0] == 3
@@ -412,7 +414,7 @@ def test_time_exceeded_quotes_nothing_of_an_offender_with_a_stale_length():
     p = make_udp_packet(S1, S2, b"x", hop_limit=1)
     p.outer_header.payload_length += 8
     assert node.process_ingress(p, 5) == Drop(DropReason.HOP_LIMIT_EXCEEDED)
-    assert [icmp.transport for icmp in node.originated] == [bytes((3, 0, 0, 0))]
+    assert node.time_exceeded(p).transport == bytes((3, 0, 0, 0))
 
 
 @pytest.mark.parametrize("addresses,src", [([], S1), ([pton("2001:db8::1")], bytes(16))])
@@ -422,7 +424,7 @@ def test_hop_limit_drop_emits_no_time_exceeded_without_a_reply_path(addresses, s
     node = Node("R", addresses)
     p = make_udp_packet(src, S2, b"x", hop_limit=1)
     assert node.process_ingress(p, 5) == Drop(DropReason.HOP_LIMIT_EXCEEDED)
-    assert node.originated == []
+    assert node.time_exceeded(p) is None
 
 
 def test_local_delivery():

@@ -79,6 +79,7 @@ def test_hybrid_out_of_bounds_parameter_exits_2(tmp_path, capsys, section, key, 
         (("traceroute", "diamond.json", "S", "2001:db8:2::1", "--no-oamp", "a,Q"), "$.no_oamp"),
         (("traceroute", "diamond.json", "Q", "2001:db8:2::1"), "$.src"),
         (("bench", "--functions", "nosuch"), "$.functions"),
+        (("bench", "--functions", "plain,plain"), "$.functions"),
     ],
 )
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, path):

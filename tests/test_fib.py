@@ -186,7 +186,10 @@ def test_lpm_interleaved_ops_against_brute_force(base, ops):
         else:
             assert table.remove(prefix, plen) == ((prefix, plen) in model)
             model.pop((prefix, plen), None)
-        assert len(table) == len(model)
+        # the table holds the model's entries and no emptied length
+        held = {(n, key): v for n, bucket in table._buckets.items() for key, v in bucket.items()}
+        assert held == {(n, PrefixTable._masked(pfx, n)): v for (pfx, n), v in model.items()}
+        assert all(table._buckets.values())
 
 
 class _CountingBucket(dict):
@@ -371,7 +374,7 @@ def test_fib_insert_and_add_transit_reject_a_bad_prefix_length(plen):
         node.fib_insert(FibEntry(pton("2001:db8::"), plen, [NH1], table_id=7))
     with pytest.raises(ValueError, match=f"bad prefix length {plen}"):
         node.add_transit(pton("3000::"), plen, TransitInsert(srh))
-    assert list(node.tables) == [0] and len(node.tables[0]) == len(node.transits) == 0
+    assert list(node.tables) == [0] and node.tables[0]._buckets == node.transits._buckets == {}
     assert node.transits.lookup(pton("3000::1")) is None
 
 

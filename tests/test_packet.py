@@ -35,6 +35,7 @@ from srv6sim.packet import (
     _ones_complement_sum,
 )
 from util import (
+    copy_packet,
     format_hex_dump,
     parse_hex_dump,
     random_packet,
@@ -217,7 +218,7 @@ def test_encode_leaves_every_field_unchanged():
 
 def test_copy_is_equal_and_shares_no_mutable_part():
     for kind, p in four_packet_kinds().items():
-        c = p.copy()
+        c = copy_packet(p)
         assert c == p and repr(c.transport) == repr(p.transport), kind
         assert encode_packet(c) == encode_packet(p), kind
         for (h, srhs), (hc, srhs_c) in zip(p.headers, c.headers):

@@ -46,7 +46,7 @@ from srv6sim.programs import (
     map_put,
     run_transit_program,
 )
-from util import SID_END, end_vs_noop_nodes, random_sr_packet
+from util import SID_END, copy_packet, end_vs_noop_nodes, random_sr_packet
 from test_behaviors import router, sr_packet, S1, S2, F, SID, NH_R3
 
 
@@ -254,7 +254,7 @@ def test_action_second_call_rejected():
 
 def test_action_end_dt6_decapsulates_into_context():
     inner = make_udp_packet(S1, S2, b"inner")
-    p = inner.copy()
+    p = copy_packet(inner)
     from srv6sim.behaviors import encapsulate
 
     encapsulate(p, SegmentRoutingHeader(segments=[SID], segments_left=0), pton("2001:db8::1"))
@@ -363,7 +363,7 @@ def test_push_encap_insert_on_sr_packet_rejected():
 
 def test_push_encap_unknown_mode_rejected():
     p = make_udp_packet(S1, S2, b"x")
-    before = p.copy()
+    before = copy_packet(p)
     ctx = make_ctx(p, hook=Hook.TRANSIT)
     with pytest.raises(HelperError) as exc:
         helper_push_encap(ctx, "inline", SegmentRoutingHeader(segments=[F], segments_left=0))
@@ -924,7 +924,7 @@ def test_noop_program_equals_native_end():
     native, programmed = end_vs_noop_nodes()
     for _ in range(100):
         p1 = random_sr_packet(rng, SID_END)
-        p2 = p1.copy()
+        p2 = copy_packet(p1)
         assert native.process_ingress(p1, 9) == programmed.process_ingress(p2, 9)
         assert encode_packet(p1) == encode_packet(p2)
 

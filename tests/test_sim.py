@@ -619,8 +619,9 @@ def test_consecutive_runs_return_one_stats_whose_counts_accumulate():
 
 def test_time_exceeded_is_born_with_the_ids_of_its_bytes_transport():
     node = Node("R", [R])
-    node.process_ingress(make_udp_packet(S1, S2, b"x", hop_limit=1), 0)
-    (icmp,) = node.originated
+    p = make_udp_packet(S1, S2, b"x", hop_limit=1)
+    node.process_ingress(p, 0)
+    icmp = node.time_exceeded(p)
     assert isinstance(icmp.transport, bytes)
     assert icmp.trace_ids == (None, None) == trace_ids(icmp)
 

@@ -11,6 +11,7 @@ from srv6sim.behaviors import Drop, DropReason, EndProgram, Forward, TransitProg
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
+    PROTO_ICMPV6,
     PROTO_ROUTING,
     Ipv6Header,
     Packet,
@@ -37,14 +38,15 @@ from srv6sim.scenario import (
     load_scenario,
     parse_scenario,
 )
-from srv6sim.sim import Simulation, TraceRecord, stream_rng, write_trace
-from util import owd_collector_drain, owd_scenario_raw
+from srv6sim.sim import Daemon, Simulation, TraceRecord, stream_rng, write_trace
+from util import copy_packet, owd_collector_drain, owd_scenario_raw
 from srv6sim.usecases import (
     CompensatorState,
     DelayCollector,
     DelayRecord,
     OampResponder,
     OwdCollector,
+    ProbeLink,
     TwdProber,
     compensator_update,
     controller_tlv,
@@ -92,7 +94,7 @@ def test_dm_transit_samples_every_nth_packet():
     base = make_udp_packet(S1, S2, b"x" * 64)
     probes = 0
     for i in range(1000):
-        p = base.copy()
+        p = copy_packet(base)
         run_transit_program(node.transit_ctx, prog, p, i * 1000)
         if len(p.headers) == 2:
             probes += 1
@@ -103,9 +105,17 @@ def test_dm_transit_ratio_one_samples_everything():
     node, prog = dm_transit_node(ratio=1)
     base = make_udp_packet(S1, S2, b"x" * 64)
     for i in range(20):
-        p = base.copy()
+        p = copy_packet(base)
         run_transit_program(node.transit_ctx, prog, p, i)
         assert len(p.headers) == 2
+
+
+def test_dm_transit_rejects_a_ratio_below_one():
+    with pytest.raises(ValueError, match="probing ratio must be >= 1"):
+        make_program("dm_transit", {
+            "ratio": 0, "controller_addr": CTRL[0],
+            "path_srh": SegmentRoutingHeader(segments=[S2, DM_SID], segments_left=1),
+        })
 
 
 def test_dm_transit_probe_carries_both_tlvs():
@@ -162,7 +172,7 @@ def test_dm_transit_on_the_endpoint_hook_leaves_the_packet_unprobed(monkeypatch)
     node.add_sid(DM_SID, EndProgram("prog"))
     calls = recorded_pushes(monkeypatch)
     p = make_srh_udp_packet(S1, [S2, DM_SID], b"", b"x" * 64, 49152, 33434)
-    advanced = p.copy()
+    advanced = copy_packet(p)
     end(advanced)
     advanced.headers[0][0].hop_limit -= 1
     assert node.process_ingress(p, 5) == Forward("l1", S2)  # OK: the main table
@@ -173,9 +183,9 @@ def test_dm_transit_on_the_endpoint_hook_leaves_the_packet_unprobed(monkeypatch)
 def test_dm_transit_leaves_non_sampled_packets_byte_identical():
     node, prog = dm_transit_node(ratio=100)
     base = make_udp_packet(S1, S2, b"x" * 64)
-    run_transit_program(node.transit_ctx, prog, base.copy(), 0)  # consume the sampled slot
+    run_transit_program(node.transit_ctx, prog, copy_packet(base), 0)  # consume the sampled slot
     for i in range(1, 100):
-        p = base.copy()
+        p = copy_packet(base)
         before = encode_packet(p)
         run_transit_program(node.transit_ctx, prog, p, i)
         assert encode_packet(p) == before
@@ -261,6 +271,28 @@ def test_end_dm_drops_probe_without_controller_tlv():
     assert node.process_ingress(p, 2) == Drop(DropReason.PROGRAM_DROP)
 
 
+def test_end_dm_as_a_transit_program_drops_a_packet_without_an_srh():
+    node = end_dm_node()
+    node.add_transit(pton("2001:db8:2::"), 64, TransitProgram("dm"))
+    assert node.process_ingress(make_udp_packet(S1, S2, b"x"), 2) == Drop(DropReason.PROGRAM_DROP)
+    assert len(node.events) == 0
+
+
+def test_end_dm_drops_a_last_segment_probe_with_no_inner_packet():
+    """End.DT6 finds no inner header to decapsulate to, so the probe drops;
+    its delay event was emitted before, as the program reads both
+    timestamps first."""
+    node = end_dm_node(path_id=4)
+    srh = SegmentRoutingHeader(
+        segments=[S2, DM_SID], segments_left=1, next_header=17,
+        tlv_bytes=encode_tlvs(dm_tlv(1), controller_tlv(*CTRL)),
+    )
+    hdr = Ipv6Header(src=pton("2001:db8::1"), dst=DM_SID, next_header=PROTO_ROUTING)
+    p = Packet(headers=[(hdr, [srh])], transport=Udp(9100, 9100, b"\x00" * 8))
+    assert node.process_ingress(p, 2) == Drop(DropReason.PROGRAM_DROP)
+    assert owd_collector_drain(node.events) == ([DelayRecord(4, 1, 2, 1, CTRL)], 0)
+
+
 # ---------------------------------------------------------------------------
 # Collector.
 
@@ -279,6 +311,32 @@ def test_collector_drain_counts_malformed():
     q.emit(encode_dm_event(1, 5, 9, CTRL))
     records, bad = owd_collector_drain(q)
     assert bad == 1 and len(records) == 1
+
+
+def test_owd_collector_counts_a_malformed_event_and_relays_the_rest():
+    sim = Simulation()
+    node = sim.add_node(Node("M", [pton("2001:db8:b::1")]))
+    sim.add_node(Node("C", [CTRL[0]]))
+    sim.add_link("l", "M", "C", 1_000_000_000, 1_000)
+    node.fib_insert(FibEntry(CTRL[0], 128, [(CTRL[0], "l")]))
+    controller = DelayCollector()
+    sim.bind(CTRL[0], controller)
+    collector = OwdCollector("owd", "M", interval_ns=1_000_000)
+    sim.add_daemon(collector)
+    node.events.emit(b"short")
+    node.events.emit(encode_dm_event(1, 5, 9, CTRL))
+    sim.run_until(10_000_000)
+    assert collector.malformed == 1 and sim.stats.injected == 1
+    assert controller.records == [DelayRecord(1, 5, 9, 4, CTRL)] and controller.malformed == 0
+
+
+def test_delay_collector_ignores_a_non_udp_packet_and_counts_a_malformed_one():
+    controller = DelayCollector()
+    body = bytes(8)
+    controller(Packet([(Ipv6Header(S2, S1, PROTO_ICMPV6, 64, 0, 0, len(body)), [])], body), 0)
+    assert controller.malformed == 0
+    controller(make_udp_packet(S2, S1, b"short"), 0)
+    assert controller.malformed == 1 and controller.records == []
 
 
 def owd_scenario(ratio=1, count=300, rtt_ms=30.0, stddev_ms=0.0, bw_mbps=50, seed=3):
@@ -362,7 +420,7 @@ def test_wrr_cycle_pattern_and_exact_split():
     base = make_udp_packet(S1, S2, b"x" * 32)
     picks = []
     for i in range(8000):
-        p = base.copy()
+        p = copy_packet(base)
         run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert tuple(picks[:8]) == (0, 1, 0, 1, 0, 1, 0, 0)
@@ -376,10 +434,19 @@ def test_wrr_equal_weights_alternate():
     base = make_udp_packet(S1, S2, b"x" * 32)
     picks = []
     for i in range(10):
-        p = base.copy()
+        p = copy_packet(base)
         run_transit_program(node.transit_ctx, prog, p, i)
         picks.append(0 if p.outer_header.dst == pton("fd00:6d::a") else 1)
     assert picks == [0, 1] * 5
+
+
+def test_wrr_bound_to_a_sid_drops_what_it_cannot_push():
+    """helper_push_encap is transit-only: wrr as an End.BPF program drops."""
+    node, _ = wrr_node()
+    sid = pton("fd00:6d::1")
+    node.add_sid(sid, EndProgram("prog"))
+    p = make_srh_udp_packet(S1, [pton("fd00:6d::a"), sid], b"", b"x", 49152, 33434)
+    assert node.process_ingress(p, 0) == Drop(DropReason.PROGRAM_DROP)
 
 
 def test_wrr_state_map_exists_once_the_scenario_is_built():
@@ -505,6 +572,30 @@ def test_compensator_first_sample_initializes():
     assert state.applied_delay_ns == 0  # only one link known yet
 
 
+def test_compensator_counts_a_negative_sample_as_zero():
+    state = CompensatorState(alpha=1.0)
+    compensator_update(state, "la", -3_000_000)
+    assert state.ewma["la"] == 0.0
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_prober_rejects_other_than_two_links(count):
+    links = [ProbeLink(f"l{i}", DM_SID, S1) for i in range(count)]
+    with pytest.raises(ValueError, match="exactly two links"):
+        TwdProber("p", "A", links)
+
+
+def test_prober_ignores_a_reply_without_an_srh_or_a_dm_tlv():
+    sim = build_simulation(load_scenario(fixture_path("setup2-hybrid.json")))
+    prober = next(d for d in sim.daemons.values() if isinstance(d, TwdProber))
+    ret = prober.links[0].return_addr
+    receive = sim.handlers[ret]
+    receive(make_udp_packet(S1, ret, b"x"), 5)
+    ctrl_only = encode_tlvs(controller_tlv(*CTRL))
+    receive(make_srh_udp_packet(S1, [ret], ctrl_only, b"\x00" * 8, 9100, 9100), 5)
+    assert prober.received == 0 and prober.state.ewma == {}
+
+
 def test_prober_sends_and_receives_per_link():
     cfg = load_scenario(fixture_path("setup2-hybrid.json"))
     sim = build_simulation(cfg)
@@ -593,6 +684,20 @@ def test_end_oamp_without_controller_tlv_drops_silently():
     decision = node.process_ingress(oamp_probe(sid, S2, with_ctrl=False), 0)
     assert decision == Drop(DropReason.PROGRAM_DROP)
     assert len(node.events) == 0
+
+
+def test_end_oamp_as_a_transit_program_drops_a_packet_without_an_srh():
+    node, _ = oamp_node()
+    node.add_transit(pton("2001:db8:2::"), 64, TransitProgram("oamp"))
+    assert node.process_ingress(make_udp_packet(S1, S2, b"x"), 0) == Drop(DropReason.PROGRAM_DROP)
+    assert len(node.events) == 0
+
+
+@pytest.mark.parametrize("payload", [
+    b"", bytes(5), struct.pack(">IH", 3, 1), struct.pack(">IH", 3, 0) + S1,
+], ids=["empty", "short-head", "missing-address", "extra-address"])
+def test_decode_oamp_event_rejects_a_payload_of_the_wrong_length(payload):
+    assert decode_oamp_event(payload) is None
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +838,40 @@ def test_traceroute_restores_a_handler_bound_before_it():
     sim.send("A", make_udp_packet(sim.nodes["A"].addresses[0], prober_addr, b"after"))
     sim.run_until(sim.clock + 10_000_000)
     assert len(got) == 1
+
+
+class ForeignTraffic(Daemon):
+    """Sends the prober, each interval, a UDP datagram that is no OAMP
+    event and an ICMPv6 message that is no time-exceeded."""
+
+    def __init__(self, node: str, dst: bytes):
+        super().__init__("foreign", 1_000_000, node=node)
+        self.dst = dst
+        self.sent = 0
+
+    def tick(self, sim, now):
+        src = sim.nodes[self.node].addresses[0]
+        unreachable = bytes((1, 0, 0, 0)) + bytes(60)
+        hdr = Ipv6Header(src, self.dst, PROTO_ICMPV6, 64, 0, 0, len(unreachable))
+        sim.send(self.node, make_udp_packet(src, self.dst, b"not an event"))
+        sim.send(self.node, Packet([(hdr, [])], unreachable))
+        self.sent += 2
+
+
+@pytest.mark.parametrize("removed", ["", "A"], ids=["oamp", "icmp"])
+def test_traceroute_ignores_foreign_packets_at_the_prober(removed):
+    results = []
+    for noisy in (False, True):
+        sim, oamp = diamond_sim()
+        for node in removed:
+            oamp.pop(node)
+        if noisy:
+            foreign = ForeignTraffic("D", sim.nodes["S"].addresses[0])
+            sim.add_daemon(foreign)
+        results.append(multipath_traceroute(sim, "S", S2, oamp))
+    assert foreign.sent > 0
+    assert results[1].render() == results[0].render()
+    assert results[1].unknown_probes == results[0].unknown_probes == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: seeded random packet generation, a
 few tiny topology builders, a decoder of queued delay events, the hex
-dump format of the golden vectors, and references of optimised code:
-copy-then-patch SRH pushes, the walk_tlvs-based first_tlvs, the per-row
-trace writer and the two-pass sink scan."""
+dump format of the golden vectors, a deep packet copy, and references of
+optimised code: copy-then-patch SRH pushes, the walk_tlvs-based
+first_tlvs, the per-row trace writer and the two-pass sink scan."""
 
 from __future__ import annotations
 
@@ -101,6 +101,23 @@ def with_lengths(p: Packet) -> Packet:
         hdr.payload_length = follows
         follows += 40
     return p
+
+
+def copy_packet(p: Packet) -> Packet:
+    """A deep copy sharing no mutable part with p: new headers, new SRHs,
+    a new Udp; its trace ids are unset, as on a freshly built packet."""
+    headers = []
+    for hdr, srhs in p.headers:
+        h = Ipv6Header(
+            src=hdr.src, dst=hdr.dst, next_header=hdr.next_header,
+            hop_limit=hdr.hop_limit, traffic_class=hdr.traffic_class,
+            flow_label=hdr.flow_label, payload_length=hdr.payload_length,
+        )
+        headers.append((h, [s.copy() for s in srhs]))
+    tp = p.transport
+    if isinstance(tp, Udp):
+        tp = Udp(tp.src_port, tp.dst_port, tp.payload, tp.length)
+    return Packet(headers=headers, transport=tp)
 
 
 def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packet:
