@@ -152,7 +152,7 @@ def cmd_run(args) -> int:
 
 def cmd_owd(args) -> int:
     cfg = _load(args.scenario, args)
-    dm_programs = [e for e in list(cfg.transits) + list(cfg.sids) if e.program == "dm_transit"]
+    dm_programs = [t for t in cfg.transits if t.program == "dm_transit"]
     dm_endpoints = [e for e in cfg.sids if e.program == "end_dm"]
     if not dm_programs or not dm_endpoints:
         raise ConfigError("$", "scenario has no delay-measurement path (dm_transit + end_dm)")
@@ -492,7 +492,3 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

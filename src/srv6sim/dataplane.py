@@ -30,6 +30,7 @@ from .programs import EventQueue, Hook, Program, ProgramContext, flow_key
 
 ICMP_TIME_EXCEEDED = 3
 _TIME_EXCEEDED_HEAD = bytes((ICMP_TIME_EXCEEDED, 0, 0, 0))  # type, code, checksum
+TIME_EXCEEDED_QUOTE_AT = len(_TIME_EXCEEDED_HEAD)  # the offset of the quoted packet
 _UNSPECIFIED = bytes(16)
 
 _MISS = object()

@@ -258,15 +258,6 @@ class LinkCfg:
 
 
 @dataclass
-class FibCfg:
-    node: str
-    table: int
-    prefix: Address
-    plen: int
-    nexthops: list[tuple[Address, str]]
-
-
-@dataclass
 class SidCfg:
     node: str
     sid: Address
@@ -301,7 +292,7 @@ class ScenarioConfig:
     duration_ns: int
     nodes: list[NodeCfg]
     links: list[LinkCfg]
-    fib: list[FibCfg]
+    fib: list[tuple[str, FibEntry]]  # (node id, entry)
     sids: list[SidCfg]
     transits: list[TransitCfg]
     daemons: list[DaemonCfg]
@@ -334,7 +325,8 @@ def _behavior(b: dict, table: dict[str, type[Behavior]], instance: str, path: st
     """The descriptor for a read ``behavior`` object: its ``type`` names
     the class, each field is the key of the same name. A program
     descriptor holds the node-local program instance in place of the
-    ``program`` key's registry name."""
+    ``program`` key's registry name. Any other key but a program's
+    ``params`` is refused."""
     cls = table.get(b["type"])
     if cls is None:
         raise ConfigError(f"{path}.type", f"unknown behavior type {b['type']!r}")
@@ -342,7 +334,11 @@ def _behavior(b: dict, table: dict[str, type[Behavior]], instance: str, path: st
     for key in keys:
         if key not in b:
             raise ConfigError(f"{path}.{key}", "missing required key")
-    if issubclass(cls, ProgramBehavior):
+    is_program = issubclass(cls, ProgramBehavior)
+    for key in b:
+        if key != "type" and key not in keys and not (is_program and key == "params"):
+            raise ConfigError(f"{path}.{key}", f"unknown key for behavior type {b['type']!r}")
+    if is_program:
         return cls(instance)
     try:
         return cls(*(b[key] for key in keys))
@@ -394,7 +390,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             for j, nh in enumerate(obj["nexthops"])
         ]
         prefix, plen = obj["prefix"]
-        fib.append(FibCfg(node_id, obj.get("table", 0), prefix, plen, nexthops))
+        fib.append((node_id, FibEntry(prefix, plen, nexthops, obj.get("table", 0))))
 
     sids = []
     for i, obj in enumerate(doc.get("sids", ())):
@@ -475,7 +471,7 @@ def apply_overrides(
         cfg.duration_ns = int(duration_ms * 1_000_000)
     if ratio is not None:
         ratio = read_value("#/$defs/dm_transit_params/properties/ratio", ratio, "$.ratio")
-        for entry in list(cfg.sids) + list(cfg.transits):
+        for entry in cfg.transits:
             if entry.program == "dm_transit":
                 entry.params["ratio"] = ratio
     if compensation is not None:
@@ -506,10 +502,8 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
             l.id, l.endpoints[0], l.endpoints[1],
             l.bandwidth_bps, l.delay_mean_ns, l.delay_stddev_ns,
         )
-    for f in cfg.fib:
-        sim.nodes[f.node].fib_insert(
-            FibEntry(f.prefix, f.plen, f.nexthops, f.table)
-        )
+    for node_id, entry in cfg.fib:
+        sim.nodes[node_id].fib_insert(entry)
     for key, entries in (("sids", cfg.sids), ("transits", cfg.transits)):
         for i, entry in enumerate(entries):
             b = entry.behavior

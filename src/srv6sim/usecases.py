@@ -38,7 +38,7 @@ from .programs import (
     register_program,
 )
 from .behaviors import BehaviorError, EndDT6, check_srh
-from .dataplane import ICMP_TIME_EXCEEDED
+from .dataplane import ICMP_TIME_EXCEEDED, TIME_EXCEEDED_QUOTE_AT
 from .sim import Daemon, Simulation
 
 # Local experiment TLV codes; the SRH registry assigns none for these.
@@ -526,6 +526,8 @@ class TracerouteResult:
 # The prober reads its replies on a grid of this step, counted from each send.
 PROBE_STEP_NS = 1_000_000
 MAX_DEPTH = 16  # hops explored from the source
+# a probe's id opens its payload, past the quoted IPv6 and UDP headers
+_PROBE_ID_AT = TIME_EXCEEDED_QUOTE_AT + 48
 
 
 def multipath_traceroute(
@@ -546,6 +548,7 @@ def multipath_traceroute(
     """
     src_node = sim.nodes[src]
     prober_addr = src_node.addresses[0]
+    target_node = sim.addr_to_node.get(target)
     # ("oamp", hop id) -> nexthop addresses; ("icmp", probe id) -> the node
     # that sent the time-exceeded. The first reply for a key is kept.
     replies: dict[tuple[str, int], list[Address] | str] = {}
@@ -559,10 +562,8 @@ def multipath_traceroute(
             if decoded is None:
                 return
             key, value = ("oamp", decoded[0]), decoded[1]
-        elif isinstance(tp, bytes) and len(tp) >= 56 and tp[0] == ICMP_TIME_EXCEEDED:
-            # the probe id sits 48 bytes into the quoted probe, after the
-            # 4-byte ICMP header
-            key = ("icmp", struct.unpack_from(">I", tp, 52)[0])
+        elif isinstance(tp, bytes) and len(tp) >= _PROBE_ID_AT + 4 and tp[0] == ICMP_TIME_EXCEEDED:
+            key = ("icmp", struct.unpack_from(">I", tp, _PROBE_ID_AT)[0])
             value = sim.addr_to_node.get(p.outer_header.src, "?")
         else:
             return
@@ -571,23 +572,23 @@ def multipath_traceroute(
             steps = max(1, -(-(now - sent_at) // PROBE_STEP_NS))
             sim.stop_at(sent_at + steps * PROBE_STEP_NS)
 
-    asked = {}  # the nodes asked by OAMP probe: a responder reads their events
+    # the nodes asked by OAMP probe, each with a responder pointed at the prober;
+    # a node whose events another daemon (a collector) reads is probed by ICMP
+    asked = {}
     for node_id, sid in oamp_sids.items():
-        reader = sim.nodes[node_id].events.reader
-        if reader is None:
-            sim.add_daemon(OampResponder(f"oamp_responder:{node_id}", node_id))
-        elif not isinstance(reader, OampResponder):
-            continue  # another daemon (a collector) reads its events: probe by ICMP
+        responder = sim.nodes[node_id].events.reader
+        if responder is None:
+            responder = OampResponder(f"oamp_responder:{node_id}", node_id)
+            sim.add_daemon(responder)
+        elif not isinstance(responder, OampResponder):
+            continue
+        responder.reply_addr = prober_addr
         asked[node_id] = sid
-    oamp_sids = asked
-    for daemon in sim.daemons.values():
-        if isinstance(daemon, OampResponder):
-            daemon.reply_addr = prober_addr
 
     probe_ids = itertools.count(1)
     unknown = 0
 
-    def ask(probe: Packet, key: tuple[str, int]):
+    def ask(key: tuple[str, int], probe: Packet):
         """Send probe from src and wait for the reply under key; None on timeout."""
         nonlocal awaited, sent_at, unknown
         awaited, sent_at = key, sim.clock
@@ -599,54 +600,36 @@ def multipath_traceroute(
             unknown += 1
         return reply
 
-    def oamp_query(hop: str) -> list[Address] | None:
-        probe = make_srh_udp_packet(
-            prober_addr, [target, oamp_sids[hop]],
-            encode_tlvs(controller_tlv(prober_addr, OAMP_REPLY_PORT)),
-            struct.pack(">I", next(probe_ids)) + b"\x00" * 4, OAMP_REPLY_PORT, 33434,
-        )
-        return ask(probe, ("oamp", sim.nodes[hop].index))
-
-    def icmp_probe(ttl: int, flow_label: int) -> str | None:
-        pid = next(probe_ids)
-        # flow identity (label) stays fixed across the TTL sweep so every
-        # probe of one key follows the same ECMP path; ports never vary
-        probe = make_udp_packet(
-            prober_addr, target, struct.pack(">I", pid) + b"\x00" * 12,
-            src_port=49152, dst_port=33434,
-            hop_limit=ttl, flow_label=flow_label,
-        )
-        return ask(probe, ("icmp", pid))
-
-    target_node = sim.addr_to_node.get(target)
-    icmp_paths: list[list[str | None]] | None = None
-
-    def ensure_icmp_paths() -> list[list[str | None]]:
-        nonlocal icmp_paths
-        if icmp_paths is not None:
-            return icmp_paths
-        icmp_paths = []
-        for k in range(flow_keys):
+    def icmp_sweep() -> list[list[str | None]]:
+        """One path per flow key: src, then the node that answered each
+        hop limit, up to the target or the first timeout (None)."""
+        paths = []
+        for label in range(flow_keys):
             path: list[str | None] = [src]
             for ttl in range(1, MAX_DEPTH + 1):
-                hop = icmp_probe(ttl, flow_label=k)
-                path.append(hop)
-                if hop is None or hop == target_node:
+                pid = next(probe_ids)
+                # flow identity (label) stays fixed across the TTL sweep so every
+                # probe of one key follows the same ECMP path; ports never vary
+                probe = make_udp_packet(
+                    prober_addr, target, struct.pack(">I", pid) + bytes(12),
+                    src_port=49152, dst_port=33434, hop_limit=ttl, flow_label=label,
+                )
+                path.append(ask(("icmp", pid), probe))
+                if path[-1] is None or path[-1] == target_node:
                     break
-            icmp_paths.append(path)
-        return icmp_paths
+            paths.append(path)
+        return paths
 
     hops: dict[str, HopResult] = {}
     frontier: list[tuple[str, int]] = [(src, 0)]
     visited = {src}
-    reached = False
+    swept = None  # the ICMP sweep's paths, once an ICMP hop needs them
     previous = sim.handlers.get(prober_addr)  # restored after: on_reply holds sim
     sim.bind(prober_addr, on_reply)
     try:
         while frontier:
             hop, depth = frontier.pop(0)
-            if (target_node is not None and hop == target_node) or depth >= MAX_DEPTH:
-                reached = reached or hop == target_node
+            if hop == target_node or depth >= MAX_DEPTH:
                 continue
             if depth == 0:
                 # local FIB query at the probing host
@@ -655,23 +638,23 @@ def multipath_traceroute(
                 except BehaviorError:  # no route
                     nexthops = []
                 method = "local"
-            elif hop in oamp_sids:
-                addrs = oamp_query(hop)
-                nexthops = addrs or []
+            elif hop in asked:
+                probe = make_srh_udp_packet(
+                    prober_addr, [target, asked[hop]],
+                    encode_tlvs(controller_tlv(prober_addr, OAMP_REPLY_PORT)),
+                    struct.pack(">I", next(probe_ids)) + bytes(4), OAMP_REPLY_PORT, 33434,
+                )
+                nexthops = ask(("oamp", sim.nodes[hop].index), probe) or []
                 method = "oamp"
             else:
-                successors = set()
-                for path in ensure_icmp_paths():
-                    if depth < len(path) and path[depth] == hop:
-                        if depth + 1 < len(path) and path[depth + 1] is not None:
-                            successors.add(path[depth + 1])
-                nexthops = [sim.nodes[n].addresses[0] for n in sorted(successors)]
+                if swept is None:
+                    swept = icmp_sweep()
+                nexts = {p[depth + 1] for p in swept if depth + 1 < len(p) and p[depth] == hop}
+                nexthops = [sim.nodes[n].addresses[0] for n in sorted(nexts - {None})]
                 method = "icmp"
             nh_nodes = [sim.addr_to_node.get(a, ntop(a)) for a in nexthops]
             hops[hop] = HopResult(hop, depth, method, nexthops, nh_nodes)
             for nh in nh_nodes:
-                if nh == target_node:
-                    reached = True
                 if nh in sim.nodes and nh not in visited:
                     visited.add(nh)
                     frontier.append((nh, depth + 1))
@@ -680,4 +663,5 @@ def multipath_traceroute(
             del sim.handlers[prober_addr]
         else:
             sim.bind(prober_addr, previous)
+    reached = src == target_node or any(target_node in h.nexthop_nodes for h in hops.values())
     return TracerouteResult(src, target, hops, reached, unknown)

@@ -104,9 +104,29 @@ def _with_nodes(nodes) -> str:
     return json.dumps(raw)
 
 
+def _with_behavior(section: str, behavior: dict, fixture="setup1.json", node="R", at=None) -> str:
+    """fixture with one more SID or transit route at node, of behavior,
+    inserted at index at (default: appended)."""
+    raw = json.loads(fixture_path(fixture).read_text())
+    key = {"sid": "fd00:72::f"} if section == "sids" else {"prefix": "2001:db8:9::/64"}
+    entries = raw[section]
+    entries.insert(len(entries) if at is None else at, {"node": node, **key, "behavior": behavior})
+    return json.dumps(raw)
+
+
+SRH = {"segments": ["fd00:73::d"]}
+WRR_PARAMS = {"srh_a": SRH, "srh_b": SRH}
+DM_PARAMS = {"path_srh": SRH, "controller_addr": "2001:db8:1::1"}
+# the command each case runs, if not run
+CASE_COMMAND = {"stray_wrr_on_encaps": "hybrid"}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["truncated", "duplicate_link", "duplicate_daemon", "nodes_not_array", "node_not_object"],
+    ["truncated", "duplicate_link", "duplicate_daemon", "nodes_not_array", "node_not_object",
+     "wrr_as_sid", "dm_transit_as_sid", "end_dm_as_transit", "end_oamp_as_transit",
+     "stray_wrr_on_encaps", "table_on_end", "src_on_end_b6", "params_on_end_t",
+     "program_on_encaps"],
 )
 def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
     text, error = {
@@ -117,10 +137,62 @@ def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
         ),
         "nodes_not_array": (_with_nodes(5), "$.nodes: expected array, got 5"),
         "node_not_object": (_with_nodes([5]), "$.nodes[0]: expected object, got 5"),
+        # a hook-specific program bound at the other hook
+        "wrr_as_sid": (
+            _with_behavior(
+                "sids", {"type": "end_program", "program": "wrr", "params": WRR_PARAMS}
+            ),
+            "$.sids[3].behavior.type: 'end_program' is not one of ['program']",
+        ),
+        "dm_transit_as_sid": (
+            _with_behavior(
+                "sids", {"type": "end_program", "program": "dm_transit", "params": DM_PARAMS}
+            ),
+            "$.sids[3].behavior.type: 'end_program' is not one of ['program']",
+        ),
+        "end_dm_as_transit": (
+            _with_behavior("transits", {"type": "program", "program": "end_dm"}),
+            "$.transits[1].behavior.type: 'program' is not one of ['end_program']",
+        ),
+        "end_oamp_as_transit": (
+            _with_behavior("transits", {"type": "program", "program": "end_oamp"}),
+            "$.transits[1].behavior.type: 'program' is not one of ['end_program']",
+        ),
+        # hybrid took this route, at a node without wrr, for its WRR route
+        # and failed reading wrr's map
+        "stray_wrr_on_encaps": (
+            _with_behavior(
+                "transits",
+                {"type": "encaps", "srh": SRH, "src": "2001:db8:a::1",
+                 "program": "wrr", "params": WRR_PARAMS},
+                "setup2-hybrid.json", node="M", at=0,
+            ),
+            "$.transits[0].behavior.type: 'encaps' is not one of ['program']",
+        ),
+        # a key that is not a field of the behavior type
+        "table_on_end": (
+            _with_behavior("sids", {"type": "end", "table": 3}),
+            "$.sids[3].behavior.table: unknown key for behavior type 'end'",
+        ),
+        "src_on_end_b6": (
+            _with_behavior("sids", {"type": "end_b6", "srh": SRH, "src": "2001:db8::1"}),
+            "$.sids[3].behavior.src: unknown key for behavior type 'end_b6'",
+        ),
+        "params_on_end_t": (
+            _with_behavior("sids", {"type": "end_t", "table": 0, "params": {}}),
+            "$.sids[3].behavior.params: unknown key for behavior type 'end_t'",
+        ),
+        "program_on_encaps": (
+            _with_behavior(
+                "transits",
+                {"type": "encaps", "srh": SRH, "src": "2001:db8::1", "program": "noop"},
+            ),
+            "$.transits[1].behavior.program: unknown key for behavior type 'encaps'",
+        ),
     }[case]
     bad = tmp_path / "bad.json"
     bad.write_text(text)
-    assert run_cli("run", str(bad), "--out", str(tmp_path)) == 2
+    assert run_cli(CASE_COMMAND.get(case, "run"), str(bad), "--out", str(tmp_path)) == 2
     assert f"config error: {error}" in capsys.readouterr().err
 
 

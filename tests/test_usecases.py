@@ -828,6 +828,15 @@ def test_traceroute_adds_a_responder_only_where_a_node_has_none(tmp_path):
     assert trace_bytes(bare, tmp_path) == trace_bytes(sim, tmp_path)
 
 
+def test_traceroute_points_only_the_responders_it_asks():
+    sim, oamp = diamond_sim()
+    oamp.pop("A")
+    assert multipath_traceroute(sim, "S", S2, oamp).reached
+    assert sim.daemons["oamp-a"].reply_addr is None
+    prober_addr = sim.nodes["S"].addresses[0]
+    assert [sim.daemons[f"oamp-{n}"].reply_addr for n in "bcd"] == [prober_addr] * 3
+
+
 def test_traceroute_restores_a_handler_bound_before_it():
     sim, oamp = diamond_sim()
     prober_addr = sim.nodes["S"].addresses[0]
