@@ -40,6 +40,7 @@ class DropReason(Enum):
     PROGRAM_DROP = "program_drop"
     PROGRAM_ERROR = "program_error"
     INVARIANT = "invariant_violation"
+    BAD_EGRESS_LINK = "bad_egress_link"  # the simulator's: a Forward to no port
 
 
 @dataclass(frozen=True)
@@ -85,12 +86,12 @@ class BehaviorError(Exception):
 # ``behavior.type`` name, its fields (named after the scenario keys the
 # loader reads, whose types the schema's behavior properties declare) and
 # its action, which returns its decision as seg6local's actions end in
-# their own lookup (None: the node's main-table lookup). The node runs
-# end() first when ``advance`` is set, then the action or program;
-# helper_action applies the action alone, without re-advancing, and keeps
-# its decision for a REDIRECT outcome. Adding a behaviour is one class
-# here, one entry in SID_BEHAVIORS or TRANSIT_BEHAVIORS and one entry in
-# the scenario schema's type enum (plus a property for any new field).
+# their own lookup. The node runs end() first when ``advance`` is set,
+# then the action or program; helper_action applies the action alone,
+# without re-advancing, and keeps its decision for a REDIRECT outcome.
+# Adding a behaviour is one class here, one entry in SID_BEHAVIORS or
+# TRANSIT_BEHAVIORS and one entry in the scenario schema's type enum
+# (plus a property for any new field).
 
 class Behavior:
     """Base of every descriptor; the defaults describe a transit body."""
@@ -99,8 +100,10 @@ class Behavior:
     advance = False  # the node runs end() before the action or program
     helper = False  # helper_action may apply the action
 
-    def action(self, p: Packet, node: Node) -> ForwardingDecision | None:
-        """The body run after any advance; mutates p in place."""
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
+        """The body run after any advance: it mutates p in place and ends
+        in its own lookup. This one is End's, the main-table lookup."""
+        return node.finish_forwarding(p)
 
 
 class SrhTemplate(Behavior):
@@ -135,7 +138,7 @@ class EndX(Behavior):
         # the decision is frozen, so every packet shares the one built here
         object.__setattr__(self, "_forward", Forward(self.link, self.nexthop))
 
-    def action(self, p: Packet, node: Node) -> Forward:
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
         return self._forward
 
 
@@ -157,20 +160,9 @@ class EndB6(SrhTemplate):
     type_name = "end_b6"
     advance = helper = True
 
-    def action(self, p: Packet, node: Node) -> None:
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
         insert_srh(p, self.srh)
-
-
-@dataclass(frozen=True)
-class EndB6Encaps(SrhTemplate):
-    srh: SegmentRoutingHeader
-    src: Address
-
-    type_name = "end_b6_encaps"
-    advance = helper = True
-
-    def action(self, p: Packet, node: Node) -> None:
-        encapsulate(p, self.srh, self.src)
+        return node.finish_forwarding(p)
 
 
 @dataclass(frozen=True)
@@ -192,8 +184,9 @@ class TransitInsert(SrhTemplate):
     type_name = "insert"
     room = 1  # t_insert appends the original destination
 
-    def action(self, p: Packet, node: Node) -> None:
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
         t_insert(p, self.srh)
+        return node.finish_forwarding(p)
 
 
 @dataclass(frozen=True)
@@ -203,8 +196,16 @@ class TransitEncaps(SrhTemplate):
 
     type_name = "encaps"
 
-    def action(self, p: Packet, node: Node) -> None:
+    def action(self, p: Packet, node: Node) -> ForwardingDecision:
         encapsulate(p, self.srh, self.src)
+        return node.finish_forwarding(p)
+
+
+class EndB6Encaps(TransitEncaps):
+    """End, then T.Encaps' push, as in Linux."""
+
+    type_name = "end_b6_encaps"
+    advance = helper = True
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,11 @@ class Node:
         # one ProgramContext per hook, made here and reset for each run
         self.endpoint_ctx = ProgramContext(None, Hook.ENDPOINT, 0, self)
         self.transit_ctx = ProgramContext(None, Hook.TRANSIT, 0, self)
-        # The route cache, as the seg6 dst_cache: per destination, its SID
-        # or transit behaviour (None: plain forwarding), and per table in
-        # self.tables, per destination, its Route: the tuple of one shared
-        # Forward per nexthop of its route, () when none matches. Every
-        # table mutator below clears it.
+        # The route cache, as the seg6 dst_cache: per destination, the
+        # behaviour _behavior picks (None: finish_forwarding), and per
+        # table in self.tables, per destination, its Route: the tuple of
+        # one shared Forward per nexthop of its route, () when none
+        # matches. Every table mutator below clears it.
         self._behaviors: dict[Address, Behavior | None] = {}
         self._routes: dict[int, dict[Address, Route]] = {0: {}}
         # The flow-hash memo: each ECMP flow key's FNV-1a hash. It holds
@@ -133,6 +133,15 @@ class Node:
             raise BehaviorError(DropReason.NO_ROUTE)
         return [(f.nexthop, f.link) for f in forwards]
 
+    def _behavior(self, dst: Address) -> Behavior | None:
+        """Fill dst's behaviour into the route cache, as Linux's local table
+        precedes the main table's seg6 routes: an address on the node takes
+        its SID, if it is one, else None (finish_forwarding delivers it);
+        any other takes its transit behaviour, if one matches."""
+        b = self.sids.get(dst) if dst in self.local_addrs else self.transits.lookup(dst)
+        remember(self._behaviors, dst, b)
+        return b
+
     # -- pipeline -----------------------------------------------------------
 
     def finish_forwarding(self, p: Packet, table: int = 0) -> ForwardingDecision:
@@ -155,9 +164,10 @@ class Node:
         return DROP_NO_ROUTE
 
     def process_ingress(self, p: Packet, now: int) -> ForwardingDecision:
-        """Dispatch one received packet: hop-limit handling, local SID
-        match, transit match, then plain forwarding. Its decision is its
-        only output: the caller answers DROP_HOP_LIMIT with time_exceeded."""
+        """Dispatch one received packet: hop-limit handling, then a local
+        SID, local delivery, a transit match or plain forwarding, as
+        _behavior picks. Its decision is its only output: the caller
+        answers DROP_HOP_LIMIT with time_exceeded."""
         hdr = p.headers[0][0]
         hdr.hop_limit -= 1
         if hdr.hop_limit <= 0:
@@ -166,8 +176,7 @@ class Node:
         dst = hdr.dst
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
-            b = self.sids.get(dst) or self.transits.lookup(dst)
-            remember(self._behaviors, dst, b)
+            b = self._behavior(dst)
         if b is None:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)
@@ -182,16 +191,14 @@ class Node:
             return LOCAL_DELIVER
         b = self._behaviors.get(dst, _MISS)
         if b is _MISS:
-            b = self.transits.lookup(dst)  # not local, so not a SID
-            remember(self._behaviors, dst, b)
+            b = self._behavior(dst)
         if b is None:
             return self.finish_forwarding(p)
         return self._dispatch(b, p, now)
 
     def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
         """Run a SID or transit behaviour: an endpoint one advances the SRH
-        first, then its action or program runs; a None decision takes the
-        common tail."""
+        first, then its action or program runs and returns the decision."""
         try:
             if b.advance:
                 behaviors.end(p)
@@ -202,12 +209,11 @@ class Node:
                 if b.advance:
                     return programs.run_endpoint_program(self.endpoint_ctx, program, p, now)
                 return programs.run_transit_program(self.transit_ctx, program, p, now)
-            decision = b.action(p, self)
+            return b.action(p, self)
         except BehaviorError as exc:
             return exc.drop()
         except InvariantViolation as exc:
             return Drop(DropReason.INVARIANT, str(exc))
-        return self.finish_forwarding(p) if decision is None else decision
 
     def time_exceeded(self, offender: Packet) -> Packet | None:
         """The ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) this node sends

@@ -215,11 +215,10 @@ def helper_ecmp_nexthops(ctx: ProgramContext, addr: Address) -> list[tuple[Addre
 def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     """Apply the action of a descriptor marked ``helper``, with no
     re-advance: the endpoint hook already advanced the SRH. The decision
-    it returns (End.T's and End.DT6's lookup is made now, as the kernel
-    helper's is) is kept for a REDIRECT outcome; a Drop raises. An End.B6
-    or End.B6.Encaps action returns none, so the pushed segment is looked
-    up in the main table now, as bpf_push_seg6_encap ends in
-    seg6_lookup_nexthop. The SRH it pushes was validated when its
+    it returns is kept for a REDIRECT outcome; a Drop raises. Its lookup
+    is made now, as the kernel helper's is: End.B6 and End.B6.Encaps look
+    the pushed segment up in the main table, as bpf_push_seg6_encap ends
+    in seg6_lookup_nexthop. The SRH it pushes was validated when its
     descriptor was built and is not marked for finalize; an SRH a helper
     wrote before the action stays marked. One action per program run."""
     if ctx.hook is not _ENDPOINT:
@@ -232,8 +231,6 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
         decision = action.action(ctx.packet, ctx.dataplane)
     except BehaviorError as exc:
         raise HelperError(exc.reason.value, exc.detail) from None
-    if decision is None:
-        decision = ctx.dataplane.finish_forwarding(ctx.packet)
     if type(decision) is Drop:
         raise HelperError(decision.reason.value, decision.detail)
     ctx.redirect = decision

@@ -281,8 +281,7 @@ class DaemonCfg:
     id: str
     type: str
     node: str
-    interval_ns: int
-    params: dict
+    params: dict  # the class's keyword arguments, interval_ns only if set
 
 
 @dataclass
@@ -423,8 +422,9 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             for j, pl in enumerate(params["links"]):
                 check_link(pl["link"], node_id, "$.daemons[{}].params.links[{}].link", i, j)
             params["links"] = [ProbeLink(**pl) for pl in params["links"]]
-        interval_ns = int(obj.get("interval_ms", 100.0) * 1_000_000)
-        daemons.append(DaemonCfg(obj["id"], obj["type"], node_id, interval_ns, params))
+        if "interval_ms" in obj:  # else the class's own default
+            params["interval_ns"] = int(obj["interval_ms"] * 1_000_000)
+        daemons.append(DaemonCfg(obj["id"], obj["type"], node_id, params))
 
     # the generator keys are UdpStream's fields, but for the ones popped here
     generators = []
@@ -520,7 +520,7 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
     for t in cfg.transits:
         sim.nodes[t.node].add_transit(t.prefix, t.plen, t.behavior)
     for i, d in enumerate(cfg.daemons):
-        daemon = DAEMON_TYPES[d.type](d.id, d.node, interval_ns=d.interval_ns, **d.params)
+        daemon = DAEMON_TYPES[d.type](d.id, d.node, **d.params)
         try:
             sim.add_daemon(daemon)
         except SimError as exc:  # the parser checked ids, nodes and intervals: a second reader

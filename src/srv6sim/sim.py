@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
-from .behaviors import DROP_HOP_LIMIT, Drop, Forward, LocalDeliver
+from .behaviors import DROP_HOP_LIMIT, Drop, DropReason, Forward, LocalDeliver
 from .dataplane import Node
 from .fib import fnv1a64
 from .packet import Address, Packet, Udp, make_udp_packet
@@ -463,7 +463,7 @@ class Simulation:
         if kind is Forward:
             port = node.ports.get(decision.link)
             if port is None:
-                self._drop(node, "bad_egress_link", p)
+                self._drop(node, DropReason.BAD_EGRESS_LINK, p)
                 return
             link, peer = port
             node_id = node.id
@@ -478,16 +478,16 @@ class Simulation:
             self._seq += 1
             heappush(self._heap, (delivery, self._seq, ("deliver", link, peer, p, size)))
         elif kind is Drop:
-            self._drop(node, decision.reason.value, p)
+            self._drop(node, decision.reason, p)
         elif kind is LocalDeliver:
             node.delivered += 1
             handler = self.handlers.get(p.headers[0][0].dst)
             if handler is not None:
                 handler(p, self.clock)
 
-    def _drop(self, node: Node, reason: str, p: Packet) -> None:
+    def _drop(self, node: Node, reason: DropReason, p: Packet) -> None:
         node.dropped += 1
-        self.stats.drop_reasons[reason] += 1
+        self.stats.drop_reasons[reason.value] += 1
         flow, seq = p.trace_ids
         size = p.headers[0][0].payload_length + 40
         self.trace.append((self.clock, node.id, "drop", flow, seq, size))

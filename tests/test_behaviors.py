@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from srv6sim import behaviors
 from srv6sim.behaviors import (
+    SID_BEHAVIORS,
+    TRANSIT_BEHAVIORS,
     BehaviorError,
     DROP_HOP_LIMIT,
     Drop,
@@ -431,6 +433,52 @@ def test_local_delivery():
     node = router()
     p = make_udp_packet(S1, pton("2001:db8::1"), b"x")
     assert node.process_ingress(p, 0) == LocalDeliver()
+
+
+@pytest.mark.parametrize("case", ["encaps", "insert"])
+@pytest.mark.parametrize("route", ["process_ingress", "output"])
+def test_local_delivery_under_a_transit_covering_the_address(case, route):
+    """As Linux's local table precedes the seg6 routes of its main table,
+    a transit covering the node's own address leaves a packet for that
+    address alone, on input as on output."""
+    node = router()
+    node.add_transit(pton("2001:db8::"), 32, TEMPLATE_CASES[case][0](template()))
+    p = make_udp_packet(S1, pton("2001:db8::1"), b"x")
+    assert getattr(node, route)(p, 0) == LocalDeliver()
+    assert p == make_udp_packet(S1, pton("2001:db8::1"), b"x", hop_limit=p.outer_header.hop_limit)
+
+
+# each native descriptor, and a packet its action takes without raising
+def _inner_at_last_segment():
+    p = make_udp_packet(S1, S2, b"x")
+    behaviors.encapsulate(p, SegmentRoutingHeader(segments=[SID], segments_left=0), S1)
+    return p
+
+
+NATIVE_CASES = {
+    "end": (End(), lambda: sr_packet([S2, SID], 0)),
+    "end_x": (EndX(*NH_R3), lambda: sr_packet([S2, SID], 0)),
+    "end_t": (EndT(0), lambda: sr_packet([S2, SID], 0)),
+    "end_b6": (EndB6(template()), lambda: sr_packet([S2, SID], 0)),
+    "end_b6_encaps": (EndB6Encaps(template(), OUTER_SRC), lambda: sr_packet([S2, SID], 0)),
+    "end_dt6": (EndDT6(0), _inner_at_last_segment),
+    "insert": (TransitInsert(template()), lambda: make_udp_packet(S1, S2, b"x")),
+    "encaps": (TransitEncaps(template(), OUTER_SRC), lambda: make_udp_packet(S1, S2, b"x")),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(name for name, cls in {**SID_BEHAVIORS, **TRANSIT_BEHAVIORS}.items()
+           if not issubclass(cls, behaviors.ProgramBehavior)),
+)
+def test_every_native_action_returns_its_decision(name):
+    """Each action ends in its own lookup, as seg6local's do: it returns a
+    decision, never None for the node to complete."""
+    descriptor, packet = NATIVE_CASES[name]
+    assert type(descriptor).type_name == name
+    decision = descriptor.action(packet(), router())
+    assert type(decision) in (Forward, Drop, LocalDeliver)
 
 
 def test_no_route_drop():

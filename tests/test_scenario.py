@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from srv6sim.scenario import (
     parse_scenario,
     schema_path,
 )
+from srv6sim.usecases import multipath_traceroute
 
 FIXTURES = ("setup1.json", "setup2-hybrid.json", "diamond.json")
 
@@ -142,6 +144,28 @@ def test_prober_params_rejected_with_path(mutate, path):
     with pytest.raises(ConfigError) as exc:
         parse_scenario(raw)
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("name, daemon_id", [("setup1.json", "collector"), ("diamond.json", "oamp-a")])
+def test_daemon_without_interval_ticks_on_its_class_grid(name, daemon_id):
+    """A daemon without interval_ms keeps its class's default interval (a
+    collector's 50 ms, a responder's 1 ms) and ticks on that grid."""
+    raw = raw_fixture(name)
+    del next(d for d in raw["daemons"] if d["id"] == daemon_id)["interval_ms"]
+    cfg = parse_scenario(raw)
+    sim = build_simulation(cfg)
+    daemon = sim.daemons[daemon_id]
+    interval = inspect.signature(type(daemon)).parameters["interval_ns"].default
+    ticks = []
+    tick = daemon.tick
+    daemon.tick = lambda sim, now: (ticks.append(now), tick(sim, now))
+    if daemon_id == "collector":
+        sim.run_until(cfg.duration_ns)
+    else:  # a responder ticks for the probes it answers
+        oamp_sids = {s.node: s.sid for s in cfg.sids if s.program == "end_oamp"}
+        assert multipath_traceroute(sim, "S", pton("2001:db8:2::1"), oamp_sids).reached
+    assert daemon.interval_ns == interval
+    assert ticks and all(t % interval == 0 for t in ticks)
 
 
 def test_program_factory_error_rejected_with_path():

@@ -6,10 +6,11 @@ import weakref
 
 import pytest
 
-from srv6sim.behaviors import EndX, Forward
+from srv6sim.behaviors import EndX, Forward, TransitEncaps
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
+    SegmentRoutingHeader,
     check_packet,
     decode_packet,
     encode_packet,
@@ -201,6 +202,22 @@ def test_packet_a_node_sends_to_its_own_address_is_delivered_there():
     assert got == [(b"self", 1000)]
     assert (sim.stats.injected, sim.nodes["A"].delivered, sim.nodes["A"].forwarded) == (1, 1, 0)
     assert not sim.trace  # no link crossed
+
+
+def test_packet_for_a_node_is_delivered_under_a_transit_covering_its_address():
+    """As Linux's local table precedes the seg6 routes of its main table,
+    an encaps transit on B's own /64 leaves a packet for B's address to
+    the handler bound there."""
+    sim = two_node_sim()
+    a_addr = pton("2001:db8:a::1")
+    b = sim.nodes["B"]
+    b.add_transit(S2, 64, TransitEncaps(SegmentRoutingHeader([a_addr], 0), S2))
+    got = []
+    sim.bind(S2, lambda p, now: got.append(p.transport.payload))
+    sim.send("A", make_udp_packet(a_addr, S2, b"mine"))
+    sim.run_until(100_000_000)
+    assert got == [b"mine"]
+    assert (b.delivered, b.forwarded, b.dropped) == (1, 0, 0)
 
 
 def test_same_seed_identical_traces():
