@@ -41,6 +41,7 @@ from .sim import (
     Simulation,
     goodput_estimate,
     reorder_fraction,
+    sink_arrivals,
     write_trace,
 )
 from .usecases import DelayCollector, TwdProber, multipath_traceroute, wrr_counts
@@ -206,8 +207,9 @@ def cmd_hybrid(args) -> int:
     report.add("path_a_packets", count_a, "packets")
     report.add("path_b_packets", count_b, "packets")
     try:
-        report.add("reorder_fraction", reorder_fraction(sim.trace, flow), "")
-        report.add("goodput_estimate", goodput_estimate(sim.trace, flow) / 1e6, "Mbps")
+        arrivals = sink_arrivals(sim.trace, flow)
+        report.add("reorder_fraction", reorder_fraction(sim.trace, flow, arrivals), "")
+        report.add("goodput_estimate", goodput_estimate(sim.trace, flow, arrivals) / 1e6, "Mbps")
     except InsufficientData as exc:
         report.add("reorder_fraction", 0.0, f"insufficient data: {exc}")
         report.add("goodput_estimate", 0.0, f"insufficient data: {exc}")

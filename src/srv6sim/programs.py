@@ -4,10 +4,13 @@ Programs are host-language callables registered by name. They receive a
 ProgramContext with full read access to the packet and may mutate it only
 through the helpers below, which enforce the same write restrictions the
 in-kernel counterpart would. The returned outcome (OK / DROP / REDIRECT)
-drives post-program forwarding, with the modified SRH revalidated before
-the packet re-enters the pipeline. A run's own state (the decision an
-action stored, the SRH a helper wrote) lives on its ProgramContext, as the
-kernel keeps it in the per-CPU seg6_bpf_srh_state, never in the packet.
+drives post-program forwarding. finalize revalidates only an SRH whose
+TLVs or length a helper changed, as Linux 4.18 does: bpf_lwt_seg6_store_bytes
+clears seg6_bpf_srh_state.valid only for a TLV write, bpf_lwt_seg6_adjust_srh
+always, and seg6_bpf_has_valid_srh validates only a cleared SRH. A run's
+own state (the decision an action stored, the SRH a helper changed) lives
+on its ProgramContext, as the kernel keeps it in the per-CPU
+seg6_bpf_srh_state, never in the packet.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ class ProgramContext:
     now_ns: int
     dataplane: "Node"
     # per run, reset by run_program: the decision helper_action stored
-    # (None until an action succeeds), and the SRH a helper wrote (see
-    # _mark_dirty) for finalize
+    # (None until an action succeeds), and the SRH whose TLVs or length a
+    # helper changed (see _mark_dirty) for finalize
     redirect: ForwardingDecision | None = None
     srh_dirty: SegmentRoutingHeader | None = None
     maps: dict = field(init=False)  # dataplane.maps, for map_get/map_put
@@ -137,7 +140,7 @@ _SRH_FIXED = 8  # next_header, hdr_ext_len, routing_type, sl, le, flags, tag
 
 
 def _mark_dirty(ctx: ProgramContext, srh: SegmentRoutingHeader) -> None:
-    """Record srh as the SRH a helper wrote, for finalize to revalidate.
+    """Record srh as the SRH a helper changed, for finalize to revalidate.
     A different SRH marked earlier (now under a pushed one) is validated
     here and stays marked if it is invalid."""
     old = ctx.srh_dirty
@@ -155,28 +158,25 @@ def _outer_srh(ctx: ProgramContext) -> SegmentRoutingHeader:
 def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
     """Indirect write into the SRH, restricted to flags, tag and the TLV
     region; anything overlapping the structural fields or the segment
-    list raises write_out_of_bounds and leaves the packet untouched."""
+    list raises write_out_of_bounds and leaves the packet untouched. Only
+    a TLV write marks the SRH for finalize, as only it clears
+    seg6_bpf_srh_state.valid in bpf_lwt_seg6_store_bytes."""
     srh = _outer_srh(ctx)
     if not data:
         return
     end = offset + len(data)
-    seg_end = _SRH_FIXED + 16 * len(srh.segments)
-    total = seg_end + len(srh.tlv_bytes)
-    in_flags_tag = 5 <= offset and end <= 8
-    in_tlv = seg_end <= offset and end <= total
-    if not (in_flags_tag or in_tlv):
-        raise HelperError(
-            "write_out_of_bounds", f"[{offset}, {end}) not writable"
-        )
-    if in_flags_tag:
+    if 5 <= offset and end <= 8:
         # flags and tag are the 3-octet word at octets 5..7
         shift = 8 * (8 - end)
         mask = ((1 << 8 * len(data)) - 1) << shift
         word = (srh.flags << 16 | srh.tag) & ~mask | int.from_bytes(data, "big") << shift
         srh.flags, srh.tag = word >> 16, word & 0xFFFF
-    else:
-        tlv = srh.tlv_bytes
-        srh.tlv_bytes = tlv[: offset - seg_end] + data + tlv[end - seg_end :]
+        return
+    seg_end = _SRH_FIXED + 16 * len(srh.segments)
+    tlv = srh.tlv_bytes
+    if not (seg_end <= offset and end <= seg_end + len(tlv)):
+        raise HelperError("write_out_of_bounds", f"[{offset}, {end}) not writable")
+    srh.tlv_bytes = tlv[: offset - seg_end] + data + tlv[end - seg_end :]
     _mark_dirty(ctx, srh)
 
 
@@ -312,7 +312,7 @@ def flow_key(p: Packet) -> bytes:
 def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     """Turn a program outcome into a forwarding decision.
 
-    The SRH a helper wrote is revalidated first, wherever the packet now
+    The SRH a helper marked is revalidated first, wherever the packet now
     carries it. REDIRECT returns the decision helper_action stored, and
     drops without one. OK looks the current destination up in the main
     table, whatever a helper stored, as input_action_end_bpf does.

@@ -506,7 +506,7 @@ class Simulation:
 # ---------------------------------------------------------------------------
 # Trace analysis.
 
-def _sink_ingress(trace: list[tuple], flow: int) -> list[tuple]:
+def sink_arrivals(trace: list[tuple], flow: int) -> list[tuple]:
     # the sink is the node where arrivals exceed departures (egress+drop):
     # transit nodes re-emit or drop everything they receive. One pass
     # counts the balance and keeps each node's ingress rows.
@@ -527,10 +527,11 @@ def _sink_ingress(trace: list[tuple], flow: int) -> list[tuple]:
     return ingress[sinks[0]]
 
 
-def reorder_fraction(trace: list[tuple], flow: int) -> float:
+def reorder_fraction(trace: list[tuple], flow: int, arrivals: list[tuple] | None = None) -> float:
     """Fraction of packets arriving at the sink after a higher sequence
-    number was already seen."""
-    records = _sink_ingress(trace, flow)
+    number was already seen. A caller of both metrics passes the flow's
+    sink_arrivals to each, so the trace is scanned once."""
+    records = sink_arrivals(trace, flow) if arrivals is None else arrivals
     if len(records) < 2:
         raise InsufficientData(f"flow {flow}: fewer than 2 sink arrivals")
     late = 0
@@ -548,14 +549,15 @@ GAP_THRESHOLD = 3  # triple-duplicate-ack analog
 STALL_PENALTY_NS = 30_000_000
 
 
-def goodput_estimate(trace: list[tuple], flow: int) -> float:
+def goodput_estimate(trace: list[tuple], flow: int, arrivals: list[tuple] | None = None) -> float:
     """Reorder-sensitive goodput in bits/second.
 
     Every arrival whose jump past the expected next sequence exceeds
     GAP_THRESHOLD charges one STALL_PENALTY_NS; delivered payload bits
-    are divided by duration plus total penalties.
+    are divided by duration plus total penalties. arrivals: as in
+    reorder_fraction.
     """
-    records = _sink_ingress(trace, flow)
+    records = sink_arrivals(trace, flow) if arrivals is None else arrivals
     if len(records) < 2:
         raise InsufficientData(f"flow {flow}: fewer than 2 sink arrivals")
     bits = 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from srv6sim import cli
+from srv6sim import sim as sim_mod
 from srv6sim.cli import main, run_bench, BENCH_FUNCTIONS
 from srv6sim.scenario import fixture_path
 
@@ -421,6 +423,35 @@ def test_hybrid_run_ending_before_the_first_packet_reports_zero_counts(tmp_path)
     text = (tmp_path / "setup2-hybrid-hybrid-report.txt").read_text()
     rows = {l.split()[0]: l.split()[1] for l in text.splitlines() if l and l[0].isalpha()}
     assert rows["path_a_packets"] == rows["path_b_packets"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        ((), "f3f639d2ffacdc4a115268c9231e729e81441ed64657cdad5c8575855227e581"),
+        (("--duration", "2500"), "686d1739532a1f9356151952bed57851d0e001261ee210f8e9cfd4c4f7f48c31"),
+        (("--duration", "300"), "8f3310a4f8594a3bded0fa83996e4da0961c4c49748297f74bc8b4f69f6b485d"),
+        (("--compensation", "off"), "48c97355ec435879f27378e0dbac0cc3db567a459390e86fd2e64b491e9db4a0"),
+    ],
+    ids=["default", "2500ms", "no_sink", "uncompensated"],
+)
+def test_hybrid_report_bytes_are_pinned(tmp_path, monkeypatch, argv, sha256):
+    """The report's sha256 under a relative --out, recorded when each
+    metric still scanned the trace for the sink on its own; now one scan
+    serves both."""
+    scans, scan = [], sim_mod.sink_arrivals
+
+    def counted(trace, flow):
+        scans.append(flow)
+        return scan(trace, flow)
+
+    monkeypatch.setattr(cli, "sink_arrivals", counted)
+    monkeypatch.setattr(sim_mod, "sink_arrivals", counted)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("hybrid", str(fixture_path("setup2-hybrid.json")), "--out", "out", *argv) == 0
+    assert scans == [1]
+    report = (tmp_path / "out" / "setup2-hybrid-hybrid-report.txt").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == sha256
 
 
 def test_hybrid_tsv_format(tmp_path):

@@ -64,7 +64,7 @@ def test_store_bytes_increments_tag():
     ctx = make_ctx(p)
     helper_store_bytes(ctx, 6, struct.pack(">H", p.outer_srh.tag + 1))
     assert p.outer_srh.tag == 6
-    assert ctx.srh_dirty
+    assert ctx.srh_dirty is None  # a tag write leaves the SRH valid
 
 
 def test_store_bytes_flags_octet():
@@ -156,7 +156,7 @@ def _srh_wire(srh: SegmentRoutingHeader) -> bytes:
 def test_store_bytes_accepted_writes_splice_the_encoded_srh():
     """Random accepted writes to flags, tag, both, and the TLV region each
     leave the SRH's octets equal to the old ones with the data spliced in
-    at the offset, and mark the SRH for finalize."""
+    at the offset. Only a TLV write marks the SRH for finalize."""
     rng = random.Random(0x5701)
     for _ in range(400):
         p = random_sr_packet(rng, SID)
@@ -172,7 +172,7 @@ def test_store_bytes_accepted_writes_splice_the_encoded_srh():
         ctx = make_ctx(p)
         helper_store_bytes(ctx, offset, data)
         assert _srh_wire(srh) == before[:offset] + data + before[offset + len(data) :]
-        assert ctx.srh_dirty is srh
+        assert ctx.srh_dirty is (srh if lo >= 8 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +914,71 @@ def test_write_to_a_pushed_srh_keeps_an_invalid_buried_one_marked(first_write_va
     else:
         assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
     assert p.outer_srh.flags == 2
+
+
+# ---------------------------------------------------------------------------
+# Only a helper write to the TLVs or the length marks the SRH for finalize,
+# as only those clear seg6_bpf_srh_state.valid in Linux.
+
+PAD1_RUN_8 = b"\x00" * 8  # a run of Pad1 octets, which validate_srh rejects
+
+
+def bump_tag(ctx):
+    helper_store_bytes(ctx, 6, struct.pack(">H", (ctx.packet.outer_srh.tag + 1) & 0xFFFF))
+    return Outcome.OK
+
+
+def _with_tlvs(p, tlvs):
+    p.outer_srh.tlv_bytes = tlvs
+    p.outer_header.payload_length += len(tlvs)
+    return p
+
+
+@pytest.mark.parametrize("hook", [Hook.ENDPOINT, Hook.TRANSIT])
+@pytest.mark.parametrize("tlvs", [b"", PADN_8, PAD1_RUN_8], ids=["none", "padn", "pad1_run"])
+def test_tag_write_decides_as_noop_on_the_received_srh(hook, tlvs):
+    """Tag++ and noop give one decision on the same received SRH, valid or
+    not, and leave the same octets but the tag."""
+    results = []
+    for program in (programs.make_program("noop"), bump_tag):
+        if hook is Hook.ENDPOINT:
+            p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
+            decision = end_bpf_router(program).process_ingress(p, 0)
+        else:
+            p = _with_tlvs(sr_packet([S2, F], 1), tlvs)
+            node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+            decision = run_transit_program(node.transit_ctx, program, p, 0)
+        raw = encode_packet(p)
+        results.append((decision, raw[:46] + raw[48:], p.outer_srh.tag))
+    (noop_decision, noop_rest, noop_tag), (tag_decision, tag_rest, tag_tag) = results
+    assert type(noop_decision) is Forward
+    assert tag_decision == noop_decision
+    assert tag_rest == noop_rest
+    assert tag_tag == noop_tag + 1
+
+
+def grow_then_bump_tag(ctx):
+    helper_adjust_srh(ctx, 8)
+    return bump_tag(ctx)
+
+
+@pytest.mark.parametrize(
+    "program, tlvs",
+    [
+        (grow_and_leave_zeros, b""),  # Add-TLV without its fill
+        (grow_then_bump_tag, b""),  # a tag write does not clear the mark
+        (lambda ctx: zero_the_padn(ctx) or Outcome.OK, PADN_8),
+    ],
+    ids=["adjust", "adjust_then_tag", "tlv_write"],
+)
+def test_tlv_and_length_writes_still_mark_the_srh(program, tlvs):
+    p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
+    ctx = make_ctx(p)
+    assert program(ctx) is Outcome.OK
+    assert ctx.srh_dirty is p.outer_srh
+    p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
+    decision = end_bpf_router(program).process_ingress(p, 0)
+    assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
 
 
 # ---------------------------------------------------------------------------

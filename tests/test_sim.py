@@ -449,12 +449,26 @@ def test_sink_metrics_match_the_two_pass_scan_on_each_fixture(monkeypatch, fixtu
     cfg, trace = fixture_run
     flows = sorted({g.flow for g in cfg.generators})
     for flow in flows:
-        assert sim_mod._sink_ingress(trace, flow) == reference_sink_ingress(trace, flow)
+        assert sim_mod.sink_arrivals(trace, flow) == reference_sink_ingress(trace, flow)
     metrics = (reorder_fraction, goodput_estimate)
     got = [_metric_or_error(m, trace, flow) for m in metrics for flow in flows]
-    monkeypatch.setattr(sim_mod, "_sink_ingress", reference_sink_ingress)
+    monkeypatch.setattr(sim_mod, "sink_arrivals", reference_sink_ingress)
     assert got == [_metric_or_error(m, trace, flow) for m in metrics for flow in flows]
     assert any(isinstance(v, float) for v in got)
+
+
+def test_sink_metrics_read_the_arrivals_they_are_given(fixture_run):
+    """Given a flow's sink arrivals, a metric reads them and not the trace,
+    and returns what it finds by scanning the trace itself."""
+    cfg, trace = fixture_run
+    for flow in sorted({g.flow for g in cfg.generators}):
+        try:
+            arrivals = sim_mod.sink_arrivals(trace, flow)
+        except InsufficientData:
+            continue
+        for metric in (reorder_fraction, goodput_estimate):
+            given = _metric_or_error(lambda _, f: metric([], f, arrivals), trace, flow)
+            assert given == _metric_or_error(metric, trace, flow)
 
 
 def test_sink_scan_matches_the_two_pass_scan_on_random_traces():
@@ -475,7 +489,7 @@ def test_sink_scan_matches_the_two_pass_scan_on_random_traces():
             trace.insert(rng.randrange(len(trace) + 1), row)
         for flow in (1, 2, None):
             outcomes = []
-            for scan in (sim_mod._sink_ingress, reference_sink_ingress):
+            for scan in (sim_mod.sink_arrivals, reference_sink_ingress):
                 try:
                     outcomes.append(scan(trace, flow))
                 except InsufficientData as exc:
