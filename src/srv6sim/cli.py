@@ -44,7 +44,9 @@ from .sim import (
     sink_arrivals,
     write_trace,
 )
-from .usecases import DelayCollector, TwdProber, multipath_traceroute, wrr_counts
+from .usecases import (
+    DM_RATIO, ROUTE_ID, DelayCollector, TwdProber, multipath_traceroute, wrr_counts,
+)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -158,7 +160,7 @@ def cmd_owd(args) -> int:
     if not dm_programs or not dm_endpoints:
         raise ConfigError("$", "scenario has no delay-measurement path (dm_transit + end_dm)")
     controller_addr = dm_programs[0].params["controller_addr"]
-    ratio = int(dm_programs[0].params.get("ratio", 100))
+    ratio = int(dm_programs[0].params.get("ratio", DM_RATIO))
 
     out_dir = Path(args.out)
     report = Report(
@@ -188,14 +190,12 @@ def _p99(values: list[int]) -> float:
 
 def cmd_hybrid(args) -> int:
     cfg = _load(args.scenario, args)
-    wrr_route = next(
-        (t for t in cfg.transits if t.program == "wrr"), None
-    )
+    wrr_route = next((t for t in cfg.transits if t.program == "wrr"), None)
     prober_cfg = next((d for d in cfg.daemons if d.type == "twd_prober"), None)
     if wrr_route is None or prober_cfg is None:
         raise ConfigError("$", "scenario is not a hybrid-access setup (wrr + twd_prober)")
     flow = cfg.generators[0].flow if cfg.generators else 1
-    route_id = int(wrr_route.params.get("route_id", 0))
+    route_id = int(wrr_route.params.get("route_id", ROUTE_ID))
 
     out_dir = Path(args.out)
     used = "on" if prober_cfg.params.get("compensate", True) else "off"  # after --compensation

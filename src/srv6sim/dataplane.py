@@ -94,12 +94,19 @@ class Node:
         t = self.tables.get(table)
         return t is not None and t.remove(prefix, plen)
 
+    def _check_program(self, behavior: Behavior) -> None:
+        """Refuse a program route whose program is not loaded, as Linux does."""
+        if isinstance(behavior, ProgramBehavior) and behavior.program not in self.programs:
+            raise ValueError(f"program {behavior.program!r} is not loaded")
+
     def add_sid(self, sid: Address, behavior: Behavior) -> None:
+        self._check_program(behavior)
         self.sids[sid] = behavior
         self.local_addrs.add(sid)
         self._flush_route_cache()
 
     def add_transit(self, prefix: Address, plen: int, behavior: Behavior) -> None:
+        self._check_program(behavior)
         self.transits.insert(prefix, plen, behavior)
         self._flush_route_cache()
 
@@ -203,9 +210,7 @@ class Node:
             if b.advance:
                 behaviors.end(p)
             if isinstance(b, ProgramBehavior):
-                program = self.programs.get(b.program)
-                if program is None:
-                    return Drop(DropReason.PROGRAM_ERROR, f"no program {b.program!r}")
+                program = self.programs[b.program]
                 if b.advance:
                     return programs.run_endpoint_program(self.endpoint_ctx, program, p, now)
                 return programs.run_transit_program(self.transit_ctx, program, p, now)

@@ -2,15 +2,16 @@
 
 Programs are host-language callables registered by name. They receive a
 ProgramContext with full read access to the packet and may mutate it only
-through the helpers below, which enforce the same write restrictions the
-in-kernel counterpart would. The returned outcome (OK / DROP / REDIRECT)
-drives post-program forwarding. finalize revalidates only an SRH whose
-TLVs or length a helper changed, as Linux 4.18 does: bpf_lwt_seg6_store_bytes
-clears seg6_bpf_srh_state.valid only for a TLV write, bpf_lwt_seg6_adjust_srh
-always, and seg6_bpf_has_valid_srh validates only a cleared SRH. A run's
-own state (the decision an action stored, the SRH a helper changed) lives
-on its ProgramContext, as the kernel keeps it in the per-CPU
-seg6_bpf_srh_state, never in the packet.
+through the helpers below, which keep the in-kernel write restrictions and
+hooks (Linux 4.18, read from memory): store_bytes, adjust_srh and action
+serve End.BPF only, push_encap transit only, the rest both. The returned
+outcome (OK / DROP / REDIRECT) drives post-program forwarding. A TLV write
+or any resize marks the SRH, as it clears seg6_bpf_srh_state.valid; the
+next helper_action validates a marked SRH first, as bpf_lwt_seg6_action
+does, and finalize one still marked, as seg6_bpf_has_valid_srh does. A
+run's own state (the stored decision, the marked SRH) lives on its
+ProgramContext, as the kernel keeps it in the per-CPU seg6_bpf_srh_state,
+never in the packet.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class ProgramContext:
     now_ns: int
     dataplane: "Node"
     # per run, reset by run_program: the decision helper_action stored
-    # (None until an action succeeds), and the SRH whose TLVs or length a
-    # helper changed (see _mark_dirty) for finalize
+    # (None until an action succeeds), and the marked outer SRH, if any
     redirect: ForwardingDecision | None = None
     srh_dirty: SegmentRoutingHeader | None = None
     maps: dict = field(init=False)  # dataplane.maps, for map_get/map_put
@@ -139,16 +139,9 @@ def make_program(name: str, params: dict | None = None) -> Program:
 _SRH_FIXED = 8  # next_header, hdr_ext_len, routing_type, sl, le, flags, tag
 
 
-def _mark_dirty(ctx: ProgramContext, srh: SegmentRoutingHeader) -> None:
-    """Record srh as the SRH a helper changed, for finalize to revalidate.
-    A different SRH marked earlier (now under a pushed one) is validated
-    here and stays marked if it is invalid."""
-    old = ctx.srh_dirty
-    if old is None or old is srh or validate_srh(old) is None:
-        ctx.srh_dirty = srh
-
-
 def _outer_srh(ctx: ProgramContext) -> SegmentRoutingHeader:
+    if ctx.hook is not _ENDPOINT:
+        raise HelperError("wrong_hook", "SRH writes are endpoint-only")
     srhs = ctx.packet.headers[0][1]
     if not srhs:
         raise HelperError("no_srh")
@@ -159,8 +152,8 @@ def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
     """Indirect write into the SRH, restricted to flags, tag and the TLV
     region; anything overlapping the structural fields or the segment
     list raises write_out_of_bounds and leaves the packet untouched. Only
-    a TLV write marks the SRH for finalize, as only it clears
-    seg6_bpf_srh_state.valid in bpf_lwt_seg6_store_bytes."""
+    a TLV write marks the SRH, as only it clears seg6_bpf_srh_state.valid
+    in bpf_lwt_seg6_store_bytes. Endpoint only."""
     srh = _outer_srh(ctx)
     if not data:
         return
@@ -177,12 +170,12 @@ def helper_store_bytes(ctx: ProgramContext, offset: int, data: bytes) -> None:
     if not (seg_end <= offset and end <= seg_end + len(tlv)):
         raise HelperError("write_out_of_bounds", f"[{offset}, {end}) not writable")
     srh.tlv_bytes = tlv[: offset - seg_end] + data + tlv[end - seg_end :]
-    _mark_dirty(ctx, srh)
+    ctx.srh_dirty = srh
 
 
 def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
     """Grow (zero-filled) or shrink the TLV region at its start, keeping
-    hdr_ext_len and the enclosing payload_length consistent."""
+    hdr_ext_len and the enclosing payload_length consistent; marks the SRH."""
     srh = _outer_srh(ctx)
     if delta_octets % 8 != 0:
         raise HelperError("bad_delta", f"{delta_octets} not a multiple of 8")
@@ -197,7 +190,7 @@ def helper_adjust_srh(ctx: ProgramContext, delta_octets: int) -> None:
         srh.tlv_bytes = srh.tlv_bytes[-delta_octets:]
     # the outer SRH sits directly under the outermost header
     ctx.packet.headers[0][0].payload_length += delta_octets
-    _mark_dirty(ctx, srh)
+    ctx.srh_dirty = srh
 
 
 def helper_timestamp(ctx: ProgramContext) -> int:
@@ -214,19 +207,24 @@ def helper_ecmp_nexthops(ctx: ProgramContext, addr: Address) -> list[tuple[Addre
 
 def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     """Apply the action of a descriptor marked ``helper``, with no
-    re-advance: the endpoint hook already advanced the SRH. The decision
-    it returns is kept for a REDIRECT outcome; a Drop raises. Its lookup
-    is made now, as the kernel helper's is: End.B6 and End.B6.Encaps look
-    the pushed segment up in the main table, as bpf_push_seg6_encap ends
-    in seg6_lookup_nexthop. The SRH it pushes was validated when its
-    descriptor was built and is not marked for finalize; an SRH a helper
-    wrote before the action stays marked. One action per program run."""
+    re-advance: the endpoint hook already advanced the SRH. A marked SRH
+    is validated first, as bpf_lwt_seg6_action does: an invalid one raises
+    invalid_srh and nothing is done, a valid one is unmarked. The decision
+    the action returns is kept for a REDIRECT outcome; a Drop raises. Its
+    lookup is made now, as the kernel helper's is: End.B6 and End.B6.Encaps
+    look the pushed segment up in the main table, as bpf_push_seg6_encap
+    ends in seg6_lookup_nexthop; the SRH they push was validated when its
+    descriptor was built and is not marked. One action per program run."""
     if ctx.hook is not _ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
     if ctx.redirect is not None:
         raise HelperError("action_already_taken")
     if not (isinstance(action, Behavior) and action.helper):
         raise HelperError("bad_action", repr(action))
+    if ctx.srh_dirty is not None:
+        if bad := validate_srh(ctx.srh_dirty):
+            raise HelperError("invalid_srh", str(bad))
+        ctx.srh_dirty = None
     try:
         decision = action.action(ctx.packet, ctx.dataplane)
     except BehaviorError as exc:
@@ -244,8 +242,7 @@ def helper_push_encap(
 ) -> None:
     """Insert an SRH or encapsulate pure IPv6 traffic (transit hook only).
     As bpf_lwt_push_encap, the push validates the program's SRH once per
-    call and then copies it, so it is not marked for finalize; an SRH a
-    helper wrote before stays marked, though it may now be inner."""
+    call and then copies it, so it is not marked."""
     if ctx.hook is not _TRANSIT:
         raise HelperError("wrong_hook", "helper_push_encap is transit-only")
     try:
@@ -312,15 +309,13 @@ def flow_key(p: Packet) -> bytes:
 def finalize(ctx: ProgramContext, outcome: Outcome) -> ForwardingDecision:
     """Turn a program outcome into a forwarding decision.
 
-    The SRH a helper marked is revalidated first, wherever the packet now
-    carries it. REDIRECT returns the decision helper_action stored, and
-    drops without one. OK looks the current destination up in the main
-    table, whatever a helper stored, as input_action_end_bpf does.
+    A marked SRH, always the packet's outer one, is validated first.
+    REDIRECT returns the decision helper_action stored, and drops without
+    one. OK looks the current destination up in the main table, whatever
+    a helper stored, as input_action_end_bpf does.
     """
-    if ctx.srh_dirty is not None:
-        bad = validate_srh(ctx.srh_dirty)
-        if bad is not None:
-            return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
+    if ctx.srh_dirty is not None and (bad := validate_srh(ctx.srh_dirty)):
+        return Drop(DropReason.INVALID_SRH_AFTER_PROGRAM, str(bad))
     if outcome is _DROP:
         return DROPS[DropReason.PROGRAM_DROP]
     if outcome is _REDIRECT:

@@ -48,6 +48,8 @@ TLV_TYPE_CONTROLLER = 2
 DM_EVENT_LEN = 38  # path_id:4 tx:8 rx:8 ctrl_addr:16 ctrl_port:2
 _U64 = struct.Struct(">Q")  # dm_counter values
 _WRR_STATE = struct.Struct(">III")  # wrr_state values: cursor, count_a, count_b
+DM_RATIO = 100  # dm_transit's default probing ratio, 1:N
+ROUTE_ID = 0  # the default route_id of dm_transit and wrr, their map key
 
 
 def dm_tlv(tx_ts_ns: int) -> Tlv:
@@ -119,14 +121,13 @@ DM_COUNTER_MAP = "dm_counter"
 def dm_transit_factory(params: dict) -> Program:
     """Transit program sampling every Nth packet toward a route into a
     DM-stamped SRv6 encapsulation; all other packets pass untouched."""
-    ratio = int(params.get("ratio", 100))
+    ratio = int(params.get("ratio", DM_RATIO))
     if ratio < 1:
         raise ValueError("probing ratio must be >= 1")
     ctrl_addr: Address = params["controller_addr"]
     ctrl_port = int(params.get("controller_port", 9000))
-    route_id = int(params.get("route_id", 0))
     outer_src: Address | None = params.get("outer_src")
-    key = struct.pack(">I", route_id)
+    key = struct.pack(">I", int(params.get("route_id", ROUTE_ID)))
     ctrl_tlv = controller_tlv(ctrl_addr, ctrl_port)
     # a private template, checked with the 32 octets of TLVs run() fills in;
     # each probe stamps it and helper_push_encap pushes a copy
@@ -256,10 +257,9 @@ def wrr_factory(params: dict) -> Program:
     srh_b: SegmentRoutingHeader = params["srh_b"].copy()
     wa, wb = params.get("weights", (1, 1))
     wa, wb = reduce_weights(int(wa), int(wb))
-    route_id = int(params.get("route_id", 0))
     outer_src: Address | None = params.get("outer_src")
     schedule = iwrr_schedule(wa, wb)
-    key = struct.pack(">I", route_id)
+    key = struct.pack(">I", int(params.get("route_id", ROUTE_ID)))
     _pushable("srh_a", srh_a)
     _pushable("srh_b", srh_b)
     ok = Outcome.OK  # read once: an enum class attribute read is slow
@@ -288,7 +288,7 @@ def wrr_factory(params: dict) -> Program:
     return run
 
 
-def wrr_counts(node, route_id: int = 0) -> tuple[int, int]:
+def wrr_counts(node, route_id: int = ROUTE_ID) -> tuple[int, int]:
     """Per-path packet counts accumulated by the scheduler state map;
     (0, 0) before wrr has scheduled a packet."""
     raw = map_get(node, WRR_STATE_MAP, struct.pack(">I", route_id))

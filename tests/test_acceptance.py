@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from srv6sim.behaviors import Drop, EndProgram, EndX, Forward, LocalDeliver
+from srv6sim.behaviors import Drop, EndProgram, EndX, Forward, LocalDeliver, TransitProgram
 from srv6sim.cli import BENCH_FUNCTIONS, _bench_case, run_bench
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
@@ -33,7 +33,9 @@ from srv6sim.packet import (
 from srv6sim.programs import (
     HelperError,
     Outcome,
+    helper_action,
     helper_adjust_srh,
+    helper_push_encap,
     helper_store_bytes,
     make_program,
     run_transit_program,
@@ -132,8 +134,6 @@ def _random_helper_program(rng: random.Random, log: list):
                     pass
             elif op == 2:  # redirect destination
                 try:
-                    from srv6sim.programs import helper_action
-
                     helper_action(ctx, EndX(pton("2001:db8::77"), "l7"))
                 except HelperError:
                     pass
@@ -174,6 +174,90 @@ def test_criterion_2_sandbox_fuzz():
         ok,
         f"10^4 programs: {accepted} accepted re-decoded, {dropped} dropped, "
         f"{rejected_writes} rejected writes byte-identical, in {elapsed:.1f}s (< 30s)",
+    )
+    assert ok
+
+
+# The SRHs a transit fuzz program pushes: two valid, then one whose
+# segments_left is out of range and one whose TLVs are a run of Pad1.
+_PUSH_SRHS = (
+    SegmentRoutingHeader(segments=[S2], segments_left=0),
+    SegmentRoutingHeader(segments=[S2, S1], segments_left=1),
+    SegmentRoutingHeader(segments=[S2], segments_left=3),
+    SegmentRoutingHeader(segments=[S2], segments_left=0, tlv_bytes=b"\x00" * 8),
+)
+
+
+def _random_transit_program(rng: random.Random, log: list):
+    """A random sequence of the four SRH-changing helpers at the transit
+    hook; log gets (op, error code, packet bytes unchanged) per refused
+    call and (op, None, None) per call that went through."""
+    calls = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+    outcome = rng.choice((Outcome.OK, Outcome.OK, Outcome.DROP, Outcome.REDIRECT))
+
+    def program(ctx):
+        for op in calls:
+            before = encode_packet(copy_packet(ctx.packet))
+            try:
+                if op == 0:
+                    helper_store_bytes(ctx, rng.randrange(64), rng.randbytes(rng.randrange(1, 12)))
+                elif op == 1:
+                    helper_adjust_srh(ctx, rng.choice((-8, 8, 16)))
+                elif op == 2:
+                    helper_action(ctx, EndX(pton("2001:db8::77"), "l7"))
+                else:
+                    mode = rng.choice(("insert", "encaps", "encaps", "bad"))
+                    helper_push_encap(ctx, mode, rng.choice(_PUSH_SRHS))
+            except HelperError as exc:
+                log.append((op, exc.code, encode_packet(copy_packet(ctx.packet)) == before))
+            else:
+                log.append((op, None, None))
+        return outcome
+
+    return program
+
+
+def test_transit_sandbox_fuzz():
+    """Criterion 2 at the transit hook: store_bytes, adjust_srh and action
+    are refused there with wrong_hook, a refused call leaves the packet's
+    bytes as they were, and a forwarded packet is valid on the wire."""
+    t0 = time.perf_counter()
+    rng = random.Random(0x7A2)
+    node = Node("R", [pton("2001:db8::1")])
+    node.fib_insert(FibEntry(b"\x00" * 16, 0, [(pton("2001:db8::9"), "l9")]))
+    node.add_program("fuzz", make_program("noop"))
+    node.add_transit(pton("2001:db8:7::"), 48, TransitProgram("fuzz"))
+    dst = pton("2001:db8:7::1")
+    log = []
+    forwarded = dropped = 0
+    for i in range(2_000):
+        node.programs["fuzz"] = _random_transit_program(rng, log)
+        if rng.random() < 0.5:
+            p = random_sr_packet(rng, dst)
+        else:
+            p = make_udp_packet(S1, dst, rng.randbytes(rng.randrange(33)))
+        decision = node.process_ingress(p, i)
+        assert isinstance(decision, (Forward, LocalDeliver, Drop)), decision
+        if isinstance(decision, Drop):
+            dropped += 1
+        else:
+            forwarded += 1
+            check_packet(p)
+            assert decode_packet(encode_packet(p)) == p
+    elapsed = time.perf_counter() - t0
+    writes = [code for op, code, _ in log if op < 3]
+    assert writes and all(code == "wrong_hook" for code in writes)
+    refused = [same for _, code, same in log if code is not None]
+    assert all(refused), "a refused call modified packet bytes"
+    pushes = [code for op, code, _ in log if op == 3]
+    ok = elapsed < 1.0 and forwarded > 0 and None in pushes and len(refused) > len(writes)
+    report(
+        "2 (transit)",
+        ok,
+        f"2000 programs: {forwarded} forwarded re-decoded, {dropped} dropped, "
+        f"{len(writes)} SRH writes and actions refused, {pushes.count(None)} of "
+        f"{len(pushes)} pushes done, {len(refused)} refused calls byte-identical, "
+        f"in {elapsed:.2f}s (< 1s)",
     )
     assert ok
 

@@ -615,26 +615,25 @@ def test_endpoint_program_requires_segments():
     assert node.process_ingress(p, 0) == Drop(DropReason.SEGMENTS_EXHAUSTED)
 
 
-def test_sid_bound_to_an_unloaded_program_drops_with_program_error():
+def test_sid_bound_to_an_unloaded_program_is_refused():
+    """As Linux refuses an End.BPF route without its program, add_sid
+    refuses one whose program the node has not loaded, and binds nothing."""
     node = router()
-    node.add_sid(SID, EndProgram("x"))
-    decision = node.process_ingress(sr_packet([S2, SID], 1), 0)
-    assert decision == Drop(DropReason.PROGRAM_ERROR)
-    assert decision.detail == "no program 'x'"
+    with pytest.raises(ValueError, match="program 'x' is not loaded"):
+        node.add_sid(SID, EndProgram("x"))
+    assert SID not in node.sids and SID not in node.local_addrs
+    assert node.process_ingress(sr_packet([S2, SID], 1), 0) == Forward("l9", pton("2001:db8::9"))
 
 
-def test_sid_bound_to_an_unloaded_program_advances_before_the_program_lookup():
-    """End.BPF is End plus a program: a packet that cannot advance drops
-    for that before the node looks its program up."""
+def test_transit_bound_to_an_unloaded_program_is_refused():
     node = router()
-    node.add_sid(SID, EndProgram("x"))
-    cases = [
-        (make_udp_packet(S1, SID, b"x"), DropReason.NO_SRH),
-        (sr_packet([SID], 0), DropReason.SEGMENTS_EXHAUSTED),
-    ]
-    for p, reason in cases:
-        decision = node.process_ingress(p, 0)
-        assert decision == Drop(reason) and decision.detail == ""
+    dst = pton("2001:db8:7::")
+    with pytest.raises(ValueError, match="program 'x' is not loaded"):
+        node.add_transit(dst, 64, TransitProgram("x"))
+    assert node.transits.lookup(dst) is None
+    p = make_udp_packet(S1, dst, b"x")
+    assert node.process_ingress(p, 0) == Forward("l9", pton("2001:db8::9"))
+    assert len(p.headers) == 1
 
 
 def test_endpoint_program_without_srh_drops_before_running():
@@ -773,7 +772,8 @@ def test_transit_program_runner_no_advance():
 
 
 # ---------------------------------------------------------------------------
-# The SRH a helper wrote is revalidated even after a push buries it.
+# The SRH write helpers are End.BPF-only, and a marked SRH is validated
+# once: by the next action, else by finalize.
 
 PADN_8 = bytes((4, 6)) + b"\x00" * 6  # one PadN TLV filling 8 octets
 
@@ -795,8 +795,32 @@ def encaps_to_s2(ctx):
     helper_push_encap(ctx, "encaps", srh, pton("2001:db8::1"))
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda ctx: helper_store_bytes(ctx, 6, b"\x00\x01"),  # the tag
+        zero_the_padn,
+        lambda ctx: helper_adjust_srh(ctx, 8),
+        lambda ctx: helper_adjust_srh(ctx, -8),
+    ],
+    ids=["tag", "tlv", "grow", "shrink"],
+)
+def test_srh_writes_are_refused_at_the_transit_hook(write):
+    p = padded_sr_packet([S2, F], 1)
+    before = encode_packet(p)
+    ctx = make_ctx(p, hook=Hook.TRANSIT)
+    with pytest.raises(HelperError) as exc:
+        write(ctx)
+    assert exc.value.code == "wrong_hook"
+    assert encode_packet(p) == before
+    assert ctx.srh_dirty is None
+
+
 @pytest.mark.parametrize("then_encaps", [False, True])
 def test_transit_store_then_encaps_drops_the_invalid_srh(then_encaps):
+    """A transit program cannot make an SRH invalid: its store raises
+    wrong_hook before it changes a byte, so no encaps follows and the
+    packet drops as a program error, as it came."""
     node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
 
     def program(ctx):
@@ -806,24 +830,11 @@ def test_transit_store_then_encaps_drops_the_invalid_srh(then_encaps):
         return Outcome.OK
 
     p = padded_sr_packet([S2, F], 1)
+    before = encode_packet(p)
     decision = run_transit_program(node.transit_ctx, program, p, 0)
-    assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
-    assert len(p.headers) == (2 if then_encaps else 1)
-
-
-def test_endpoint_store_then_end_b6_drops_the_invalid_srh():
-    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
-
-    def program(ctx):
-        zero_the_padn(ctx)
-        helper_action(ctx, EndB6(SegmentRoutingHeader(segments=[S2], segments_left=0)))
-        return Outcome.OK
-
-    node.add_program("b6", program)
-    node.add_sid(SID, EndProgram("b6"))
-    p = padded_sr_packet([S2, SID], 1)
-    assert node.process_ingress(p, 0) == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
-    assert len(p.headers[0][1]) == 2
+    assert decision == Drop(DropReason.PROGRAM_ERROR)
+    assert decision.detail.startswith("wrong_hook")
+    assert encode_packet(p) == before
 
 
 def end_bpf_router(program):
@@ -882,38 +893,55 @@ def test_b6_action_to_a_segment_without_a_route_raises_no_route():
     assert ctx.redirect is None
 
 
-def test_endpoint_store_then_end_b6_encaps_drops_the_invalid_srh():
+def _assert_refused_action_on_an_invalid_srh(action):
+    """An End.BPF program makes its SRH invalid, then tries action, catches
+    the helper error and returns OK."""
+    codes = []
+
     def program(ctx):
         zero_the_padn(ctx)
-        helper_action(ctx, B6_ACTIONS[1])
+        try:
+            helper_action(ctx, action)
+        except HelperError as exc:
+            codes.append(exc.code)
         return Outcome.OK
 
     p = padded_sr_packet([S2, SID], 1)
     decision = end_bpf_router(program).process_ingress(p, 0)
+    assert codes == ["invalid_srh"]
+    assert [len(srhs) for _, srhs in p.headers] == [1]  # nothing pushed
     assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
-    assert len(p.headers) == 2
 
 
-@pytest.mark.parametrize("first_write_valid", [True, False])
-def test_write_to_a_pushed_srh_keeps_an_invalid_buried_one_marked(first_write_valid):
-    node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+def test_endpoint_store_then_end_b6_drops_the_invalid_srh():
+    _assert_refused_action_on_an_invalid_srh(B6_ACTIONS[0])
+
+
+def test_endpoint_store_then_end_b6_encaps_drops_the_invalid_srh():
+    _assert_refused_action_on_an_invalid_srh(B6_ACTIONS[1])
+
+
+@pytest.mark.parametrize(
+    "action", [EndX(*NH_R3), *B6_ACTIONS], ids=["end_x", "end_b6", "end_b6_encaps"]
+)
+def test_a_valid_marked_srh_is_validated_once_at_the_action(action, monkeypatch):
+    validated, seen = [], []
+    validate = programs.validate_srh
+    monkeypatch.setattr(
+        programs, "validate_srh", lambda srh: validated.append(srh) or validate(srh)
+    )
 
     def program(ctx):
-        if first_write_valid:
-            helper_store_bytes(ctx, 5, b"\x01")  # flags of the original SRH
-        else:
-            zero_the_padn(ctx)
-        encaps_to_s2(ctx)
-        helper_store_bytes(ctx, 5, b"\x02")  # flags of the pushed SRH
+        helper_store_bytes(ctx, 8 + 16 * len(ctx.packet.outer_srh.segments), PADN_8)
+        helper_action(ctx, action)
+        seen.append(list(validated))
         return Outcome.OK
 
-    p = padded_sr_packet([S2, F], 1)
-    decision = run_transit_program(node.transit_ctx, program, p, 0)
-    if first_write_valid:
-        assert decision == Forward("l3", NH_R3[0])
-    else:
-        assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
-    assert p.outer_srh.flags == 2
+    p = padded_sr_packet([S2, SID], 1)
+    srh = p.outer_srh
+    assert end_bpf_router(program).process_ingress(p, 0) == Forward("l3", NH_R3[0])
+    assert seen == [[srh]]
+    assert validated == [srh]
 
 
 # ---------------------------------------------------------------------------
@@ -937,17 +965,23 @@ def _with_tlvs(p, tlvs):
 @pytest.mark.parametrize("hook", [Hook.ENDPOINT, Hook.TRANSIT])
 @pytest.mark.parametrize("tlvs", [b"", PADN_8, PAD1_RUN_8], ids=["none", "padn", "pad1_run"])
 def test_tag_write_decides_as_noop_on_the_received_srh(hook, tlvs):
-    """Tag++ and noop give one decision on the same received SRH, valid or
-    not, and leave the same octets but the tag."""
+    """At End.BPF, Tag++ and noop give one decision on the same received
+    SRH, valid or not, and leave the same octets but the tag. A transit
+    program cannot write the tag: the write raises wrong_hook and leaves
+    the packet as it came."""
+    if hook is Hook.TRANSIT:
+        p = _with_tlvs(sr_packet([S2, F], 1), tlvs)
+        before = encode_packet(p)
+        node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
+        decision = run_transit_program(node.transit_ctx, bump_tag, p, 0)
+        assert decision == Drop(DropReason.PROGRAM_ERROR)
+        assert decision.detail.startswith("wrong_hook")
+        assert encode_packet(p) == before
+        return
     results = []
     for program in (programs.make_program("noop"), bump_tag):
-        if hook is Hook.ENDPOINT:
-            p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
-            decision = end_bpf_router(program).process_ingress(p, 0)
-        else:
-            p = _with_tlvs(sr_packet([S2, F], 1), tlvs)
-            node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
-            decision = run_transit_program(node.transit_ctx, program, p, 0)
+        p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
+        decision = end_bpf_router(program).process_ingress(p, 0)
         raw = encode_packet(p)
         results.append((decision, raw[:46] + raw[48:], p.outer_srh.tag))
     (noop_decision, noop_rest, noop_tag), (tag_decision, tag_rest, tag_tag) = results
