@@ -1,7 +1,7 @@
 """Native SRv6 endpoint functions and transit behaviours.
 
-Each body mutates the packet in place and returns it; failures raise
-BehaviorError carrying the drop reason the pipeline should report.
+Each body mutates the packet in place. A failure is returned, not raised,
+as seg6local's: a body returns the Drop it reports, or None on success.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ LOCAL_DELIVER = LocalDeliver()
 DROPS = {reason: Drop(reason) for reason in DropReason}
 DROP_NO_ROUTE = DROPS[DropReason.NO_ROUTE]
 DROP_HOP_LIMIT = DROPS[DropReason.HOP_LIMIT_EXCEEDED]  # only process_ingress returns it
-
-
-class BehaviorError(Exception):
-    def __init__(self, reason: DropReason, detail: str = ""):
-        super().__init__(detail or reason.value)
-        self.reason = reason
-        self.detail = detail
-
-    def drop(self) -> Drop:
-        return Drop(self.reason, self.detail) if self.detail else DROPS[self.reason]
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +163,7 @@ class EndDT6(Behavior):
     helper = True
 
     def action(self, p: Packet, node: Node) -> ForwardingDecision:
-        end_dt6(p)
-        return node.finish_forwarding(p, self.table)
+        return end_dt6(p) or node.finish_forwarding(p, self.table)
 
 
 @dataclass(frozen=True)
@@ -185,8 +174,7 @@ class TransitInsert(SrhTemplate):
     room = 1  # t_insert appends the original destination
 
     def action(self, p: Packet, node: Node) -> ForwardingDecision:
-        t_insert(p, self.srh)
-        return node.finish_forwarding(p)
+        return t_insert(p, self.srh) or node.finish_forwarding(p)
 
 
 @dataclass(frozen=True)
@@ -238,18 +226,18 @@ TRANSIT_BEHAVIORS: dict[str, type[Behavior]] = {
 # ---------------------------------------------------------------------------
 # Endpoint bodies.
 
-def end(p: Packet) -> Packet:
+def end(p: Packet) -> Drop | None:
     """Advance to the next segment: segments_left -= 1, dst = new active."""
     hdr, srhs = p.headers[0]
     if not srhs:
-        raise BehaviorError(DropReason.NO_SRH)
+        return DROPS[DropReason.NO_SRH]
     srh = srhs[0]
     sl = srh.segments_left
     if sl == 0:
-        raise BehaviorError(DropReason.SEGMENTS_EXHAUSTED)
+        return DROPS[DropReason.SEGMENTS_EXHAUSTED]
     srh.segments_left = sl = sl - 1
     hdr.dst = srh.segments[sl]
-    return p
+    return None
 
 
 def check_srh(srh: SegmentRoutingHeader, room: int = 0) -> None:
@@ -301,28 +289,29 @@ def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) 
     return p
 
 
-def end_dt6(p: Packet) -> Packet:
+def end_dt6(p: Packet) -> Drop | None:
     """Decapsulate the outer IPv6 header (+SRH) at the last segment."""
     headers = p.headers
     srhs = headers[0][1]
     if srhs and srhs[0].segments_left != 0:
-        raise BehaviorError(DropReason.NOT_LAST_SEGMENT)
+        return DROPS[DropReason.NOT_LAST_SEGMENT]
     if len(headers) < 2:
-        raise BehaviorError(DropReason.NO_INNER_HEADER)
+        return DROPS[DropReason.NO_INNER_HEADER]
     headers.pop(0)
-    return p
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Transit bodies.
 
-def t_insert(p: Packet, srh: SegmentRoutingHeader) -> Packet:
+def t_insert(p: Packet, srh: SegmentRoutingHeader) -> Drop | None:
     """Insert an SRH into a plain IPv6 packet, appending the original
     destination as the final segment and activating the first configured
     segment. srh is validated already, with room for that segment.
-    Packets already carrying an SRH are rejected."""
+    Packets already carrying an SRH are dropped."""
     hdr, srhs = p.headers[0]
     if srhs:
-        raise InvariantViolation("t_insert on a packet already carrying an SRH")
-    return _splice(p, srh, [hdr.dst, *srh.segments], len(srh.segments))
+        return Drop(DropReason.INVARIANT, "t_insert on a packet already carrying an SRH")
+    _splice(p, srh, [hdr.dst, *srh.segments], len(srh.segments))
+    return None
 

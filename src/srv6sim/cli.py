@@ -45,7 +45,7 @@ from .sim import (
     write_trace,
 )
 from .usecases import (
-    DM_RATIO, ROUTE_ID, DelayCollector, TwdProber, multipath_traceroute, wrr_counts,
+    DM_RATIO, ROUTE_ID, DelayCollector, multipath_traceroute, wrr_counts,
 )
 
 EXIT_OK = 0
@@ -198,9 +198,10 @@ def cmd_hybrid(args) -> int:
     route_id = int(wrr_route.params.get("route_id", ROUTE_ID))
 
     out_dir = Path(args.out)
-    used = "on" if prober_cfg.params.get("compensate", True) else "off"  # after --compensation
-    report = Report("hybrid", cfg.name, cfg.digest, {"seed": cfg.seed, "compensation": used})
+    report = Report("hybrid", cfg.name, cfg.digest, {"seed": cfg.seed})
     sim, code = _run_common(cfg, report, out_dir, {})
+    prober = sim.daemons[prober_cfg.id]
+    report.parameters["compensation"] = "on" if prober.compensate else "off"
 
     box = sim.nodes[wrr_route.node]
     count_a, count_b = wrr_counts(box, route_id)
@@ -213,7 +214,6 @@ def cmd_hybrid(args) -> int:
     except InsufficientData as exc:
         report.add("reorder_fraction", 0.0, f"insufficient data: {exc}")
         report.add("goodput_estimate", 0.0, f"insufficient data: {exc}")
-    prober = next(d for d in sim.daemons.values() if isinstance(d, TwdProber))
     applied = [h[2] for h in prober.history]
     report.add("applied_delay_last", applied[-1] / 1e6 if applied else 0.0, "ms")
     report.add("applied_delay_mean", pystats.fmean(applied) / 1e6 if applied else 0.0, "ms")

@@ -6,11 +6,8 @@ from __future__ import annotations
 from . import behaviors, programs
 from .behaviors import (
     Behavior,
-    BehaviorError,
     DROP_HOP_LIMIT,
     DROP_NO_ROUTE,
-    Drop,
-    DropReason,
     Forward,
     ForwardingDecision,
     LOCAL_DELIVER,
@@ -19,7 +16,6 @@ from .behaviors import (
 from .fib import FibEntry, PrefixTable, remember, select_nexthop
 from .packet import (
     Address,
-    InvariantViolation,
     PROTO_ICMPV6,
     Packet,
     PacketError,
@@ -42,9 +38,9 @@ class Node:
     """A router/host. Its tables change only through the mutators below,
     each of which clears the route cache."""
 
-    def __init__(self, node_id: str, addresses: list[Address], index: int = 0):
+    def __init__(self, node_id: str, addresses: list[Address]):
         self.id = node_id
-        self.index = index
+        self.index = 0  # the node's place in its Simulation, set by add_node
         self.addresses = list(addresses)
         self.local_addrs = set(addresses)
         self.tables: dict[int, PrefixTable] = {0: PrefixTable()}
@@ -131,13 +127,11 @@ class Node:
         return route
 
     def fib_ecmp_list(self, addr: Address, table: int = 0) -> list[tuple[Address, str]]:
-        """A fresh list of every nexthop of addr's route in table."""
+        """A fresh list of every nexthop of addr's route in table; [] if none."""
         try:
             forwards = self._routes[table][addr]
         except KeyError:
             forwards = self._route(addr, table)
-        if not forwards:
-            raise BehaviorError(DropReason.NO_ROUTE)
         return [(f.nexthop, f.link) for f in forwards]
 
     def _behavior(self, dst: Address) -> Behavior | None:
@@ -205,20 +199,16 @@ class Node:
 
     def _dispatch(self, b: Behavior, p: Packet, now: int) -> ForwardingDecision:
         """Run a SID or transit behaviour: an endpoint one advances the SRH
-        first, then its action or program runs and returns the decision."""
-        try:
+        first, then its action or program runs and returns the decision,
+        a Drop for a failure."""
+        if b.advance and (drop := behaviors.end(p)) is not None:
+            return drop
+        if isinstance(b, ProgramBehavior):
+            program = self.programs[b.program]
             if b.advance:
-                behaviors.end(p)
-            if isinstance(b, ProgramBehavior):
-                program = self.programs[b.program]
-                if b.advance:
-                    return programs.run_endpoint_program(self.endpoint_ctx, program, p, now)
-                return programs.run_transit_program(self.transit_ctx, program, p, now)
-            return b.action(p, self)
-        except BehaviorError as exc:
-            return exc.drop()
-        except InvariantViolation as exc:
-            return Drop(DropReason.INVARIANT, str(exc))
+                return programs.run_endpoint_program(self.endpoint_ctx, program, p, now)
+            return programs.run_transit_program(self.transit_ctx, program, p, now)
+        return b.action(p, self)
 
     def time_exceeded(self, offender: Packet) -> Packet | None:
         """The ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) this node sends

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from . import behaviors
-from .behaviors import Behavior, BehaviorError, DROPS, Drop, DropReason, ForwardingDecision
+from .behaviors import Behavior, DROPS, Drop, DropReason, ForwardingDecision
 from .packet import Address, InvariantViolation, Packet, SegmentRoutingHeader, validate_srh
 
 if TYPE_CHECKING:
@@ -199,10 +199,10 @@ def helper_timestamp(ctx: ProgramContext) -> int:
 
 def helper_ecmp_nexthops(ctx: ProgramContext, addr: Address) -> list[tuple[Address, str]]:
     """All ECMP nexthops of the longest match in the default table."""
-    try:
-        return ctx.dataplane.fib_ecmp_list(addr, table=0)
-    except BehaviorError:
-        raise HelperError("no_route") from None
+    nexthops = ctx.dataplane.fib_ecmp_list(addr, table=0)
+    if not nexthops:
+        raise HelperError("no_route")
+    return nexthops
 
 
 def helper_action(ctx: ProgramContext, action: Behavior) -> None:
@@ -210,10 +210,11 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
     re-advance: the endpoint hook already advanced the SRH. A marked SRH
     is validated first, as bpf_lwt_seg6_action does: an invalid one raises
     invalid_srh and nothing is done, a valid one is unmarked. The decision
-    the action returns is kept for a REDIRECT outcome; a Drop raises. Its
-    lookup is made now, as the kernel helper's is: End.B6 and End.B6.Encaps
-    look the pushed segment up in the main table, as bpf_push_seg6_encap
-    ends in seg6_lookup_nexthop; the SRH they push was validated when its
+    the action returns is kept for a REDIRECT outcome; a Drop, the action's
+    failure, raises with its reason as the code. Its lookup is made now,
+    as the kernel helper's is: End.B6 and End.B6.Encaps look the pushed
+    segment up in the main table, as bpf_push_seg6_encap ends in
+    seg6_lookup_nexthop; the SRH they push was validated when its
     descriptor was built and is not marked. One action per program run."""
     if ctx.hook is not _ENDPOINT:
         raise HelperError("wrong_hook", "helper_action is endpoint-only")
@@ -225,10 +226,7 @@ def helper_action(ctx: ProgramContext, action: Behavior) -> None:
         if bad := validate_srh(ctx.srh_dirty):
             raise HelperError("invalid_srh", str(bad))
         ctx.srh_dirty = None
-    try:
-        decision = action.action(ctx.packet, ctx.dataplane)
-    except BehaviorError as exc:
-        raise HelperError(exc.reason.value, exc.detail) from None
+    decision = action.action(ctx.packet, ctx.dataplane)
     if type(decision) is Drop:
         raise HelperError(decision.reason.value, decision.detail)
     ctx.redirect = decision
@@ -248,7 +246,8 @@ def helper_push_encap(
     try:
         if mode == "insert":
             behaviors.check_srh(srh, room=1)
-            behaviors.t_insert(ctx.packet, srh)
+            if (drop := behaviors.t_insert(ctx.packet, srh)) is not None:
+                raise HelperError(drop.reason.value, drop.detail)
         elif mode == "encaps":
             behaviors.check_srh(srh)
             if outer_src is None:
@@ -329,13 +328,16 @@ def run_program(
     """Run program on packet with the hook's context, then finalize. At
     the endpoint hook the node has already advanced the SRH, as
     input_action_end_bpf does before it resets seg6_bpf_srh_state; from
-    there on both hooks share this contract."""
+    there on both hooks share this contract. A program's HelperError or
+    InvariantViolation, the only exceptions a packet raises, is its Drop."""
     ctx.packet, ctx.now_ns = packet, now
     ctx.redirect = ctx.srh_dirty = None
     try:
         outcome = program(ctx)
     except HelperError as exc:
         return Drop(DropReason.PROGRAM_ERROR, str(exc))
+    except InvariantViolation as exc:  # as encode_packet raises on a broken packet
+        return Drop(DropReason.INVARIANT, str(exc))
     return finalize(ctx, outcome)
 
 

@@ -525,9 +525,6 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
             sim.add_daemon(daemon)
         except SimError as exc:  # the parser checked ids, nodes and intervals: a second reader
             raise ConfigError(f"$.daemons[{i}].node", str(exc)) from None
-        setup = getattr(daemon, "setup", None)
-        if setup is not None:
-            setup(sim)
     for g in cfg.generators:
         sim.add_stream(g)
     return sim

@@ -270,6 +270,9 @@ class Daemon:
         self.node = node
         self.drains = drains
 
+    def setup(self, sim: "Simulation") -> None:
+        """Bind what the daemon needs in sim; add_daemon calls it last."""
+
     def tick(self, sim: "Simulation", now: int) -> None:  # pragma: no cover
         raise NotImplementedError
 
@@ -383,6 +386,7 @@ class Simulation:
             daemon.wake = _Alarm(self, daemon, queue, origin)
             daemon.wake()  # events queued before the daemon was added
         self.daemons[daemon.id] = daemon
+        daemon.setup(self)
 
     def add_stream(self, stream: UdpStream) -> None:
         if stream.count > 0:  # a stream added after its start begins now

@@ -37,7 +37,7 @@ from .programs import (
     map_put,
     register_program,
 )
-from .behaviors import BehaviorError, EndDT6, check_srh
+from .behaviors import EndDT6, check_srh
 from .dataplane import ICMP_TIME_EXCEEDED, TIME_EXCEEDED_QUOTE_AT
 from .sim import Daemon, Simulation
 
@@ -633,10 +633,7 @@ def multipath_traceroute(
                 continue
             if depth == 0:
                 # local FIB query at the probing host
-                try:
-                    nexthops = [a for a, _ in src_node.fib_ecmp_list(target)]
-                except BehaviorError:  # no route
-                    nexthops = []
+                nexthops = [a for a, _ in src_node.fib_ecmp_list(target)]
                 method = "local"
             elif hop in asked:
                 probe = make_srh_udp_packet(

@@ -9,7 +9,6 @@ from srv6sim import behaviors
 from srv6sim.behaviors import (
     SID_BEHAVIORS,
     TRANSIT_BEHAVIORS,
-    BehaviorError,
     DROP_HOP_LIMIT,
     Drop,
     DropReason,
@@ -87,16 +86,12 @@ def test_end_advances_to_next_segment():
 
 def test_end_exhausted_segments():
     p = sr_packet([S2, F], 0)
-    with pytest.raises(BehaviorError) as exc:
-        behaviors.end(p)
-    assert exc.value.reason is DropReason.SEGMENTS_EXHAUSTED
+    assert behaviors.end(p).reason is DropReason.SEGMENTS_EXHAUSTED
 
 
 def test_end_requires_srh():
     p = make_udp_packet(S1, S2, b"x")
-    with pytest.raises(BehaviorError) as exc:
-        behaviors.end(p)
-    assert exc.value.reason is DropReason.NO_SRH
+    assert behaviors.end(p).reason is DropReason.NO_SRH
 
 
 def test_end_leaves_tag_and_flags_alone():
@@ -201,16 +196,12 @@ def test_end_dt6_decapsulates_at_last_segment():
 
 def test_end_dt6_not_last_segment():
     p = sr_packet([S2, SID], 1)
-    with pytest.raises(BehaviorError) as exc:
-        behaviors.end_dt6(p)
-    assert exc.value.reason is DropReason.NOT_LAST_SEGMENT
+    assert behaviors.end_dt6(p).reason is DropReason.NOT_LAST_SEGMENT
 
 
 def test_end_dt6_requires_inner_header():
     p = sr_packet([S2, SID], 0)
-    with pytest.raises(BehaviorError) as exc:
-        behaviors.end_dt6(p)
-    assert exc.value.reason is DropReason.NO_INNER_HEADER
+    assert behaviors.end_dt6(p).reason is DropReason.NO_INNER_HEADER
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +220,10 @@ def test_t_insert_appends_original_destination():
 
 def test_t_insert_rejects_sr_packets():
     p = sr_packet([S2, F], 1)
-    with pytest.raises(InvariantViolation):
-        behaviors.t_insert(p, SegmentRoutingHeader(segments=[F], segments_left=0))
+    raw = encode_packet(p)
+    drop = behaviors.t_insert(p, SegmentRoutingHeader(segments=[F], segments_left=0))
+    assert drop.reason is DropReason.INVARIANT
+    assert encode_packet(p) == raw
 
 
 def test_t_encaps_preserves_inner_bytes():
@@ -362,10 +355,14 @@ def pushable_srhs(draw):
 
 
 def _error(push, p):
+    """The text of the InvariantViolation push raises or the INVARIANT
+    Drop it returns, else None."""
     try:
-        push(p)
+        result = push(p)
     except InvariantViolation as exc:
         return str(exc)
+    if type(result) is Drop and result.reason is DropReason.INVARIANT:
+        return result.detail
     return None
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from srv6sim import dataplane, fib
 from srv6sim.behaviors import (
     DROP_NO_ROUTE,
-    BehaviorError,
     DropReason,
     End,
     EndDT6,
@@ -90,16 +89,14 @@ def test_host_route_exact_match():
 def test_empty_table_no_route():
     node = make_node()
     assert forward_to(node, pton("2001:db8::2")) is DROP_NO_ROUTE
-    with pytest.raises(BehaviorError):
-        node.fib_ecmp_list(pton("2001:db8::2"))
+    assert node.fib_ecmp_list(pton("2001:db8::2")) == []
 
 
 def test_missing_table_no_route():
     node = make_node()
     node.fib_insert(FibEntry(b"\x00" * 16, 0, [NH1]))
     assert forward_to(node, pton("2001:db8::2"), 99) is DROP_NO_ROUTE
-    with pytest.raises(BehaviorError):
-        node.fib_ecmp_list(pton("2001:db8::2"), 99)
+    assert node.fib_ecmp_list(pton("2001:db8::2"), 99) == []
 
 
 def brute_force_lookup(entries, addr: bytes):
@@ -452,11 +449,8 @@ def _lookup_packet(base: int, op: tuple):
 
 
 def _ecmp_list(node: Node, addr: bytes, table: int):
-    """fib_ecmp_list's nexthops, or the drop reason it raised."""
-    try:
-        return node.fib_ecmp_list(addr, table)
-    except BehaviorError as exc:
-        return exc.reason
+    """fib_ecmp_list's nexthops, or NO_ROUTE for none."""
+    return node.fib_ecmp_list(addr, table) or DropReason.NO_ROUTE
 
 
 def _lpm_nexthops(node: Node, addr: bytes, table: int):

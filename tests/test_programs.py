@@ -837,6 +837,34 @@ def test_transit_store_then_encaps_drops_the_invalid_srh(then_encaps):
     assert encode_packet(p) == before
 
 
+@pytest.mark.parametrize("hook", list(Hook), ids=lambda h: h.value)
+def test_a_program_raising_invariant_violation_drops_with_invariant(hook):
+    """run_program turns an InvariantViolation its program raises into the
+    run's INVARIANT drop at both hooks: here the program encodes a packet
+    whose PadN runs past the TLV region, as its own TLV write left it at
+    End.BPF and as it arrived at the transit hook, where SRH writes are
+    refused."""
+    node = router()
+
+    def program(ctx):
+        if ctx.hook is Hook.ENDPOINT:  # the PadN's length octet
+            helper_store_bytes(ctx, 9 + 16 * len(ctx.packet.outer_srh.segments), b"\x10")
+        encode_packet(ctx.packet)
+        return Outcome.OK
+
+    node.add_program("prog", program)
+    if hook is Hook.ENDPOINT:
+        node.add_sid(SID, EndProgram("prog"))
+        p = padded_sr_packet([S2, SID], 1)
+    else:
+        node.add_transit(F, 128, TransitProgram("prog"))
+        p = padded_sr_packet([S2, F], 1)
+        p.outer_srh.tlv_bytes = bytes((4, 16)) + PADN_8[2:]
+    decision = node.process_ingress(p, 0)
+    assert decision == Drop(DropReason.INVARIANT)
+    assert decision.detail.startswith("SRH 0.0: TlvWalkOverrun")
+
+
 def end_bpf_router(program):
     """A router whose End.BPF SID runs program."""
     node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])

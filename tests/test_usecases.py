@@ -630,11 +630,29 @@ def test_prober_compensation_off_leaves_links_alone():
     assert sim.links["la"].dirs["A"].qdisc_extra_ns == 0
 
 
+def test_a_prober_added_by_hand_receives_as_a_built_one():
+    """add_daemon binds the prober's return addresses, so a prober added
+    to a built simulation hears its probes and compensates as one the
+    scenario builds."""
+    cfg = load_scenario(fixture_path("setup2-hybrid.json"))
+    d = next(d for d in cfg.daemons if d.type == "twd_prober")
+    cfg.daemons.remove(d)
+    sim = build_simulation(cfg)
+    prober = TwdProber(d.id, d.node, **d.params)
+    sim.add_daemon(prober)
+    sim.run_until(2_000_000_000)
+    built = build_simulation(load_scenario(fixture_path("setup2-hybrid.json")))
+    built.run_until(2_000_000_000)
+    assert prober.received == built.daemons[d.id].received > 0
+    assert prober.history == built.daemons[d.id].history != []
+
+
 # ---------------------------------------------------------------------------
 # ECMP nexthop discovery.
 
 def oamp_node():
-    node = Node("A", [pton("2001:db8:aa::1")], index=3)
+    node = Node("A", [pton("2001:db8:aa::1")])
+    node.index = 3
     node.fib_insert(
         FibEntry(pton("2001:db8:2::"), 64,
                  [(pton("2001:db8:bb::1"), "lab"), (pton("2001:db8:cc::1"), "lac")])
