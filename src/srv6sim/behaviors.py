@@ -18,7 +18,6 @@ from .packet import (
     PROTO_ROUTING,
     Packet,
     SegmentRoutingHeader,
-    SrhViolation,
     validate_srh,
 )
 
@@ -99,14 +98,15 @@ class Behavior:
 class SrhTemplate(Behavior):
     """Base of the descriptors that push a configured ``srh``. As
     seg6_build_state and parse_nla_srh do when a route is installed, the
-    SRH is validated once, at construction, and a private copy kept as the
-    template each push copies; packets then pay no validation."""
+    SRH is validated once, with the action's room, and a private copy kept
+    as the template each push copies; packets then pay no validation."""
 
     room = 0  # segments the action adds to the template
 
     def __post_init__(self) -> None:
         srh = self.srh.copy()
-        check_srh(srh, self.room)
+        if bad := validate_srh(srh, self.room):
+            raise InvariantViolation(str(bad))
         object.__setattr__(self, "srh", srh)
 
 
@@ -238,17 +238,6 @@ def end(p: Packet) -> Drop | None:
     srh.segments_left = sl = sl - 1
     hdr.dst = srh.segments[sl]
     return None
-
-
-def check_srh(srh: SegmentRoutingHeader, room: int = 0) -> None:
-    """The seg6_validate_srh analog, run where an SRH enters: raise
-    InvariantViolation unless srh is valid and still fits hdr_ext_len
-    with ``room`` more segments."""
-    bad = validate_srh(srh)  # which rejects hdr_ext_len > 255 itself
-    if bad is None and room and srh.hdr_ext_len + 2 * room > 0xFF:
-        bad = SrhViolation("SizeOverflow", "hdr_ext_len > 255")
-    if bad is not None:
-        raise InvariantViolation(str(bad))
 
 
 def _splice(

@@ -23,6 +23,11 @@ def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
+def masked(prefix: Address, plen: int) -> int:
+    """The first plen bits of prefix: PrefixTable's key at length plen."""
+    return int.from_bytes(prefix, "big") >> (128 - plen)
+
+
 @dataclass
 class FibEntry:
     prefix: Address
@@ -51,16 +56,12 @@ class PrefixTable:
         # the first lookup after a change
         self._order = None
 
-    @staticmethod
-    def _masked(prefix: Address, plen: int) -> int:
-        return int.from_bytes(prefix, "big") >> (128 - plen)
-
     def insert(self, prefix: Address, plen: int, value) -> None:
         """Insert or replace the value at (prefix, plen)."""
         if not 0 <= plen <= 128:
             raise ValueError(f"bad prefix length {plen}")
         bucket = self._buckets.setdefault(plen, {})
-        key = self._masked(prefix, plen)
+        key = masked(prefix, plen)
         bucket[key] = value
         self._order = None
 
@@ -68,7 +69,7 @@ class PrefixTable:
         bucket = self._buckets.get(plen)
         if bucket is None:
             return False
-        key = self._masked(prefix, plen)
+        key = masked(prefix, plen)
         if key not in bucket:
             return False
         del bucket[key]

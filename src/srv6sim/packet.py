@@ -188,8 +188,10 @@ class SrhViolation:
         return f"{self.code}: {self.detail}" if self.detail else self.code
 
 
-def validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
-    """Full SRH check; returns the first violation found, or None.
+def validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViolation | None:
+    """The one SRH check, seg6_validate_srh's analog, run wherever an SRH
+    enters; returns the first violation found, or None. room is the
+    number of segments a push adds, which must still fit hdr_ext_len.
 
     The TLV region must parse as a terminating walk and multi-octet
     padding must use PadN: a run of two or more Pad1 octets (e.g. space
@@ -214,7 +216,7 @@ def validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
         return SrhViolation("FieldOutOfRange", "flags or tag")
     region = srh.tlv_bytes
     end = len(region)
-    if 2 * len(segments) + end // 8 > 0xFF:
+    if 2 * (len(segments) + room) + end // 8 > 0xFF:
         return SrhViolation("SizeOverflow", "hdr_ext_len > 255")
     if end % 8 != 0:
         return SrhViolation("TlvRegionMisaligned", str(end))

@@ -240,23 +240,20 @@ def helper_push_encap(
 ) -> None:
     """Insert an SRH or encapsulate pure IPv6 traffic (transit hook only).
     As bpf_lwt_push_encap, the push validates the program's SRH once per
-    call and then copies it, so it is not marked."""
+    call, with room for the segment an insert adds, and then copies it, so
+    it is not marked; an invalid one raises and pushes nothing."""
     if ctx.hook is not _TRANSIT:
         raise HelperError("wrong_hook", "helper_push_encap is transit-only")
-    try:
-        if mode == "insert":
-            behaviors.check_srh(srh, room=1)
-            if (drop := behaviors.t_insert(ctx.packet, srh)) is not None:
-                raise HelperError(drop.reason.value, drop.detail)
-        elif mode == "encaps":
-            behaviors.check_srh(srh)
-            if outer_src is None:
-                outer_src = ctx.dataplane.addresses[0]
-            behaviors.encapsulate(ctx.packet, srh, outer_src)
-        else:
-            raise HelperError("bad_mode", mode)
-    except InvariantViolation as exc:
-        raise HelperError("invariant_violation", str(exc)) from None
+    if mode not in ("insert", "encaps"):
+        raise HelperError("bad_mode", mode)
+    if bad := validate_srh(srh, mode == "insert"):  # room: 1 for an insert
+        raise HelperError("invariant_violation", str(bad))
+    if mode == "encaps":
+        if outer_src is None:
+            outer_src = ctx.dataplane.addresses[0]
+        behaviors.encapsulate(ctx.packet, srh, outer_src)
+    elif (drop := behaviors.t_insert(ctx.packet, srh)) is not None:
+        raise HelperError(drop.reason.value, drop.detail)
 
 
 def map_get(holder, name: str, key: bytes) -> bytes | None:

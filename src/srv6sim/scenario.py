@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 from .behaviors import SID_BEHAVIORS, TRANSIT_BEHAVIORS, Behavior, ProgramBehavior
 from .dataplane import Node
-from .fib import FibEntry
+from .fib import FibEntry, masked
 from .packet import Address, InvariantViolation, SegmentRoutingHeader, pton
 from .programs import make_program
 from .sim import SimError, Simulation, UdpStream
@@ -381,6 +381,15 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             raise ConfigError(where.format(*at), f"link {link_id!r} not at node {node_id!r}")
         return link_id
 
+    # (kind, node, ...) of each SID, transit and route read: a node would
+    # replace an entry by a later one of the same key, so that is refused
+    keys = set()
+
+    def check_once(key, where, *at):
+        if key in keys:
+            raise ConfigError(where.format(*at), f"duplicate {key[0]} at node {key[1]!r}")
+        keys.add(key)
+
     fib = []
     for i, obj in enumerate(doc.get("fib", ())):
         node_id = check_node(obj["node"], "$.fib[{}].node", i)
@@ -389,11 +398,14 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
             for j, nh in enumerate(obj["nexthops"])
         ]
         prefix, plen = obj["prefix"]
-        fib.append((node_id, FibEntry(prefix, plen, nexthops, obj.get("table", 0))))
+        table = obj.get("table", 0)
+        check_once(("route", node_id, table, plen, masked(prefix, plen)), "$.fib[{}].prefix", i)
+        fib.append((node_id, FibEntry(prefix, plen, nexthops, table)))
 
     sids = []
     for i, obj in enumerate(doc.get("sids", ())):
         node_id = check_node(obj["node"], "$.sids[{}].node", i)
+        check_once(("SID", node_id, obj["sid"]), "$.sids[{}].sid", i)
         b = obj["behavior"]
         behavior = _behavior(
             b, SID_BEHAVIORS, f"sid:{obj['sid'].hex()}", f"$.sids[{i}].behavior"
@@ -404,6 +416,7 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     for i, obj in enumerate(doc.get("transits", ())):
         node_id = check_node(obj["node"], "$.transits[{}].node", i)
         prefix, plen = obj["prefix"]
+        check_once(("transit", node_id, plen, masked(prefix, plen)), "$.transits[{}].prefix", i)
         b = obj["behavior"]
         behavior = _behavior(
             b, TRANSIT_BEHAVIORS, f"transit:{prefix.hex()}/{plen}", f"$.transits[{i}].behavior"

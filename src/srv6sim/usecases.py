@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .packet import (
     Address,
-    InvariantViolation,
     Packet,
     SegmentRoutingHeader,
     Tlv,
@@ -22,6 +21,7 @@ from .packet import (
     make_srh_udp_packet,
     make_udp_packet,
     ntop,
+    validate_srh,
 )
 from .programs import (
     HelperError,
@@ -37,7 +37,7 @@ from .programs import (
     map_put,
     register_program,
 )
-from .behaviors import EndDT6, check_srh
+from .behaviors import EndDT6
 from .dataplane import ICMP_TIME_EXCEEDED, TIME_EXCEEDED_QUOTE_AT
 from .sim import Daemon, Simulation
 
@@ -62,11 +62,9 @@ def controller_tlv(addr: Address, port: int) -> Tlv:
 
 def _pushable(name: str, srh: SegmentRoutingHeader) -> None:
     """Reject, at instantiation, a path SRH that helper_push_encap would
-    refuse on every packet."""
-    try:
-        check_srh(srh)
-    except InvariantViolation as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    refuse on every packet; both programs push it as "encaps", with no room."""
+    if bad := validate_srh(srh):
+        raise ValueError(f"{name}: {bad}")
 
 
 def read_dm_tlv(srh: SegmentRoutingHeader, tlvs: dict | None = None) -> int | None:
@@ -346,9 +344,10 @@ class TwdProber(Daemon):
     interval, updates the EWMA difference and (when compensation is on)
     delays the faster link's egress by half the difference.
 
-    The currently applied delay is subtracted from fast-link samples
-    before the EWMA update so the measurement tracks the intrinsic link
-    delay rather than the compensator's own output.
+    The delay applied on a link's egress, which only the link direction
+    holds, is subtracted from that link's samples before the EWMA update
+    so the measurement tracks the intrinsic link delay rather than the
+    compensator's own output.
     """
 
     def __init__(
@@ -366,7 +365,6 @@ class TwdProber(Daemon):
         self.links = links
         self.compensate = compensate
         self.state = CompensatorState(alpha=alpha)
-        self.applied: dict[str, int] = {pl.link: 0 for pl in links}
         self.history: list[tuple[int, str, int]] = []
         self.sent = 0
         self.received = 0
@@ -384,7 +382,7 @@ class TwdProber(Daemon):
             if tx is None:
                 return
             self.received += 1
-            sample = (now - tx) - self.applied.get(pl.link, 0)
+            sample = (now - tx) - sim.links[pl.link].dirs[self.node].qdisc_extra_ns
             compensator_update(self.state, pl.link, sample)
             if self.compensate and self.state.fast_link is not None:
                 for other in self.links:
@@ -393,9 +391,7 @@ class TwdProber(Daemon):
                         if other.link == self.state.fast_link
                         else 0
                     )
-                    if self.applied[other.link] != target:
-                        sim.set_qdisc_delay(self.node, other.link, target)
-                        self.applied[other.link] = target
+                    sim.set_qdisc_delay(self.node, other.link, target)
                 self.history.append(
                     (now, self.state.fast_link, self.state.applied_delay_ns)
                 )

@@ -16,6 +16,12 @@ it was taken on.
 The previous trace function (a line-coverage tracer, say) is suspended
 while the callable runs and restored afterwards, so the lines the
 callable runs are not reported to it.
+
+Run as a module, it prints the ledger committed as tests/opcount_ledger.txt:
+the interpreter, instructions per bench packet, and instructions per trace
+row by module for each bundled fixture run to its duration_ms.
+
+    PYTHONPATH=src:tests python -m opcount > tests/opcount_ledger.txt
 """
 
 from __future__ import annotations
@@ -47,3 +53,50 @@ def count_instructions(fn) -> Counter:
     finally:
         sys.settrace(previous)
     return counts
+
+
+def bench_packet_counts() -> dict[str, int]:
+    """Instructions per bench packet for each ``srv6sim bench`` case: one
+    reset(); process_ingress call on warm caches, as criterion 8's counted
+    test takes it."""
+    from srv6sim.cli import BENCH_FUNCTIONS, _bench_case
+
+    counts = {}
+    for name in BENCH_FUNCTIONS:
+        node, p, reset = _bench_case(name)
+        ingress = node.process_ingress
+        for i in range(3):
+            reset()
+            ingress(p, i)
+
+        def one_packet():
+            reset()
+            ingress(p, 0)
+
+        counts[name] = sum(count_instructions(one_packet).values())
+    return counts
+
+
+def ledger() -> str:
+    """The counted-instruction ledger: per bench packet, and per trace row
+    by module for each bundled fixture's run_until to its duration_ms
+    (building the simulation is not counted)."""
+    from srv6sim.scenario import build_simulation, fixture_path, load_scenario
+
+    lines = [f"python {sys.version.split()[0]} ({sys.implementation.name})", "",
+             "instructions per bench packet"]
+    lines += [f"  {name:<18} {n}" for name, n in bench_packet_counts().items()]
+    for name in ("setup1.json", "setup2-hybrid.json", "diamond.json"):
+        cfg = load_scenario(fixture_path(name))
+        sim = build_simulation(cfg)
+        counts = count_instructions(lambda: sim.run_until(cfg.duration_ns))
+        rows, total = len(sim.trace), sum(counts.values())
+        lines += ["", f"instructions per trace row, {name} ({rows} rows)",
+                  f"  {'all':<18} {total / rows:.2f}"]
+        lines += [f"  {module:<18} {n / rows:.2f}"
+                  for module, n in sorted(counts.items(), key=lambda mn: (-mn[1], mn[0]))]
+    return "\n".join(lines) + "\n"
+
+
+if __name__ == "__main__":
+    sys.stdout.write(ledger())

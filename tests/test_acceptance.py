@@ -18,7 +18,7 @@ import time
 import pytest
 
 from srv6sim.behaviors import Drop, EndProgram, EndX, Forward, LocalDeliver, TransitProgram
-from srv6sim.cli import BENCH_FUNCTIONS, _bench_case, run_bench
+from srv6sim.cli import run_bench
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
@@ -49,7 +49,7 @@ from srv6sim.scenario import (
 )
 from srv6sim.sim import goodput_estimate, reorder_fraction
 from srv6sim.usecases import multipath_traceroute, wrr_counts
-from opcount import count_instructions
+from opcount import bench_packet_counts
 from util import (
     copy_packet, end_vs_noop_nodes, owd_collector_drain, owd_scenario_raw, random_packet, random_sr_packet,
     SID_END,
@@ -521,19 +521,7 @@ def test_criterion_8_counted_ordering():
     reset(); process_ingress call on warm caches), which are the same on
     every run: it sits beside the wall-clock gate, not in its place."""
     t0 = time.perf_counter()
-    counts = {}
-    for name in BENCH_FUNCTIONS:
-        node, p, reset = _bench_case(name)
-        ingress = node.process_ingress
-        for i in range(3):
-            reset()
-            ingress(p, i)
-
-        def one_packet():
-            reset()
-            ingress(p, 0)
-
-        counts[name] = sum(count_instructions(one_packet).values())
+    counts = bench_packet_counts()
     elapsed = time.perf_counter() - t0
     c = counts
     ok = (

@@ -106,6 +106,13 @@ def _with_nodes(nodes) -> str:
     return json.dumps(raw)
 
 
+def _with_entry(section: str, entry: dict, fixture="setup1.json") -> str:
+    """fixture with entry appended to section."""
+    raw = json.loads(fixture_path(fixture).read_text())
+    raw[section].append(entry)
+    return json.dumps(raw)
+
+
 def _with_behavior(section: str, behavior: dict, fixture="setup1.json", node="R", at=None) -> str:
     """fixture with one more SID or transit route at node, of behavior,
     inserted at index at (default: appended)."""
@@ -128,7 +135,7 @@ CASE_COMMAND = {"stray_wrr_on_encaps": "hybrid"}
     ["truncated", "duplicate_link", "duplicate_daemon", "nodes_not_array", "node_not_object",
      "wrr_as_sid", "dm_transit_as_sid", "end_dm_as_transit", "end_oamp_as_transit",
      "stray_wrr_on_encaps", "table_on_end", "src_on_end_b6", "params_on_end_t",
-     "program_on_encaps"],
+     "program_on_encaps", "duplicate_sid", "duplicate_transit", "duplicate_route"],
 )
 def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
     text, error = {
@@ -190,6 +197,25 @@ def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
                 {"type": "encaps", "srh": SRH, "src": "2001:db8::1", "program": "noop"},
             ),
             "$.transits[1].behavior.program: unknown key for behavior type 'encaps'",
+        ),
+        # an entry of the same key at the same node, which replaced the first:
+        # R's End.BPF SID became End and still loaded its program
+        "duplicate_sid": (
+            _with_entry("sids", {"node": "R", "sid": "fd00:72::b", "behavior": {"type": "end"}}),
+            "$.sids[3].sid: duplicate SID at node 'R'",
+        ),
+        # a prefix is compared masked to its length, as the node keys it
+        "duplicate_transit": (
+            _with_entry("transits", {"node": "R", "prefix": "2001:db8:2::1/64", "behavior": {
+                "type": "encaps", "srh": SRH, "src": "2001:db8::1"}}),
+            "$.transits[1].prefix: duplicate transit at node 'R'",
+        ),
+        # A's two-nexthop route lost its ECMP
+        "duplicate_route": (
+            _with_entry("fib", {"node": "A", "prefix": "2001:db8:2::/64",
+                                "nexthops": [{"via": "2001:db8:bb::1", "link": "lab"}]},
+                        "diamond.json"),
+            "$.fib[20].prefix: duplicate route at node 'A'",
         ),
     }[case]
     bad = tmp_path / "bad.json"

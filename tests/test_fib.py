@@ -185,7 +185,7 @@ def test_lpm_interleaved_ops_against_brute_force(base, ops):
             model.pop((prefix, plen), None)
         # the table holds the model's entries and no emptied length
         held = {(n, key): v for n, bucket in table._buckets.items() for key, v in bucket.items()}
-        assert held == {(n, PrefixTable._masked(pfx, n)): v for (pfx, n), v in model.items()}
+        assert held == {(n, fib.masked(pfx, n)): v for (pfx, n), v in model.items()}
         assert all(table._buckets.values())
 
 

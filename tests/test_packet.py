@@ -333,9 +333,9 @@ def test_validate_misaligned_tlv_region():
     assert bad is not None and bad.code == "TlvRegionMisaligned"
 
 
-def reference_validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
+def reference_validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViolation | None:
     """validate_srh as it was written on walk_tlvs, kept as the oracle
-    of the inlined walk."""
+    of the inlined walk; room segments more must still fit hdr_ext_len."""
     if not srh.segments:
         return SrhViolation("NoSegments")
     for seg in srh.segments:
@@ -350,7 +350,7 @@ def reference_validate_srh(srh: SegmentRoutingHeader) -> SrhViolation | None:
         return SrhViolation("BadRoutingType", str(srh.routing_type))
     if not (0 <= srh.flags <= 0xFF) or not (0 <= srh.tag <= 0xFFFF):
         return SrhViolation("FieldOutOfRange", "flags or tag")
-    if srh.hdr_ext_len > 0xFF:
+    if srh.hdr_ext_len + 2 * room > 0xFF:
         return SrhViolation("SizeOverflow", "hdr_ext_len > 255")
     if len(srh.tlv_bytes) % 8 != 0:
         return SrhViolation("TlvRegionMisaligned", str(len(srh.tlv_bytes)))
@@ -425,15 +425,18 @@ def srhs(draw):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(srh=srhs())
+@given(srh=srhs(), room=st.sampled_from([0, 1]))
 # Pad1 octets apart from each other are no run
 @example(srh=SegmentRoutingHeader(
     [S1], 0, tlv_bytes=bytes((TLV_PAD1, TLV_PADN, 0, TLV_PAD1, TLV_PADN, 2, 0, 0))
-))
+), room=0)
 # TLV octets count toward hdr_ext_len: 2 * 127 + 16 // 8 = 256
-@example(srh=SegmentRoutingHeader([S1] * 127, 0, tlv_bytes=bytes((TLV_PADN, 14)) + bytes(14)))
-def test_validate_srh_matches_the_tlv_walk_reference(srh):
-    assert validate_srh(srh) == reference_validate_srh(srh)  # code and detail
+@example(srh=SegmentRoutingHeader([S1] * 127, 0, tlv_bytes=bytes((TLV_PADN, 14)) + bytes(14)),
+         room=0)
+# so does a push's room: 2 * (127 + 1) = 256
+@example(srh=SegmentRoutingHeader([S1] * 127, 0), room=1)
+def test_validate_srh_matches_the_tlv_walk_reference(srh, room):
+    assert validate_srh(srh, room) == reference_validate_srh(srh, room)  # code and detail
 
 
 # records of two types, so a region often repeats one

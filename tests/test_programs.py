@@ -361,6 +361,25 @@ def test_push_encap_insert_on_sr_packet_rejected():
     assert exc.value.code == "invariant_violation"
 
 
+@pytest.mark.parametrize("n, pushes", [(126, True), (127, False)])
+def test_push_encap_insert_needs_room_for_the_destination(n, pushes):
+    # the insert appends the original destination: 2 * (127 + 1) > 255
+    p = make_udp_packet(S1, S2, b"x")
+    before = encode_packet(p)
+    ctx = make_ctx(p, hook=Hook.TRANSIT)
+    srh = SegmentRoutingHeader(segments=[F] * n, segments_left=n - 1)
+    if pushes:
+        helper_push_encap(ctx, "insert", srh)
+        assert p.outer_srh.segments == [S2, *srh.segments]
+        return
+    with pytest.raises(HelperError) as exc:
+        helper_push_encap(ctx, "insert", srh)
+    assert (exc.value.code, str(exc.value)) == (
+        "invariant_violation", "invariant_violation: SizeOverflow: hdr_ext_len > 255"
+    )
+    assert encode_packet(p) == before
+
+
 def test_push_encap_unknown_mode_rejected():
     p = make_udp_packet(S1, S2, b"x")
     before = copy_packet(p)

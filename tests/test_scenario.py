@@ -74,6 +74,17 @@ def test_duplicate_node_id_rejected():
     assert "nodes[3].id" in str(exc.value)
 
 
+def test_an_entry_key_repeated_at_another_node_or_table_loads():
+    # a SID's, transit's or route's key is per node, and a route's per table
+    raw = raw_fixture("setup1.json")
+    raw["sids"].append({"node": "S1", "sid": "fd00:72::b", "behavior": {"type": "end"}})
+    raw["transits"].append({**raw["transits"][0], "node": "S1"})
+    raw["fib"].append({**raw["fib"][1], "table": 7})
+    raw["fib"].append({**raw["fib"][1], "prefix": "2001:db8:1::/65"})
+    cfg = parse_scenario(raw)
+    assert (len(cfg.sids), len(cfg.transits), len(cfg.fib)) == (4, 2, 7)
+
+
 def test_unknown_node_reference_rejected():
     raw = raw_fixture("setup1.json")
     raw["fib"][0]["node"] = "NOPE"
