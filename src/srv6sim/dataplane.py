@@ -212,14 +212,17 @@ class Node:
 
     def time_exceeded(self, offender: Packet) -> Packet | None:
         """The ICMPv6 time-exceeded (RFC 4443 §3.3, code 0) this node sends
-        toward the offender's source, or None if the node has no address
-        or that source is the unspecified address. The body is the type,
-        the code and a zero checksum, then the offender's first 64 octets.
-        The RFC's message also has 4 unused octets, and quotes as much as
-        fits in 1,280 octets; the short quote is this model's choice, and
-        the trace digests pin it."""
-        src = offender.headers[0][0].src
-        if not self.addresses or src == _UNSPECIFIED:
+        toward the offender's source; None from a node with no address, to
+        the unspecified address, or about an ICMPv6 error (§2.4(e.1), as
+        Linux's is_ineligible, from memory). The body is the type, the code,
+        a zero checksum, then the offender's first 64 octets. The RFC has 4
+        unused octets before the quote, and quotes up to 1,280 octets in
+        all; the short quote is this model's choice, the digests pin it."""
+        hdr, srhs = offender.headers[0]
+        src = hdr.src
+        if (not self.addresses or src == _UNSPECIFIED
+                or (srhs[-1] if srhs else hdr).next_header == PROTO_ICMPV6
+                and offender.transport[:1] < b"\x80"):  # an error type, or none
             return None
         try:
             quoted = encode_packet(offender)[:64]

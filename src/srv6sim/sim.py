@@ -423,13 +423,19 @@ class Simulation:
             raise SimError("run_until target precedes current clock")
         self._until = t_ns
         heap = self._heap
-        deliver = self._process_deliver
+        trace = self.trace
         while heap and heap[0][0] <= self._until:
             time_ns, _, event = heappop(heap)
             self.clock = time_ns
             kind = event[0]
             if kind == "deliver":
-                deliver(event[1], event[2], event[3], event[4])
+                # the packet does not change on the link: the size and
+                # trace ids of its egress row still hold
+                _, link, node, p, size = event
+                link.delivered += 1
+                flow, seq = p.trace_ids
+                trace.append((time_ns, node.id, "ingress", flow, seq, size))
+                self._apply(node, p, node.process_ingress(p, time_ns))
             elif kind == "gen":
                 self._process_gen(event[1], event[2])
             elif kind == "wake":
@@ -449,18 +455,6 @@ class Simulation:
             self._seq += 1
             heappush(self._heap, (self.clock + 1_000_000_000 // stream.rate_pps, self._seq,
                                   ("gen", stream, seq)))
-
-    def _process_deliver(self, link: Link, node: Node, p: Packet, size: int) -> None:
-        # the packet does not change on the link: the size and trace ids
-        # of its egress row still hold
-        link.delivered += 1
-        flow, seq = p.trace_ids
-        self.trace.append((self.clock, node.id, "ingress", flow, seq, size))
-        decision = node.process_ingress(p, self.clock)
-        self._apply(node, p, decision)
-        # as icmpv6_send: the error leaves after the drop, as any originated packet
-        if decision is DROP_HOP_LIMIT and (error := node.time_exceeded(p)) is not None:
-            self._local_output(node, error)
 
     def _apply(self, node: Node, p: Packet, decision) -> None:
         kind = type(decision)
@@ -483,6 +477,9 @@ class Simulation:
             heappush(self._heap, (delivery, self._seq, ("deliver", link, peer, p, size)))
         elif kind is Drop:
             self._drop(node, decision.reason, p)
+            # as icmpv6_send: the error leaves after the drop, as any originated packet
+            if decision is DROP_HOP_LIMIT and (error := node.time_exceeded(p)) is not None:
+                self._local_output(node, error)
         elif kind is LocalDeliver:
             node.delivered += 1
             handler = self.handlers.get(p.headers[0][0].dst)

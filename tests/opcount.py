@@ -15,7 +15,10 @@ it was taken on.
 
 The previous trace function (a line-coverage tracer, say) is suspended
 while the callable runs and restored afterwards, so the lines the
-callable runs are not reported to it.
+callable runs are not reported to it. The cyclic garbage collector is
+held off too: a collection would run whatever ``gc.callbacks`` and
+finalizers other code left behind (hypothesis registers a callback), and
+count their instructions.
 
 Run as a module, it prints the ledger committed as tests/opcount_ledger.txt:
 the interpreter, instructions per bench packet, and instructions per trace
@@ -26,8 +29,13 @@ row by module for each bundled fixture run to its duration_ms.
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
+from functools import partial
+
+# the ledger's first line: counts hold only for the interpreter it names
+INTERPRETER = f"python {sys.version.split()[0]} ({sys.implementation.name})"
 
 
 def count_instructions(fn) -> Counter:
@@ -47,11 +55,15 @@ def count_instructions(fn) -> Counter:
         return on_event
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return counts
 
 
@@ -83,13 +95,14 @@ def ledger() -> str:
     (building the simulation is not counted)."""
     from srv6sim.scenario import build_simulation, fixture_path, load_scenario
 
-    lines = [f"python {sys.version.split()[0]} ({sys.implementation.name})", "",
-             "instructions per bench packet"]
+    lines = [INTERPRETER, "", "instructions per bench packet"]
     lines += [f"  {name:<18} {n}" for name, n in bench_packet_counts().items()]
     for name in ("setup1.json", "setup2-hybrid.json", "diamond.json"):
         cfg = load_scenario(fixture_path(name))
         sim = build_simulation(cfg)
-        counts = count_instructions(lambda: sim.run_until(cfg.duration_ns))
+        # a partial, not a lambda: no frame of this module's is counted, so
+        # the ledger reads the same run as a script or imported by a test
+        counts = count_instructions(partial(sim.run_until, cfg.duration_ns))
         rows, total = len(sim.trace), sum(counts.values())
         lines += ["", f"instructions per trace row, {name} ({rows} rows)",
                   f"  {'all':<18} {total / rows:.2f}"]

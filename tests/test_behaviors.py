@@ -27,10 +27,12 @@ from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
     InvariantViolation,
+    Ipv6Header,
     PROTO_ICMPV6,
     PROTO_IPV6,
     PROTO_ROUTING,
     PROTO_UDP,
+    Packet,
     SegmentRoutingHeader,
     Tlv,
     check_packet,
@@ -416,14 +418,50 @@ def test_time_exceeded_quotes_nothing_of_an_offender_with_a_stale_length():
     assert node.time_exceeded(p).transport == bytes((3, 0, 0, 0))
 
 
-@pytest.mark.parametrize("addresses,src", [([], S1), ([pton("2001:db8::1")], bytes(16))])
-def test_hop_limit_drop_emits_no_time_exceeded_without_a_reply_path(addresses, src):
+def _expired_time_exceeded():
+    """A time-exceeded another node sent toward S1, given hop limit 1."""
+    error = Node("Q", [pton("2001:db8::2")]).time_exceeded(make_udp_packet(S1, S2, b"x"))
+    error.outer_header.hop_limit = 1
+    return error
+
+
+@pytest.mark.parametrize("addresses,offender", [
+    ([], lambda: make_udp_packet(S1, S2, b"x", hop_limit=1)),
+    ([pton("2001:db8::1")], lambda: make_udp_packet(bytes(16), S2, b"x", hop_limit=1)),
+    ([pton("2001:db8::1")], _expired_time_exceeded),
+    ([pton("2001:db8::1")],
+     lambda: behaviors.insert_srh(_expired_time_exceeded(), SegmentRoutingHeader([S1], 0))),
+], ids=["no_address", "unspecified", "icmp_error", "icmp_err_srh"])
+def test_hop_limit_drop_emits_no_time_exceeded_without_a_reply_path(addresses, offender):
     """No time-exceeded from a node with no address to send it from, nor
-    toward an unspecified source."""
+    toward an unspecified source, nor about an ICMPv6 error message
+    (RFC 4443 §2.4(e.1))."""
     node = Node("R", addresses)
-    p = make_udp_packet(src, S2, b"x", hop_limit=1)
+    p = offender()
     assert node.process_ingress(p, 5) == Drop(DropReason.HOP_LIMIT_EXCEEDED)
     assert node.time_exceeded(p) is None
+
+
+def _echo_request():
+    body = bytes((128, 0, 0, 0))
+    return Packet([(Ipv6Header(S1, S2, PROTO_ICMPV6, 1, 0, 0, len(body)), [])], body)
+
+
+def _encapsulated_time_exceeded():
+    p = behaviors.encapsulate(_expired_time_exceeded(), SegmentRoutingHeader([S1], 0), S2)
+    p.outer_header.hop_limit = 1
+    return p
+
+
+@pytest.mark.parametrize("offender", [_echo_request, _encapsulated_time_exceeded])
+def test_hop_limit_drop_answers_an_icmpv6_message_that_is_not_an_error(offender):
+    """Only an ICMPv6 error (a type below 128) that ends the outer header
+    chain goes unanswered, as Linux's is_ineligible reads that chain alone:
+    an echo request and an encapsulated error each draw a time-exceeded."""
+    node = router()
+    p = offender()
+    assert node.process_ingress(p, 5) is DROP_HOP_LIMIT
+    assert node.time_exceeded(p).outer_header.dst == p.outer_header.src
 
 
 def test_local_delivery():

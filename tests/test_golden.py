@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from srv6sim.behaviors import Forward
+from srv6sim.dataplane import Node
 from srv6sim.scenario import apply_overrides, build_simulation, fixture_path, load_scenario
 from srv6sim.sim import Simulation, trace_ids, write_trace
 
@@ -94,30 +95,30 @@ def test_fixture_digests_unchanged(name, seed, tmp_path):
 def test_carried_size_and_trace_ids_match_the_packet(name, seed, monkeypatch):
     """The size carried to each ingress and egress row and the (flow, seq)
     cached in the packet's trace_ids, which the traffic generator or the
-    node's local output set, equal what the packet itself gives there."""
-    process_deliver = Simulation._process_deliver
+    node's local output set, equal what the packet itself gives there.
+    A received packet's ingress row is the last row when Node.process_ingress
+    takes it."""
+    cfg = apply_overrides(load_scenario(fixture_path(name)), seed=seed)
+    sim = build_simulation(cfg)
+    process_ingress = Node.process_ingress
     apply = Simulation._apply
     directions = set()
 
-    def check_row(row, p, size):
-        assert p.trace_ids == trace_ids(p) == row[3:5]
-        assert row[5] == size
+    def check_row(row, head, p):
+        assert p.trace_ids == trace_ids(p)
+        assert row == (*head, *trace_ids(p), p.wire_size())
         directions.add(row[2])
 
-    def checked_deliver(self, link, node, p, size):
-        assert size == p.wire_size()
-        n = len(self.trace)
-        process_deliver(self, link, node, p, size)
-        assert self.trace[n][:3] == (self.clock, node.id, "ingress")
-        check_row(self.trace[n], p, size)
+    def checked_ingress(self, p, now):
+        check_row(sim.trace[-1], (now, self.id, "ingress"), p)
+        return process_ingress(self, p, now)
 
     def checked_apply(self, node, p, decision):
         apply(self, node, p, decision)
         if type(decision) is Forward:
-            assert self.trace[-1][:3] == (self.clock, node.id, "egress")
-            check_row(self.trace[-1], p, p.wire_size())
+            check_row(self.trace[-1], (self.clock, node.id, "egress"), p)
 
-    monkeypatch.setattr(Simulation, "_process_deliver", checked_deliver)
+    monkeypatch.setattr(Node, "process_ingress", checked_ingress)
     monkeypatch.setattr(Simulation, "_apply", checked_apply)
-    sim, _ = _run(name, seed)
+    sim.run_until(cfg.duration_ns)
     assert sim.trace and {"ingress", "egress"} <= directions
