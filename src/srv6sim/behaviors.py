@@ -249,7 +249,7 @@ def _splice(
     tlv = srh.tlv_bytes
     srhs.insert(0, SegmentRoutingHeader(
         segments, segments_left, PROTO_ROUTING if srhs else hdr.next_header,
-        srh.flags, srh.tag, tlv, srh.routing_type,
+        srh.flags, srh.tag, tlv,
     ))
     hdr.next_header = PROTO_ROUTING
     hdr.dst = segments[segments_left]
@@ -273,7 +273,6 @@ def encapsulate(p: Packet, outer_srh: SegmentRoutingHeader, outer_src: Address) 
     )
     p.headers.insert(0, (hdr, [SegmentRoutingHeader(
         list(segments), sl, PROTO_IPV6, outer_srh.flags, outer_srh.tag, tlv,
-        outer_srh.routing_type,
     )]))
     return p
 

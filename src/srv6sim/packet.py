@@ -93,7 +93,6 @@ class SegmentRoutingHeader:
     flags: int = 0
     tag: int = 0
     tlv_bytes: bytes = b""
-    routing_type: int = ROUTING_TYPE_SRH
 
     @property
     def last_entry(self) -> int:
@@ -111,7 +110,7 @@ class SegmentRoutingHeader:
     def copy(self) -> "SegmentRoutingHeader":
         return SegmentRoutingHeader(
             list(self.segments), self.segments_left, self.next_header,
-            self.flags, self.tag, self.tlv_bytes, self.routing_type,
+            self.flags, self.tag, self.tlv_bytes,
         )
 
 
@@ -210,8 +209,6 @@ def validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViolation | Non
             "SegmentsLeftOutOfRange",
             f"segments_left {srh.segments_left} > last_entry {last_entry}",
         )
-    if srh.routing_type != ROUTING_TYPE_SRH:
-        return SrhViolation("BadRoutingType", str(srh.routing_type))
     if not (0 <= srh.flags <= 0xFF) or not (0 <= srh.tag <= 0xFFFF):
         return SrhViolation("FieldOutOfRange", "flags or tag")
     region = srh.tlv_bytes
@@ -242,7 +239,6 @@ class Udp:
     src_port: int
     dst_port: int
     payload: bytes = b""
-    length: int = 0
 
 
 @dataclass(slots=True)
@@ -290,10 +286,8 @@ def make_udp_packet(
 ) -> Packet:
     """Plain single-header UDP packet with a consistent header chain."""
     # positional: every generated packet is made here
-    length = 8 + len(payload)
-    udp = Udp(src_port, dst_port, payload, length)
-    hdr = Ipv6Header(src, dst, PROTO_UDP, hop_limit, traffic_class, flow_label, length)
-    return Packet([(hdr, [])], udp)
+    hdr = Ipv6Header(src, dst, PROTO_UDP, hop_limit, traffic_class, flow_label, 8 + len(payload))
+    return Packet([(hdr, [])], Udp(src_port, dst_port, payload))
 
 
 def make_srh_udp_packet(
@@ -302,9 +296,9 @@ def make_srh_udp_packet(
 ) -> Packet:
     """UDP packet through an SRH of segments in reverse visit order."""
     srh = SegmentRoutingHeader(segments, len(segments) - 1, PROTO_UDP, tlv_bytes=tlv_bytes)
-    length = 8 + len(payload)
-    hdr = Ipv6Header(src, segments[-1], PROTO_ROUTING, payload_length=srh.wire_length + length)
-    return Packet([(hdr, [srh])], Udp(src_port, dst_port, payload, length))
+    plen = srh.wire_length + 8 + len(payload)
+    hdr = Ipv6Header(src, segments[-1], PROTO_ROUTING, payload_length=plen)
+    return Packet([(hdr, [srh])], Udp(src_port, dst_port, payload))
 
 
 def _ones_complement_sum(data: bytes) -> int:
@@ -335,16 +329,13 @@ def udp_checksum(p: Packet) -> int:
 def check_packet(p: Packet) -> None:
     """Raise InvariantViolation on any broken type, chain or length
     invariant. The layers are checked innermost first: each header's
-    payload_length must be the structural size of what follows it, and a
-    UDP length must be 8 plus its payload."""
+    payload_length must be the structural size of what follows it."""
     headers = p.headers
     if not headers:
         raise InvariantViolation("packet needs at least one IPv6 header")
     tp = p.transport
     if isinstance(tp, Udp):
         follows = 8 + len(tp.payload)  # octets after the current layer's SRHs
-        if tp.length != follows:
-            raise InvariantViolation(f"UDP length {tp.length} != {follows}")
         expected: int | None = PROTO_UDP
     else:
         follows = len(tp)
@@ -381,12 +372,12 @@ def check_packet(p: Packet) -> None:
 
 def encode_packet(p: Packet) -> bytes:
     """Serialize to wire bytes without writing into p. The packet must pass
-    check_packet, and its lengths are written as it keeps them; the UDP
-    checksum exists only in the bytes, computed here."""
+    check_packet; its payload lengths are written as it keeps them, and the
+    UDP length and checksum and the SRH routing type exist only here."""
     check_packet(p)
     if isinstance(p.transport, Udp):
         udp = p.transport
-        tail = _UDP_HDR.pack(udp.src_port, udp.dst_port, udp.length, udp_checksum(p))
+        tail = _UDP_HDR.pack(udp.src_port, udp.dst_port, 8 + len(udp.payload), udp_checksum(p))
         tail += udp.payload
     else:
         tail = bytes(p.transport)
@@ -395,7 +386,7 @@ def encode_packet(p: Packet) -> bytes:
     for hdr, srhs in reversed(p.headers):
         for srh in reversed(srhs):
             out = _SRH_HDR.pack(
-                srh.next_header, srh.hdr_ext_len, srh.routing_type, srh.segments_left,
+                srh.next_header, srh.hdr_ext_len, ROUTING_TYPE_SRH, srh.segments_left,
                 srh.last_entry, srh.flags, srh.tag,
             ) + b"".join(srh.segments) + srh.tlv_bytes + out
         out = _V6_HDR.pack(
@@ -470,7 +461,7 @@ def decode_packet(b: bytes) -> Packet:
             if ulen != len(b) - off:
                 raise ParseError(off + 4, f"UDP length {ulen} != {len(b) - off}")
             payload = bytes(b[off + 8 :])
-            pkt = Packet(headers=headers, transport=Udp(sport, dport, payload, ulen))
+            pkt = Packet(headers=headers, transport=Udp(sport, dport, payload))
             ref = udp_checksum(pkt)
             if csum != ref:  # 0 too: RFC 8200 8.1 forbids it over IPv6
                 log.warning("UDP checksum mismatch: got %#06x want %#06x", csum, ref)

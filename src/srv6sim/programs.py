@@ -4,14 +4,15 @@ Programs are host-language callables registered by name. They receive a
 ProgramContext with full read access to the packet and may mutate it only
 through the helpers below, which keep the in-kernel write restrictions and
 hooks (Linux 4.18, read from memory): store_bytes, adjust_srh and action
-serve End.BPF only, push_encap transit only, the rest both. The returned
-outcome (OK / DROP / REDIRECT) drives post-program forwarding. A TLV write
-or any resize marks the SRH, as it clears seg6_bpf_srh_state.valid; the
-next helper_action validates a marked SRH first, as bpf_lwt_seg6_action
-does, and finalize one still marked, as seg6_bpf_has_valid_srh does. A
-run's own state (the stored decision, the marked SRH) lives on its
-ProgramContext, as the kernel keeps it in the per-CPU seg6_bpf_srh_state,
-never in the packet.
+serve End.BPF only, push_encap transit only, the rest both. No registered
+program's code stores or deletes an attribute, a subscript or a global. The
+returned outcome (OK / DROP / REDIRECT) drives post-program forwarding. A
+TLV write or any resize marks the SRH, as it clears
+seg6_bpf_srh_state.valid; the next helper_action validates a marked SRH
+first, as bpf_lwt_seg6_action does, and finalize one still marked, as
+seg6_bpf_has_valid_srh does. A run's own state (the stored decision, the
+marked SRH) lives on its ProgramContext, as the kernel keeps it in the
+per-CPU seg6_bpf_srh_state, never in the packet.
 """
 
 from __future__ import annotations

@@ -349,9 +349,15 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
     doc = read_value("#", raw, "$")
 
     nodes: dict[str, NodeCfg] = {}
+    holders: dict[bytes, str] = {}  # a later holder would take the address
     for i, obj in enumerate(doc["nodes"]):
         if obj["id"] in nodes:
             raise ConfigError(f"$.nodes[{i}].id", f"duplicate node id {obj['id']!r}")
+        for j, addr in enumerate(obj["addresses"]):
+            if holders.setdefault(addr, obj["id"]) != obj["id"]:
+                raise ConfigError(
+                    f"$.nodes[{i}].addresses[{j}]", f"address already on node {holders[addr]!r}"
+                )
         nodes[obj["id"]] = NodeCfg(obj["id"], obj["addresses"])
 
     # cross-references; the path is formatted from where and at on error only

@@ -128,7 +128,7 @@ def dm_transit_factory(params: dict) -> Program:
     key = struct.pack(">I", int(params.get("route_id", ROUTE_ID)))
     ctrl_tlv = controller_tlv(ctrl_addr, ctrl_port)
     # a private template, checked with the 32 octets of TLVs run() fills in;
-    # each probe stamps it and helper_push_encap pushes a copy
+    # each probe pushes a new SRH of its fields and its own stamped TLVs
     path_srh: SegmentRoutingHeader = params["path_srh"].copy()
     path_srh.tlv_bytes = encode_tlvs(dm_tlv(0), ctrl_tlv)
     _pushable("path_srh", path_srh)
@@ -140,9 +140,12 @@ def dm_transit_factory(params: dict) -> Program:
         map_put(ctx, DM_COUNTER_MAP, key, _U64.pack(counter + 1))
         if counter % ratio != 0:
             return ok
-        path_srh.tlv_bytes = encode_tlvs(dm_tlv(helper_timestamp(ctx)), ctrl_tlv)
+        probe = SegmentRoutingHeader(
+            path_srh.segments, path_srh.segments_left, path_srh.next_header,
+            path_srh.flags, path_srh.tag, encode_tlvs(dm_tlv(helper_timestamp(ctx)), ctrl_tlv),
+        )
         try:
-            helper_push_encap(ctx, "encaps", path_srh, outer_src)
+            helper_push_encap(ctx, "encaps", probe, outer_src)
         except HelperError:
             pass  # a failed probe must never harm the underlying traffic
         return ok

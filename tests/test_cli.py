@@ -135,7 +135,8 @@ CASE_COMMAND = {"stray_wrr_on_encaps": "hybrid"}
     ["truncated", "duplicate_link", "duplicate_daemon", "nodes_not_array", "node_not_object",
      "wrr_as_sid", "dm_transit_as_sid", "end_dm_as_transit", "end_oamp_as_transit",
      "stray_wrr_on_encaps", "table_on_end", "src_on_end_b6", "params_on_end_t",
-     "program_on_encaps", "duplicate_sid", "duplicate_transit", "duplicate_route"],
+     "program_on_encaps", "duplicate_sid", "duplicate_transit", "duplicate_route",
+     "shared_address"],
 )
 def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
     text, error = {
@@ -216,6 +217,12 @@ def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
                                 "nexthops": [{"via": "2001:db8:bb::1", "link": "lab"}]},
                         "diamond.json"),
             "$.fib[20].prefix: duplicate route at node 'A'",
+        ),
+        # a later node took the address: with B's on D too, traceroute
+        # from S saw A -> C, D and D -> D
+        "shared_address": (
+            _with_entry("nodes", {"id": "E", "addresses": ["2001:db8:bb::1"]}, "diamond.json"),
+            "$.nodes[6].addresses[0]: address already on node 'B'",
         ),
     }[case]
     bad = tmp_path / "bad.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from srv6sim.behaviors import encapsulate
 from srv6sim.packet import (
-    ROUTING_TYPE_SRH,
     TLV_PAD1,
     TLV_PADN,
     PROTO_ICMPV6,
@@ -104,20 +103,16 @@ def test_active_segment_is_reverse_indexed():
     assert srh.segments[srh.segments_left] == S2
 
 
-@pytest.mark.parametrize("layer", [0, 1, "udp"])
+@pytest.mark.parametrize("layer", [0, 1])
 def test_a_stale_length_is_rejected_and_encode_rewrites_none(layer):
     p = encapsulate(make_udp_packet(S1, S2, b"payload"), SegmentRoutingHeader([S2], 0), S1)
     check_packet(p)
-    if layer == "udp":
-        p.transport.length += 8
-    else:
-        p.headers[layer][0].payload_length += 8
-    lengths = [h.payload_length for h, _ in p.headers] + [p.transport.length]
-    stale = "UDP length" if layer == "udp" else f"header {layer} payload_length"
+    p.headers[layer][0].payload_length += 8
+    lengths = [h.payload_length for h, _ in p.headers]
     for check in (check_packet, encode_packet):
-        with pytest.raises(InvariantViolation, match=stale):
+        with pytest.raises(InvariantViolation, match=f"header {layer} payload_length"):
             check(p)
-    assert [h.payload_length for h, _ in p.headers] + [p.transport.length] == lengths
+    assert [h.payload_length for h, _ in p.headers] == lengths
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +134,7 @@ def test_vector_plain_udp():
     hdr = p.outer_header
     assert (hdr.src, hdr.dst, hdr.next_header, hdr.hop_limit) == (S1, S2, 17, 64)
     assert hdr.payload_length == 13
-    assert p.transport == Udp(0x1234, 0x5678, b"hello", 13)
+    assert p.transport == Udp(0x1234, 0x5678, b"hello")
     assert udp_checksum(p) == 0xF7DE
     assert encode_packet(p) == raw
 
@@ -240,6 +235,15 @@ def test_decode_bad_version():
     raw[0] = 0x40
     with pytest.raises(ParseError, match="version"):
         decode_packet(bytes(raw))
+
+
+def test_decode_stale_udp_length():
+    raw = bytearray(encode_packet(make_udp_packet(S1, S2, b"hello")))
+    struct.pack_into(">H", raw, 44, 14)  # the UDP length: 13 octets follow
+    with pytest.raises(ParseError) as exc:
+        decode_packet(bytes(raw))
+    assert exc.value.offset == 44
+    assert exc.value.reason == "UDP length 14 != 13"
 
 
 def test_decode_bad_routing_type():
@@ -346,8 +350,6 @@ def reference_validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViola
             "SegmentsLeftOutOfRange",
             f"segments_left {srh.segments_left} > last_entry {srh.last_entry}",
         )
-    if srh.routing_type != ROUTING_TYPE_SRH:
-        return SrhViolation("BadRoutingType", str(srh.routing_type))
     if not (0 <= srh.flags <= 0xFF) or not (0 <= srh.tag <= 0xFFFF):
         return SrhViolation("FieldOutOfRange", "flags or tag")
     if srh.hdr_ext_len + 2 * room > 0xFF:
@@ -420,7 +422,6 @@ def srhs(draw):
         flags=_mostly(draw, st.sampled_from([0, 0x80, 0xFF]), st.sampled_from([0x100, -1])),
         tag=_mostly(draw, st.sampled_from([0, 7, 0xFFFF]), st.sampled_from([0x10000, -1])),
         tlv_bytes=draw(_TLV_REGION),
-        routing_type=_mostly(draw, st.just(ROUTING_TYPE_SRH), st.sampled_from([0, 3])),
     )
 
 

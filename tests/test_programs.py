@@ -1,9 +1,11 @@
+import dis
 import random
 import struct
+import types
 
 import pytest
 
-from srv6sim import programs
+from srv6sim import cli, programs
 from srv6sim.behaviors import (
     Drop,
     DropReason,
@@ -21,6 +23,7 @@ from srv6sim.behaviors import (
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
+    ROUTING_TYPE_SRH,
     SegmentRoutingHeader,
     Tlv,
     decode_packet,
@@ -46,6 +49,7 @@ from srv6sim.programs import (
     map_put,
     run_transit_program,
 )
+from srv6sim.scenario import build_simulation, fixture_path, load_scenario
 from util import SID_END, copy_packet, end_vs_noop_nodes, random_sr_packet
 from test_behaviors import router, sr_packet, S1, S2, F, SID, NH_R3
 
@@ -147,7 +151,7 @@ def test_store_bytes_of_no_data_writes_nothing():
 def _srh_wire(srh: SegmentRoutingHeader) -> bytes:
     """The SRH's wire octets, whatever its TLV region holds."""
     fixed = struct.pack(
-        ">BBBBBBH", srh.next_header, srh.hdr_ext_len, srh.routing_type,
+        ">BBBBBBH", srh.next_header, srh.hdr_ext_len, ROUTING_TYPE_SRH,
         srh.segments_left, srh.last_entry, srh.flags, srh.tag,
     )
     return fixed + b"".join(srh.segments) + srh.tlv_bytes
@@ -1093,3 +1097,44 @@ def test_flow_key_ignores_inner_ports_of_encapsulated_packets():
     k = flow_key(p)
     p.transport.src_port = 9
     assert flow_key(p) == k
+
+
+# ---------------------------------------------------------------------------
+# The contract: a program writes into the packet, its maps or the module
+# only through helpers, so none of its code stores an attribute, a
+# subscript or a global.
+
+_STORES = {"STORE_ATTR", "STORE_SUBSCR", "DELETE_ATTR", "DELETE_SUBSCR", "STORE_GLOBAL"}
+
+
+def _loaded_programs():
+    """(where, program) for every program the bundled fixtures and the
+    bench command load."""
+    for fixture in ("setup1.json", "setup2-hybrid.json", "diamond.json"):
+        sim = build_simulation(load_scenario(fixture_path(fixture)))
+        for node in sim.nodes.values():
+            for name, program in node.programs.items():
+                yield f"{fixture}:{node.id}:{name}", program
+    for name, program in cli._BENCH_SID_BINDINGS.items():
+        if program is not None:
+            yield f"bench:{name}", program
+
+
+def _code_objects(code: types.CodeType):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_no_loaded_program_stores_outside_the_helpers():
+    loaded = dict(_loaded_programs())
+    assert len(loaded) == 14
+    stores = [
+        (where, ins.opname, ins.argval)
+        for where, program in loaded.items()
+        for code in _code_objects(program.__code__)
+        for ins in dis.get_instructions(code)
+        if ins.opname in _STORES
+    ]
+    assert stores == []

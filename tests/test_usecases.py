@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import struct
@@ -149,15 +150,18 @@ def recorded_pushes(monkeypatch):
 
 def test_dm_transit_copies_its_path_srh_once_per_probe(monkeypatch):
     node, prog = dm_transit_node(ratio=1)
+    template = inspect.getclosurevars(prog).nonlocals["path_srh"]
+    template_tlvs = template.tlv_bytes
     calls = recorded_pushes(monkeypatch)
     probes = []
     for i in range(3):
         p = make_udp_packet(S1, S2, b"x" * 64)
         run_transit_program(node.transit_ctx, prog, p, 1000 + i)
         probes.append(p)
-    template = calls[0][0]
     assert [code for _, code in calls] == [None] * 3
-    assert all(srh is template for srh, _ in calls)  # each probe stamps one template
+    # each probe passes a new SRH, and the checked template stays as checked
+    assert len({id(srh) for srh, _ in calls} | {id(template)}) == 4
+    assert template.tlv_bytes == template_tlvs
     pushed = [p.outer_srh for p in probes]
     assert len({id(srh) for srh in pushed}) == 3
     for i, srh in enumerate(pushed):

@@ -93,7 +93,7 @@ def with_lengths(p: Packet) -> Packet:
     does: each payload_length covers what follows its header. Returns p."""
     tp = p.transport
     if isinstance(tp, Udp):
-        tp.length = follows = 8 + len(tp.payload)
+        follows = 8 + len(tp.payload)
     else:
         follows = len(tp)
     for hdr, srhs in reversed(p.headers):
@@ -116,7 +116,7 @@ def copy_packet(p: Packet) -> Packet:
         headers.append((h, [s.copy() for s in srhs]))
     tp = p.transport
     if isinstance(tp, Udp):
-        tp = Udp(tp.src_port, tp.dst_port, tp.payload, tp.length)
+        tp = Udp(tp.src_port, tp.dst_port, tp.payload)
     return Packet(headers=headers, transport=tp)
 
 
