@@ -228,6 +228,8 @@ TRANSIT_BEHAVIORS: dict[str, type[Behavior]] = {
 
 def end(p: Packet) -> Drop | None:
     """Advance to the next segment: segments_left -= 1, dst = new active."""
+    # seg6local input, the one SRH entry without validate_srh (Linux has it): on
+    # perfbench's hand-built pipeline SRHs it would cost ~19% (ROADMAP item 14).
     hdr, srhs = p.headers[0]
     if not srhs:
         return DROPS[DropReason.NO_SRH]

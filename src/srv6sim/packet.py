@@ -140,25 +140,6 @@ def encode_tlvs(*tlvs: Tlv) -> bytes:
     return raw
 
 
-def walk_tlvs(region: bytes, off: int = 0, end: int | None = None):
-    """Yield (offset, Tlv) for each record of region[off:end], offsets
-    counted from the start of region; raises ParseError on overrun."""
-    end = len(region) if end is None else end
-    while off < end:
-        t = region[off]
-        if t == TLV_PAD1:
-            yield off, Tlv(TLV_PAD1)
-            off += 1
-            continue
-        if off + 2 > end:
-            raise ParseError(off, "TLV header truncated")
-        length = region[off + 1]
-        if off + 2 + length > end:
-            raise ParseError(off, "TLV value runs past region end")
-        yield off, Tlv(t, bytes(region[off + 2 : off + 2 + length]))
-        off += 2 + length
-
-
 def first_tlvs(srh: SegmentRoutingHeader) -> dict[int, Tlv]:
     """First TLV of each type in srh's TLV region, pads included; a broken
     walk keeps those before it. A Tlv is built only for each kept record."""
@@ -194,8 +175,7 @@ def validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViolation | Non
 
     The TLV region must parse as a terminating walk and multi-octet
     padding must use PadN: a run of two or more Pad1 octets (e.g. space
-    grown but never filled) is rejected as RawFillInvalid. The walk is
-    walk_tlvs' inlined, with no Tlv built per record.
+    grown but never filled) is rejected as RawFillInvalid.
     """
     segments = srh.segments
     if not segments:
@@ -327,9 +307,9 @@ def udp_checksum(p: Packet) -> int:
 
 
 def check_packet(p: Packet) -> None:
-    """Raise InvariantViolation on any broken type, chain or length
-    invariant. The layers are checked innermost first: each header's
-    payload_length must be the structural size of what follows it."""
+    """Raise InvariantViolation on any SRH validate_srh refuses and any
+    broken type, chain or length invariant, innermost layer first: each
+    header's payload_length must be the structural size of what follows it."""
     headers = p.headers
     if not headers:
         raise InvariantViolation("packet needs at least one IPv6 header")
@@ -350,7 +330,7 @@ def check_packet(p: Packet) -> None:
                 )
             for j, srh in enumerate(srhs):
                 bad = validate_srh(srh)
-                if bad is not None and bad.code != "RawFillInvalid":
+                if bad is not None:
                     raise InvariantViolation(f"SRH {i}.{j}: {bad}")
                 want = PROTO_ROUTING if j + 1 < len(srhs) else expected
                 if want is not None and srh.next_header != want:
@@ -408,24 +388,22 @@ def _parse_srh(buf: bytes, off: int) -> tuple[SegmentRoutingHeader, int]:
     nseg = le + 1
     if 8 + 16 * nseg > total:
         raise ParseError(off, "hdr_ext_len too small for segment list")
-    if sl > le:
-        raise ParseError(off + 3, f"segments_left {sl} > last_entry {le}")
     segs = [
         bytes(buf[off + 8 + 16 * i : off + 24 + 16 * i]) for i in range(nseg)
     ]
     tlv_start = off + 8 + 16 * nseg
-    for _ in walk_tlvs(buf, tlv_start, off + total):  # errors at buffer offsets
-        pass
     srh = SegmentRoutingHeader(
         segments=segs, segments_left=sl, next_header=nh,
         flags=flags, tag=tag, tlv_bytes=bytes(buf[tlv_start : off + total]),
     )
+    if bad := validate_srh(srh):
+        raise ParseError(off, str(bad))
     return srh, off + total
 
 
 def decode_packet(b: bytes) -> Packet:
-    """Parse wire bytes into a Packet, with no trace ids.
-
+    """Parse wire bytes into a Packet, with no trace ids. An SRH that
+    validate_srh refuses raises ParseError at the SRH's first octet.
     UDP checksums are verified warn-only (logged), so replayed or fuzzed
     byte streams stay usable, and not kept: encode_packet computes them.
     """

@@ -439,7 +439,10 @@ def parse_scenario(raw: dict) -> ScenarioConfig:
         params = obj.get("params", {})
         if obj["type"] == "twd_prober":
             for j, pl in enumerate(params["links"]):
-                check_link(pl["link"], node_id, "$.daemons[{}].params.links[{}].link", i, j)
+                where = "$.daemons[{}].params.links[{}]."
+                check_link(pl["link"], node_id, where + "link", i, j)
+                for key in ("link", "return_addr"):  # a path probed twice never compensates
+                    check_once((key, node_id, i, pl[key]), where + key, i, j)
             params["links"] = [ProbeLink(**pl) for pl in params["links"]]
         if "interval_ms" in obj:  # else the class's own default
             params["interval_ns"] = int(obj["interval_ms"] * 1_000_000)

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from .behaviors import DROP_HOP_LIMIT, Drop, DropReason, Forward, LocalDeliver
 from .dataplane import Node
 from .fib import fnv1a64
-from .packet import Address, Packet, Udp, make_udp_packet
+from .packet import Address, Packet, Udp, make_udp_packet, ntop
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -338,6 +338,9 @@ class Simulation:
     def add_node(self, node: Node) -> Node:
         if node.id in self.nodes:
             raise SimError(f"duplicate node id {node.id!r}")
+        for addr in node.addresses:  # a later node would take the address
+            if addr in self.addr_to_node:
+                raise SimError(f"address {ntop(addr)} already on node {self.addr_to_node[addr]!r}")
         node.index = len(self.nodes)
         self.nodes[node.id] = node
         for addr in node.addresses:

@@ -123,6 +123,13 @@ def _with_behavior(section: str, behavior: dict, fixture="setup1.json", node="R"
     return json.dumps(raw)
 
 
+def _with_probe_link(j: int, key: str, value: str) -> str:
+    """setup2-hybrid with key of its prober's link j set to value."""
+    raw = json.loads(fixture_path("setup2-hybrid.json").read_text())
+    raw["daemons"][0]["params"]["links"][j][key] = value
+    return json.dumps(raw)
+
+
 SRH = {"segments": ["fd00:73::d"]}
 WRR_PARAMS = {"srh_a": SRH, "srh_b": SRH}
 DM_PARAMS = {"path_srh": SRH, "controller_addr": "2001:db8:1::1"}
@@ -136,7 +143,7 @@ CASE_COMMAND = {"stray_wrr_on_encaps": "hybrid"}
      "wrr_as_sid", "dm_transit_as_sid", "end_dm_as_transit", "end_oamp_as_transit",
      "stray_wrr_on_encaps", "table_on_end", "src_on_end_b6", "params_on_end_t",
      "program_on_encaps", "duplicate_sid", "duplicate_transit", "duplicate_route",
-     "shared_address"],
+     "shared_address", "probed_link_twice", "probe_return_addr_twice"],
 )
 def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
     text, error = {
@@ -223,6 +230,16 @@ def test_scenario_file_error_exits_2_and_names_its_path(tmp_path, capsys, case):
         "shared_address": (
             _with_entry("nodes", {"id": "E", "addresses": ["2001:db8:bb::1"]}, "diamond.json"),
             "$.nodes[6].addresses[0]: address already on node 'B'",
+        ),
+        # a path probed twice: hybrid ran with compensation on and applied
+        # no delay, as if both paths were equal
+        "probed_link_twice": (
+            _with_probe_link(1, "link", "la"),
+            "$.daemons[0].params.links[1].link: duplicate link at node 'A'",
+        ),
+        "probe_return_addr_twice": (
+            _with_probe_link(1, "return_addr", "2001:db8:a::a"),
+            "$.daemons[0].params.links[1].return_addr: duplicate return_addr at node 'A'",
         ),
     }[case]
     bad = tmp_path / "bad.json"

@@ -30,7 +30,6 @@ from srv6sim.packet import (
     pton,
     udp_checksum,
     validate_srh,
-    walk_tlvs,
     _ones_complement_sum,
 )
 from util import (
@@ -39,6 +38,8 @@ from util import (
     parse_hex_dump,
     random_packet,
     reference_first_tlvs,
+    udp_wire_through,
+    walk_tlvs,
     with_lengths,
 )
 
@@ -148,7 +149,7 @@ def test_vector_srh_two_segments():
     assert (srh.segments_left, srh.last_entry, srh.tag) == (1, 1, 5)
     assert srh.hdr_ext_len == 8
     assert validate_srh(srh) is None
-    tlvs = [t for _, t in walk_tlvs(srh.tlv_bytes)]
+    tlvs = list(walk_tlvs(srh.tlv_bytes))
     assert [t.type for t in tlvs] == [1, 2, 4]
     assert tlvs[0].value == struct.pack(">Q", 1_500_000)
     assert udp_checksum(p) == 0xB6BB
@@ -270,7 +271,10 @@ def test_decode_tlv_walk_overrun():
     raw[40 + 8 + 16 + 1] = 200
     with pytest.raises(ParseError) as exc:
         decode_packet(bytes(raw))
-    assert exc.value.offset == 40 + 8 + 16  # the broken TLV's buffer offset
+    # validate_srh's violation, reported at the SRH's first octet
+    assert (exc.value.offset, exc.value.reason) == (
+        40, "TlvWalkOverrun: TLV value runs past region end"
+    )
 
 
 @pytest.mark.parametrize("with_srh, reason", [(True, "SRH truncated"), (False, "UDP header truncated")])
@@ -358,7 +362,7 @@ def reference_validate_srh(srh: SegmentRoutingHeader, room: int = 0) -> SrhViola
         return SrhViolation("TlvRegionMisaligned", str(len(srh.tlv_bytes)))
     pad1_run = 0
     try:
-        for _, tlv in walk_tlvs(srh.tlv_bytes):
+        for tlv in walk_tlvs(srh.tlv_bytes):
             if tlv.type == TLV_PAD1:
                 pad1_run += 1
                 if pad1_run > 1:
@@ -394,14 +398,15 @@ _TLV_TAIL = st.one_of(
         lambda t: bytes((t[0], len(t[1]) + t[2])) + t[1]  # value 1-3 octets short
     ),
 )
-_TLV_REGION = st.one_of(
-    st.lists(_TLV_PIECE, max_size=6).map(b"".join),
+# the regions a wire SRH can hold: a multiple of 8 octets
+_ALIGNED_TLV_REGION = st.one_of(
     st.lists(_TLV_PIECE, max_size=6).map(lambda pieces: _aligned(b"".join(pieces))),
     st.tuples(st.lists(_TLV_PIECE, max_size=6), _TLV_TAIL).map(
         lambda pt: _aligned(b"".join(pt[0]), pt[1])
     ),
     st.integers(0, 6).flatmap(lambda n: st.binary(min_size=8 * n, max_size=8 * n)),
 )
+_TLV_REGION = st.one_of(st.lists(_TLV_PIECE, max_size=6).map(b"".join), _ALIGNED_TLV_REGION)
 
 
 def _mostly(draw, good, bad):
@@ -438,6 +443,29 @@ def srhs(draw):
 @example(srh=SegmentRoutingHeader([S1] * 127, 0), room=1)
 def test_validate_srh_matches_the_tlv_walk_reference(srh, room):
     assert validate_srh(srh, room) == reference_validate_srh(srh, room)  # code and detail
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    nseg_sl=st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    region=_ALIGNED_TLV_REGION,
+)
+@example(nseg_sl=(1, 0), region=bytes(8))  # a run of Pad1 octets
+@example(nseg_sl=(2, 2), region=b"")  # segments_left one past last_entry
+def test_decode_refuses_exactly_what_validate_srh_refuses(nseg_sl, region):
+    """decode_packet holds a wire SRH to validate_srh, and to no rule of
+    its own: it raises at the SRH's first octet with the violation's text,
+    and decodes every SRH the rule accepts."""
+    nseg, sl = nseg_sl
+    srh = SegmentRoutingHeader([S1, S2, S1][:nseg], sl, tlv_bytes=region)
+    raw = udp_wire_through(S1, S2, srh)
+    bad = validate_srh(srh)
+    if bad is None:
+        assert decode_packet(raw).outer_srh == srh
+    else:
+        with pytest.raises(ParseError) as exc:
+            decode_packet(raw)
+        assert (exc.value.offset, exc.value.reason) == (40, str(bad))
 
 
 # records of two types, so a region often repeats one

@@ -23,14 +23,17 @@ from srv6sim.behaviors import (
 from srv6sim.dataplane import Node
 from srv6sim.fib import FibEntry
 from srv6sim.packet import (
-    ROUTING_TYPE_SRH,
+    InvariantViolation,
+    ParseError,
     SegmentRoutingHeader,
     Tlv,
+    check_packet,
     decode_packet,
     encode_packet,
     encode_tlvs,
     make_udp_packet,
     pton,
+    validate_srh,
 )
 from srv6sim.programs import (
     HelperError,
@@ -50,7 +53,15 @@ from srv6sim.programs import (
     run_transit_program,
 )
 from srv6sim.scenario import build_simulation, fixture_path, load_scenario
-from util import SID_END, copy_packet, end_vs_noop_nodes, random_sr_packet
+from util import (
+    SID_END,
+    copy_packet,
+    end_vs_noop_nodes,
+    random_sr_packet,
+    srh_wire,
+    udp_wire_through,
+    with_lengths,
+)
 from test_behaviors import router, sr_packet, S1, S2, F, SID, NH_R3
 
 
@@ -148,15 +159,6 @@ def test_store_bytes_of_no_data_writes_nothing():
     assert ctx.srh_dirty is None
 
 
-def _srh_wire(srh: SegmentRoutingHeader) -> bytes:
-    """The SRH's wire octets, whatever its TLV region holds."""
-    fixed = struct.pack(
-        ">BBBBBBH", srh.next_header, srh.hdr_ext_len, ROUTING_TYPE_SRH,
-        srh.segments_left, srh.last_entry, srh.flags, srh.tag,
-    )
-    return fixed + b"".join(srh.segments) + srh.tlv_bytes
-
-
 def test_store_bytes_accepted_writes_splice_the_encoded_srh():
     """Random accepted writes to flags, tag, both, and the TLV region each
     leave the SRH's octets equal to the old ones with the data spliced in
@@ -165,7 +167,7 @@ def test_store_bytes_accepted_writes_splice_the_encoded_srh():
     for _ in range(400):
         p = random_sr_packet(rng, SID)
         srh = p.outer_srh
-        before = _srh_wire(srh)
+        before = srh_wire(srh)
         assert before == encode_packet(p)[40 : 40 + srh.wire_length]
         spans = [(5, 6), (6, 8), (5, 8)]  # flags, tag, both
         if srh.tlv_bytes:
@@ -175,7 +177,7 @@ def test_store_bytes_accepted_writes_splice_the_encoded_srh():
         data = rng.randbytes(rng.randrange(1, hi - offset + 1))
         ctx = make_ctx(p)
         helper_store_bytes(ctx, offset, data)
-        assert _srh_wire(srh) == before[:offset] + data + before[offset + len(data) :]
+        assert srh_wire(srh) == before[:offset] + data + before[offset + len(data) :]
         assert ctx.srh_dirty is (srh if lo >= 8 else None)
 
 
@@ -1017,24 +1019,25 @@ def _with_tlvs(p, tlvs):
 @pytest.mark.parametrize("tlvs", [b"", PADN_8, PAD1_RUN_8], ids=["none", "padn", "pad1_run"])
 def test_tag_write_decides_as_noop_on_the_received_srh(hook, tlvs):
     """At End.BPF, Tag++ and noop give one decision on the same received
-    SRH, valid or not, and leave the same octets but the tag. A transit
+    SRH, valid or not, and leave the same packet but the tag. A transit
     program cannot write the tag: the write raises wrong_hook and leaves
-    the packet as it came."""
+    the packet as it came. Packets are compared as objects, since
+    encode_packet refuses the invalid SRH."""
     if hook is Hook.TRANSIT:
         p = _with_tlvs(sr_packet([S2, F], 1), tlvs)
-        before = encode_packet(p)
+        before = copy_packet(p)
         node = router([FibEntry(pton("2001:db8:2::"), 64, [NH_R3])])
         decision = run_transit_program(node.transit_ctx, bump_tag, p, 0)
         assert decision == Drop(DropReason.PROGRAM_ERROR)
         assert decision.detail.startswith("wrong_hook")
-        assert encode_packet(p) == before
+        assert p == before
         return
     results = []
     for program in (programs.make_program("noop"), bump_tag):
         p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
         decision = end_bpf_router(program).process_ingress(p, 0)
-        raw = encode_packet(p)
-        results.append((decision, raw[:46] + raw[48:], p.outer_srh.tag))
+        tag, p.outer_srh.tag = p.outer_srh.tag, 0  # the tag set aside
+        results.append((decision, p, tag))
     (noop_decision, noop_rest, noop_tag), (tag_decision, tag_rest, tag_tag) = results
     assert type(noop_decision) is Forward
     assert tag_decision == noop_decision
@@ -1064,6 +1067,64 @@ def test_tlv_and_length_writes_still_mark_the_srh(program, tlvs):
     p = _with_tlvs(sr_packet([S2, SID], 1), tlvs)
     decision = end_bpf_router(program).process_ingress(p, 0)
     assert decision == Drop(DropReason.INVALID_SRH_AFTER_PROGRAM)
+
+
+# ---------------------------------------------------------------------------
+# One SRH rule at every entry point: each refuses, with its own error, the
+# violation validate_srh names.
+
+INVALID_SRHS = {
+    "pad1_run": lambda: SegmentRoutingHeader([S2, F], 1, tlv_bytes=PAD1_RUN_8),
+    "segments_left": lambda: SegmentRoutingHeader([S2, F], 2),
+}
+
+
+def _packet_through(srh):
+    p = sr_packet([S2, F], 1)
+    p.headers[0][1][0] = srh
+    return with_lengths(p)
+
+
+def _transit_ctx():
+    return make_ctx(make_udp_packet(S1, S2, b"x"), hook=Hook.TRANSIT)
+
+
+def _marked(srh):
+    """An End.BPF context whose outer SRH, srh, a helper marked."""
+    ctx = make_ctx(_packet_through(srh))
+    ctx.srh_dirty = srh
+    return ctx
+
+
+ENTRY_POINTS = {
+    "decode_packet": (lambda srh: decode_packet(udp_wire_through(S1, S2, srh)), ParseError),
+    "check_packet": (lambda srh: check_packet(_packet_through(srh)), InvariantViolation),
+    "encode_packet": (lambda srh: encode_packet(_packet_through(srh)), InvariantViolation),
+    "push_insert": (lambda srh: helper_push_encap(_transit_ctx(), "insert", srh), HelperError),
+    "push_encaps": (lambda srh: helper_push_encap(_transit_ctx(), "encaps", srh), HelperError),
+    "end_b6": (EndB6, InvariantViolation),
+    "transit_insert": (TransitInsert, InvariantViolation),
+    "wrr": (lambda srh: programs.make_program("wrr", {"srh_a": srh, "srh_b": srh}), ValueError),
+    "helper_action": (lambda srh: helper_action(_marked(srh), B6_ACTIONS[0]), HelperError),
+    "finalize": (lambda srh: programs.finalize(_marked(srh), Outcome.OK), Drop),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_SRHS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_one_srh_rule_at_every_entry_point(entry, case):
+    enter, refusal = ENTRY_POINTS[entry]
+    srh = INVALID_SRHS[case]()
+    code = validate_srh(srh).code
+    if refusal is Drop:  # finalize refuses by its decision
+        got = enter(srh)
+        assert got.reason is DropReason.INVALID_SRH_AFTER_PROGRAM
+        assert got.detail.startswith(code)
+        return
+    with pytest.raises(refusal) as exc:
+        enter(srh)
+    assert type(exc.value) is refusal
+    assert code in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,20 @@ def test_simulation_rejects_a_duplicate_link_or_daemon_id():
     assert sim.daemons["d"] is first
 
 
+def test_simulation_rejects_an_address_already_on_another_node():
+    """A later node would take the address in addr_to_node; the refused
+    node leaves the simulation as it was. One node may list an address
+    twice."""
+    sim = Simulation()
+    b = sim.add_node(Node("B", [S1]))
+    with pytest.raises(SimError, match="address 2001:db8:1::1 already on node 'B'"):
+        sim.add_node(Node("D", [pton("2001:db8::d"), S1]))
+    assert sim.nodes == {"B": b}
+    assert sim.addr_to_node == {S1: "B"}
+    sim.add_node(Node("E", [pton("2001:db8::e")] * 2))
+    assert sim.addr_to_node[pton("2001:db8::e")] == "E"
+
+
 def test_link_to_a_node_not_yet_added_is_rejected():
     sim = Simulation()
     sim.add_node(Node("A", [S1]))

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: seeded random packet generation, a
 few tiny topology builders, a decoder of queued delay events, the hex
-dump format of the golden vectors, a deep packet copy, and references of
-optimised code: copy-then-patch SRH pushes, the walk_tlvs-based
-first_tlvs, the per-row trace writer and the two-pass sink scan."""
+dump format of the golden vectors, a deep packet copy, SRH octets
+assembled by hand, and references of optimised code: copy-then-patch SRH
+pushes, a TLV walk and the first_tlvs built on it, the per-row trace
+writer and the two-pass sink scan."""
 
 from __future__ import annotations
 
 import random
+import struct
 from collections import defaultdict
 
 from srv6sim.behaviors import DEFAULT_HOP_LIMIT, End, EndProgram
@@ -17,6 +19,8 @@ from srv6sim.packet import (
     PROTO_IPV6,
     PROTO_ROUTING,
     PROTO_UDP,
+    ROUTING_TYPE_SRH,
+    TLV_PAD1,
     InvariantViolation,
     Ipv6Header,
     Packet,
@@ -26,7 +30,7 @@ from srv6sim.packet import (
     Udp,
     encode_tlvs,
     pton,
-    walk_tlvs,
+    udp_checksum,
 )
 from srv6sim.sim import InsufficientData
 from srv6sim.usecases import DelayRecord, decode_dm_event
@@ -145,6 +149,27 @@ def random_sr_packet(rng: random.Random, sid: bytes, min_left: int = 1) -> Packe
         headers=[(hdr, [srh])],
         transport=Udp(rng.randrange(65536), rng.randrange(65536), rng.randbytes(32)),
     ))
+
+
+def srh_wire(srh: SegmentRoutingHeader) -> bytes:
+    """The SRH's wire octets, whatever its fields and TLV region hold."""
+    fixed = struct.pack(
+        ">BBBBBBH", srh.next_header, srh.hdr_ext_len, ROUTING_TYPE_SRH,
+        srh.segments_left, srh.last_entry, srh.flags, srh.tag,
+    )
+    return fixed + b"".join(srh.segments) + srh.tlv_bytes
+
+
+def udp_wire_through(src: bytes, dst: bytes, srh: SegmentRoutingHeader) -> bytes:
+    """The octets of an empty UDP datagram from src to dst through srh, which
+    must end its chain in UDP, assembled by hand: encode_packet refuses an
+    invalid SRH."""
+    csum = udp_checksum(Packet([(Ipv6Header(src, dst), [])], Udp(49152, 33434)))
+    udp = struct.pack(">HHHH", 49152, 33434, 8, csum)
+    v6 = struct.pack(
+        ">IHBB16s16s", 6 << 28, srh.wire_length + len(udp), PROTO_ROUTING, 64, src, dst
+    )
+    return v6 + srh_wire(srh) + udp
 
 
 def format_hex_dump(data: bytes) -> str:
@@ -300,10 +325,30 @@ def reference_encapsulate(p: Packet, srh: SegmentRoutingHeader, src: bytes) -> P
 # ---------------------------------------------------------------------------
 # Straightforward forms of the TLV read, the trace export and the sink scan.
 
+def walk_tlvs(region: bytes):
+    """Yield a Tlv for each record of region, raising ParseError at the
+    offset of a record that overruns it: the oracle of the walks that
+    validate_srh and first_tlvs inline."""
+    off, end = 0, len(region)
+    while off < end:
+        t = region[off]
+        if t == TLV_PAD1:
+            yield Tlv(TLV_PAD1)
+            off += 1
+            continue
+        if off + 2 > end:
+            raise ParseError(off, "TLV header truncated")
+        length = region[off + 1]
+        if off + 2 + length > end:
+            raise ParseError(off, "TLV value runs past region end")
+        yield Tlv(t, bytes(region[off + 2 : off + 2 + length]))
+        off += 2 + length
+
+
 def reference_first_tlvs(srh: SegmentRoutingHeader) -> dict[int, Tlv]:
     found: dict[int, Tlv] = {}
     try:
-        for _, tlv in walk_tlvs(srh.tlv_bytes):
+        for tlv in walk_tlvs(srh.tlv_bytes):
             found.setdefault(tlv.type, tlv)
     except ParseError:
         pass
